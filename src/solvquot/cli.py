@@ -118,7 +118,7 @@ def cmd_count(args, want):
     P, src_label = load_source(args.source)
     tower = load_target(args.target, args.cap_order)
     rep = counting.epi_count(
-        P, tower, cap=args.cap_frontier, with_hom=True, source_label=src_label
+        P, tower, cap=args.cap_frontier, with_hom=want == "hom", source_label=src_label
     )
     doc = rep.to_json_dict()
     doc["target"] = args.target
@@ -126,7 +126,8 @@ def cmd_count(args, want):
     if args.tsv:
         emit_tsv(
             ["source", "target", "hom", "epi", "aut", "delta"],
-            [[src_label, args.target, rep.hom, rep.epi, rep.aut, rep.delta]],
+            [[src_label, args.target, "-" if rep.hom is None else rep.hom,
+              rep.epi, rep.aut, rep.delta]],
             sys.stdout,
         )
     else:

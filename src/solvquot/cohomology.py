@@ -6,6 +6,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .presentations import symbolic_jacobian
 
 
@@ -63,25 +65,37 @@ class ModSolveResult:
         M = self.modulus
         return tuple(sum(c * yy for c, yy in zip(row, y)) % M for row in self._C)
 
+    def solution_array(self, limit=None):
+        """All solutions of A x = b as the rows of one (count, ncols) int64
+        array: x = C (y0 + k * step) mod q^r, where k runs over the
+        mixed-radix grid of the non-fixed diagonal unknowns (q^v values for
+        a pivot of valuation v, q^r for a free unknown), first unknown
+        slowest.  With ``limit`` set, raises before allocating if the
+        solution count exceeds it."""
+        if not self.solvable:
+            return np.zeros((0, self.ncols), dtype=np.int64)
+        q, r, M = self.q, self.r, self.modulus
+        if limit is not None and q**self.count_exponent > limit:
+            raise OverflowError("solution count exceeds limit")
+        npiv = len(self.pivot_vals)
+        radix = [q**v for v in self.pivot_vals] + [M] * (self.ncols - npiv)
+        step = [q ** (r - v) for v in self.pivot_vals] + [1] * (self.ncols - npiv)
+        vary = [t for t in range(self.ncols) if radix[t] > 1]
+        C = np.array(self._C, dtype=np.int64).reshape(self.ncols, self.ncols)
+        base = C @ np.array(self._y0, dtype=np.int64)
+        if not vary:
+            return (base % M)[None, :]
+        grid = np.indices([radix[t] for t in vary], dtype=np.int64)
+        grid = grid.reshape(len(vary), -1).T * np.array([step[t] for t in vary])
+        return (base + grid @ C[:, vary].T) % M
+
     def solutions(self, limit=None):
-        """All solutions of A x = b, deterministically ordered.  With
-        ``limit`` set, raises if the solution count exceeds it."""
+        """All solutions of A x = b as tuples, in the row order of
+        ``solution_array``; ``limit`` is passed on to it."""
         if not self.solvable:
             return
-        q, r, M = self.q, self.r, self.modulus
-        if limit is not None and self.count_exponent > 0:
-            if q**self.count_exponent > limit:
-                raise OverflowError("solution count exceeds limit")
-        choices = []
-        for t in range(self.ncols):
-            if t < len(self.pivot_vals):
-                v = self.pivot_vals[t]
-                step = q ** (r - v)
-                choices.append([(self._y0[t] + k * step) % M for k in range(q**v)])
-            else:
-                choices.append(list(range(M)))
-        for y in itertools.product(*choices):
-            yield self._apply(y)
+        for x in self.solution_array(limit=limit).tolist():
+            yield tuple(x)
 
 
 def solve_mod_prime_power(rows, rhs, ncols, q, r=1):

@@ -8,6 +8,8 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from .cohomology import (
     LayerAction,
     build_system,
@@ -68,26 +70,71 @@ class GeneratorImageMap:
 
 
 # ---------------------------------------------------------------------------
-# Level-by-level lifting.  The frontier at level i is the list of generator
-# image tuples of homomorphisms (or epimorphisms) into B_i; lifting through
-# layer i solves the cocycle system of each map and extends it by every
-# solution.
+# Level-by-level lifting.  The frontier at level i is an (m, n) int32 array
+# whose rows, sorted, are the generator images of the homomorphisms (or
+# epimorphisms) into B_i; lifting through layer i solves the cocycle system
+# of each map and extends it by all of its solutions at once.
 
 
-def _lift_all(P, lay, images):
-    """(epsilon, d, iterator of lifted image tuples); there are epsilon*q^d
-    lifts."""
-    sys = build_system(P, images, lay, check=False)
-    res = solve_system(sys)
-    if not res.solvable:
-        return 0, 0, iter(())
+def _trivial_frontier(P):
+    return np.zeros((1, P.n), dtype=np.int32)
+
+
+def _as_tuples(frontier):
+    return [tuple(row) for row in frontier.tolist()]
+
+
+def lift_frontier(P, lay, frontier, epi, cap=10**7, level=0):
+    """Lift every map of ``frontier`` (an int32 array of image rows into the
+    base of ``lay``, the layer above tower level ``level``) through ``lay``.
+
+    Returns the lifts as a row-sorted int32 array and, per map, the exponent
+    d of its q^d lifts, or None where the map does not lift.  With ``epi``
+    the frontier must consist of epimorphisms: the non-surjective lifts of a
+    map with images b are then exactly the c rows ``lay.sections[:, b]``,
+    one per complement of the layer's kernel, and each must occur exactly
+    once among the map's lifts.  ``cap`` bounds the number of lifts kept and
+    is checked before a map's lifts are materialised."""
+    q, s, n = lay.q, lay.s, P.n
     nB = len(lay.base)
-
-    def gen():
-        for vecs in solution_vectors(sys, result=res):
-            yield tuple(lay.vec_num(v) * nB + b for v, b in zip(vecs, images))
-
-    return 1, res.count_exponent, gen()
+    qpow = q ** np.arange(s, dtype=np.int64)
+    c = lay.complements if epi else 0
+    parts = []
+    dims = []
+    size = 0
+    for images in frontier.tolist():
+        res = solve_system(build_system(P, images, lay, check=False))
+        n_lifts = q**res.count_exponent if res.solvable else 0
+        dims.append(res.count_exponent if res.solvable else None)
+        if size + n_lifts - c > cap:
+            raise CapExceeded(
+                "%s frontier at level %d would reach %d maps, over the cap %d"
+                % ("epimorphism" if epi else "homomorphism", level + 1,
+                   size + n_lifts - c, cap),
+                level=level + 1, size=size + n_lifts - c,
+            )
+        X = res.solution_array()
+        if len(X) != n_lifts:
+            raise CountError("lift enumeration disagrees with the solution count")
+        lifts = (X.reshape(n_lifts, n, s) @ qpow) * nB + images
+        if epi:
+            hits = (lifts[:, None, :] == lay.sections[:, images][None]).all(axis=2)
+            if (hits.sum(axis=0) != 1).any():
+                raise CountError("a complement lift is not found exactly once "
+                                 "among the %d lifts" % n_lifts)
+            lifts = lifts[~hits.any(axis=1)]
+            if len(lifts) != n_lifts - c:
+                raise CountError(
+                    "surjective lift tally %d disagrees with the complement "
+                    "subtraction %d - %d" % (len(lifts), n_lifts, c)
+                )
+        parts.append(lifts.astype(np.int32))
+        size += len(lifts)
+    new = np.concatenate(parts) if parts else np.zeros((0, n), dtype=np.int32)
+    del parts
+    if n:
+        new = new[np.lexsort(new.T[::-1])]
+    return new, dims
 
 
 def _lift_is_surjective(lay, images):
@@ -117,75 +164,41 @@ def _lift_is_surjective(lay, images):
 
 def epi_lift(P, tower, level, images):
     """All surjective lifts of an epimorphism onto the level-`level` group
-    through layer `level`, one GeneratorImageMap per lift.  The number of
-    maps returned is epsilon * q^d minus the layer's complement count."""
-    lay = tower.layers[level]
+    through layer `level`, one GeneratorImageMap per lift, sorted by images.
+    The number of maps returned is epsilon * q^d minus the layer's
+    complement count."""
     base = tower.level_group(level)
     if len(base.closure(images)) != len(base):
         raise ValueError("images do not generate the level group")
-    eps, d, lifts = _lift_all(P, lay, images)
-    out = [
-        GeneratorImageMap(tower, level + 1, t)
-        for t in lifts
-        if _lift_is_surjective(lay, t)
-    ]
-    if len(out) != eps * lay.q**d - lay.complements:
-        raise CountError("surjective lift tally disagrees with the complement count")
-    return out
+    rho = np.array(images, dtype=np.int32).reshape(1, P.n)
+    lifts, _ = lift_frontier(P, tower.layers[level], rho, epi=True, level=level)
+    return [GeneratorImageMap(tower, level + 1, t) for t in _as_tuples(lifts)]
 
 
 def hom_count(P, tower, cap=10**7, return_maps=False):
     """|Hom| by lifting every homomorphism through every layer."""
-    frontier = [tuple([0] * P.n)]
-    for lay in tower.layers:
-        new = []
-        for images in frontier:
-            eps, d, lifts = _lift_all(P, lay, images)
-            n_lifts = eps * lay.q**d
-            if len(new) + n_lifts > cap:
-                raise CapExceeded("homomorphism frontier exceeds cap %d" % cap)
-            got = 0
-            for t in lifts:
-                new.append(t)
-                got += 1
-            if got != n_lifts:
-                raise CountError("lift enumeration disagrees with the solution count")
-        new.sort()
-        frontier = new
+    frontier = _trivial_frontier(P)
+    for i, lay in enumerate(tower.layers):
+        frontier, _ = lift_frontier(P, lay, frontier, epi=False, cap=cap, level=i)
     if return_maps:
-        return len(frontier), frontier
+        return len(frontier), _as_tuples(frontier)
     return len(frontier)
 
 
 def epi_levels(P, tower, cap=10**7):
     """Iterate (level, frontier, level_stats) for the epimorphism lifting;
-    the frontier of level i consists of epimorphisms onto B_i."""
-    frontier = [tuple([0] * P.n)]
+    the frontier of level i is the row-sorted int32 array of the
+    epimorphisms onto B_i."""
+    frontier = _trivial_frontier(P)
     yield 0, frontier, None
     for i, lay in enumerate(tower.layers):
         q, s = lay.q, lay.s
-        c = lay.complements
-        new = []
-        sum_closed = 0
-        for images in frontier:
-            eps, d, lifts = _lift_all(P, lay, images)
-            beta = d - s * lay.zeta if eps else 0
-            sum_closed += (lay.E**lay.zeta) * (
-                eps * q**beta - lay.c_chi * q ** (lay.kappa * (lay.alpha - 1))
-            )
-            survived = 0
-            for t in lifts:
-                if _lift_is_surjective(lay, t):
-                    new.append(t)
-                    survived += 1
-            if survived != eps * q**d - c:
-                raise CountError(
-                    "surjective lift tally %d disagrees with the complement "
-                    "subtraction %d - %d" % (survived, eps * q**d, c)
-                )
-            if len(new) > cap:
-                raise CapExceeded("epimorphism frontier exceeds cap %d" % cap)
-        new.sort()
+        new, dims = lift_frontier(P, lay, frontier, epi=True, cap=cap, level=i)
+        split = lay.c_chi * q ** (lay.kappa * (lay.alpha - 1))
+        sum_closed = sum(
+            (lay.E**lay.zeta) * ((q ** (d - s * lay.zeta) if d is not None else 0) - split)
+            for d in dims
+        )
         if sum_closed != len(new):
             raise CountError(
                 "level arithmetic %d disagrees with the enumerated tally %d"
@@ -208,18 +221,15 @@ def epi_levels(P, tower, cap=10**7):
 def epi_maps(P, tower, cap=10**7, level=None):
     """Epimorphisms onto the level group (default: the top) as image tuples."""
     top = len(tower.layers) if level is None else level
-    maps = [tuple([0] * P.n)]
     for lvl, frontier, _ in epi_levels(P, tower, cap=cap):
-        maps = frontier
         if lvl == top:
             break
-    return maps
+    return _as_tuples(frontier)
 
 
 def epi_count(P, tower, cap=10**7, with_hom=False, with_aut=True,
               source_label=None):
     levels = []
-    frontier = [()]
     for lvl, frontier, stats in epi_levels(P, tower, cap=cap):
         if stats is not None:
             levels.append(stats)
@@ -776,20 +786,3 @@ def delta_s4(P):
     lay = _s4_top_layer()
     total = _count_with_layer(P, lay.base, lay, lambda eps, d, beta: 2**beta - 1)
     return _exact_div(total, 6)
-
-
-# ---------------------------------------------------------------------------
-# Convenience wrappers used by the CLI and tests.
-
-
-def builtin_source(label):
-    from .presentations import builtin_from_string
-
-    return builtin_from_string(label)
-
-
-def count_pair(source_label, target_spec, cap=10**7, with_hom=True):
-    P = builtin_source(source_label)
-    tower = builtin_group(target_spec)
-    rep = epi_count(P, tower, cap=cap, with_hom=with_hom, source_label=source_label)
-    return rep

@@ -19,7 +19,13 @@ class GroupSpecError(ValueError):
 
 
 class CapExceeded(RuntimeError):
-    pass
+    """A size cap fired; ``level`` and ``size`` name the tower level and the
+    frontier size at which it did, where that applies."""
+
+    def __init__(self, message, level=None, size=None):
+        super().__init__(message)
+        self.level = level
+        self.size = size
 
 
 DEFAULT_ORDER_CAP = 512
@@ -356,7 +362,8 @@ class ElementaryLayer:
         # derived constants
         self.zeta = int(any(self.sigma[b] != _identity_matrix(s) for b in range(len(base))))
         self.kappa = self._commutant_dim()
-        self.complements = self._count_complements()
+        self.sections = self._complement_sections()
+        self.complements = len(self.sections)
         self.c_chi = int(self.complements > 0)
         self.alpha = None  # filled by the tower
 
@@ -421,25 +428,28 @@ class ElementaryLayer:
                     rows.append(row)
         return nullspace_dim_mod_prime(rows, s * s, q)
 
-    def _count_complements(self):
+    def _complement_sections(self):
         """Complements of E in the extension = homomorphic sections of the
-        projection, enumerated by generator images in the fibers."""
+        projection, enumerated by generator images in the fibers.  One row
+        per section: row[b] is the image of the base element b.  The
+        non-surjective lifts of an epimorphism with images (b_i) are exactly
+        the rows' restrictions (row[b_i])."""
         base = self.base
         nB = len(base)
         if nB == 1:
-            return 1
+            return np.zeros((1, 1), dtype=np.int32)
         gens = generating_sequence(base)
         links = bfs_expressions(base, gens)
         ext = self.group
         earr = ext.as_array()
         barr = base.as_array()
-        count = 0
+        rows = []
         for combo in itertools.product(range(self.E), repeat=len(gens)):
             images = [self.enc(e, g) for e, g in zip(combo, gens)]
             f = _fill_map(base, links, gens, images, ext)
             if (earr[f[:, None], f[None, :]] == f[barr]).all():
-                count += 1
-        return count
+                rows.append(f)
+        return np.array(rows, dtype=np.int32).reshape(len(rows), nB)
 
     def verify(self, rng=None):
         base = self.base
@@ -843,14 +853,6 @@ class GroupElement:
 
     def inverse(self):
         return GroupElement(self.tower, self.tower.inv_structural(self.index))
-
-
-def multiply(e1, e2):
-    return e1 * e2
-
-
-def inverse(e):
-    return e.inverse()
 
 
 # ---------------------------------------------------------------------------

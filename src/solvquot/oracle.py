@@ -40,10 +40,12 @@ class BruteResult:
 def _hom_mask(P, table, budget):
     """Boolean mask over all |T|^n image tuples (in mixed-radix order, first
     generator most significant), True where every relator evaluates to the
-    identity."""
+    identity.  The n + 1 arrays of |T|^n entries (the index and one per
+    generator) are charged to the budget before they are allocated."""
     N = table.n
     n = P.n
     total = N**n
+    budget.charge((n + 1) * total)
     arr = table.as_array()
     inv = np.array(table.inv, dtype=np.int64)
     idx = np.arange(total, dtype=np.int64)

@@ -3,6 +3,8 @@ import os
 
 from solvquot.cli import main
 from solvquot.groups import builtin_group, chief_series, is_isomorphic
+from solvquot.oracle import brute_hom
+from solvquot.presentations import builtin_presentation
 
 
 def run_cli(capsys, *argv):
@@ -16,6 +18,7 @@ def test_epi_command(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["epi"] == 72 and doc["delta"] == 3 and doc["aut"] == 24
+    assert doc["hom"] is None
     assert [lvl["q"] for lvl in doc["levels"]] == [2, 3, 2]
     assert doc["config"]["target"] == "S(4)"
 
@@ -23,7 +26,13 @@ def test_epi_command(capsys):
 def test_delta_command(capsys):
     code, out = run_cli(capsys, "delta", "--source", "builtin:bs(2,6)", "--target", "D(8)")
     assert code == 0
-    assert json.loads(out)["delta"] == 3
+    doc = json.loads(out)
+    assert doc["delta"] == 3 and doc["hom"] is None
+    code, out = run_cli(capsys, "hom", "--source", "builtin:bs(2,6)", "--target", "D(8)")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["hom"] == brute_hom(builtin_presentation("bs", 2, 6), builtin_group("D(8)").group).count
+    assert doc["delta"] == 3
 
 
 def test_growth_command(capsys):

@@ -38,13 +38,14 @@ def test_solver_against_enumeration():
         A = [[rng.randrange(M) for _ in range(nc)] for _ in range(nr)]
         b = [rng.randrange(M) for _ in range(nr)]
         res = solve_mod_prime_power(A, b, nc, q, r)
-        sols = set(res.solutions()) if res.solvable else set()
+        rows = res.solution_array().tolist()
         brute = {
             x
             for x in itertools.product(range(M), repeat=nc)
             if all(sum(A[i][j] * x[j] for j in range(nc)) % M == b[i] for i in range(nr))
         }
-        assert sols == brute
+        assert {tuple(x) for x in rows} == brute and len(rows) == len(brute)
+        assert list(res.solutions()) == [tuple(x) for x in rows]
         hom = solve_mod_prime_power(A, None, nc, q, r)
         hcount = sum(
             1

@@ -1,7 +1,10 @@
+import numpy as np
 import pytest
 
+from solvquot import counting
 from solvquot.counting import (
     CountError,
+    _lift_is_surjective,
     aut_order_by_lifting,
     closed_form_delta,
     closed_form_eulerian,
@@ -17,9 +20,10 @@ from solvquot.counting import (
     epi_maps,
     gaschutz_eulerian,
     hom_count,
+    lift_frontier,
     table1_delta,
 )
-from solvquot.groups import builtin_group
+from solvquot.groups import CATALOG_SPECS, CapExceeded, builtin_group
 from solvquot.presentations import builtin_from_string, builtin_presentation
 
 F1 = builtin_presentation("free", 1)
@@ -74,6 +78,56 @@ def test_epi_lift():
         assert epi_lift(bs15, D8, 2, images) == []
     with pytest.raises(ValueError):
         epi_lift(F2, S4, 2, (0, 0))
+
+
+def test_cap_fires_before_the_lifts_at_its_level():
+    # F2 -> S4: 3, 18, 216 epimorphisms and 4, 36, 576 homomorphisms per
+    # level; the cap is checked before each map's lifts are materialised
+    with pytest.raises(CapExceeded, match="level 3") as exc:
+        epi_count(F2, S4, cap=100)
+    assert (exc.value.level, exc.value.size) == (3, 108)
+    with pytest.raises(CapExceeded, match="level 2") as exc:
+        hom_count(F2, S4, cap=30)
+    assert (exc.value.level, exc.value.size) == (2, 36)
+
+
+def test_complement_rows_match_the_surjectivity_walk():
+    # on every layer of every catalog tower of order <= 48, the lifts kept
+    # by excluding the complement rows are the lifts that the subgroup walk
+    # finds surjective; a few epimorphisms per level, continued upwards
+    towers = [builtin_group(spec) for spec in CATALOG_SPECS]
+    for label in ["free(2)", "surface(2)", "braid(4)", "bs(2,6)"]:
+        P = builtin_from_string(label)
+        for tower in towers:
+            if tower.order > 48:
+                continue
+            frontier = np.zeros((1, P.n), dtype=np.int32)
+            for lay in tower.layers:
+                sample = frontier[:: max(1, len(frontier) // 12)]
+                lifts, _ = lift_frontier(P, lay, sample, epi=False)
+                walk = [t for t in lifts.tolist() if _lift_is_surjective(lay, t)]
+                frontier, _ = lift_frontier(P, lay, sample, epi=True)
+                assert frontier.tolist() == walk
+                if not len(frontier):
+                    break
+
+
+def test_self_checks_fire_on_corrupted_data(monkeypatch):
+    tower = builtin_group("S(4)")
+    lay = tower.layers[-1]
+    sections = lay.sections
+    lay.sections = sections.copy()
+    lay.sections[0] = (sections[0] + len(lay.base)) % len(lay.group)
+    with pytest.raises(CountError, match="complement"):
+        epi_count(F2, tower)
+    lay.sections = sections
+    lay.alpha += 1
+    with pytest.raises(CountError, match="level arithmetic"):
+        epi_count(F2, tower)
+    lay.alpha -= 1
+    monkeypatch.setattr(counting, "aut_order", lambda table: 5)
+    with pytest.raises(CountError, match="not divisible"):
+        epi_count(F2, tower)
 
 
 def test_klein_lifts():

@@ -36,6 +36,9 @@ def test_budget_abort_is_explicit():
     assert not res.verified and res.count is None
     full = brute_hom(P, s4)
     assert full.verified and full.letter_ops > 0
+    # a relator-free source is charged for its |T|^n-sized arrays up front
+    res = brute_hom(builtin_presentation("free", 3), s4, OracleBudget(max_letter_ops=1))
+    assert not res.verified and res.count is None
 
 
 def test_brute_lift_check_free_source():
