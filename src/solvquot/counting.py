@@ -132,9 +132,7 @@ def lift_frontier(P, lay, frontier, epi, cap=10**7, level=0):
         size += len(lifts)
     new = np.concatenate(parts) if parts else np.zeros((0, n), dtype=np.int32)
     del parts
-    if n:
-        new = new[np.lexsort(new.T[::-1])]
-    return new, dims
+    return new[np.lexsort(new.T[::-1])], dims
 
 
 def _lift_is_surjective(lay, images):
