@@ -65,18 +65,15 @@ class ModSolveResult:
         M = self.modulus
         return tuple(sum(c * yy for c, yy in zip(row, y)) % M for row in self._C)
 
-    def solution_array(self, limit=None):
+    def solution_array(self):
         """All solutions of A x = b as the rows of one (count, ncols) int64
         array: x = C (y0 + k * step) mod q^r, where k runs over the
         mixed-radix grid of the non-fixed diagonal unknowns (q^v values for
         a pivot of valuation v, q^r for a free unknown), first unknown
-        slowest.  With ``limit`` set, raises before allocating if the
-        solution count exceeds it."""
+        slowest."""
         if not self.solvable:
             return np.zeros((0, self.ncols), dtype=np.int64)
         q, r, M = self.q, self.r, self.modulus
-        if limit is not None and q**self.count_exponent > limit:
-            raise OverflowError("solution count exceeds limit")
         npiv = len(self.pivot_vals)
         radix = [q**v for v in self.pivot_vals] + [M] * (self.ncols - npiv)
         step = [q ** (r - v) for v in self.pivot_vals] + [1] * (self.ncols - npiv)
@@ -89,12 +86,12 @@ class ModSolveResult:
         grid = grid.reshape(len(vary), -1).T * np.array([step[t] for t in vary])
         return (base + grid @ C[:, vary].T) % M
 
-    def solutions(self, limit=None):
+    def solutions(self):
         """All solutions of A x = b as tuples, in the row order of
-        ``solution_array``; ``limit`` is passed on to it."""
+        ``solution_array``."""
         if not self.solvable:
             return
-        for x in self.solution_array(limit=limit).tolist():
+        for x in self.solution_array().tolist():
             yield tuple(x)
 
 
@@ -476,11 +473,11 @@ def epsilon_and_witness(sys):
     return 1, tuple(tuple(w[i * sys.s : (i + 1) * sys.s]) for i in range(sys.n_gens))
 
 
-def solution_vectors(sys, result=None, limit=None):
+def solution_vectors(sys, result=None):
     """All solutions, each a tuple of n_gens vectors in Z_q^s."""
     res = result if result is not None else solve_system(sys)
     s = sys.s
-    for x in res.solutions(limit=limit):
+    for x in res.solutions():
         yield tuple(tuple(x[i * s : (i + 1) * s]) for i in range(sys.n_gens))
 
 

@@ -110,8 +110,7 @@ def lift_frontier(P, lay, frontier, epi, cap=10**7, level=0):
             raise CapExceeded(
                 "%s frontier at level %d would reach %d maps, over the cap %d"
                 % ("epimorphism" if epi else "homomorphism", level + 1,
-                   size + n_lifts - c, cap),
-                level=level + 1, size=size + n_lifts - c,
+                   size + n_lifts - c, cap)
             )
         X = res.solution_array()
         if len(X) != n_lifts:

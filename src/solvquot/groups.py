@@ -19,13 +19,7 @@ class GroupSpecError(ValueError):
 
 
 class CapExceeded(RuntimeError):
-    """A size cap fired; ``level`` and ``size`` name the tower level and the
-    frontier size at which it did, where that applies."""
-
-    def __init__(self, message, level=None, size=None):
-        super().__init__(message)
-        self.level = level
-        self.size = size
+    pass
 
 
 DEFAULT_ORDER_CAP = 512

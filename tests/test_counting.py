@@ -83,12 +83,10 @@ def test_epi_lift():
 def test_cap_fires_before_the_lifts_at_its_level():
     # F2 -> S4: 3, 18, 216 epimorphisms and 4, 36, 576 homomorphisms per
     # level; the cap is checked before each map's lifts are materialised
-    with pytest.raises(CapExceeded, match="level 3") as exc:
+    with pytest.raises(CapExceeded, match="level 3 would reach 108 "):
         epi_count(F2, S4, cap=100)
-    assert (exc.value.level, exc.value.size) == (3, 108)
-    with pytest.raises(CapExceeded, match="level 2") as exc:
+    with pytest.raises(CapExceeded, match="level 2 would reach 36 "):
         hom_count(F2, S4, cap=30)
-    assert (exc.value.level, exc.value.size) == (2, 36)
 
 
 def test_complement_rows_match_the_surjectivity_walk():
