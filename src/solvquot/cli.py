@@ -122,7 +122,7 @@ def cmd_count(args, want):
     )
     doc = rep.to_json_dict()
     doc["target"] = args.target
-    doc = {"command": want, "config": _config(args, ("source", "target", "cap_order", "cap_frontier", "threads"))} | doc
+    doc = {"command": want, "config": _config(args, ("source", "target", "cap_order", "cap_frontier"))} | doc
     if args.tsv:
         emit_tsv(
             ["source", "target", "hom", "epi", "aut", "delta"],
@@ -191,10 +191,6 @@ def cmd_moebius(args):
 
 
 def cmd_growth(args):
-    if args.table2:
-        return cmd_table2(args)
-    if args.source is None:
-        raise InputError("growth needs --source (or --table2)")
     P, src_label = load_source(args.source)
     report = subgrowth.ak_sequence(
         P, args.kmax, cap=max(args.cap_k, args.kmax), threads=args.threads
@@ -214,7 +210,7 @@ def cmd_growth(args):
         emit_tsv(header, rows, sys.stdout)
     else:
         doc = {"command": "growth",
-               "config": _config(args, ("source", "kmax", "normal", "threads"))}
+               "config": _config(args, ("source", "kmax", "normal"))}
         doc |= {"source": src_label} | report.to_json_dict()
         emit_json(doc, sys.stdout)
     return 0
@@ -362,8 +358,6 @@ def build_parser():
                        help="largest allowed target group order")
         p.add_argument("--cap-frontier", type=int, default=10**7,
                        help="largest allowed homomorphism frontier")
-        p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                       help="worker count (results are byte-identical for any value)")
         p.add_argument("--tsv", action="store_true", help="tabular output")
 
     for verb in ("hom", "epi", "delta"):
@@ -384,17 +378,13 @@ def build_parser():
     p.add_argument("--cap-lattice", type=int, default=200)
 
     p = sub.add_parser("growth", help="index-k subgroup counts")
-    add_common(p, source=False, target=False)
-    p.add_argument("--source", default=None,
-                   help="builtin:<family(args)>, inline '< ... >', or a file")
+    add_common(p, target=False)
     p.add_argument("--kmax", type=int, default=5)
     p.add_argument("--cap-k", type=int, default=8)
     p.add_argument("--normal", action="store_true",
                    help="also count normal subgroups (k <= 15)")
-    p.add_argument("--table2", action="store_true",
-                   help="emit the braid-group subgroup table instead")
-    p.add_argument("--nmax", type=int, default=6)
-    p.add_argument("--time-budget", type=float, default=1800.0)
+    p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+                   help="worker processes (results are byte-identical for any value)")
 
     p = sub.add_parser("table2", help="low-index subgroup table for braid groups (TSV)")
     p.add_argument("--nmax", type=int, default=6)
@@ -410,7 +400,6 @@ def build_parser():
                    help="oracle budget in letter operations")
     p.add_argument("--cap-order", type=int, default=512)
     p.add_argument("--cap-frontier", type=int, default=10**7)
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
 
     p = sub.add_parser("scan-braid-deltas",
                        help="experimental: Hall invariants of B_3/B_4 over the catalog")

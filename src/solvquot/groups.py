@@ -92,12 +92,6 @@ class FiniteGroupTable:
             y = self.mul[y][x]
         return y
 
-    def exponent_primes(self):
-        ps = set()
-        for x in range(1, self.n):
-            ps.update(factorize(self.order_of(x)))
-        return sorted(ps)
-
     def is_abelian(self):
         mul = self.mul
         return all(mul[a][b] == mul[b][a] for a in range(self.n) for b in range(a))
@@ -172,9 +166,6 @@ class FiniteGroupTable:
                 return False
             K = frozenset(x for x in range(self.n) if proj[x] in Zq)
         return True
-
-    def is_cyclic(self):
-        return any(self.order_of(x) == self.n for x in range(self.n))
 
     def quotient(self, normal):
         """Quotient by a normal subgroup given as an element set.  Cosets are

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 
 
 class PresentationError(ValueError):
@@ -433,10 +432,10 @@ def fox_derivative(w, j):
     return FreeGroupRingElement(terms)
 
 
-@lru_cache(maxsize=None)
 def symbolic_jacobian(P):
     """Matrix of free derivatives: one row per relator, one column per
-    generator."""
+    generator.  The counting path expands these numerically instead (see
+    ``cohomology.build_system``); this is the symbolic reference."""
     return tuple(
         tuple(fox_derivative(r, j) for j in range(P.n)) for r in P.relators
     )

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -296,7 +295,6 @@ class GrowthReport:
     tk: list
     ak: list
     ak_normal: list = field(default_factory=list)
-    seconds: list = field(default_factory=list)
 
     def to_json_dict(self):
         out = {
@@ -304,7 +302,6 @@ class GrowthReport:
             "h": self.hk,
             "t": self.tk,
             "a": self.ak,
-            "seconds": [round(t, 3) for t in self.seconds],
         }
         if self.ak_normal:
             out["a_normal"] = self.ak_normal
@@ -314,15 +311,11 @@ class GrowthReport:
 def ak_sequence(P, kmax, cap=8, threads=1):
     """Numbers of index-k subgroups for k <= kmax via the recursion
     a_k = h_k/(k-1)! - sum_{l<k} h_{k-l} a_l / (k-l)!."""
-    hk = []
-    seconds = []
-    for k in range(1, kmax + 1):
-        t0 = time.perf_counter()
-        hk.append(hom_count_symmetric(P, k, cap=max(cap, kmax), threads=threads))
-        seconds.append(time.perf_counter() - t0)
+    hk = [hom_count_symmetric(P, k, cap=max(cap, kmax), threads=threads)
+          for k in range(1, kmax + 1)]
     ak = ak_from_homcounts(hk)
     tk = [math.factorial(k - 1) * a for k, a in zip(range(1, kmax + 1), ak)]
-    return GrowthReport(kmax, hk, tk, ak, seconds=seconds)
+    return GrowthReport(kmax, hk, tk, ak)
 
 
 # ---------------------------------------------------------------------------

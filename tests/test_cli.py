@@ -101,20 +101,13 @@ def test_catalog_and_roundtrip(capsys, tmp_path):
 
 
 def test_byte_determinism_across_threads(capsys):
+    # at k = 6 the search is split over a pool of --threads processes
     outs = []
     for threads in ("1", "3"):
         code, out = run_cli(capsys, "growth", "--source", "builtin:braid(4)",
-                            "--kmax", "5", "--threads", threads, "--tsv")
+                            "--kmax", "6", "--threads", threads)
         assert code == 0
         outs.append(out)
-    assert outs[0] == outs[1]
-    outs = []
-    for threads in ("1", "2"):
-        code, out = run_cli(capsys, "epi", "--source", "builtin:braid(4)",
-                            "--target", "S(4)", "--threads", threads)
-        assert code == 0
-        outs.append(json.loads(out))
-        outs[-1]["config"].pop("threads")
     assert outs[0] == outs[1]
 
 

@@ -8,6 +8,7 @@ from solvquot.cohomology import (
     TwistedAction,
     build_system,
     epsilon_and_witness,
+    eval_word_in_table,
     evaluate_ring_element,
     finite_source_z1,
     fixed_subspace_dim,
@@ -20,11 +21,13 @@ from solvquot.cohomology import (
     twisted_z1_count,
 )
 from solvquot.counting import enumerate_epis_to_table, epi_maps, _elementary_table
-from solvquot.groups import builtin_group
+from solvquot.groups import CATALOG_SPECS, builtin_group
 from solvquot.presentations import (
     FreeGroupRingElement,
+    builtin_from_string,
     builtin_presentation,
     parse_presentation,
+    symbolic_jacobian,
 )
 
 
@@ -116,6 +119,62 @@ def test_twisted_z1_multiplicative():
     act4 = TwistedAction([4], [[[1]], [[3]]])
     act3b = TwistedAction([3], [[[2]], [[1]]])
     assert twisted_z1_count(P, act12) == twisted_z1_count(P, act4) * twisted_z1_count(P, act3b)
+
+
+def test_twisted_z1_count_against_brute_force():
+    # (a_g) is a cocycle iff every relator maps to a pure unit in the
+    # semidirect product Z_m x| Z_m^*, (v, u)(w, t) = (v + u w, u t), where
+    # x_g goes to (a_g, u_g) and its inverse to (-u_g^-1 a_g, u_g^-1)
+    def brute(P, m, units):
+        total = 0
+        for a in itertools.product(range(m), repeat=P.n):
+            ok = True
+            for rel in P.relators:
+                v, u = 0, 1
+                for g, e in rel:
+                    t = units[g] if e == 1 else pow(units[g], -1, m)
+                    v, u = (v + u * (a[g] if e == 1 else -t * a[g])) % m, u * t % m
+                ok = ok and v == 0
+            total += ok
+        return total
+
+    for label in ["bs(1,3)", "klein", "braid(3)"]:
+        P = builtin_from_string(label)
+        for m, units in [(4, (1, 3)), (6, (5, 5)), (12, (5, 7))]:
+            act = TwistedAction([m], [[[u]] for u in units])
+            assert twisted_z1_count(P, act) == brute(P, m, units), (label, m)
+
+
+def test_build_system_matches_symbolic_jacobian():
+    # the one-walk matrix equals sum c sigma(rho(w)) mod q over the terms of
+    # the symbolic Fox Jacobian, entry by entry, on every layer of every
+    # catalog tower of order <= 48, for seeded images (homomorphisms or not)
+    rng = random.Random(23)
+    sources = ["free(2)", "surface(2)", "klein", "bs(2,6)", "braid(4)",
+               "parafree(3,2)", "hillman_link"]
+    towers = [t for t in map(builtin_group, CATALOG_SPECS) if t.order <= 48]
+    for label in sources:
+        P = builtin_from_string(label)
+        jac = symbolic_jacobian(P)
+        for tower in towers:
+            for lay in tower.layers:
+                q, s = lay.q, lay.s
+                for _ in range(3):
+                    images = tuple(rng.randrange(len(lay.base)) for _ in range(P.n))
+                    got = build_system(P, images, lay, check=False).matrix
+                    assert len(got) == len(P.relators) * s
+                    for k in range(len(P.relators)):
+                        for i in range(P.n):
+                            want = [[0] * s for _ in range(s)]
+                            for w, c in jac[k][i].terms.items():
+                                x = eval_word_in_table(lay.base, images, w)
+                                for a in range(s):
+                                    for b in range(s):
+                                        want[a][b] += c * lay.sigma[x][a][b]
+                            for a in range(s):
+                                assert got[k * s + a][i * s : (i + 1) * s] == [
+                                    v % q for v in want[a]
+                                ], (label, tower.spec, images, k, i)
 
 
 def test_free_source_system_is_empty():

@@ -315,3 +315,17 @@ def test_report_json_shape():
 def test_enumerate_epis_to_table():
     epis = enumerate_epis_to_table(F2, builtin_group("Z(2)^2").group)
     assert len(epis) == 6
+
+
+def test_long_relator_counts():
+    # the lifting systems are built in one walk per relator, so a relator of
+    # 100002 letters costs one linear pass per map
+    from solvquot.presentations import abelian_invariants, parse_presentation
+    from solvquot.subgrowth import delta_abelian_closed
+
+    P = parse_presentation("< x, y | x^100000 y^2 >")
+    rep = epi_count(P, builtin_group("Z(2)"), with_hom=True)
+    assert (rep.epi, rep.delta, rep.hom) == (3, 3, 4)
+    assert rep.delta == delta_abelian_closed(abelian_invariants(P), ("cyclic", 2, 1))
+    rep = epi_count(P, builtin_group("S(3)"))
+    assert rep.delta == 1 == table1_delta(P, "S3")
