@@ -347,22 +347,24 @@ def build_parser():
                   description="Counting homomorphisms onto finite solvable groups")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add_common(p, source=True, target=True):
+    def add_common(p, source=True, target=True, frontier=False):
         if source:
             p.add_argument("--source", required=True,
                            help="builtin:<family(args)>, inline '< ... >', or a file")
         if target:
             p.add_argument("--target", required=True,
                            help="group spec like 'S(4)' or a table file")
-        p.add_argument("--cap-order", type=int, default=512,
-                       help="largest allowed target group order")
-        p.add_argument("--cap-frontier", type=int, default=10**7,
-                       help="largest allowed homomorphism frontier")
+            p.add_argument("--cap-order", type=int, default=512,
+                           help="largest allowed target group order")
+        if frontier:
+            p.add_argument("--cap-frontier", type=int, default=10**7,
+                           help="most maps one tower level may build (the lifts "
+                                "of its orbit representatives)")
         p.add_argument("--tsv", action="store_true", help="tabular output")
 
     for verb in ("hom", "epi", "delta"):
         p = sub.add_parser(verb, help="count homomorphisms/epimorphisms")
-        add_common(p)
+        add_common(p, frontier=True)
 
     p = sub.add_parser("aut", help="automorphism group order")
     add_common(p, source=False)

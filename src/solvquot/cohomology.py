@@ -69,20 +69,7 @@ class ModSolveResult:
         mixed-radix grid of the non-fixed diagonal unknowns (q^v values for
         a pivot of valuation v, q^r for a free unknown), first unknown
         slowest."""
-        if not self.solvable:
-            return np.zeros((0, self.ncols), dtype=np.int64)
-        q, r, M = self.q, self.r, self.modulus
-        npiv = len(self.pivot_vals)
-        radix = [q**v for v in self.pivot_vals] + [M] * (self.ncols - npiv)
-        step = [q ** (r - v) for v in self.pivot_vals] + [1] * (self.ncols - npiv)
-        vary = [t for t in range(self.ncols) if radix[t] > 1]
-        C = np.array(self._C, dtype=np.int64).reshape(self.ncols, self.ncols)
-        base = C @ np.array(self._y0, dtype=np.int64)
-        if not vary:
-            return (base % M)[None, :]
-        grid = np.indices([radix[t] for t in vary], dtype=np.int64)
-        grid = grid.reshape(len(vary), -1).T * np.array([step[t] for t in vary])
-        return (base + grid @ C[:, vary].T) % M
+        return solution_arrays([self])
 
     def solutions(self):
         """All solutions of A x = b as tuples, in the row order of
@@ -91,6 +78,43 @@ class ModSolveResult:
             return
         for x in self.solution_array().tolist():
             yield tuple(x)
+
+
+def solution_arrays(results):
+    """The solution arrays of ``results`` (systems over one modulus in one
+    number of unknowns) stacked in order into one int64 array.  Systems with
+    the same pivot valuations share one grid and are expanded together."""
+    q, r, ncols = results[0].q, results[0].r, results[0].ncols
+    M = q**r
+    groups = {}
+    for j, res in enumerate(results):
+        if res.solvable:
+            groups.setdefault(res.pivot_vals, []).append(j)
+    grids = {}
+    sizes = [0] * len(results)
+    for pivot_vals, idx in groups.items():
+        npiv = len(pivot_vals)
+        radix = [q**v for v in pivot_vals] + [M] * (ncols - npiv)
+        step = [q ** (r - v) for v in pivot_vals] + [1] * (ncols - npiv)
+        vary = [t for t in range(ncols) if radix[t] > 1]
+        grid = np.zeros((1, 0), dtype=np.int64)
+        if vary:
+            grid = np.indices([radix[t] for t in vary], dtype=np.int64)
+            grid = grid.reshape(len(vary), -1).T * np.array([step[t] for t in vary])
+        grids[pivot_vals] = vary, grid
+        for j in idx:
+            sizes[j] = len(grid)
+    offsets = np.cumsum([0] + sizes)
+    out = np.empty((offsets[-1], ncols), dtype=np.int64)
+    for pivot_vals, idx in groups.items():
+        vary, grid = grids[pivot_vals]
+        C = np.array([results[j]._C for j in idx], dtype=np.int64)
+        y0 = np.array([results[j]._y0 for j in idx], dtype=np.int64)
+        base = np.einsum("gij,gj->gi", C, y0)
+        sols = (base[:, None, :] + grid @ C[:, :, vary].transpose(0, 2, 1)) % M
+        rows = offsets[idx][:, None] + np.arange(len(grid))
+        out[rows.ravel()] = sols.reshape(-1, ncols)
+    return out
 
 
 def solve_mod_prime_power(rows, rhs, ncols, q, r=1):

@@ -15,6 +15,7 @@ from .cohomology import (
     build_system,
     eval_word_in_table,
     solve_system,
+    solution_arrays,
     solution_vectors,
 )
 from .groups import (
@@ -70,10 +71,23 @@ class GeneratorImageMap:
 
 
 # ---------------------------------------------------------------------------
-# Level-by-level lifting.  The frontier at level i is an (m, n) int32 array
-# whose rows, sorted, are the generator images of the homomorphisms (or
+# Level-by-level lifting.  A frontier at level i is an (m, n) int32 array
+# whose rows, sorted, are generator images of homomorphisms (or
 # epimorphisms) into B_i; lifting through layer i solves the cocycle system
 # of each map and extends it by all of its solutions at once.
+#
+# The counts carry the frontier modulo conjugation.  B_i acts on the maps
+# into B_i by conjugating every generator image.  Conjugating a map by b
+# matches its lifts one-to-one with those of the conjugate map (through
+# conjugation by a preimage of b), so the number of lifts is constant on an
+# orbit, and every orbit one level up contains a lift of the representative
+# of the orbit below it.  So each level keeps one representative per orbit,
+# its least conjugate, weighted by the orbit size; the lifts of the
+# representatives are canonicalised and deduplicated one level up.  The top
+# layer is counted, epsilon * q^d (minus the c complement lifts for Epi) per
+# representative, and never enumerated.
+
+_BLOCK = 1 << 20  # entries per block of the conjugate arrays
 
 
 def _trivial_frontier(P):
@@ -93,45 +107,165 @@ def lift_frontier(P, lay, frontier, epi, cap=10**7, level=0):
     the frontier must consist of epimorphisms: the non-surjective lifts of a
     map with images b are then exactly the c rows ``lay.sections[:, b]``,
     one per complement of the layer's kernel, and each must occur exactly
-    once among the map's lifts.  ``cap`` bounds the number of lifts kept and
-    is checked before a map's lifts are materialised."""
+    once among the map's lifts.  ``cap`` bounds the number of lifts kept; it
+    is checked once every system is solved, before any lift is built."""
     q, s, n = lay.q, lay.s, P.n
     nB = len(lay.base)
-    qpow = q ** np.arange(s, dtype=np.int64)
     c = lay.complements if epi else 0
-    parts = []
-    dims = []
-    size = 0
-    for images in frontier.tolist():
-        res = solve_system(build_system(P, images, lay, check=False))
-        n_lifts = q**res.count_exponent if res.solvable else 0
-        dims.append(res.count_exponent if res.solvable else None)
-        if size + n_lifts - c > cap:
-            raise CapExceeded(
-                "%s frontier at level %d would reach %d maps, over the cap %d"
-                % ("epimorphism" if epi else "homomorphism", level + 1,
-                   size + n_lifts - c, cap)
+    results = [solve_system(build_system(P, images, lay, check=False))
+               for images in frontier.tolist()]
+    dims = [res.count_exponent if res.solvable else None for res in results]
+    counts = [q**d if d is not None else 0 for d in dims]
+    size = sum(counts) - c * len(frontier)
+    if size > cap:
+        raise CapExceeded(
+            "%s frontier at level %d would reach %d maps, over the cap %d"
+            % ("epimorphism" if epi else "homomorphism", level + 1, size, cap)
+        )
+    counts = np.array(counts, dtype=np.int64)
+    X = solution_arrays(results) if results else np.zeros((0, n * s), dtype=np.int64)
+    if len(X) != counts.sum():
+        raise CountError("lift enumeration disagrees with the solution count")
+    owner = np.repeat(np.arange(len(frontier)), counts)
+    lifts = (X.reshape(-1, n, s) @ q ** np.arange(s, dtype=np.int64)) * nB + frontier[owner]
+    del X
+    if epi:
+        sections = lay.sections[:, frontier][:, owner].transpose(1, 0, 2)
+        hits = (lifts[:, None, :] == sections).all(axis=2)  # (lifts, c)
+        del sections
+        found = [np.bincount(owner[col], minlength=len(frontier)) for col in hits.T]
+        if any((f != 1).any() for f in found):
+            raise CountError("a complement lift is not found exactly once among "
+                             "the lifts of its map")
+        keep = ~hits.any(axis=1)
+        kept = np.bincount(owner[keep], minlength=len(frontier))
+        if (kept != counts - c).any():
+            j = int(np.nonzero(kept != counts - c)[0][0])
+            raise CountError(
+                "surjective lift tally %d disagrees with the complement "
+                "subtraction %d - %d" % (kept[j], counts[j], c)
             )
-        X = res.solution_array()
-        if len(X) != n_lifts:
-            raise CountError("lift enumeration disagrees with the solution count")
-        lifts = (X.reshape(n_lifts, n, s) @ qpow) * nB + images
-        if epi:
-            hits = (lifts[:, None, :] == lay.sections[:, images][None]).all(axis=2)
-            if (hits.sum(axis=0) != 1).any():
-                raise CountError("a complement lift is not found exactly once "
-                                 "among the %d lifts" % n_lifts)
-            lifts = lifts[~hits.any(axis=1)]
-            if len(lifts) != n_lifts - c:
-                raise CountError(
-                    "surjective lift tally %d disagrees with the complement "
-                    "subtraction %d - %d" % (len(lifts), n_lifts, c)
-                )
-        parts.append(lifts.astype(np.int32))
-        size += len(lifts)
-    new = np.concatenate(parts) if parts else np.zeros((0, n), dtype=np.int32)
-    del parts
-    return new[np.lexsort(new.T[::-1])], dims
+        lifts = lifts[keep]
+    lifts = lifts.astype(np.int32)
+    return lifts[np.lexsort(lifts.T[::-1])], dims
+
+
+def _orbit_representatives(table, rows):
+    """The distinct least conjugates of ``rows`` under conjugation by the
+    group of ``table``, row-sorted, and the size of each one's orbit: |B|
+    over the number of elements fixing the row (the centraliser of its
+    images), the same rule for Hom and Epi."""
+    conj = table.conjugation_table()
+    nB = table.n
+    m, n = rows.shape
+    step = max(1, _BLOCK // (nB * n))
+    least = np.empty_like(rows)
+    fixed = np.empty(m, dtype=np.int64)
+    for lo in range(0, m, step):
+        block = conj[:, rows[lo : lo + step]]  # (nB, k, n): every conjugate
+        fixed[lo : lo + step] = (block == rows[lo : lo + step]).all(axis=2).sum(axis=0)
+        alive = np.ones(block.shape[:2], dtype=bool)
+        for g in range(n):
+            col = np.where(alive, block[:, :, g], nB)
+            low = col.min(axis=0)
+            alive &= col == low
+            least[lo : lo + step, g] = low
+    order = np.lexsort(least.T[::-1])
+    least, fixed = least[order], fixed[order]
+    keep = np.ones(m, dtype=bool)
+    keep[1:] = (least[1:] != least[:-1]).any(axis=1)
+    return least[keep], nB // fixed[keep]
+
+
+def _count_top(P, lay, reps, epi):
+    """Solve the system of each representative through the top layer and
+    nothing more.  Returns the exponents d (None where a map does not lift)
+    and, per representative, its number of lifts, epsilon * q^d, less the c
+    complement lifts with ``epi``.  The rows of ``lay.sections`` must be c
+    distinct homomorphic sections of the layer, so that their restrictions
+    to an epimorphism's images are its c non-surjective lifts, and those
+    restrictions must solve each representative's system."""
+    q, s, n = lay.q, lay.s, P.n
+    nB = len(lay.base)
+    c = lay.complements
+    sec = lay.sections.astype(np.int64)
+    if c and (
+        len(sec) != c
+        or len(np.unique(sec, axis=0)) != c
+        or (sec % nB != np.arange(nB)).any()
+        or (lay.group.as_array()[sec[:, :, None], sec[:, None, :]]
+            != sec[:, lay.base.as_array()]).any()
+    ):
+        raise CountError("the complement rows are not %d distinct homomorphic "
+                         "sections of the layer" % c)
+    X = ((sec[:, reps] // nB)[..., None] // q ** np.arange(s)) % q
+    X = X.reshape(c, len(reps), n * s)
+    dims, counts = [], []
+    for j, images in enumerate(reps.tolist()):
+        sysm = build_system(P, images, lay, check=False)
+        res = solve_system(sysm)
+        if c:
+            A = np.array(sysm.matrix, dtype=np.int64).reshape(-1, n * s)
+            chi = np.array(sysm.chi_vec, dtype=np.int64)[:, None]
+            if ((A @ X[:, j].T + chi) % q).any() or not res.solvable:
+                raise CountError("a complement lift does not solve the lifting "
+                                 "system of its map")
+        d = res.count_exponent if res.solvable else None
+        dims.append(d)
+        counts.append(q**d - (c if epi else 0) if d is not None else 0)
+    return dims, counts
+
+
+def _closed_form_lifts(lay, d, epi):
+    """Lifts of one map through ``lay`` by the paper's formula: q^d, or
+    E^zeta (q^(d - s zeta) - split) surjective ones with ``epi``."""
+    q = lay.q
+    if not epi:
+        return q**d if d is not None else 0
+    split = lay.c_chi * q ** (lay.kappa * (lay.alpha - 1))
+    return (lay.E**lay.zeta) * ((q ** (d - lay.s * lay.zeta) if d is not None else 0) - split)
+
+
+def _orbit_levels(P, tower, epi, cap=10**7):
+    """Lift one representative per conjugacy orbit through every layer below
+    the top and count the top layer.  Yields, per layer i, (i + 1, reps,
+    weights, maps_in, maps_out): the level-(i + 1) representatives and their
+    orbit sizes (both None at the top, which is counted and not built) and
+    the weighted map counts below and above the layer.
+
+    Self-checks: the weighted closed-form count of each layer equals the
+    weighted count above it; with ``epi`` every orbit size is |B : Z(B)|;
+    and lift_frontier's and _count_top's checks of the complement lifts."""
+    reps = _trivial_frontier(P)
+    weights = np.ones(1, dtype=np.int64)
+    top = len(tower.layers) - 1
+    for i, lay in enumerate(tower.layers):
+        maps_in = int(weights.sum())
+        if i < top:
+            lifts, dims = lift_frontier(P, lay, reps, epi, cap=cap, level=i)
+            new_reps, new_weights = _orbit_representatives(lay.group, lifts)
+            del lifts
+            maps_out = int(new_weights.sum())
+            if epi and len(new_weights):
+                conj = lay.group.conjugation_table()
+                centre = int((conj == np.arange(lay.group.n)).all(axis=1).sum())
+                if (new_weights != lay.group.n // centre).any():
+                    raise CountError("an epimorphism orbit at level %d has a size "
+                                     "other than |B : Z(B)| = %d"
+                                     % (i + 1, lay.group.n // centre))
+        else:
+            dims, counts = _count_top(P, lay, reps, epi)
+            new_reps = new_weights = None
+            maps_out = sum(w * k for w, k in zip(weights.tolist(), counts))
+        closed = sum(w * _closed_form_lifts(lay, d, epi)
+                     for w, d in zip(weights.tolist(), dims))
+        if closed != maps_out:
+            raise CountError(
+                "level arithmetic %d disagrees with the orbit-weighted tally %d "
+                "at level %d" % (closed, maps_out, i + 1)
+            )
+        yield i + 1, new_reps, new_weights, maps_in, maps_out
+        reps, weights = new_reps, new_weights
 
 
 def _lift_is_surjective(lay, images):
@@ -172,65 +306,50 @@ def epi_lift(P, tower, level, images):
     return [GeneratorImageMap(tower, level + 1, t) for t in _as_tuples(lifts)]
 
 
-def hom_count(P, tower, cap=10**7, return_maps=False):
-    """|Hom| by lifting every homomorphism through every layer."""
-    frontier = _trivial_frontier(P)
-    for i, lay in enumerate(tower.layers):
-        frontier, _ = lift_frontier(P, lay, frontier, epi=False, cap=cap, level=i)
-    if return_maps:
-        return len(frontier), _as_tuples(frontier)
-    return len(frontier)
+def hom_count(P, tower, cap=10**7):
+    """|Hom|, lifting one map per conjugacy orbit and counting the top
+    layer."""
+    count = 1
+    for *_, count in _orbit_levels(P, tower, epi=False, cap=cap):
+        pass
+    return count
 
 
 def epi_levels(P, tower, cap=10**7):
-    """Iterate (level, frontier, level_stats) for the epimorphism lifting;
-    the frontier of level i is the row-sorted int32 array of the
-    epimorphisms onto B_i."""
-    frontier = _trivial_frontier(P)
-    yield 0, frontier, None
-    for i, lay in enumerate(tower.layers):
-        q, s = lay.q, lay.s
-        new, dims = lift_frontier(P, lay, frontier, epi=True, cap=cap, level=i)
-        split = lay.c_chi * q ** (lay.kappa * (lay.alpha - 1))
-        sum_closed = sum(
-            (lay.E**lay.zeta) * ((q ** (d - s * lay.zeta) if d is not None else 0) - split)
-            for d in dims
-        )
-        if sum_closed != len(new):
-            raise CountError(
-                "level arithmetic %d disagrees with the enumerated tally %d"
-                % (sum_closed, len(new))
-            )
+    """Iterate (level, frontier, level_stats) for the orbit-reduced
+    epimorphism lifting, one item per layer.  The frontier of a level below
+    the top is the pair (representatives, orbit sizes); the top level is
+    counted, so its frontier is None.  ``epi_in`` and ``epi_out`` in the
+    stats are weighted map counts."""
+    for lvl, reps, weights, maps_in, maps_out in _orbit_levels(P, tower, epi=True, cap=cap):
+        lay = tower.layers[lvl - 1]
         stats = {
-            "q": q,
-            "s": s,
+            "q": lay.q,
+            "s": lay.s,
             "zeta": lay.zeta,
             "kappa": lay.kappa,
             "alpha": lay.alpha,
             "split": lay.c_chi,
-            "epi_in": len(frontier),
-            "epi_out": len(new),
+            "epi_in": maps_in,
+            "epi_out": maps_out,
         }
-        frontier = new
-        yield i + 1, frontier, stats
+        yield lvl, (None if reps is None else (reps, weights)), stats
 
 
 def epi_maps(P, tower, cap=10**7, level=None):
-    """Epimorphisms onto the level group (default: the top) as image tuples."""
+    """Epimorphisms onto the level group (default: the top) as image tuples,
+    every map enumerated."""
     top = len(tower.layers) if level is None else level
-    for lvl, frontier, _ in epi_levels(P, tower, cap=cap):
-        if lvl == top:
-            break
+    frontier = _trivial_frontier(P)
+    for i, lay in enumerate(tower.layers[:top]):
+        frontier, _ = lift_frontier(P, lay, frontier, epi=True, cap=cap, level=i)
     return _as_tuples(frontier)
 
 
 def epi_count(P, tower, cap=10**7, with_hom=False, with_aut=True,
               source_label=None):
-    levels = []
-    for lvl, frontier, stats in epi_levels(P, tower, cap=cap):
-        if stats is not None:
-            levels.append(stats)
-    epi = len(frontier)
+    levels = [stats for _, _, stats in epi_levels(P, tower, cap=cap)]
+    epi = levels[-1]["epi_out"] if levels else 1
     aut = dlt = None
     if with_aut:
         aut = aut_order(tower.group)

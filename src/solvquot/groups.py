@@ -47,6 +47,7 @@ class FiniteGroupTable:
             if self.inv[i] is None or self.mul[self.inv[i]][i] != 0:
                 raise GroupSpecError("element %d has no two-sided inverse" % i)
         self._arr = None
+        self._conj = None
         self._orders = None
 
     def __len__(self):
@@ -56,6 +57,14 @@ class FiniteGroupTable:
         if self._arr is None:
             self._arr = np.array(self.mul, dtype=np.int64)
         return self._arr
+
+    def conjugation_table(self):
+        """int32 array with conj[b, x] = b x b^-1, built on first use."""
+        if self._conj is None:
+            arr = self.as_array()
+            inv = np.array(self.inv, dtype=np.int64)
+            self._conj = arr[arr, inv[:, None]].astype(np.int32)
+        return self._conj
 
     def check_associativity(self, rng=None):
         """Exhaustive for order <= 64, randomly sampled above."""

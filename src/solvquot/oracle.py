@@ -37,39 +37,47 @@ class BruteResult:
         return self.count
 
 
-def _hom_mask(P, table, budget):
-    """Boolean mask over all |T|^n image tuples (in mixed-radix order, first
-    generator most significant), True where every relator evaluates to the
-    identity.  The n + 1 arrays of |T|^n entries (the index and one per
-    generator) are charged to the budget before they are allocated."""
-    N = table.n
-    n = P.n
+_CHUNK = 1 << 18  # image tuples per chunk of the oracle's walk
+
+
+def _hom_hits(P, table, budget):
+    """The image tuples on which every relator evaluates to the identity, as
+    indices in mixed-radix order (first generator most significant), one
+    array per chunk of ``_CHUNK`` tuples.  The whole walk is charged to the
+    budget before the first chunk is built: n + 1 entries per tuple (the
+    index and one per generator) and one per relator letter.  Only one
+    chunk's arrays exist at a time, so memory stays bounded however large
+    the budget is."""
+    N, n = table.n, P.n
     total = N**n
     budget.charge((n + 1) * total)
-    arr = table.as_array()
-    inv = np.array(table.inv, dtype=np.int64)
-    idx = np.arange(total, dtype=np.int64)
-    gens = []
-    for g in range(n):
-        gens.append((idx // (N ** (n - 1 - g))) % N)
-    mask = np.ones(total, dtype=bool)
     for rel in P.relators:
         budget.charge(len(rel) * total)
-        v = np.zeros(total, dtype=np.int64)
-        for g, e in rel:
-            col = gens[g] if e == 1 else inv[gens[g]]
-            v = arr[v, col]
-        mask &= v == 0
-    return mask, gens
+    arr = table.as_array()
+    inv = np.array(table.inv, dtype=np.int64)
+    for lo in range(0, total, _CHUNK):
+        idx = np.arange(lo, min(lo + _CHUNK, total), dtype=np.int64)
+        gens = [(idx // N ** (n - 1 - g)) % N for g in range(n)]
+        mask = np.ones(len(idx), dtype=bool)
+        for rel in P.relators:
+            v = np.zeros(len(idx), dtype=np.int64)
+            for g, e in rel:
+                v = arr[v, gens[g] if e == 1 else inv[gens[g]]]
+            mask &= v == 0
+        yield idx[mask]
+
+
+def _images(t, N, n):
+    return tuple((t // N ** (n - 1 - g)) % N for g in range(n))
 
 
 def brute_hom(P, table, budget=None):
     budget = budget if budget is not None else OracleBudget()
     try:
-        mask, _ = _hom_mask(P, table, budget)
+        count = sum(len(hits) for hits in _hom_hits(P, table, budget))
     except BudgetExceeded:
         return BruteResult(None, False, budget.used)
-    return BruteResult(int(mask.sum()), True, budget.used)
+    return BruteResult(count, True, budget.used)
 
 
 def _closure_size(table, images):
@@ -92,18 +100,14 @@ def _closure_size(table, images):
 
 def brute_epi(P, table, budget=None):
     budget = budget if budget is not None else OracleBudget()
+    N = table.n
     try:
-        mask, gens = _hom_mask(P, table, budget)
-        hits = np.nonzero(mask)[0]
         count = 0
-        N = table.n
-        for t in hits.tolist():
-            images = []
-            for g in range(P.n):
-                images.append((t // (N ** (P.n - 1 - g))) % N)
-            budget.charge(N * P.n)
-            if _closure_size(table, images) == N:
-                count += 1
+        for hits in _hom_hits(P, table, budget):
+            for t in hits.tolist():
+                budget.charge(N * P.n)
+                if _closure_size(table, _images(t, N, P.n)) == N:
+                    count += 1
     except BudgetExceeded:
         return BruteResult(None, False, budget.used)
     return BruteResult(count, True, budget.used)
@@ -113,12 +117,8 @@ def brute_hom_images(P, table, budget=None):
     """The image tuples of all homomorphisms (for oracle-side enumeration of
     maps, not just counts)."""
     budget = budget if budget is not None else OracleBudget()
-    mask, _ = _hom_mask(P, table, budget)
-    N = table.n
-    out = []
-    for t in np.nonzero(mask)[0].tolist():
-        out.append(tuple((t // (N ** (P.n - 1 - g))) % N for g in range(P.n)))
-    return out
+    return [_images(t, table.n, P.n)
+            for hits in _hom_hits(P, table, budget) for t in hits.tolist()]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 import json
 import os
 
+import pytest
+
 from solvquot.cli import main
 from solvquot.groups import builtin_group, chief_series, is_isomorphic
 from solvquot.oracle import brute_hom
@@ -120,6 +122,25 @@ def test_exit_codes(capsys):
     capsys.readouterr()
     assert main(["epi", "--source", "nosuchfile.txt", "--target", "S(3)"]) == 1
     capsys.readouterr()
+
+
+def test_unread_cap_options_are_rejected(capsys):
+    # each cap is accepted only by the verbs that read it
+    for argv in (["aut", "--target", "S(4)", "--cap-frontier", "0"],
+                 ["cocycle", "--source", "builtin:klein", "--target", "S(4)",
+                  "--images", "2,1", "--cap-frontier", "0"],
+                 ["moebius", "--target", "D(6)", "--cap-frontier", "0"],
+                 ["growth", "--source", "builtin:free(2)", "--kmax", "2",
+                  "--cap-frontier", "0"],
+                 ["growth", "--source", "builtin:free(2)", "--kmax", "2",
+                  "--cap-order", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --cap-" in capsys.readouterr().err
+    assert main(["epi", "--source", "builtin:braid(3)", "--target", "S(4)",
+                 "--cap-frontier", "5"]) == 2
+    assert "level 2 would reach 6 " in capsys.readouterr().err
 
 
 def test_inline_and_file_sources(capsys, tmp_path):

@@ -24,6 +24,7 @@ from solvquot.counting import (
     table1_delta,
 )
 from solvquot.groups import CATALOG_SPECS, CapExceeded, builtin_group
+from solvquot.oracle import brute_hom
 from solvquot.presentations import builtin_from_string, builtin_presentation
 
 F1 = builtin_presentation("free", 1)
@@ -80,13 +81,24 @@ def test_epi_lift():
         epi_lift(F2, S4, 2, (0, 0))
 
 
-def test_cap_fires_before_the_lifts_at_its_level():
-    # F2 -> S4: 3, 18, 216 epimorphisms and 4, 36, 576 homomorphisms per
-    # level; the cap is checked before each map's lifts are materialised
-    with pytest.raises(CapExceeded, match="level 3 would reach 108 "):
-        epi_count(F2, S4, cap=100)
+def test_cap_fires_before_the_lifts_at_its_level(monkeypatch):
+    # F2 -> S4 lifts one map per conjugacy orbit: level 1 builds the lifts
+    # of the trivial map (3 epimorphisms, 4 homomorphisms onto Z_2, each its
+    # own orbit), level 2 the lifts of those (3 * 6 epimorphisms, 4 * 9
+    # homomorphisms into S_3), and the top level builds nothing
+    built = []
+    real = counting.solution_arrays
+    monkeypatch.setattr(counting, "solution_arrays",
+                        lambda results: built.append(1) or real(results))
+    with pytest.raises(CapExceeded, match="level 2 would reach 18 "):
+        epi_count(F2, S4, cap=10)
+    assert len(built) == 1  # only the level-1 lifts were allocated
+    built.clear()
     with pytest.raises(CapExceeded, match="level 2 would reach 36 "):
         hom_count(F2, S4, cap=30)
+    assert len(built) == 1
+    assert epi_count(F2, S4, cap=18).epi == 216
+    assert hom_count(F2, S4, cap=36) == 576
 
 
 def test_complement_rows_match_the_surjectivity_walk():
@@ -126,6 +138,78 @@ def test_self_checks_fire_on_corrupted_data(monkeypatch):
     monkeypatch.setattr(counting, "aut_order", lambda table: 5)
     with pytest.raises(CountError, match="not divisible"):
         epi_count(F2, tower)
+
+
+def test_counted_path_matches_full_enumeration():
+    # the orbit-reduced, top-counted path against every map enumerated:
+    # each level's epi_out (the top one is |Epi|) against epi_maps, and Hom
+    # against the oracle, which walks up to 48^4 image tuples in chunks
+    for label in ["free(2)", "surface(2)", "braid(4)", "bs(2,6)", "klein"]:
+        P = builtin_from_string(label)
+        for spec in CATALOG_SPECS:
+            tower = builtin_group(spec)
+            if tower.order > 48:
+                continue
+            rep = epi_count(P, tower, with_hom=True, with_aut=False)
+            assert [stats["epi_out"] for stats in rep.levels] == [
+                len(epi_maps(P, tower, level=i)) for i in range(1, len(tower.layers) + 1)
+            ], (label, spec)
+            assert rep.hom == brute_hom(P, tower.group).count, (label, spec)
+
+
+def test_orbit_frontier_shape():
+    # Dstar(48) from surface(2): the 11520 epimorphisms onto the level-4
+    # group (order 16, centre of order 2) are kept as 1440 orbits of size
+    # 8, and the 276480 onto the top are counted, not stored
+    tower = builtin_group("Dstar(48)")
+    levels = list(epi_levels(builtin_presentation("surface", 2), tower))
+    reps, weights = levels[3][1]
+    assert (len(reps), set(weights.tolist())) == (1440, {8})
+    assert levels[-1][1] is None and levels[-1][2]["epi_out"] == 276480
+    conj = tower.layers[3].group.conjugation_table()
+    least = conj[:, reps].transpose(1, 0, 2)
+    # each representative is the least of its conjugates
+    assert all(min(map(tuple, c.tolist())) == tuple(r) for c, r in zip(least, reps.tolist()))
+
+
+def test_planted_errors_raise(monkeypatch):
+    # a wrong orbit weight
+    real = counting._orbit_representatives
+
+    def heavier(table, rows):
+        reps, weights = real(table, rows)
+        weights[:1] += 1
+        return reps, weights
+
+    monkeypatch.setattr(counting, "_orbit_representatives", heavier)
+    with pytest.raises(CountError, match="level arithmetic"):
+        hom_count(F2, S4)
+    with pytest.raises(CountError, match="orbit at level 1 has a size"):
+        epi_count(F2, S4)
+    monkeypatch.setattr(counting, "_orbit_representatives", real)
+    # a dropped complement row, below the top and at the top
+    for lay in S4.layers[1:]:
+        with monkeypatch.context() as m:
+            m.setattr(lay, "sections", lay.sections[1:])
+            with pytest.raises(CountError, match="complement"):
+                epi_count(B4, S4)
+    # a top-layer system that its complement lifts do not solve
+    top = S4.layers[-1]
+    real_build = counting.build_system
+
+    def shifted(P, images, lay, check=True):
+        sysm = real_build(P, images, lay, check=check)
+        if lay is top:
+            sysm.chi_vec = [(x + 1) % lay.q for x in sysm.chi_vec]
+        return sysm
+
+    monkeypatch.setattr(counting, "build_system", shifted)
+    with pytest.raises(CountError, match="does not solve"):
+        epi_count(B4, S4)
+    with pytest.raises(CountError, match="does not solve"):
+        hom_count(B4, S4)
+    monkeypatch.setattr(counting, "build_system", real_build)
+    assert epi_count(B4, S4).epi == 72 and hom_count(B4, S4) == 144
 
 
 def test_klein_lifts():

@@ -1,5 +1,6 @@
 import itertools
 
+from solvquot import oracle
 from solvquot.cohomology import build_system, solution_vectors, solve_system
 from solvquot.counting import epi_count, hom_count
 from solvquot.groups import builtin_group
@@ -119,3 +120,21 @@ def test_solution_sets_equal_accepted_sets():
                     if brute_lift_check(P, images, lay, cand)
                 }
                 assert sols == accepted
+
+
+def test_chunked_walk_counts(monkeypatch):
+    # surface(2) onto S_4 walks 24^4 = 331776 tuples, more than one chunk
+    P = builtin_presentation("surface", 2)
+    s4 = builtin_group("S(4)")
+    assert 24**4 > oracle._CHUNK
+    hom, epi = brute_hom(P, s4.group), brute_epi(P, s4.group)
+    assert (hom.count, epi.count) == (hom_count(P, s4), epi_count(P, s4).epi)
+    # the same counts, images and charges in chunks that split the range
+    # unevenly
+    bs = builtin_presentation("bs", 1, 3)
+    d8 = builtin_group("D(8)").group
+    whole = (brute_hom(bs, d8), brute_epi(bs, d8), brute_hom_images(bs, d8))
+    monkeypatch.setattr(oracle, "_CHUNK", 7)
+    assert brute_hom(bs, d8) == whole[0]
+    assert brute_epi(bs, d8) == whole[1]
+    assert brute_hom_images(bs, d8) == whole[2]
