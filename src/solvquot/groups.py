@@ -4,6 +4,7 @@ monodromy and 2-cocycle data, plus multiplication-table utilities."""
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import re
 from dataclasses import dataclass
@@ -23,6 +24,8 @@ class CapExceeded(RuntimeError):
 
 
 DEFAULT_ORDER_CAP = 512
+# most candidate image tuples a bijective generator-image search may try
+BIJECTIVE_TUPLE_CAP = 1_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +278,9 @@ def _fill_map(table, links, gens, images, dst):
 
 def iter_homomorphisms(src, dst, bijective=False):
     """All homomorphisms src -> dst as image arrays, by brute generator-image
-    search with the order-divisibility pruning."""
+    search with the order-divisibility pruning.  A bijective search raises
+    CapExceeded before it starts if it would try more than
+    BIJECTIVE_TUPLE_CAP candidate tuples."""
     gens = generating_sequence(src)
     links = bfs_expressions(src, gens)
     sarr = src.as_array()
@@ -287,6 +292,10 @@ def iter_homomorphisms(src, dst, bijective=False):
             cands.append([h for h in range(dst.n) if dst.order_of(h) == o])
         else:
             cands.append([h for h in range(dst.n) if o % dst.order_of(h) == 0])
+    tuples = math.prod(len(c) for c in cands)
+    if bijective and tuples > BIJECTIVE_TUPLE_CAP:
+        raise CapExceeded("isomorphism search from a group of order %d would try %d candidate "
+                          "image tuples (cap %d)" % (src.n, tuples, BIJECTIVE_TUPLE_CAP))
     for images in itertools.product(*cands):
         f = _fill_map(src, links, gens, images, dst)
         if not (darr[f[:, None], f[None, :]] == f[sarr]).all():

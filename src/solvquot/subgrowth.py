@@ -4,10 +4,13 @@ closed forms for abelian Hall invariants."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+
+import numpy as np
 
 from .counting import CountError, delta_s4, table1_delta
 from .groups import CapExceeded
@@ -15,168 +18,254 @@ from .presentations import abelian_invariants, factorize
 
 
 # ---------------------------------------------------------------------------
-# Permutations of {0..k-1} as tuples; p*q applies q first.
+# S_k as an int8 array of the permutations of range(k), in
+# itertools.permutations (lexicographic) order; p*q applies q first, so a
+# batch V times a fixed p is V[:, p] and times a batch X (one row per
+# candidate) is np.take_along_axis(V, X, 1), done here as one flat gather,
+# V.ravel()[X + row offsets], which skips take_along_axis's per-call
+# overhead on the search's small batches and is faster on large ones.
+
+_BLOCK_TUPLES = 30_000_000  # largest (k!)^|support| a block measure enumerates
+_CHUNK = 1 << 18  # assignments per array pass of a block measure
+# The process pool starts when the search's first pruning depth tests at
+# least this many candidate images (classes times (k!)^depth); below it the
+# pool measured slower than one process.
+_POOL_MIN_TESTS = 1_000_000
 
 
-def _perms(k):
-    return list(itertools.permutations(range(k)))
+class _Symmetric:
+    """The permutations of range(k) and their inverses, their lexicographic
+    codes (ascending, so searchsorted ranks a batch), and the conjugacy
+    classes, numbered in the order the permutations first meet them."""
+
+    def __init__(self, k):
+        perms = np.array(list(itertools.permutations(range(k))), dtype=np.int8)
+        self.k = k
+        self.perms = perms
+        self.inv = np.argsort(perms, axis=1).astype(np.int8)
+        self.codes = self.code(perms)
+        self.offsets = _row_offsets(len(perms), k)
+        # the fixed-point counts of p, p^2, ..., p^k determine the cycle type
+        power = perms
+        fixed = []
+        for _ in range(k):
+            fixed.append((power == perms[0]).sum(axis=1))
+            power = np.take_along_axis(power, perms, 1)
+        _, first, class_of, sizes = np.unique(
+            np.stack(fixed, axis=1), axis=0,
+            return_index=True, return_inverse=True, return_counts=True)
+        order = np.argsort(first)
+        renumber = np.empty_like(order)
+        renumber[order] = np.arange(len(order))
+        self.class_of = renumber[class_of.reshape(-1)]
+        self.reps = first[order]
+        self.sizes = sizes[order]
+
+    def code(self, V):
+        c = V[:, 0].astype(np.int64)
+        for col in range(1, self.k):
+            c = c * self.k + V[:, col]
+        return c
+
+    def rank(self, V):
+        return np.searchsorted(self.codes, self.code(V))
 
 
-def _compose(p, q):
-    return tuple(p[x] for x in q)
+def _row_offsets(rows, k):
+    return np.arange(rows, dtype=np.int32)[:, None] * k
 
 
-def _inverse(p):
-    out = [0] * len(p)
-    for i, x in enumerate(p):
-        out[x] = i
-    return tuple(out)
+def _times(V, X, offsets):
+    """Row-wise products V*X of two batches, offsets[i] = i*k."""
+    return V.ravel()[X + offsets[:len(X)]]
 
 
-def _cycle_type(p):
-    seen = [False] * len(p)
-    lens = []
-    for i in range(len(p)):
-        if not seen[i]:
-            l = 0
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                j = p[j]
-                l += 1
-            lens.append(l)
-    return tuple(sorted(lens))
-
-
-def _conjugacy_classes(k):
-    """(representative, class size) per cycle type."""
-    classes = {}
-    for p in _perms(k):
-        t = _cycle_type(p)
-        if t in classes:
-            classes[t][1] += 1
-        else:
-            classes[t] = [p, 1]
-    return [(rep, size) for rep, size in classes.values()]
-
-
-def _eval_folded(ops, cand, cand_inv, ident):
-    v = ident
-    for kind, payload in ops:
-        if kind == "c":
-            v = _compose(v, payload)
-        elif payload == 1:
-            v = _compose(v, cand)
-        else:
-            v = _compose(v, cand_inv)
-    return v
-
-
-def _fold(rel, assigned, k):
-    """Collapse maximal runs of assigned letters into fixed permutations."""
-    ops = []
-    acc = None
-    for g, e in rel:
-        if g in assigned:
-            p = assigned[g] if e == 1 else _inverse(assigned[g])
-            acc = p if acc is None else _compose(acc, p)
-        else:
-            if acc is not None:
-                ops.append(("c", acc))
-                acc = None
-            ops.append(("x", e))
-    if acc is not None:
-        ops.append(("c", acc))
-    return ops
+@functools.cache
+def _symmetric(k):
+    return _Symmetric(k)
 
 
 def _relator_blocks(rel):
-    """Split a word into minimal consecutive blocks with pairwise disjoint
-    generator supports."""
-    blocks = []
-    cur = []
-    cur_support = set()
-    rest_support = [set() for _ in range(len(rel) + 1)]
-    for i in range(len(rel) - 1, -1, -1):
-        rest_support[i] = rest_support[i + 1] | {rel[i][0]}
-    for i, (g, e) in enumerate(rel):
-        cur.append((g, e))
-        cur_support.add(g)
-        if not (cur_support & rest_support[i + 1]):
-            blocks.append((tuple(cur), tuple(sorted(cur_support))))
-            cur = []
-            cur_support = set()
-    return blocks
+    """Minimal consecutive blocks with pairwise disjoint generator supports,
+    of the cyclic rotation of rel (a conjugate, so the same group) whose
+    largest block support is smallest; ties keep the given rotation.  The
+    rotation that starts at boundary c splits at exactly the boundaries
+    lying, for every generator, in the same gap between cyclically
+    consecutive occurrences as c, so boundaries are grouped by those gaps."""
+    total = {}
+    for g, _ in rel:
+        total[g] = total.get(g, 0) + 1
+    seen = dict.fromkeys(total, 0)
+    groups = {}
+    for b, (g, _) in enumerate(rel):
+        groups.setdefault(tuple(seen[h] % total[h] for h in total), []).append(b)
+        seen[g] += 1
+    best, largest = [(tuple(rel), tuple(sorted(total)))], len(total)
+    for cuts in groups.values():
+        if len(cuts) < 2:
+            continue
+        arcs = [rel[a:b] for a, b in zip(cuts, cuts[1:])]
+        arcs.append(rel[cuts[-1]:] + rel[:cuts[0]])
+        blocks = [(tuple(arc), tuple(sorted({g for g, _ in arc}))) for arc in arcs]
+        size = max(len(sup) for _, sup in blocks)
+        if size < largest:
+            best, largest = blocks, size
+    return best
 
 
-def _block_class_measure(block, support, k, perms, class_of, sizes):
-    """Counting measure of the block's value as a per-element class
-    function: entry c is the number of assignments of the block's generators
-    whose value is any FIXED element of class c."""
-    word, gens = block, list(support)
-    ident = tuple(range(k))
-    ncl = max(class_of) + 1
-    measure = [0] * ncl
-    for combo in itertools.product(perms, repeat=len(gens)):
-        assigned = dict(zip(gens, combo))
-        v = ident
+def _block_class_measure(word, m, S):
+    """Counting measure of a block word in generators 0..m-1 as a class
+    function: entry c is the number of assignments whose value is any FIXED
+    element of class c.  All (k!)^m assignments are evaluated, _CHUNK at a
+    time, and the classes of their values counted."""
+    N = len(S.perms)
+    counts = np.zeros(len(S.reps), dtype=np.int64)
+    offsets = _row_offsets(min(_CHUNK, N**m), S.k)
+    for start in range(0, N**m, _CHUNK):
+        rest = np.arange(start, min(start + _CHUNK, N**m))
+        images = []
+        for _ in range(m):
+            rest, digit = np.divmod(rest, N)
+            images.append(digit)
+        V = None
         for g, e in word:
-            v = _compose(v, assigned[g] if e == 1 else _inverse(assigned[g]))
-        measure[class_of[_perm_index(v, k)]] += 1
-    for c in range(ncl):
-        if measure[c] % sizes[c]:
+            Y = np.take(S.perms if e == 1 else S.inv, images[g], axis=0)
+            V = Y if V is None else _times(V, Y, offsets)
+        counts += np.bincount(S.class_of[S.rank(V)], minlength=len(counts))
+    measure = []
+    for c, size in zip(counts.tolist(), S.sizes.tolist()):
+        if c % size:
             raise ArithmeticError("block measure is not a class function")
-        measure[c] //= sizes[c]
+        measure.append(c // size)
     return measure
 
 
-_PERM_INDEX_CACHE = {}
-
-
-def _perm_index(p, k):
-    cache = _PERM_INDEX_CACHE.get(k)
-    if cache is None:
-        cache = {q: i for i, q in enumerate(_perms(k))}
-        _PERM_INDEX_CACHE[k] = cache
-    return cache[p]
-
-
-def _class_data(k):
-    perms = _perms(k)
-    keys = {}
-    reps = []
-    class_of = []
-    sizes = []
-    for p in perms:
-        t = _cycle_type(p)
-        if t not in keys:
-            keys[t] = len(reps)
-            reps.append(p)
-            sizes.append(0)
-        idx = keys[t]
-        class_of.append(idx)
-        sizes[idx] += 1
-    return perms, reps, sizes, class_of
-
-
-def _convolve_class(fa, fb, k, perms, reps, class_of):
-    """(fa * fb)(x) = sum_a fa(a) fb(a^-1 x), as class functions."""
-    out = [0] * len(reps)
-    for ci, rep in enumerate(reps):
-        total = 0
-        for ai, a in enumerate(perms):
-            va = fa[class_of[ai]]
-            if va:
-                total += va * fb[class_of[_perm_index(_compose(_inverse(a), rep), k)]]
-        out[ci] = total
+def _convolve_class(fa, fb, S):
+    """(fa * fb)(x) = sum_a fa(a) fb(a^-1 x), as class functions: one array
+    pass over every a per class representative x."""
+    ncl = len(S.reps)
+    out = []
+    for rep in S.reps:
+        pairs = np.bincount(S.class_of * ncl + S.class_of[S.rank(S.inv[:, S.perms[rep]])],
+                            minlength=ncl * ncl)
+        out.append(sum(c * fa[i // ncl] * fb[i % ncl]
+                       for i, c in enumerate(pairs.tolist()) if c))
     return out
+
+
+def _block_count(blocks, n, S):
+    """|Hom| of a one-relator group from the class measures of its blocks,
+    each distinct block word (up to renaming its generators) measured once."""
+    measures = {}
+    acc = None
+    used = set()
+    for word, support in blocks:
+        used.update(support)
+        local = {g: i for i, g in enumerate(dict.fromkeys(g for g, _ in word))}
+        key = tuple((local[g], e) for g, e in word)
+        if key not in measures:
+            measures[key] = _block_class_measure(key, len(local), S)
+        acc = measures[key] if acc is None else _convolve_class(acc, measures[key], S)
+    return acc[S.class_of[0]] * len(S.perms) ** (n - len(used))
+
+
+def _segments(rel, g):
+    """rel as a list of the exponents of g's letters and, between them, the
+    maximal runs of the other generators' letters."""
+    segs = []
+    for h, e in rel:
+        if h == g:
+            segs.append(e)
+        elif segs and isinstance(segs[-1], list):
+            segs[-1].append((h, e))
+        else:
+            segs.append([(h, e)])
+    return segs
+
+
+def _relator_values(segs, assigned, S, X, Xinv):
+    """The value of a relator, given as _segments, for each candidate image
+    in the rows of X (inverses in Xinv) of its one unassigned generator;
+    assigned maps each other generator to its (image, inverse) and each run
+    of their letters is folded into one fixed permutation first."""
+    V = None
+    for seg in segs:
+        if isinstance(seg, int):
+            Y = X if seg == 1 else Xinv
+            if V is None:
+                V = Y
+            elif V.ndim == 1:
+                V = V[Y]
+            else:
+                V = _times(V, Y, S.offsets)
+            continue
+        run = None
+        for h, e in seg:
+            p = assigned[h][e < 0]
+            run = p if run is None else run[p]
+        V = run if V is None else V[:, run]
+    return V
+
+
+def _search_order(P):
+    """The generators, most used first, and per depth the relators whose
+    last generator in that order is assigned there, as _segments."""
+    n = P.n
+    occurrences = [0] * n
+    for rel in P.relators:
+        for g, _ in rel:
+            occurrences[g] += 1
+    order = sorted(range(n), key=lambda g: (-occurrences[g], g))
+    pos_of = {g: i for i, g in enumerate(order)}
+    ready_at = [[] for _ in range(n)]
+    for rel in P.relators:
+        depth = max(pos_of[g] for g, _ in rel)
+        ready_at[depth].append(_segments(rel, order[depth]))
+    return order, ready_at
+
+
+def _search(P, S, reps, sizes):
+    """Depth-first search over generator images in _search_order, the first
+    generator only over the class representatives reps (weighted by sizes).
+    Each node tests all k! images of its generator at once against the
+    relators that become ready there; the last depth adds up weights."""
+    n = P.n
+    order, ready_at = _search_order(P)
+    everything = np.arange(len(S.perms))
+    ident = S.perms[0]
+    assigned = {}
+    total = 0
+
+    def search(depth, weight):
+        nonlocal total
+        g = order[depth]
+        if depth == 0:
+            cand, w = reps, sizes
+            X, Xinv = S.perms[cand], S.inv[cand]
+        else:
+            cand, w = everything, None
+            X, Xinv = S.perms, S.inv
+        for segs in ready_at[depth]:
+            keep = (_relator_values(segs, assigned, S, X, Xinv) == ident).all(axis=1)
+            cand, X, Xinv = cand[keep], X[keep], Xinv[keep]
+            w = None if w is None else w[keep]
+        if depth == n - 1:
+            total += weight * (len(cand) if w is None else int(w.sum()))
+            return
+        for c, wc in zip(cand.tolist(), [1] * len(cand) if w is None else w.tolist()):
+            assigned[g] = S.perms[c], S.inv[c]
+            search(depth + 1, weight * wc)
+        assigned.pop(g, None)
+
+    search(0, 1)
+    return total
 
 
 def hom_count_symmetric(P, k, cap=8, threads=1, _class_filter=None):
     """|Hom(G, S_k)| by exhaustive generator-image search with conjugacy
-    reduction of the most-used generator, incremental relator pruning, and a
-    convolution shortcut for one-relator words that factor into blocks with
-    disjoint supports."""
+    reduction of the most-used generator, incremental relator pruning over
+    whole arrays of candidate images, and a convolution shortcut for
+    one-relator words that factor into blocks with disjoint supports."""
     if k > cap:
         raise CapExceeded("k = %d exceeds the symmetric-group cap %d" % (k, cap))
     if k == 0:
@@ -186,63 +275,21 @@ def hom_count_symmetric(P, k, cap=8, threads=1, _class_filter=None):
         return math.factorial(k) ** n
     if k == 1:
         return 1
+    S = _symmetric(k)
 
     if len(P.relators) == 1:
         blocks = _relator_blocks(P.relators[0])
-        maxg = max(len(sup) for _, sup in blocks)
-        if len(blocks) >= 2 and math.factorial(k) ** maxg <= 2_000_000:
-            perms, reps, sizes, class_of = _class_data(k)
-            measures = [
-                _block_class_measure(word, sup, k, perms, class_of, sizes)
-                for word, sup in blocks
-            ]
-            acc = measures[0]
-            for mb in measures[1:]:
-                acc = _convolve_class(acc, mb, k, perms, reps, class_of)
-            ident_class = class_of[_perm_index(tuple(range(k)), k)]
-            used = set()
-            for _, sup in blocks:
-                used.update(sup)
-            return acc[ident_class] * math.factorial(k) ** (n - len(used))
+        largest = max(len(sup) for _, sup in blocks)
+        if len(blocks) >= 2 and math.factorial(k) ** largest <= _BLOCK_TUPLES:
+            return _block_count(blocks, n, S)
 
-    # generic depth-first search, most-used generator first, with the first
-    # generator taken up to conjugacy
-    occurrences = [0] * n
-    for rel in P.relators:
-        for g, _ in rel:
-            occurrences[g] += 1
-    order = sorted(range(n), key=lambda g: (-occurrences[g], g))
-    pos_of = {g: i for i, g in enumerate(order)}
-    ready_at = [[] for _ in range(n + 1)]
-    for rel in P.relators:
-        depth = 1 + max(pos_of[g] for g, _ in rel)
-        ready_at[depth].append(rel)
-    perms = _perms(k)
-    classes = _conjugacy_classes(k)
     if _class_filter is not None:
-        classes = [classes[i] for i in _class_filter]
-    elif threads > 1 and n >= 2 and math.factorial(k) >= 720:
-        return _parallel_dfs(P, k, cap, threads, len(classes))
-    ident = tuple(range(k))
-    total = 0
-
-    def search(depth, assigned, weight):
-        nonlocal total
-        if depth == n:
-            total += weight
-            return
-        g = order[depth]
-        folded = [_fold(rel, assigned, k) for rel in ready_at[depth + 1]]
-        candidates = classes if depth == 0 else [(p, 1) for p in perms]
-        for p, w in candidates:
-            pinv = _inverse(p)
-            if all(_eval_folded(ops, p, pinv, ident) == ident for ops in folded):
-                assigned[g] = p
-                search(depth + 1, assigned, weight * w)
-                del assigned[g]
-
-    search(0, {}, 1)
-    return total
+        return _search(P, S, S.reps[_class_filter], S.sizes[_class_filter])
+    if threads > 1 and n >= 2:
+        first = next(d for d, rels in enumerate(_search_order(P)[1]) if rels)
+        if len(S.reps) * len(S.perms) ** first >= _POOL_MIN_TESTS:
+            return _parallel_dfs(P, k, cap, threads, len(S.reps))
+    return _search(P, S, S.reps, S.sizes)
 
 
 def _partition_worker(payload):

@@ -1,8 +1,10 @@
 import json
 import os
+import time
 
 import pytest
 
+from solvquot import subgrowth
 from solvquot.cli import main
 from solvquot.groups import builtin_group, chief_series, is_isomorphic
 from solvquot.oracle import brute_hom
@@ -102,15 +104,20 @@ def test_catalog_and_roundtrip(capsys, tmp_path):
     assert code == 0 and json.loads(out)["roundtrip_isomorphic"]
 
 
-def test_byte_determinism_across_threads(capsys):
-    # at k = 6 the search is split over a pool of --threads processes
+def test_byte_determinism_across_threads(capsys, monkeypatch):
+    # at k = 6 the braid3_split search is split over a pool of --threads
+    # processes
+    pools = []
+    real = subgrowth._parallel_dfs
+    monkeypatch.setattr(subgrowth, "_parallel_dfs", lambda *a: pools.append(a) or real(*a))
     outs = []
     for threads in ("1", "3"):
-        code, out = run_cli(capsys, "growth", "--source", "builtin:braid(4)",
+        code, out = run_cli(capsys, "growth", "--source", "builtin:braid3_split",
                             "--kmax", "6", "--threads", threads)
         assert code == 0
         outs.append(out)
     assert outs[0] == outs[1]
+    assert len(pools) == 1 and pools[0][3] == 3  # P, k, cap, threads, classes
 
 
 def test_exit_codes(capsys):
@@ -122,6 +129,17 @@ def test_exit_codes(capsys):
     capsys.readouterr()
     assert main(["epi", "--source", "nosuchfile.txt", "--target", "S(3)"]) == 1
     capsys.readouterr()
+
+
+def test_isomorphism_search_is_capped_before_it_starts(capsys):
+    # Z(2)^6 would need 63^6 candidate image tuples for |Aut|
+    for argv in (["aut", "--target", "Z(2)^6"],
+                 ["epi", "--source", "builtin:free(3)", "--target", "Z(2)^6"]):
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert "order 64 would try 62523502209 candidate image tuples" in err
 
 
 def test_unread_cap_options_are_rejected(capsys):

@@ -225,6 +225,12 @@ def test_aut_orders():
     assert aut_order(builtin_group("A(4)").group) == 24
     with pytest.raises(CapExceeded):
         aut_order(builtin_group("S(4)").group, cap=10)
+    # the largest catalog search (Z(2)*S(4): 768 tuples) stays under the
+    # tuple cap; Z(2)^5 (31^5 tuples) and Z(2)^6 do not
+    assert aut_order(builtin_group("Z(2)*S(4)").group) == 48
+    for spec, tuples in (("Z(2)^5", 31**5), ("Z(2)^6", 63**6)):
+        with pytest.raises(CapExceeded, match="would try %d candidate" % tuples):
+            aut_order(builtin_group(spec).group)
 
 
 def test_aut_by_lifting_recursion():

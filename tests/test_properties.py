@@ -1,13 +1,16 @@
 """Property tests on random short presentations: the orbit-counted engine
-against the brute-force oracle over small catalog targets."""
+and the symmetric-group search against the brute-force oracle."""
+
+import itertools
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from solvquot.counting import epi_count, hom_count
-from solvquot.groups import CATALOG_SPECS, builtin_group
+from solvquot.groups import CATALOG_SPECS, FiniteGroupTable, builtin_group
 from solvquot.oracle import brute_epi, brute_hom
 from solvquot.presentations import Presentation
+from solvquot.subgrowth import hom_count_symmetric
 
 TOWERS = {}
 SMALL_SPECS = [spec for spec in CATALOG_SPECS if builtin_group(spec).order <= 24]
@@ -38,3 +41,20 @@ def test_counts_against_the_oracle(P, spec):
     assert rep.epi == brute_epi(P, T.group).count
     assert rep.epi <= rep.hom
     assert rep.epi % rep.aut == 0 and rep.delta * rep.aut == rep.epi
+
+
+def symmetric_table(k):
+    """S_k from the permutations of range(k), the identity first."""
+    perms = list(itertools.permutations(range(k)))
+    index = {p: i for i, p in enumerate(perms)}
+    return FiniteGroupTable([[index[tuple(p[x] for x in q)] for q in perms] for p in perms])
+
+
+SYMMETRIC = {k: symmetric_table(k) for k in (3, 4)}
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(presentations(), st.sampled_from(sorted(SYMMETRIC)))
+def test_symmetric_search_against_the_oracle(P, k):
+    assert hom_count_symmetric(P, k) == brute_hom(P, SYMMETRIC[k]).count

@@ -2,9 +2,10 @@ import math
 
 import pytest
 
+from solvquot import subgrowth
 from solvquot.counting import epi_count
 from solvquot.groups import CapExceeded, builtin_group
-from solvquot.presentations import abelian_invariants, builtin_presentation
+from solvquot.presentations import Presentation, abelian_invariants, builtin_presentation
 from solvquot.subgrowth import (
     ak_from_homcounts,
     ak_normal,
@@ -96,9 +97,85 @@ def test_ak_from_homcounts():
     assert ak_from_homcounts([1, 4, 36]) == [1, 3, 13]
 
 
-def test_threads_deterministic():
-    assert hom_count_symmetric(B3, 6, threads=2) == hom_count_symmetric(B3, 6)
-    assert ak_sequence(B3, 6, threads=2).ak == ak_sequence(B3, 6).ak
+def test_threads_deterministic(monkeypatch):
+    # braid3_split at k = 6 tests 11 * 720^2 candidates at its first pruning
+    # depth, enough for the search to start the process pool
+    pools = []
+    real = subgrowth._parallel_dfs
+    monkeypatch.setattr(subgrowth, "_parallel_dfs", lambda *a: pools.append(a) or real(*a))
+    P = builtin_presentation("braid3_split")
+    pooled = ak_sequence(P, 6, threads=2)
+    assert len(pools) == 1
+    single = ak_sequence(P, 6)
+    assert pooled.hk == single.hk and pooled.hk[5] == 6480
+    assert pooled.ak == single.ak
+    # braid(4) prunes at its first depth and stays in one process
+    assert hom_count_symmetric(B4, 7, threads=2) == 115920
+    assert len(pools) == 1
+
+
+def test_class_filter_chunks_sum_to_the_count():
+    # the pool's own chunks of a deeper search are summed in
+    # test_threads_deterministic
+    for P in (B3, B4, builtin_presentation("bs", 2, 6)):
+        want = hom_count_symmetric(P, 6)
+        ncl = 11  # conjugacy classes of S_6
+        for step in (1, 3):
+            parts = [hom_count_symmetric(P, 6, _class_filter=list(range(i, ncl, step)))
+                     for i in range(step)]
+            assert sum(parts) == want, (str(P), step)
+
+
+def _surface_closed_form(genus, k):
+    # k! sum over partitions lambda of k of (k!/f_lambda)^(2g-2), where
+    # f_lambda = k!/(product of hook lengths) by the hook-length formula
+    def partitions(m, largest):
+        if m == 0:
+            yield ()
+        for part in range(min(m, largest), 0, -1):
+            for rest in partitions(m - part, part):
+                yield (part,) + rest
+
+    total = 0
+    for lam in partitions(k, k):
+        cols = [sum(1 for r in lam if r > j) for j in range(lam[0])]
+        hooks = math.prod(lam[i] - j + cols[j] - i - 1
+                          for i in range(len(lam)) for j in range(lam[i]))
+        total += hooks ** (2 * genus - 2)  # (k!/f_lambda) is the hook product
+    return math.factorial(k) * total
+
+
+def _rotations_and_inversions(P):
+    rel = P.relators[0]
+    for cut in range(len(rel)):
+        word = rel[cut:] + rel[:cut]
+        yield Presentation(P.generators, (word,))
+        yield Presentation(P.generators, (tuple((g, -e) for g, e in reversed(word)),))
+
+
+def test_surface_rotations_take_the_block_route(monkeypatch):
+    measures = []
+    real = subgrowth._block_class_measure
+    monkeypatch.setattr(subgrowth, "_block_class_measure",
+                        lambda *a: measures.append(a) or real(*a))
+    assert [_surface_closed_form(2, k) for k in (4, 5)] == [34176, 3858240]
+    for Q in _rotations_and_inversions(SURF2):
+        before = len(measures)
+        assert hom_count_symmetric(Q, 4) == 34176
+        assert hom_count_symmetric(Q, 5) == 3858240
+        # both commutator blocks are one word up to renaming: one measure per k
+        assert len(measures) == before + 2, Q.relators
+
+
+def test_surface_against_the_hook_length_formula():
+    variants = list(_rotations_and_inversions(SURF2))
+    for k in range(1, 7):
+        want = _surface_closed_form(2, k)
+        assert hom_count_symmetric(SURF2, k) == want, k
+        # every variant up to k = 5, a sample at k = 6 (0.1 s a count)
+        for Q in variants if k < 6 else variants[::5]:
+            assert hom_count_symmetric(Q, k) == want, (k, Q.relators)
+    assert hom_count_symmetric(builtin_presentation("surface", 1), 6) == _surface_closed_form(1, 6)
 
 
 def test_delta_abelian_closed_forms():
