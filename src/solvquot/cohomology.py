@@ -3,6 +3,7 @@ assembled from Fox derivatives, and cocycle counting for finite sources."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -65,11 +66,17 @@ class ModSolveResult:
 
     def solution_array(self):
         """All solutions of A x = b as the rows of one (count, ncols) int64
-        array: x = C (y0 + k * step) mod q^r, where k runs over the
-        mixed-radix grid of the non-fixed diagonal unknowns (q^v values for
-        a pivot of valuation v, q^r for a free unknown), first unknown
-        slowest."""
-        return solution_arrays([self])
+        array, in the order of ``solution_arrays``."""
+        npiv = len(self.pivot_vals)
+        M = self.modulus
+        radix = [self.q**v for v in self.pivot_vals] + [M] * (self.ncols - npiv)
+        return solution_arrays(SolutionBatch(
+            self.q, self.r, np.array([self.solvable]),
+            np.array([self.count_exponent]),
+            np.array([radix], dtype=np.int64).reshape(1, self.ncols),
+            np.array([self._C], dtype=np.int64).reshape(1, self.ncols, self.ncols),
+            np.array([self._y0], dtype=np.int64).reshape(1, self.ncols),
+        ))
 
     def solutions(self):
         """All solutions of A x = b as tuples, in the row order of
@@ -80,39 +87,45 @@ class ModSolveResult:
             yield tuple(x)
 
 
-def solution_arrays(results):
-    """The solution arrays of ``results`` (systems over one modulus in one
-    number of unknowns) stacked in order into one int64 array.  Systems with
-    the same pivot valuations share one grid and are expanded together."""
-    q, r, ncols = results[0].q, results[0].r, results[0].ncols
-    M = q**r
-    groups = {}
-    for j, res in enumerate(results):
-        if res.solvable:
-            groups.setdefault(res.pivot_vals, []).append(j)
-    grids = {}
-    sizes = [0] * len(results)
-    for pivot_vals, idx in groups.items():
-        npiv = len(pivot_vals)
-        radix = [q**v for v in pivot_vals] + [M] * (ncols - npiv)
-        step = [q ** (r - v) for v in pivot_vals] + [1] * (ncols - npiv)
-        vary = [t for t in range(ncols) if radix[t] > 1]
-        grid = np.zeros((1, 0), dtype=np.int64)
-        if vary:
-            grid = np.indices([radix[t] for t in vary], dtype=np.int64)
-            grid = grid.reshape(len(vary), -1).T * np.array([step[t] for t in vary])
-        grids[pivot_vals] = vary, grid
-        for j in idx:
-            sizes[j] = len(grid)
-    offsets = np.cumsum([0] + sizes)
+class SolutionBatch:
+    """The solution sets of m linear systems over Z_{q^r} in the same number
+    of unknowns: ``solvable`` (m,) bool, ``dims`` (m,), ``radix`` and ``y0``
+    (m, ncols) and ``sub`` (m, ncols, ncols), all int64.  System j has
+    q^dims[j] homogeneous solutions, and when it is solvable its solutions
+    are x = sub[j] (y0[j] + k * step) mod q^r, where k runs over the
+    mixed-radix grid of ``radix[j]`` (q^v for a pivot of valuation v, q^r
+    for a free unknown) and step = q^r / radix."""
+
+    def __init__(self, q, r, solvable, dims, radix, sub, y0):
+        self.q, self.r = q, r
+        self.solvable, self.dims, self.radix, self.sub, self.y0 = solvable, dims, radix, sub, y0
+
+
+def solution_arrays(batch):
+    """The solutions of every solvable system of ``batch`` stacked in order
+    into one int64 array, each system's in grid order (first unknown
+    slowest).  Systems with the same radices share one grid and are
+    expanded together."""
+    M = batch.q**batch.r
+    ncols = batch.radix.shape[1]
+    ok = np.nonzero(batch.solvable)[0]
+    radix = batch.radix[ok]
+    sizes = radix.prod(axis=1)
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
     out = np.empty((offsets[-1], ncols), dtype=np.int64)
-    for pivot_vals, idx in groups.items():
-        vary, grid = grids[pivot_vals]
-        C = np.array([results[j]._C for j in idx], dtype=np.int64)
-        y0 = np.array([results[j]._y0 for j in idx], dtype=np.int64)
-        base = np.einsum("gij,gj->gi", C, y0)
-        sols = (base[:, None, :] + grid @ C[:, :, vary].transpose(0, 2, 1)) % M
-        rows = offsets[idx][:, None] + np.arange(len(grid))
+    if (radix == radix[:1]).all():  # one grid for all, as for a single system
+        pats, which = radix[:1], np.zeros(len(ok), dtype=np.intp)
+    else:
+        pats, which = np.unique(radix, axis=0, return_inverse=True)
+    for g, pat in enumerate(pats):
+        pos = np.flatnonzero(which.reshape(-1) == g)
+        vary = np.nonzero(pat > 1)[0]
+        grid = np.indices(pat[vary], dtype=np.int64).reshape(len(vary), pat.prod()).T
+        grid *= M // pat[vary]
+        sub, y0 = batch.sub[ok[pos]], batch.y0[ok[pos]]
+        base = np.einsum("gij,gj->gi", sub, y0)
+        sols = (base[:, None, :] + grid @ sub[:, :, vary].transpose(0, 2, 1)) % M
+        rows = offsets[pos][:, None] + np.arange(len(grid))
         out[rows.ravel()] = sols.reshape(-1, ncols)
     return out
 
@@ -404,8 +417,19 @@ def twisted_z1_count(P, action):
 # ``prefix`` the image of the letters already read, the Fox derivative rule
 # d(u x)/dx = u, d(u x^-1)/dx = -u x^-1 makes a letter x_g add
 # +sigma(prefix) to block (k, g), and a letter x_g^-1 add
-# -sigma(prefix rho(x_g)^-1), the prefix just after the letter.  So the
-# work is O(|r| s^2) per map.
+# -sigma(prefix rho(x_g)^-1), the prefix just after the letter.
+#
+# ``build_system`` makes this walk for one map in Python, O(|r| s^2) per
+# map; it is the reference, and the per-map routes use it.  The counting
+# engine builds a whole level with ``build_systems``, which makes the same
+# walk for m maps at once.  The prefixes of every letter of every relator
+# are one (relators, letters, m) array, filled by a doubling scan of
+# log2(longest relator) steps with one multiplication-table gather each.
+# Everything a letter adds, its sigma block entries and its chi terms, is
+# one row of a per-layer table indexed by (letter kind, prefix, letter), so
+# the terms of all letters are one gather, and one matrix product with the
+# presentation's letter-to-block array sums them per (relator, generator).
+# ``solve_systems`` then eliminates the m systems together mod q.
 
 
 @dataclass
@@ -500,6 +524,141 @@ def solution_vectors(sys, result=None):
     s = sys.s
     for x in res.solutions():
         yield tuple(tuple(x[i * s : (i + 1) * s]) for i in range(sys.n_gens))
+
+
+class _LayerTables:
+    """A layer's multiplication and the lifting-system terms of one letter,
+    as the tables that ``build_systems`` gathers from.  ``letter`` maps
+    kind * nB + x (kinds as in ``Presentation.letter_arrays``) to the
+    letter's element: x, x^-1 or the identity.  Row
+    ((kind * nB) + b) * nB + y of ``terms`` holds what a letter of that
+    kind and element y, read after the prefix b, adds to its Fox block
+    (s^2 entries) and to its relator's chi vector (s entries):
+    +sigma(b) for x, -sigma(b y) for x^-1; chi(b, y) unless the letter is
+    the first, and -sigma(b) chi(y, y^-1) for x^-1."""
+
+    def __init__(self, layer):
+        q, s = layer.q, layer.s
+        self.nB = nB = len(layer.base)
+        self.mul = layer.base.as_array()
+        ar = np.arange(nB)
+        inv = np.array(layer.base.inv, dtype=np.int64)
+        zero = np.zeros(nB, dtype=np.int64)
+        self.letter = np.concatenate([ar, inv, zero, ar, inv])
+        sigma = np.array(layer.sigma, dtype=np.int64).reshape(nB, s * s)
+        chi = np.zeros((nB, nB, s), dtype=np.int64)
+        if layer.chi is not None:
+            chi = np.array(layer.chi, dtype=np.int64).reshape(nB, nB, s)
+        back = np.einsum("bij,yj->byi", sigma.reshape(nB, s, s), chi[ar, inv])
+        plus = np.broadcast_to(sigma[:, None], (nB, nB, s * s))
+        minus = -sigma[self.mul]
+        none = np.zeros((nB, nB, s * s), dtype=np.int64)
+        nil = np.zeros((nB, nB, s), dtype=np.int64)
+        self.terms = np.concatenate([
+            np.concatenate(blk, axis=2) for blk in [
+                (plus, chi), (minus, chi - back), (none, nil), (plus, nil), (minus, -back)]
+        ]).reshape(5 * nB * nB, s * s + s) % q
+
+
+def _layer_tables(layer):
+    """The layer's ``_LayerTables``, built on its first batched system and
+    kept on the layer."""
+    tables = getattr(layer, "_tables", None)
+    if tables is None:
+        tables = layer._tables = _LayerTables(layer)
+    return tables
+
+
+_BLOCK = 1 << 20  # entries per block of the per-letter arrays
+
+
+def build_systems(P, images, layer):
+    """The lifting systems of m maps at once.  ``images`` is an (m, n) array
+    of generator images in the base of ``layer``.  Returns A, an (m, R, C)
+    int64 array mod q with R = |relators| s and C = n s, and chi, an (m, R)
+    array, such that the lifts of map j are the solutions of
+    A[j] a = -chi[j]: entry for entry what ``build_system`` gives map by map
+    (without its relator check).
+
+    The prefixes come from one scan along the (relators, letters, maps)
+    array of letter elements, log2(Lmax) doubling steps of one table gather
+    each (step k multiplies each prefix by the one k letters before it).
+    Each letter's terms are then one gather from the layer's table, and one
+    matrix product with ``letter_arrays.block`` sums them per Fox block."""
+    q, s, n = layer.q, layer.s, P.n
+    tab = _layer_tables(layer)
+    nB = tab.nB
+    gen, kind, block = P.letter_arrays
+    K, W = gen.shape
+    images = np.asarray(images, dtype=np.int64).reshape(-1, n)
+    m = len(images)
+    A = np.empty((m, K * s, n * s), dtype=np.int64)
+    chi = np.empty((m, K * s), dtype=np.int64)
+    at = (kind * nB)[:, :, None]
+    step = max(1, _BLOCK // max(1, K * W * (s * s + s)))
+    for lo in range(0, m, step):
+        img = images[lo : lo + step]
+        mb = len(img)
+        letters = tab.letter[at + img.T[gen]]  # (K, W, mb)
+        after = letters.copy()
+        k = 1
+        while k < W:
+            after[:, k:] = tab.mul[after[:, :-k], after[:, k:]]
+            k *= 2
+        before = np.zeros_like(after)
+        before[:, 1:] = after[:, :-1]
+        terms = tab.terms[(at + before) * nB + letters]  # (K, W, mb, s*s + s)
+        red = (block @ terms.reshape(K, W, mb * (s * s + s))).reshape(K, n, mb, s * s + s)
+        A[lo : lo + step] = red[..., : s * s].reshape(K, n, mb, s, s).transpose(
+            2, 0, 3, 1, 4).reshape(mb, K * s, n * s)
+        chi[lo : lo + step] = red[..., s * s :].sum(axis=1).transpose(1, 0, 2).reshape(mb, K * s)
+    return A % q, chi % q
+
+
+@functools.lru_cache(maxsize=None)
+def _inverses(q):
+    """Inverses mod the prime q as an array, with 0 for 0."""
+    return np.array([0] + [pow(a, -1, q) for a in range(1, q)], dtype=np.int64)
+
+
+def solve_systems(A, rhs, q):
+    """Solve A[j] x = rhs[j] over Z_q, q prime, for every j at once; A is
+    (m, R, C) and rhs (m, R).  Gauss-Jordan elimination row by row: each
+    system takes the first nonzero entry of row i as its pivot, scales the
+    row to make it 1 and clears the pivot's column in every other row.  A
+    row left without a pivot is zero, and the system is solvable when every
+    such row has a zero right-hand side.  Returns a ``SolutionBatch``: the
+    solutions are x0 + (I - reduced rows) y, the reduced rows placed by
+    pivot column, x0 their right-hand sides and y ranging over Z_q on the
+    free unknowns, with the columns of the pivot unknowns replaced by unit
+    vectors."""
+    m, R, C = A.shape
+    W = np.concatenate([A, rhs[:, :, None]], axis=2) % q
+    inverse = _inverses(q)
+    maps = np.arange(m)
+    col = np.empty((m, R), dtype=np.int64)
+    unit = np.empty((m, R), dtype=np.int64)
+    for i in range(R):
+        row = W[:, i]
+        col[:, i] = p = (row[:, :C] != 0).argmax(axis=1)
+        unit[:, i] = u = inverse[row[maps, p]]  # 0 where the row is zero
+        piv = row * u[:, None] % q
+        W -= W[maps, :, p][:, :, None] * piv[:, None, :]
+        W %= q
+        W[:, i] += piv  # the pivot row was cleared to zero; a zero row keeps its rhs
+    which, rows = np.nonzero(unit)
+    red = np.zeros((m, C, C + 1), dtype=np.int64)
+    red[which, col[which, rows]] = W[which, rows]
+    pivot = red[:, np.arange(C), np.arange(C)] == 1
+    eye = np.eye(C, dtype=np.int64)
+    return SolutionBatch(
+        q, 1,
+        solvable=~(W[:, :, C] * (unit == 0)).any(axis=1),
+        dims=C - pivot.sum(axis=1),
+        radix=np.where(pivot, 1, q),
+        sub=np.where(pivot[:, None, :], eye, (eye - red[:, :, :C]) % q),
+        y0=red[:, :, C],
+    )
 
 
 @dataclass

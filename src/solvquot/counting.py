@@ -5,7 +5,7 @@ classical source/target families."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -13,8 +13,10 @@ import numpy as np
 from .cohomology import (
     LayerAction,
     build_system,
+    build_systems,
     eval_word_in_table,
     solve_system,
+    solve_systems,
     solution_arrays,
     solution_vectors,
 )
@@ -33,16 +35,36 @@ class CountError(ArithmeticError):
     pass
 
 
+LEVEL_KEYS = ("q", "s", "zeta", "kappa", "alpha", "split", "epi_in", "epi_out")
+
+
 @dataclass
 class CountReport:
+    """One count and how it was made.  The per-level figures are kept as
+    one flat tuple, level after level in the order of LEVEL_KEYS, and
+    ``levels`` and ``provenance`` are built on access, so a scan that keeps
+    thousands of reports stores no dict per report."""
+
     source: str
     target: str
     hom: int | None
     epi: int
     aut: int | None
     delta: int | None
-    levels: list = field(default_factory=list)
-    provenance: dict = field(default_factory=dict)
+    level_values: tuple = ()
+
+    @property
+    def levels(self):
+        v, k = self.level_values, len(LEVEL_KEYS)
+        return [dict(zip(LEVEL_KEYS, v[i : i + k])) for i in range(0, len(v), k)]
+
+    @property
+    def provenance(self):
+        return {
+            "epi": "chief-series lifting",
+            "hom": None if self.hom is None else "layerwise cocycle counting",
+            "aut": None if self.aut is None else "generator-image search",
+        }
 
     def to_json_dict(self):
         return {
@@ -73,8 +95,12 @@ class GeneratorImageMap:
 # ---------------------------------------------------------------------------
 # Level-by-level lifting.  A frontier at level i is an (m, n) int32 array
 # whose rows, sorted, are generator images of homomorphisms (or
-# epimorphisms) into B_i; lifting through layer i solves the cocycle system
-# of each map and extends it by all of its solutions at once.
+# epimorphisms) into B_i.  Lifting through layer i builds the cocycle
+# systems of all m maps in one batched relator walk (``build_systems``),
+# eliminates them together mod q (``solve_systems``) and extends every map
+# by all of its solutions in one array (``solution_arrays``); no step loops
+# over the maps in Python.  ``build_system`` and ``solve_system`` stay the
+# per-map reference, for the drivers and evaluations below.
 #
 # The counts carry the frontier modulo conjugation.  B_i acts on the maps
 # into B_i by conjugating every generator image.  Conjugating a map by b
@@ -112,18 +138,17 @@ def lift_frontier(P, lay, frontier, epi, cap=10**7, level=0):
     q, s, n = lay.q, lay.s, P.n
     nB = len(lay.base)
     c = lay.complements if epi else 0
-    results = [solve_system(build_system(P, images, lay, check=False))
-               for images in frontier.tolist()]
-    dims = [res.count_exponent if res.solvable else None for res in results]
-    counts = [q**d if d is not None else 0 for d in dims]
-    size = sum(counts) - c * len(frontier)
+    A, chi = build_systems(P, frontier, lay)
+    sol = solve_systems(A, -chi, q)
+    dims = _dims(sol)
+    size = sum(q**d for d in dims if d is not None) - c * len(frontier)
     if size > cap:
         raise CapExceeded(
             "%s frontier at level %d would reach %d maps, over the cap %d"
             % ("epimorphism" if epi else "homomorphism", level + 1, size, cap)
         )
-    counts = np.array(counts, dtype=np.int64)
-    X = solution_arrays(results) if results else np.zeros((0, n * s), dtype=np.int64)
+    counts = np.where(sol.solvable, q**sol.dims, 0)
+    X = solution_arrays(sol)
     if len(X) != counts.sum():
         raise CountError("lift enumeration disagrees with the solution count")
     owner = np.repeat(np.arange(len(frontier)), counts)
@@ -148,6 +173,12 @@ def lift_frontier(P, lay, frontier, epi, cap=10**7, level=0):
         lifts = lifts[keep]
     lifts = lifts.astype(np.int32)
     return lifts[np.lexsort(lifts.T[::-1])], dims
+
+
+def _dims(sol):
+    """Per system of ``sol``, the exponent d of its q^d solutions, or None
+    where it has none."""
+    return [d if ok else None for d, ok in zip(sol.dims.tolist(), sol.solvable.tolist())]
 
 
 def _orbit_representatives(table, rows):
@@ -198,21 +229,16 @@ def _count_top(P, lay, reps, epi):
     ):
         raise CountError("the complement rows are not %d distinct homomorphic "
                          "sections of the layer" % c)
-    X = ((sec[:, reps] // nB)[..., None] // q ** np.arange(s)) % q
-    X = X.reshape(c, len(reps), n * s)
-    dims, counts = [], []
-    for j, images in enumerate(reps.tolist()):
-        sysm = build_system(P, images, lay, check=False)
-        res = solve_system(sysm)
-        if c:
-            A = np.array(sysm.matrix, dtype=np.int64).reshape(-1, n * s)
-            chi = np.array(sysm.chi_vec, dtype=np.int64)[:, None]
-            if ((A @ X[:, j].T + chi) % q).any() or not res.solvable:
-                raise CountError("a complement lift does not solve the lifting "
-                                 "system of its map")
-        d = res.count_exponent if res.solvable else None
-        dims.append(d)
-        counts.append(q**d - (c if epi else 0) if d is not None else 0)
+    A, chi = build_systems(P, reps, lay)
+    sol = solve_systems(A, -chi, q)
+    if c:
+        X = ((sec[:, reps] // nB)[..., None] // q ** np.arange(s)) % q
+        X = X.reshape(c, len(reps), n * s)
+        if ((np.einsum("jrk,cjk->cjr", A, X) + chi) % q).any() or not sol.solvable.all():
+            raise CountError("a complement lift does not solve the lifting "
+                             "system of its map")
+    dims = _dims(sol)
+    counts = [q**d - (c if epi else 0) if d is not None else 0 for d in dims]
     return dims, counts
 
 
@@ -238,9 +264,9 @@ def _orbit_levels(P, tower, epi, cap=10**7):
     and lift_frontier's and _count_top's checks of the complement lifts."""
     reps = _trivial_frontier(P)
     weights = np.ones(1, dtype=np.int64)
+    maps_in = 1
     top = len(tower.layers) - 1
     for i, lay in enumerate(tower.layers):
-        maps_in = int(weights.sum())
         if i < top:
             lifts, dims = lift_frontier(P, lay, reps, epi, cap=cap, level=i)
             new_reps, new_weights = _orbit_representatives(lay.group, lifts)
@@ -265,7 +291,7 @@ def _orbit_levels(P, tower, epi, cap=10**7):
                 "at level %d" % (closed, maps_out, i + 1)
             )
         yield i + 1, new_reps, new_weights, maps_in, maps_out
-        reps, weights = new_reps, new_weights
+        reps, weights, maps_in = new_reps, new_weights, maps_out
 
 
 def _lift_is_surjective(lay, images):
@@ -348,8 +374,8 @@ def epi_maps(P, tower, cap=10**7, level=None):
 
 def epi_count(P, tower, cap=10**7, with_hom=False, with_aut=True,
               source_label=None):
-    levels = [stats for _, _, stats in epi_levels(P, tower, cap=cap)]
-    epi = levels[-1]["epi_out"] if levels else 1
+    values = tuple(stats[k] for _, _, stats in epi_levels(P, tower, cap=cap) for k in LEVEL_KEYS)
+    epi = values[-1] if values else 1
     aut = dlt = None
     if with_aut:
         aut = aut_order(tower.group)
@@ -366,12 +392,7 @@ def epi_count(P, tower, cap=10**7, with_hom=False, with_aut=True,
         epi=epi,
         aut=aut,
         delta=dlt,
-        levels=levels,
-        provenance={
-            "epi": "chief-series lifting",
-            "hom": "layerwise cocycle counting" if with_hom else None,
-            "aut": "generator-image search" if with_aut else None,
-        },
+        level_values=values,
     )
 
 

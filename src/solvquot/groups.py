@@ -52,6 +52,7 @@ class FiniteGroupTable:
         self._arr = None
         self._conj = None
         self._orders = None
+        self._aut = None
 
     def __len__(self):
         return self.n
@@ -306,10 +307,13 @@ def iter_homomorphisms(src, dst, bijective=False):
 
 
 def aut_order(table, cap=DEFAULT_ORDER_CAP):
-    """|Aut| by counting bijective endomorphisms."""
+    """|Aut| by counting bijective endomorphisms, once per table: the count
+    is kept on the table, and ``cap`` is checked on every call."""
     if table.n > cap:
         raise CapExceeded("group order %d exceeds cap %d" % (table.n, cap))
-    return sum(1 for _ in iter_homomorphisms(table, table, bijective=True))
+    if table._aut is None:
+        table._aut = sum(1 for _ in iter_homomorphisms(table, table, bijective=True))
+    return table._aut
 
 
 def find_isomorphism(t1, t2):

@@ -5,6 +5,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 
 class PresentationError(ValueError):
@@ -99,9 +102,35 @@ class Presentation:
     def n(self):
         return len(self.generators)
 
-    def __str__(self):
+    @cached_property
+    def text(self):
+        """The presentation in the parser's language, rendered once."""
         rels = ", ".join(word_str(r, self.generators) for r in self.relators)
         return "< %s | %s >" % (", ".join(self.generators), rels)
+
+    def __str__(self):
+        return self.text
+
+    @cached_property
+    def letter_arrays(self):
+        """The relators letter by letter: (gen, kind, block).  ``gen`` and
+        ``kind`` are (K, Lmax) int64 arrays with relator k left-aligned in
+        row k and padded to the longest relator: the generator of each letter
+        (0 in the padding), and 0 for x, 1 for x^-1 and 2 for padding, plus 3
+        on the first letter of a relator.  ``block`` is the (K, n, Lmax) 0/1
+        array with block[k, g, t] = 1 where letter t of relator k is a
+        letter of generator g: the Fox derivative block (k, g) it adds to."""
+        K, n = len(self.relators), len(self.generators)
+        width = max((len(r) for r in self.relators), default=0)
+        gen = np.zeros((K, width), dtype=np.int64)
+        kind = np.full((K, width), 2, dtype=np.int64)
+        block = np.zeros((K, n, width), dtype=np.int64)
+        for k, rel in enumerate(self.relators):
+            for t, (g, e) in enumerate(rel):
+                gen[k, t] = g
+                kind[k, t] = (e < 0) + 3 * (t == 0)
+                block[k, g, t] = 1
+        return gen, kind, block
 
 
 # ---------------------------------------------------------------------------

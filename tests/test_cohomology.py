@@ -1,12 +1,14 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from solvquot.cohomology import (
     LayerAction,
     TwistedAction,
     build_system,
+    build_systems,
     epsilon_and_witness,
     eval_word_in_table,
     evaluate_ring_element,
@@ -14,13 +16,23 @@ from solvquot.cohomology import (
     fixed_subspace_dim,
     h1_dim,
     homogeneous_count,
+    solution_arrays,
     solution_vectors,
     solve_mixed_exponents,
     solve_mod_prime_power,
     solve_system,
+    solve_systems,
     twisted_z1_count,
 )
-from solvquot.counting import enumerate_epis_to_table, epi_maps, _elementary_table
+from solvquot.counting import (
+    _d8_center_layer,
+    _dihedral_layer,
+    _elementary_table,
+    _q8_center_layer,
+    _s4_top_layer,
+    enumerate_epis_to_table,
+    epi_maps,
+)
 from solvquot.groups import CATALOG_SPECS, builtin_group
 from solvquot.presentations import (
     FreeGroupRingElement,
@@ -177,6 +189,91 @@ def test_build_system_matches_symbolic_jacobian():
                                 ], (label, tower.spec, images, k, i)
 
 
+def _assert_batch_matches_reference(P, rows, lay):
+    # build_systems, solve_systems and solution_arrays on a batch of image
+    # rows against build_system and solve_mod_prime_power map by map:
+    # matrix, rhs, solvability, d and the solution set of every map
+    q, s = lay.q, lay.s
+    rows = np.asarray(rows, dtype=np.int64).reshape(-1, P.n)
+    A, chi = build_systems(P, rows, lay)
+    assert A.shape == (len(rows), len(P.relators) * s, P.n * s)
+    assert chi.shape == (len(rows), len(P.relators) * s)
+    sol = solve_systems(A, -chi, q)
+    sols = solution_arrays(sol).tolist()
+    start = 0
+    for j, images in enumerate(rows.tolist()):
+        sysm = build_system(P, images, lay, check=False)
+        res = solve_system(sysm)
+        assert A[j].tolist() == sysm.matrix and chi[j].tolist() == sysm.chi_vec, images
+        assert (bool(sol.solvable[j]), int(sol.dims[j])) == (res.solvable, res.count_exponent)
+        want = sorted(map(tuple, res.solution_array().tolist()))
+        assert sorted(map(tuple, sols[start : start + len(want)])) == want, images
+        start += len(want)
+    assert start == len(sols)
+
+
+def test_batched_systems_match_the_per_map_reference():
+    # every layer of every catalog tower of order <= 48, seven sources (one
+    # without relators), the trivial map and seeded random rows, most of
+    # them not homomorphisms, in one batch per layer
+    rng = random.Random(31)
+    sources = ["free(3)", "surface(2)", "klein", "bs(2,6)", "braid(4)",
+               "parafree(3,2)", "hillman_link"]
+    towers = [t for t in map(builtin_group, CATALOG_SPECS) if t.order <= 48]
+    for label in sources:
+        P = builtin_from_string(label)
+        for tower in towers:
+            for lay in tower.layers:
+                rows = [[0] * P.n] + [[rng.randrange(len(lay.base)) for _ in range(P.n)]
+                                      for _ in range(5)]
+                _assert_batch_matches_reference(P, rows, lay)
+
+
+def test_batched_systems_edge_cases():
+    S4 = builtin_group("S(4)")
+    P = builtin_from_string("surface(2)")
+    for lay in S4.layers:
+        # m = 0 and m = 1
+        _assert_batch_matches_reference(P, [], lay)
+        _assert_batch_matches_reference(P, [[x % len(lay.base) for x in (1, 0, 3, 2)]], lay)
+    # a 2002-letter relator, onto Z(2) and through every layer of S(4)
+    long = parse_presentation("< x, y | x^2000 y^2 >")
+    rng = random.Random(5)
+    for lay in builtin_group("Z(2)").layers + S4.layers:
+        rows = [[rng.randrange(len(lay.base)) for _ in range(2)] for _ in range(4)]
+        _assert_batch_matches_reference(long, rows, lay)
+    # the hand-built layers of the one-layer evaluations, with and
+    # without cocycle, on every image row
+    for lay in [_d8_center_layer(), _q8_center_layer(), _s4_top_layer(), _dihedral_layer(5, 3)]:
+        for label in ["bs(1,3)", "braid(3)"]:
+            Q = builtin_from_string(label)
+            rows = list(itertools.product(range(len(lay.base)), repeat=Q.n))
+            _assert_batch_matches_reference(Q, rows, lay)
+
+
+def test_batched_solver_against_the_per_map_solver():
+    # random systems mod a prime, eliminated together
+    rng = random.Random(11)
+    for q in [2, 3, 5, 7]:
+        for R, C in [(0, 2), (1, 1), (2, 4), (4, 2), (3, 3), (5, 5)]:
+            A = np.array([[[rng.randrange(q) * (rng.random() < 0.7) for _ in range(C)]
+                           for _ in range(R)] for _ in range(40)], dtype=np.int64).reshape(40, R, C)
+            A[:10, 1:] = A[:10, :1]  # repeated rows, consistent or not
+            b = np.array([[rng.randrange(q) for _ in range(R)] for _ in range(40)],
+                         dtype=np.int64).reshape(40, R)
+            sol = solve_systems(A, b, q)
+            sols = solution_arrays(sol).tolist()
+            start = 0
+            for j in range(40):
+                res = solve_mod_prime_power(A[j].tolist(), b[j].tolist(), C, q)
+                assert (bool(sol.solvable[j]), int(sol.dims[j])) == (
+                    res.solvable, res.count_exponent), (q, A[j], b[j])
+                want = sorted(map(tuple, res.solution_array().tolist()))
+                assert sorted(map(tuple, sols[start : start + len(want)])) == want
+                start += len(want)
+            assert start == len(sols)
+
+
 def test_free_source_system_is_empty():
     F3 = builtin_presentation("free", 3)
     tower = builtin_group("S(4)")
@@ -215,8 +312,6 @@ def test_klein_twisted_jacobian_kills_h1():
 
 
 def test_epsilon_tables_for_central_extensions():
-    from solvquot.counting import _d8_center_layer, _q8_center_layer
-
     d8lay = _d8_center_layer()
     q8lay = _q8_center_layer()
     for m in range(1, 9):
