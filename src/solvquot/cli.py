@@ -192,9 +192,7 @@ def cmd_moebius(args):
 
 def cmd_growth(args):
     P, src_label = load_source(args.source)
-    report = subgrowth.ak_sequence(
-        P, args.kmax, cap=max(args.cap_k, args.kmax), threads=args.threads
-    )
+    report = subgrowth.ak_sequence(P, args.kmax, cap=args.cap_k, threads=args.threads)
     if args.normal:
         report.ak_normal = [
             subgrowth.ak_normal(P, k) for k in range(1, min(args.kmax, 15) + 1)
@@ -233,8 +231,7 @@ def cmd_table2(args):
                 row.append("?")
                 continue
             try:
-                hk.append(subgrowth.hom_count_symmetric(
-                    P, k, cap=args.kmax, threads=args.threads))
+                hk.append(subgrowth.hom_count_symmetric(P, k, threads=args.threads))
             except CapExceeded:
                 exhausted = True
                 row.append("?")

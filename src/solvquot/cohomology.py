@@ -1,10 +1,10 @@
 """Twisted cocycle systems: linear algebra over Z_{q^r}, lifting systems
-assembled from Fox derivatives, and cocycle counting for finite sources."""
+assembled from Fox derivatives, and |Z^1| of a presented group acting on a
+finite abelian group."""
 
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -717,66 +717,3 @@ def h1_dim(P, images, layer, d=None):
     if d is None:
         d = homogeneous_count(build_system(P, images, layer))
     return d - (layer.s - fixed_subspace_dim(layer, images))
-
-
-# ---------------------------------------------------------------------------
-# Cocycles on a finite source group, by extending values on a generating
-# sequence along a breadth-first expression of every element.
-
-
-def finite_source_cochains(base, sigma, q, s, chi=None, cap=10**6):
-    """All maps f: base -> Z_q^s with f(gh) = f(g) + sigma_g f(h) [+ chi(g,h)],
-    returned as tuples of value vectors indexed by base element."""
-    from .groups import generating_sequence, bfs_expressions
-
-    n = len(base)
-    zero = (0,) * s
-    if n == 1:
-        return [(zero,)] if chi is None else [(zero,)]
-    gens = generating_sequence(base)
-    links = bfs_expressions(base, gens)
-    mul = base.mul
-    if (q**s) ** len(gens) > cap:
-        raise OverflowError("too many candidate cochains")
-    vals = list(itertools.product(range(q), repeat=s))
-    out = []
-    for combo in itertools.product(vals, repeat=len(gens)):
-        f = [None] * n
-        f[0] = zero
-        for elem, parent, gp in links:
-            sig = sigma[parent]
-            gv = combo[gp]
-            v = tuple(
-                (f[parent][a] + sum(sig[a][b] * gv[b] for b in range(s))) % q
-                for a in range(s)
-            )
-            if chi is not None:
-                cv = chi[parent][gens[gp]]
-                v = tuple((v[a] + cv[a]) % q for a in range(s))
-            f[elem] = v
-        ok = True
-        for g in range(n):
-            fg = f[g]
-            sig = sigma[g]
-            for h in range(n):
-                v = tuple(
-                    (fg[a] + sum(sig[a][b] * f[h][b] for b in range(s))) % q
-                    for a in range(s)
-                )
-                if chi is not None:
-                    cv = chi[g][h]
-                    v = tuple((v[a] + cv[a]) % q for a in range(s))
-                if v != f[mul[g][h]]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(tuple(f))
-    return out
-
-
-def finite_source_z1(base, sigma, q, s, chi=None, cap=10**6):
-    """|Z^1| of a finite source group acting on Z_q^s (twisted by chi if
-    given)."""
-    return len(finite_source_cochains(base, sigma, q, s, chi=chi, cap=cap))

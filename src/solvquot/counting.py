@@ -79,19 +79,6 @@ class CountReport:
         }
 
 
-@dataclass
-class GeneratorImageMap:
-    """A homomorphism into a tower level, as generator images."""
-
-    tower: object
-    level: int
-    images: tuple
-
-    def is_surjective(self):
-        table = self.tower.level_group(self.level)
-        return len(table.closure(self.images)) == table.n
-
-
 # ---------------------------------------------------------------------------
 # Level-by-level lifting.  A frontier at level i is an (m, n) int32 array
 # whose rows, sorted, are generator images of homomorphisms (or
@@ -294,44 +281,6 @@ def _orbit_levels(P, tower, epi, cap=10**7):
         reps, weights, maps_in = new_reps, new_weights, maps_out
 
 
-def _lift_is_surjective(lay, images):
-    """Whether the lift of a surjective map is surjective: walk the generated
-    subgroup keyed by base part; by minimality of the kernel the image either
-    is a complement (a graph over the base) or everything."""
-    nB = len(lay.base)
-    if not images:
-        return len(lay.group) == 1
-    mul = lay.group.mul
-    seen = {0: 0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        row = mul[u]
-        for g in images:
-            v = row[g]
-            b = v % nB
-            w = seen.get(b)
-            if w is None:
-                seen[b] = v
-                stack.append(v)
-            elif w != v:
-                return True
-    return False
-
-
-def epi_lift(P, tower, level, images):
-    """All surjective lifts of an epimorphism onto the level-`level` group
-    through layer `level`, one GeneratorImageMap per lift, sorted by images.
-    The number of maps returned is epsilon * q^d minus the layer's
-    complement count."""
-    base = tower.level_group(level)
-    if len(base.closure(images)) != len(base):
-        raise ValueError("images do not generate the level group")
-    rho = np.array(images, dtype=np.int32).reshape(1, P.n)
-    lifts, _ = lift_frontier(P, tower.layers[level], rho, epi=True, level=level)
-    return [GeneratorImageMap(tower, level + 1, t) for t in _as_tuples(lifts)]
-
-
 def hom_count(P, tower, cap=10**7):
     """|Hom|, lifting one map per conjugacy orbit and counting the top
     layer."""
@@ -403,48 +352,15 @@ def delta(P, tower, cap=10**7, source_label=None):
 
 
 # ---------------------------------------------------------------------------
-# |Aut| through the lifting recursion with the finite group itself as source:
-# lifts of an epimorphism from a finite source are counted by extending
-# cochain values on a generating set, so no presentation is needed.
-
-
-def epi_count_finite_source(src_table, tower):
-    from .cohomology import finite_source_cochains
-    from .groups import generating_sequence, bfs_expressions
-
-    gens = generating_sequence(src_table) if src_table.n > 1 else []
-    links = bfs_expressions(src_table, gens) if gens else []
-    frontier = [tuple([0] * len(gens))]
-    for lay in tower.layers:
-        base = lay.base
-        nB = len(base)
-        new = []
-        for images in frontier:
-            # the full map downstairs, then the pulled-back action and cocycle
-            f = [None] * src_table.n
-            f[0] = 0
-            for elem, parent, gp in links:
-                f[elem] = base.mul[f[parent]][images[gp]]
-            sigma_src = [lay.sigma[f[g]] for g in range(src_table.n)]
-            chi_src = [[lay.chi[f[g]][f[h]] for h in range(src_table.n)]
-                       for g in range(src_table.n)]
-            for cochain in finite_source_cochains(
-                src_table, sigma_src, lay.q, lay.s, chi=chi_src
-            ):
-                lifted = tuple(
-                    lay.vec_num(cochain[g]) * nB + img for g, img in zip(gens, images)
-                )
-                if _lift_is_surjective(lay, lifted):
-                    new.append(lifted)
-        new.sort()
-        frontier = new
-    return len(frontier)
+# |Aut| through the lifting engine: |Aut B| = |Epi(pres(B), B)| for the
+# power-conjugate presentation of the tower group, an independent check on
+# the generator-image search of ``aut_order``.
 
 
 def aut_order_by_lifting(tower):
-    """|Aut| = |Epi(G, G)| computed by the same recursion that counts
-    epimorphisms, with the group itself as source."""
-    return epi_count_finite_source(tower.group, tower)
+    """|Aut| = |Epi(G, G)| counted by the same recursion that counts
+    epimorphisms, with the group's power-conjugate presentation as source."""
+    return epi_count(tower.presentation(), tower, with_aut=False).epi
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cohomology import nullspace_dim_mod_prime, finite_source_z1
-from .presentations import factorize
+from .cohomology import (
+    TwistedAction,
+    eval_word_in_table,
+    nullspace_dim_mod_prime,
+    twisted_z1_count,
+)
+from .presentations import Presentation, factorize, word_inverse, word_str
 
 
 class GroupSpecError(ValueError):
@@ -581,6 +586,46 @@ class ExtensionTower:
             idx = self.layers[j].dec(idx)[1]
         return idx
 
+    def presentation(self, level=None):
+        """The power-conjugate presentation of the level group (default: the
+        top) on ``level_gens(level)``, in order: one relator
+        g_i^q NF(g_i^q)^-1 per generator and one g_i^-1 g_k g_i NF(...)^-1
+        per pair i < k.  NF(x) is the normal form g_1^e_1 ... g_N^e_N,
+        0 <= e_i < q, found by sifting x down the layers: its coordinates in
+        layer j's kernel are the exponents of layer j's generators, and x is
+        divided by their product before the next layer.  Both kinds of
+        relator hold in the group and every word collects to a normal form,
+        so the presented group has |B| elements: it is B.  Each relator is
+        checked on the generators, which also checks every normal form."""
+        level = len(self.layers) if level is None else level
+        table = self.level_group(level)
+        gens = self.level_gens(level)
+        mul, inv = table.mul, table.inv
+
+        def normal_word(x):
+            word, first = [], 0
+            for j, lay in enumerate(self.layers[:level]):
+                e = lay.dec(self.project(x, level, j + 1))[0]
+                for g, k in enumerate(lay.num_vec(e), first):
+                    word += [(g, 1)] * k
+                    for _ in range(k):
+                        x = mul[inv[gens[g]]][x]
+                first += lay.s
+            return tuple(word)
+
+        qs = [lay.q for lay in self.layers[:level] for _ in range(lay.s)]
+        relators = [((i, 1),) * q + word_inverse(normal_word(table.power(g, q)))
+                    for i, (g, q) in enumerate(zip(gens, qs))]
+        for i, k in itertools.combinations(range(len(gens)), 2):
+            x = mul[mul[inv[gens[i]]][gens[k]]][gens[i]]
+            relators.append(((i, -1), (k, 1), (i, 1)) + word_inverse(normal_word(x)))
+        P = Presentation(tuple("g%d" % (i + 1) for i in range(len(gens))), tuple(relators))
+        for rel in P.relators:
+            if eval_word_in_table(table, gens, rel) != 0:
+                raise ArithmeticError("the generators of level %d do not satisfy %s"
+                                      % (level, word_str(rel, P.generators)))
+        return P
+
     def element_vectors(self, idx):
         """Per-layer kernel coordinates of a top-group element, bottom layer
         first."""
@@ -828,11 +873,13 @@ def chief_series(table, cap=DEFAULT_ORDER_CAP, spec=""):
 
 def complement_count(tower, level):
     """Number of complements of the level's kernel, cross-checked three ways:
-    direct section search, c_chi * |Z^1| of the base, and the Gaschuetz
-    complement formula c_chi |E|^zeta q^{kappa(alpha-1)}."""
+    direct section search, c_chi * |Z^1| of the base (from its power-conjugate
+    presentation) and the Gaschuetz complement formula
+    c_chi |E|^zeta q^{kappa(alpha-1)}."""
     lay = tower.layers[level]
     direct = lay.complements
-    via_z1 = lay.c_chi * finite_source_z1(lay.base, lay.sigma, lay.q, lay.s)
+    action = TwistedAction([lay.q] * lay.s, [lay.sigma[g] for g in tower.level_gens(level)])
+    via_z1 = lay.c_chi * twisted_z1_count(tower.presentation(level), action)
     via_formula = lay.c_chi * (lay.E**lay.zeta) * lay.q ** (lay.kappa * (lay.alpha - 1))
     if not (direct == via_z1 == via_formula):
         raise ArithmeticError(

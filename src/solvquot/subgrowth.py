@@ -357,8 +357,11 @@ class GrowthReport:
 
 def ak_sequence(P, kmax, cap=8, threads=1):
     """Numbers of index-k subgroups for k <= kmax via the recursion
-    a_k = h_k/(k-1)! - sum_{l<k} h_{k-l} a_l / (k-l)!."""
-    hk = [hom_count_symmetric(P, k, cap=max(cap, kmax), threads=threads)
+    a_k = h_k/(k-1)! - sum_{l<k} h_{k-l} a_l / (k-l)!.  Raises CapExceeded
+    before any h_k is computed if kmax exceeds ``cap``."""
+    if kmax > cap:
+        raise CapExceeded("k = %d exceeds the symmetric-group cap %d" % (kmax, cap))
+    hk = [hom_count_symmetric(P, k, cap=cap, threads=threads)
           for k in range(1, kmax + 1)]
     ak = ak_from_homcounts(hk)
     tk = [math.factorial(k - 1) * a for k, a in zip(range(1, kmax + 1), ak)]

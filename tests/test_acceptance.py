@@ -9,6 +9,7 @@ import time
 
 from solvquot.cohomology import build_system, solution_vectors, solve_system
 from solvquot.counting import (
+    aut_order_by_lifting,
     closed_form_delta,
     closed_form_eulerian,
     delta_s4,
@@ -22,6 +23,7 @@ from solvquot.groups import (
     aut_order,
     builtin_group,
     complement_count,
+    iter_homomorphisms,
 )
 from solvquot.lattice import (
     all_subgroups,
@@ -30,7 +32,6 @@ from solvquot.lattice import (
     moebius_kt,
     moebius_weisner,
 )
-from solvquot.counting import aut_order_by_lifting
 from solvquot.oracle import brute_epi, brute_hom, brute_hom_images, brute_lift_check
 from solvquot.presentations import (
     builtin_from_string,
@@ -187,14 +188,22 @@ def test_criterion_08_complements():
 
 
 def test_criterion_09_aut_orders():
+    # |Aut| two ways on every catalog group: the generator-image search, and
+    # |Epi(pres(G), G)| by the lifting engine on the power-conjugate
+    # presentation; |Hom(pres(G), G)| = |End G| checks the presentation
     t0 = time.time()
-    assert aut_order(tower("D(8)").group) == 8
-    assert aut_order(tower("Q(8)").group) == 24
-    assert aut_order(tower("S(4)").group) == 24
-    for spec in ("D(8)", "Q(8)", "D(12)", "A(4)", "S(4)"):
+    for spec, want in [("D(8)", 8), ("Q(8)", 24), ("D(12)", 12), ("A(4)", 24),
+                       ("S(4)", 24)]:
+        assert aut_order(tower(spec).group) == want, spec
+    for spec in CATALOG_SPECS:
         tw = tower(spec)
+        P = tw.presentation()
+        assert len(tw.group.closure(tw.level_gens(len(tw.layers)))) == tw.order, spec
         assert aut_order_by_lifting(tw) == aut_order(tw.group), spec
-    report(9, "automorphism group orders and the lifting recursion", t0)
+        if tw.order <= 24:
+            ends = sum(1 for _ in iter_homomorphisms(tw.group, tw.group))
+            assert hom_count(P, tw) == ends, spec
+    report(9, "automorphism orders by search and by lifting; |End| on order <= 24", t0)
 
 
 _MATRIX_SOURCES = [

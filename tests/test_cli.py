@@ -51,6 +51,15 @@ def test_growth_command(capsys):
     assert lines[2].split("\t") == ["2", "4", "3", "3", "3"]
 
 
+def test_growth_cap_fires_before_any_search(capsys, monkeypatch):
+    # --kmax past --cap-k (default 8) exits 2 without building any S_k
+    built = []
+    monkeypatch.setattr(subgrowth, "_symmetric", lambda k: built.append(k))
+    code = main(["growth", "--source", "builtin:surface(2)", "--kmax", "9"])
+    assert code == 2 and built == []
+    assert capsys.readouterr().err.startswith("aborted: k = 9 exceeds")
+
+
 def test_moebius_command(capsys):
     code, out = run_cli(capsys, "moebius", "--target", "D(6)")
     assert code == 0

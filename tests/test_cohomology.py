@@ -12,7 +12,6 @@ from solvquot.cohomology import (
     epsilon_and_witness,
     eval_word_in_table,
     evaluate_ring_element,
-    finite_source_z1,
     fixed_subspace_dim,
     h1_dim,
     homogeneous_count,
@@ -370,17 +369,18 @@ def test_h1_dim_nonsurjective_uses_fixed_points():
 
 
 def test_finite_source_z1():
+    # |Z^1| of a finite group from its power-conjugate presentation
     # trivial action: |Hom(B, E)|
-    z4 = builtin_group("Z(4)").group
-    sigma = [((1,),)] * 4
-    assert finite_source_z1(z4, sigma, 2, 1) == 2  # Hom(Z_4, Z_2)
+    z4 = builtin_group("Z(4)")
+    assert twisted_z1_count(z4.presentation(), TwistedAction([2], [[[1]]] * 2)) == 2
     # S_3 on Z_2^2 through the standard matrices: 4 cocycles
     s4 = builtin_group("S(4)")
     lay = s4.layers[-1]
-    assert finite_source_z1(lay.base, lay.sigma, 2, 2) == 4
+    action = TwistedAction([2, 2], [lay.sigma[g] for g in s4.level_gens(2)])
+    assert twisted_z1_count(s4.presentation(2), action) == 4
     # Z_2 inverting Z_3: each value on the generator extends
-    z2 = builtin_group("Z(2)").group
-    assert finite_source_z1(z2, [((1,),), ((2,),)], 3, 1) == 3
+    z2 = builtin_group("Z(2)")
+    assert twisted_z1_count(z2.presentation(), TwistedAction([3], [[[2]]])) == 3
 
 
 def test_cohomology_report_factorization():

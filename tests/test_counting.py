@@ -4,7 +4,6 @@ import pytest
 from solvquot import counting
 from solvquot.counting import (
     CountError,
-    _lift_is_surjective,
     aut_order_by_lifting,
     closed_form_delta,
     closed_form_eulerian,
@@ -65,20 +64,24 @@ def test_lift_statistics_through_s4():
 
 
 def test_epi_lift():
-    from solvquot.counting import epi_lift
-
+    # lift_frontier on one epimorphism row at a time
+    lay = S4.layers[2]
     for images in epi_maps(F2, S4, level=2):
-        out = epi_lift(F2, S4, 2, images)
+        out, _ = lift_frontier(F2, lay, np.array([images], dtype=np.int32), epi=True)
         assert len(out) == 12  # 16 lifts minus the 4 complements
-        assert all(m.level == 3 and m.is_surjective() for m in out[:3])
+        assert all(len(lay.group.closure(t)) == 24 for t in out.tolist())
     for images in epi_maps(KLEIN, S4, level=2):
-        assert epi_lift(KLEIN, S4, 2, images) == []
+        out, _ = lift_frontier(KLEIN, lay, np.array([images], dtype=np.int32), epi=True)
+        assert len(out) == 0
     # a non-liftable epimorphism into a non-split layer gives nothing
     bs15 = builtin_presentation("bs", 1, 5)
     for images in epi_maps(bs15, D8, level=2):
-        assert epi_lift(bs15, D8, 2, images) == []
-    with pytest.raises(ValueError):
-        epi_lift(F2, S4, 2, (0, 0))
+        out, dims = lift_frontier(bs15, D8.layers[2], np.array([images], dtype=np.int32),
+                                  epi=True)
+        assert len(out) == 0 and dims == [None]
+    # a map that is not onto its level trips the complement tally
+    with pytest.raises(CountError):
+        lift_frontier(F2, lay, np.zeros((1, 2), dtype=np.int32), epi=True)
 
 
 def test_cap_fires_before_the_lifts_at_its_level(monkeypatch):
@@ -115,7 +118,8 @@ def test_complement_rows_match_the_surjectivity_walk():
             for lay in tower.layers:
                 sample = frontier[:: max(1, len(frontier) // 12)]
                 lifts, _ = lift_frontier(P, lay, sample, epi=False)
-                walk = [t for t in lifts.tolist() if _lift_is_surjective(lay, t)]
+                walk = [t for t in lifts.tolist()
+                        if len(lay.group.closure(t)) == len(lay.group)]
                 frontier, _ = lift_frontier(P, lay, sample, epi=True)
                 assert frontier.tolist() == walk
                 if not len(frontier):

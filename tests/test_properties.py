@@ -1,5 +1,6 @@
 """Property tests on random short presentations: the orbit-counted engine
-and the symmetric-group search against the brute-force oracle."""
+and the symmetric-group search against the brute-force oracle, and the
+engine against the Hall identities over a subgroup lattice."""
 
 import itertools
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from solvquot.counting import epi_count, hom_count
 from solvquot.groups import CATALOG_SPECS, FiniteGroupTable, builtin_group
+from solvquot.lattice import hall_identities
 from solvquot.oracle import brute_epi, brute_hom
 from solvquot.presentations import Presentation
 from solvquot.subgrowth import hom_count_symmetric
@@ -41,6 +43,16 @@ def test_counts_against_the_oracle(P, spec):
     assert rep.epi == brute_epi(P, T.group).count
     assert rep.epi <= rep.hom
     assert rep.epi % rep.aut == 0 and rep.delta * rep.aut == rep.epi
+
+
+@settings(max_examples=50, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(presentations(), st.sampled_from(["S(3)", "D(8)", "Q(8)", "A(4)"]))
+def test_hall_identities(P, spec):
+    # |Hom(G, B)| = sum of |Epi(G, H)| over the subgroups H of B, and its
+    # Moebius inversion, each count made by the engine on H's own tower
+    rep = hall_identities(P, tower(spec).group)
+    assert rep["hom_identity_holds"] and rep["epi_identity_holds"], rep
 
 
 def symmetric_table(k):
