@@ -141,15 +141,20 @@ def lift_frontier(P, lay, frontier, epi, cap=10**7, level=0):
     owner = np.repeat(np.arange(len(frontier)), counts)
     lifts = (X.reshape(-1, n, s) @ q ** np.arange(s, dtype=np.int64)) * nB + frontier[owner]
     del X
-    if epi:
-        sections = lay.sections[:, frontier][:, owner].transpose(1, 0, 2)
-        hits = (lifts[:, None, :] == sections).all(axis=2)  # (lifts, c)
-        del sections
-        found = [np.bincount(owner[col], minlength=len(frontier)) for col in hits.T]
-        if any((f != 1).any() for f in found):
+    if c:
+        # match each map's c complement rows with its lifts by (owner, row)
+        comp = lay.sections[:, frontier].reshape(-1, n)
+        comp_owner = np.tile(np.arange(len(frontier)), len(lay.sections))
+        keys = _row_keys(np.concatenate([owner, comp_owner]),
+                         np.concatenate([lifts, comp]), len(frontier), len(lay.group))
+        lift_keys, comp_keys = keys[: len(lifts)], keys[len(lifts) :]
+        by_key = np.argsort(comp_keys)
+        at = np.minimum(np.searchsorted(comp_keys[by_key], lift_keys), len(comp_keys) - 1)
+        hit = comp_keys[by_key[at]] == lift_keys
+        if (np.bincount(by_key[at[hit]], minlength=len(comp_keys)) != 1).any():
             raise CountError("a complement lift is not found exactly once among "
                              "the lifts of its map")
-        keep = ~hits.any(axis=1)
+        keep = ~hit
         kept = np.bincount(owner[keep], minlength=len(frontier))
         if (kept != counts - c).any():
             j = int(np.nonzero(kept != counts - c)[0][0])
@@ -160,6 +165,20 @@ def lift_frontier(P, lay, frontier, epi, cap=10**7, level=0):
         lifts = lifts[keep]
     lifts = lifts.astype(np.int32)
     return lifts[np.lexsort(lifts.T[::-1])], dims
+
+
+def _row_keys(owner, rows, m, radix):
+    """One int64 per (owner, row) pair, equal exactly where the pairs are:
+    owner < m and the entries < radix are packed in mixed radix, and
+    renumbered densely whenever the next column could overflow."""
+    key, bound = owner.astype(np.int64), m
+    for col in rows.T:
+        if bound * radix >= 1 << 62:
+            uniq, key = np.unique(key, return_inverse=True)
+            key, bound = key.reshape(-1), len(uniq)
+        key = key * radix + col
+        bound *= radix
+    return key
 
 
 def _dims(sol):

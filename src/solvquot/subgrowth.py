@@ -25,8 +25,12 @@ from .presentations import abelian_invariants, factorize
 # V.ravel()[X + row offsets], which skips take_along_axis's per-call
 # overhead on the search's small batches and is faster on large ones.
 
-_BLOCK_TUPLES = 30_000_000  # largest (k!)^|support| a block measure enumerates
+_BLOCK_TUPLES = 30_000_000  # most assignments a block measure enumerates
 _CHUNK = 1 << 18  # assignments per array pass of a block measure
+# Most (row, candidate) pairs the search tests in one array pass.  At k = 7
+# (5040 candidates) a chunk is one row, on the fixed-permutation path: 13
+# rows at a time measured twice as slow as one.
+_SIBLINGS = 1 << 13
 # The process pool starts when the search's first pruning depth tests at
 # least this many candidate images (classes times (k!)^depth); below it the
 # pool measured slower than one process.
@@ -60,6 +64,7 @@ class _Symmetric:
         self.class_of = renumber[class_of.reshape(-1)]
         self.reps = first[order]
         self.sizes = sizes[order]
+        self._orbits = {}
 
     def code(self, V):
         c = V[:, 0].astype(np.int64)
@@ -69,6 +74,61 @@ class _Symmetric:
 
     def rank(self, V):
         return np.searchsorted(self.codes, self.code(V))
+
+    def centraliser_orbits(self, r):
+        """The orbits of the centraliser C(p) of the permutation p = perms[r]
+        acting on S_k by conjugation: the least index in each orbit,
+        ascending, and the orbit sizes.  C(p) is generated by the rotation
+        of each cycle of p and the swaps of consecutive cycles of equal
+        length; orbit labels fall to their least member under those maps
+        and pointer jumping.  For the identity these are the classes."""
+        if r not in self._orbits:
+            gens = _centraliser_gens(self.perms[r])
+            maps = [self.rank(c[self.perms[:, np.argsort(c)]]) for c in gens]
+            label = np.arange(len(self.perms))
+            while True:
+                old = label
+                for phi in maps:
+                    label = np.minimum(label, label[phi])
+                label = label[label]
+                if (label == old).all():
+                    break
+            sizes = np.bincount(label, minlength=len(label))
+            reps = np.flatnonzero(sizes)
+            self._orbits[r] = reps, sizes[reps]
+        return self._orbits[r]
+
+
+def _centraliser_gens(p):
+    """Generators of the centraliser of the permutation p: each cycle
+    rotated on its own, and each cycle swapped, point for point, with the
+    next cycle of the same length."""
+    k = len(p)
+    seen = set()
+    cycles = []
+    for start in range(k):
+        if start in seen:
+            continue
+        cyc = [start]
+        while p[cyc[-1]] != start:
+            cyc.append(int(p[cyc[-1]]))
+        seen.update(cyc)
+        cycles.append(cyc)
+    gens = []
+    for cyc in cycles:
+        if len(cyc) > 1:
+            g = np.arange(k, dtype=p.dtype)
+            g[cyc] = p[cyc]
+            gens.append(g)
+    by_length = {}
+    for cyc in cycles:
+        by_length.setdefault(len(cyc), []).append(cyc)
+    for same in by_length.values():
+        for a, b in zip(same, same[1:]):
+            g = np.arange(k, dtype=p.dtype)
+            g[a], g[b] = b, a
+            gens.append(g)
+    return gens
 
 
 def _row_offsets(rows, k):
@@ -116,22 +176,30 @@ def _relator_blocks(rel):
 def _block_class_measure(word, m, S):
     """Counting measure of a block word in generators 0..m-1 as a class
     function: entry c is the number of assignments whose value is any FIXED
-    element of class c.  All (k!)^m assignments are evaluated, _CHUNK at a
-    time, and the classes of their values counted."""
+    element of class c.  Conjugating every generator conjugates the value,
+    so generator 0 runs over the class representatives, weighted by class
+    size, and the others over all of S_k: len(reps) * (k!)^(m-1)
+    assignments, _CHUNK at a time, whose value classes are counted per
+    representative."""
     N = len(S.perms)
-    counts = np.zeros(len(S.reps), dtype=np.int64)
-    offsets = _row_offsets(min(_CHUNK, N**m), S.k)
-    for start in range(0, N**m, _CHUNK):
-        rest = np.arange(start, min(start + _CHUNK, N**m))
+    nreps, ncl = len(S.reps), len(S.sizes)
+    total = nreps * N ** (m - 1)
+    pairs = np.zeros(ncl * nreps, dtype=np.int64)
+    offsets = _row_offsets(min(_CHUNK, total), S.k)
+    for start in range(0, total, _CHUNK):
+        rest = np.arange(start, min(start + _CHUNK, total))
         images = []
-        for _ in range(m):
+        for _ in range(m - 1):
             rest, digit = np.divmod(rest, N)
             images.append(digit)
+        slot = rest
+        images.insert(0, S.reps[slot])
         V = None
         for g, e in word:
             Y = np.take(S.perms if e == 1 else S.inv, images[g], axis=0)
             V = Y if V is None else _times(V, Y, offsets)
-        counts += np.bincount(S.class_of[S.rank(V)], minlength=len(counts))
+        pairs += np.bincount(S.class_of[S.rank(V)] * nreps + slot, minlength=len(pairs))
+    counts = pairs.reshape(ncl, nreps) @ S.sizes.astype(np.int64)
     measure = []
     for c, size in zip(counts.tolist(), S.sizes.tolist()):
         if c % size:
@@ -225,45 +293,104 @@ def _search_order(P):
 
 
 def _search(P, S, reps, sizes):
-    """Depth-first search over generator images in _search_order, the first
-    generator only over the class representatives reps (weighted by sizes).
-    Each node tests all k! images of its generator at once against the
-    relators that become ready there; the last depth adds up weights."""
+    """Search over generator images in _search_order, keeping the nodes of
+    a depth as weighted rows of the images assigned so far.  The first
+    generator runs over the class representatives reps (weighted by sizes)
+    and, with three or more generators, the second over the orbits of the
+    first image's centraliser acting by conjugation (weighted by orbit size):
+    conjugating by an element of C(r) fixes r and carries the completions
+    of one second image onto those of its conjugate.  Deeper depths test
+    chunks of rows against all k! images of their generator at once
+    against the relators that become ready there; the last depth adds up
+    the surviving weights."""
     n = P.n
     order, ready_at = _search_order(P)
-    everything = np.arange(len(S.perms))
+    pos = {g: d for d, g in enumerate(order)}
+    N = len(S.perms)
+    everything = np.arange(N)
     ident = S.perms[0]
-    assigned = {}
+    step = max(1, _SIBLINGS // N)
+    offsets = _row_offsets(step, S.k)
     total = 0
 
-    def search(depth, weight):
-        nonlocal total
-        g = order[depth]
+    def one_row(depth, row):
+        """The surviving candidates, and their weights or None, for the
+        generator at depth given one row of assigned images."""
         if depth == 0:
             cand, w = reps, sizes
-            X, Xinv = S.perms[cand], S.inv[cand]
+        elif depth == 1 and n >= 3:
+            cand, w = S.centraliser_orbits(int(row[0]))
         else:
             cand, w = everything, None
-            X, Xinv = S.perms, S.inv
+        X, Xinv = (S.perms, S.inv) if w is None else (S.perms[cand], S.inv[cand])
+        assigned = {order[d]: (S.perms[i], S.inv[i]) for d, i in enumerate(row.tolist())}
         for segs in ready_at[depth]:
             keep = (_relator_values(segs, assigned, S, X, Xinv) == ident).all(axis=1)
             cand, X, Xinv = cand[keep], X[keep], Xinv[keep]
             w = None if w is None else w[keep]
-        if depth == n - 1:
-            total += weight * (len(cand) if w is None else int(w.sum()))
-            return
-        for c, wc in zip(cand.tolist(), [1] * len(cand) if w is None else w.tolist()):
-            assigned[g] = S.perms[c], S.inv[c]
-            search(depth + 1, weight * wc)
-        assigned.pop(g, None)
+        return cand, w
 
-    search(0, 1)
+    def siblings(depth, rows):
+        """The surviving (row, candidate) pairs of a chunk of rows, each
+        tested against all k! images of the generator at depth."""
+        r_of = np.repeat(np.arange(len(rows)), N)
+        cand = np.tile(everything, len(rows))
+        for segs in ready_at[depth]:
+            V = _chunk_values(segs, rows, pos, S, r_of, cand, offsets)
+            keep = (V == ident).all(axis=1)
+            r_of, cand = r_of[keep], cand[keep]
+        return r_of, cand
+
+    def expand(depth, rows, weights):
+        nonlocal total
+        per_row = depth == 0 or (depth == 1 and n >= 3)
+        width = 1 if per_row else step
+        for lo in range(0, len(rows), width):
+            chunk, w = rows[lo:lo + width], weights[lo:lo + width]
+            if len(chunk) == 1:
+                cand, cw = one_row(depth, chunk[0])
+                r_of = np.zeros(len(cand), dtype=np.intp)
+                cw = w[r_of] if cw is None else w[0] * cw
+            else:
+                r_of, cand = siblings(depth, chunk)
+                cw = w[r_of]
+            if depth == n - 1:
+                total += int(cw.sum())
+            elif len(cand):
+                expand(depth + 1, np.column_stack([chunk[r_of], cand]), cw)
+
+    expand(0, np.zeros((1, 0), dtype=np.intp), np.ones(1, dtype=np.int64))
     return total
+
+
+def _chunk_values(segs, rows, pos, S, r_of, cand, offsets):
+    """The value of a relator, given as _segments, at each (row, candidate)
+    pair: rows[r_of] are the images assigned so far (column pos[h] for
+    generator h) and cand the image index of its one unassigned generator.
+    Each run of assigned letters is folded once per row; the word is then
+    applied right to left, each letter a lookup in its small table (the
+    k! images, or the chunk's folded runs) at the pair's row of it."""
+    k = S.k
+    V = None
+    for seg in reversed(segs):
+        if isinstance(seg, int):
+            table, at = (S.perms if seg == 1 else S.inv), cand
+        else:
+            table = None
+            for h, e in seg:
+                p = (S.perms if e == 1 else S.inv)[rows[:, pos[h]]]
+                table = p if table is None else _times(table, p, offsets)
+            at = r_of
+        if V is None:
+            V = table[at]
+        else:
+            V = table.ravel()[(at * k)[:, None] + V]
+    return V
 
 
 def hom_count_symmetric(P, k, cap=8, threads=1, _class_filter=None):
     """|Hom(G, S_k)| by exhaustive generator-image search with conjugacy
-    reduction of the most-used generator, incremental relator pruning over
+    reduction of the first two generators, incremental relator pruning over
     whole arrays of candidate images, and a convolution shortcut for
     one-relator words that factor into blocks with disjoint supports."""
     if k > cap:
@@ -280,7 +407,7 @@ def hom_count_symmetric(P, k, cap=8, threads=1, _class_filter=None):
     if len(P.relators) == 1:
         blocks = _relator_blocks(P.relators[0])
         largest = max(len(sup) for _, sup in blocks)
-        if len(blocks) >= 2 and math.factorial(k) ** largest <= _BLOCK_TUPLES:
+        if len(blocks) >= 2 and len(S.reps) * math.factorial(k) ** (largest - 1) <= _BLOCK_TUPLES:
             return _block_count(blocks, n, S)
 
     if _class_filter is not None:

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from solvquot import subgrowth
@@ -116,14 +117,69 @@ def test_threads_deterministic(monkeypatch):
 
 def test_class_filter_chunks_sum_to_the_count():
     # the pool's own chunks of a deeper search are summed in
-    # test_threads_deterministic
-    for P in (B3, B4, builtin_presentation("bs", 2, 6)):
-        want = hom_count_symmetric(P, 6)
-        ncl = 11  # conjugacy classes of S_6
+    # test_threads_deterministic; hillman_link's chunks hold the centraliser
+    # orbits of its second generator
+    cases = [(B3, 6), (B4, 6), (builtin_presentation("bs", 2, 6), 6),
+             (builtin_presentation("hillman_link"), 5)]
+    for P, k in cases:
+        want = hom_count_symmetric(P, k)
+        ncl = len(subgrowth._symmetric(k).reps)
         for step in (1, 3):
-            parts = [hom_count_symmetric(P, 6, _class_filter=list(range(i, ncl, step)))
+            parts = [hom_count_symmetric(P, k, _class_filter=list(range(i, ncl, step)))
                      for i in range(step)]
-            assert sum(parts) == want, (str(P), step)
+            assert sum(parts) == want, (str(P), k, step)
+
+
+def test_centraliser_orbits():
+    for k in range(2, 8):
+        S = subgrowth._symmetric(k)
+        N = len(S.perms)
+        orbit_counts = 0
+        for r, size in zip(S.reps.tolist(), S.sizes.tolist()):
+            reps, sizes = S.centraliser_orbits(r)
+            assert sizes.sum() == N and ((N // size) % sizes == 0).all(), (k, r)
+            assert reps.tolist() == sorted(set(reps.tolist())), (k, r)
+            orbit_counts += len(reps)
+        # Burnside: S_k has sum |C(g)|^2 / k! orbits on pairs, one per
+        # (class representative, orbit of its centraliser)
+        assert orbit_counts * N == sum((N // size) ** 2 * size for size in S.sizes.tolist())
+        # the identity's centraliser is S_k: its orbits are the classes
+        reps, sizes = S.centraliser_orbits(0)
+        assert reps.tolist() == S.reps.tolist() and sizes.tolist() == S.sizes.tolist()
+
+
+def test_centraliser_orbits_against_conjugating_by_the_centraliser():
+    for k in (3, 4, 5):
+        S = subgrowth._symmetric(k)
+        for r in S.reps.tolist():
+            p = S.perms[r]
+            cent = [c for c in S.perms if (c[p] == p[c]).all()]
+            label = {}
+            for x in range(len(S.perms)):
+                orbit = {int(i) for i in S.rank(np.array([c[S.perms[x][np.argsort(c)]]
+                                                          for c in cent]))}
+                label[x] = min(orbit)
+            reps, sizes = S.centraliser_orbits(r)
+            want = sorted(set(label.values()))
+            assert reps.tolist() == want, (k, r)
+            assert sizes.tolist() == [list(label.values()).count(m) for m in want]
+
+
+def test_reduced_search_counts():
+    # values of the search before the centraliser reduction
+    assert hom_count_symmetric(builtin_presentation("hillman_link"), 6) == 1333440
+    assert hom_count_symmetric(builtin_presentation("parafree", 3, 2), 6) == 535680
+    assert hom_count_symmetric(builtin_presentation("braid4_split"), 5) == 840
+
+
+@pytest.mark.slow
+def test_slow_growth_cases():
+    # run with pytest -m slow; parafree(3,2) at k = 7 is the value of one run
+    # of the search before the centraliser reduction (45 s on a 2-CPU host)
+    assert hom_count_symmetric(builtin_presentation("braid3_split"), 7) == 85680
+    assert hom_count_symmetric(builtin_presentation("braid4_split"), 6) == 9360
+    assert hom_count_symmetric(B4, 6) == 9360  # the same group
+    assert hom_count_symmetric(builtin_presentation("parafree", 3, 2), 7) == 29504160
 
 
 def _surface_closed_form(genus, k):
@@ -169,13 +225,37 @@ def test_surface_rotations_take_the_block_route(monkeypatch):
 
 def test_surface_against_the_hook_length_formula():
     variants = list(_rotations_and_inversions(SURF2))
-    for k in range(1, 7):
+    for k in range(1, 8):
         want = _surface_closed_form(2, k)
         assert hom_count_symmetric(SURF2, k) == want, k
-        # every variant up to k = 5, a sample at k = 6 (0.1 s a count)
-        for Q in variants if k < 6 else variants[::5]:
+        # every variant up to k = 6, a sample at k = 7
+        for Q in variants if k < 7 else variants[::5]:
             assert hom_count_symmetric(Q, k) == want, (k, Q.relators)
-    assert hom_count_symmetric(builtin_presentation("surface", 1), 6) == _surface_closed_form(1, 6)
+    assert hom_count_symmetric(builtin_presentation("surface", 1), 7) == _surface_closed_form(1, 7)
+
+
+def test_block_measure_against_all_assignments():
+    # the measure from the class representatives of generator 0 against
+    # the values of all (k!)^m assignments
+    words = [
+        ((0, 1), (1, 1), (0, -1), (1, -1)),
+        ((1, 1), (0, 1), (0, 1), (1, -1), (0, 1)),
+        ((0, 1), (1, 1), (2, 1), (0, -1), (2, -1)),
+        ((2, 1), (1, -1), (0, 1), (2, 1), (1, 1), (0, 1)),
+    ]
+    for k in range(2, 6):
+        S = subgrowth._symmetric(k)
+        N = len(S.perms)
+        for word in words if k < 5 else words[::2]:  # one of each support at k = 5
+            m = 1 + max(g for g, _ in word)
+            images = np.indices((N,) * m).reshape(m, -1, 1) * k
+            V = np.arange(k)
+            for g, e in reversed(word):  # the word's value, right to left
+                V = (S.perms if e == 1 else S.inv).ravel()[images[g] + V]
+            hits = np.bincount(S.class_of[S.rank(V)], minlength=len(S.sizes))
+            want = (hits // S.sizes).tolist()
+            assert (hits % S.sizes == 0).all()
+            assert subgrowth._block_class_measure(word, m, S) == want, (k, word)
 
 
 def test_delta_abelian_closed_forms():
