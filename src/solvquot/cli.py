@@ -192,7 +192,7 @@ def cmd_moebius(args):
 
 def cmd_growth(args):
     P, src_label = load_source(args.source)
-    report = subgrowth.ak_sequence(P, args.kmax, cap=args.cap_k, threads=args.threads)
+    report = subgrowth.ak_sequence(P, args.kmax, cap=args.cap_k)
     if args.normal:
         report.ak_normal = [
             subgrowth.ak_normal(P, k) for k in range(1, min(args.kmax, 15) + 1)
@@ -231,7 +231,7 @@ def cmd_table2(args):
                 row.append("?")
                 continue
             try:
-                hk.append(subgrowth.hom_count_symmetric(P, k, threads=args.threads))
+                hk.append(subgrowth.hom_count_symmetric(P, k))
             except CapExceeded:
                 exhausted = True
                 row.append("?")
@@ -339,6 +339,16 @@ def cmd_check_roundtrip(args):
 # ---------------------------------------------------------------------------
 
 
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError("expected an integer >= 1, got %r" % text)
+    return value
+
+
 def build_parser():
     top = _Parser(prog="solvquot",
                   description="Counting homomorphisms onto finite solvable groups")
@@ -378,19 +388,16 @@ def build_parser():
 
     p = sub.add_parser("growth", help="index-k subgroup counts")
     add_common(p, target=False)
-    p.add_argument("--kmax", type=int, default=5)
+    p.add_argument("--kmax", type=_positive_int, default=5)
     p.add_argument("--cap-k", type=int, default=8)
     p.add_argument("--normal", action="store_true",
                    help="also count normal subgroups (k <= 15)")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                   help="worker processes (results are byte-identical for any value)")
 
     p = sub.add_parser("table2", help="low-index subgroup table for braid groups (TSV)")
     p.add_argument("--nmax", type=int, default=6)
-    p.add_argument("--kmax", type=int, default=6)
+    p.add_argument("--kmax", type=_positive_int, default=6)
     p.add_argument("--time-budget", type=float, default=1800.0,
                    help="seconds before remaining entries are marked '?'")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
 
     p = sub.add_parser("verify", help="engine vs brute-force oracle matrix (TSV)")
     p.add_argument("--sources", nargs="*", default=None)

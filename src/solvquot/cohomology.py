@@ -198,61 +198,6 @@ def nullspace_dim_mod_prime(rows, ncols, q):
     return solve_mod_prime_power(rows, None, ncols, q, 1).count_exponent
 
 
-class MixedSolveResult:
-    """Solution set of a linear system over a non-homocyclic q-group:
-    unknown j lives in Z_{q^col_exps[j]} and equation i holds mod
-    q^row_exps[i]."""
-
-    def __init__(self, inner, col_exps, q, R):
-        self.q = q
-        self.col_exps = tuple(col_exps)
-        self._inner = inner
-        self._R = R
-        self.solvable = inner.solvable
-
-    @property
-    def count_exponent(self):
-        # each true solution lifts to Z_{q^R}^n in exactly
-        # prod q^(R - ce_j) ways
-        return self._inner.count_exponent - sum(self._R - ce for ce in self.col_exps)
-
-    @property
-    def witness(self):
-        w = self._inner.witness
-        if w is None:
-            return None
-        return tuple(x % self.q**ce for x, ce in zip(w, self.col_exps))
-
-    def solutions(self):
-        seen = set()
-        for x in self._inner.solutions():
-            t = tuple(xx % self.q**ce for xx, ce in zip(x, self.col_exps))
-            if t not in seen:
-                seen.add(t)
-                yield t
-
-
-def solve_mixed_exponents(rows, rhs, col_exps, row_exps, q):
-    """Scale equation i by q^(R - row_exps[i]) -- an equivalent congruence
-    mod q^R -- and solve with every unknown ranging over Z_{q^R}.  Changing
-    an unknown by q^{ce_j} must not change any equation (that is exactly the
-    well-definedness of the coefficient matrix on the mixed group), so true
-    solutions are the coordinate reductions, each hit uniformly often."""
-    R = max(list(col_exps) + list(row_exps)) if (col_exps or row_exps) else 1
-    for row, re_ in zip(rows, row_exps):
-        for a, ce in zip(row, col_exps):
-            if (a * q**ce) % q**re_:
-                raise ValueError("matrix does not act on the mixed group")
-    A = []
-    b = []
-    for row, c, re_ in zip(rows, rhs if rhs is not None else [0] * len(rows), row_exps):
-        f = q ** (R - re_)
-        A.append([f * x for x in row])
-        b.append(f * c)
-    res = solve_mod_prime_power(A, b if rhs is not None else None, len(col_exps), q, R)
-    return MixedSolveResult(res, col_exps, q, R)
-
-
 # ---------------------------------------------------------------------------
 # Twisted actions on a finite abelian group, split by prime.
 
@@ -286,7 +231,7 @@ def _mat_inverse(mat, q, r):
 @dataclass
 class PrimeBlock:
     q: int
-    exps: tuple  # per-coordinate exponents; homocyclic iff all equal
+    exps: tuple  # per-coordinate exponents, all equal
     mats: tuple  # one matrix per source generator
     inv_mats: tuple
 
@@ -297,7 +242,8 @@ class PrimeBlock:
 
 class TwistedAction:
     """Action of source generators on a finite abelian group given as a list
-    of cyclic factors; stored per prime."""
+    of cyclic factors; stored per prime.  Each prime's part must be
+    homocyclic, Z_{q^r}^s: the factors [2, 4] are rejected."""
 
     def __init__(self, factors, gen_matrices):
         self.factors = tuple(factors)
@@ -326,7 +272,9 @@ class TwistedAction:
                 if e:
                     idx.append(j)
                     exps.append(e)
-            R = max(exps)
+            if len(set(exps)) > 1:
+                raise ValueError("the %d-part of %r is not homocyclic" % (q, self.factors))
+            R = exps[0]
             M = q**R
             mats = tuple(
                 tuple(tuple(mat[i][j] % M for j in idx) for i in idx) for mat in gen_matrices
@@ -370,7 +318,6 @@ def twisted_z1_count(P, action):
         dim = len(blk.exps)
         M = blk.modulus
         rows = []
-        row_exps = []
         for rel in P.relators:
             acc = [[[0] * dim for _ in range(dim)] for _ in range(P.n)]
             mat = _mat_id(dim)
@@ -387,12 +334,7 @@ def twisted_z1_count(P, action):
                 for i in range(P.n):
                     row.extend(acc[i][a])
                 rows.append(row)
-                row_exps.append(blk.exps[a])
-        col_exps = list(blk.exps) * P.n
-        if len(set(blk.exps)) == 1:
-            res = solve_mod_prime_power(rows, None, P.n * dim, q, blk.exps[0])
-        else:
-            res = solve_mixed_exponents(rows, None, col_exps, row_exps, q)
+        res = solve_mod_prime_power(rows, None, P.n * dim, q, blk.exps[0])
         total *= q**res.count_exponent
     return total
 
@@ -658,45 +600,6 @@ def solve_systems(A, rhs, q):
         radix=np.where(pivot, 1, q),
         sub=np.where(pivot[:, None, :], eye, (eye - red[:, :, :C]) % q),
         y0=red[:, :, C],
-    )
-
-
-@dataclass
-class CohomologyReport:
-    """Everything the lifting step needs to know about one (source, layer,
-    homomorphism) triple."""
-
-    q: int
-    z1: int
-    d: int
-    b1: int
-    h1: int
-    epsilon: int
-    witness: tuple = None
-
-    def __post_init__(self):
-        if self.z1 != self.b1 * self.q**self.h1:
-            raise ArithmeticError("|Z^1| must equal |B^1| |H^1|")
-
-
-def analyze_layer_system(P, images, layer, check=False):
-    sys = build_system(P, images, layer, check=check)
-    res = solve_system(sys)
-    d = res.count_exponent
-    b1_dim = layer.s - fixed_subspace_dim(layer, images)
-    eps = 1 if res.solvable else 0
-    wit = None
-    if eps:
-        w = res.witness
-        wit = tuple(tuple(w[i * layer.s : (i + 1) * layer.s]) for i in range(sys.n_gens))
-    return CohomologyReport(
-        q=layer.q,
-        z1=layer.q**d,
-        d=d,
-        b1=layer.q**b1_dim,
-        h1=d - b1_dim,
-        epsilon=eps,
-        witness=wit,
     )
 
 

@@ -31,10 +31,6 @@ _CHUNK = 1 << 18  # assignments per array pass of a block measure
 # (5040 candidates) a chunk is one row, on the fixed-permutation path: 13
 # rows at a time measured twice as slow as one.
 _SIBLINGS = 1 << 13
-# The process pool starts when the search's first pruning depth tests at
-# least this many candidate images (classes times (k!)^depth); below it the
-# pool measured slower than one process.
-_POOL_MIN_TESTS = 1_000_000
 
 
 class _Symmetric:
@@ -292,17 +288,17 @@ def _search_order(P):
     return order, ready_at
 
 
-def _search(P, S, reps, sizes):
+def _search(P, S):
     """Search over generator images in _search_order, keeping the nodes of
     a depth as weighted rows of the images assigned so far.  The first
-    generator runs over the class representatives reps (weighted by sizes)
-    and, with three or more generators, the second over the orbits of the
-    first image's centraliser acting by conjugation (weighted by orbit size):
-    conjugating by an element of C(r) fixes r and carries the completions
-    of one second image onto those of its conjugate.  Deeper depths test
-    chunks of rows against all k! images of their generator at once
-    against the relators that become ready there; the last depth adds up
-    the surviving weights."""
+    generator runs over the class representatives S.reps (weighted by
+    S.sizes) and, with three or more generators, the second over the
+    orbits of the first image's centraliser acting by conjugation (weighted
+    by orbit size): conjugating by an element of C(r) fixes r and carries
+    the completions of one second image onto those of its conjugate.
+    Deeper depths test chunks of rows against all k! images of their
+    generator at once against the relators that become ready there; the
+    last depth adds up the surviving weights."""
     n = P.n
     order, ready_at = _search_order(P)
     pos = {g: d for d, g in enumerate(order)}
@@ -317,7 +313,7 @@ def _search(P, S, reps, sizes):
         """The surviving candidates, and their weights or None, for the
         generator at depth given one row of assigned images."""
         if depth == 0:
-            cand, w = reps, sizes
+            cand, w = S.reps, S.sizes
         elif depth == 1 and n >= 3:
             cand, w = S.centraliser_orbits(int(row[0]))
         else:
@@ -388,7 +384,7 @@ def _chunk_values(segs, rows, pos, S, r_of, cand, offsets):
     return V
 
 
-def hom_count_symmetric(P, k, cap=8, threads=1, _class_filter=None):
+def hom_count_symmetric(P, k, cap=8):
     """|Hom(G, S_k)| by exhaustive generator-image search with conjugacy
     reduction of the first two generators, incremental relator pruning over
     whole arrays of candidate images, and a convolution shortcut for
@@ -409,40 +405,7 @@ def hom_count_symmetric(P, k, cap=8, threads=1, _class_filter=None):
         largest = max(len(sup) for _, sup in blocks)
         if len(blocks) >= 2 and len(S.reps) * math.factorial(k) ** (largest - 1) <= _BLOCK_TUPLES:
             return _block_count(blocks, n, S)
-
-    if _class_filter is not None:
-        return _search(P, S, S.reps[_class_filter], S.sizes[_class_filter])
-    if threads > 1 and n >= 2:
-        first = next(d for d, rels in enumerate(_search_order(P)[1]) if rels)
-        if len(S.reps) * len(S.perms) ** first >= _POOL_MIN_TESTS:
-            return _parallel_dfs(P, k, cap, threads, len(S.reps))
-    return _search(P, S, S.reps, S.sizes)
-
-
-def _partition_worker(payload):
-    from .presentations import Presentation
-
-    gens, rels, k, cap, chunk = payload
-    P = Presentation(gens, rels)
-    return hom_count_symmetric(P, k, cap=cap, _class_filter=chunk)
-
-
-def _parallel_dfs(P, k, cap, threads, n_classes):
-    """Partition the first generator's conjugacy classes over a process pool;
-    partial counts are summed in submission order, so the result does not
-    depend on the worker count."""
-    import multiprocessing
-
-    chunks = [list(range(i, n_classes, threads)) for i in range(threads)]
-    chunks = [c for c in chunks if c]
-    payloads = [(P.generators, P.relators, k, cap, c) for c in chunks]
-    try:
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(processes=len(chunks)) as pool:
-            parts = pool.map(_partition_worker, payloads)
-    except (OSError, ValueError):
-        parts = [_partition_worker(p) for p in payloads]
-    return sum(parts)
+    return _search(P, S)
 
 
 def ak_from_homcounts(hk):
@@ -482,14 +445,13 @@ class GrowthReport:
         return out
 
 
-def ak_sequence(P, kmax, cap=8, threads=1):
+def ak_sequence(P, kmax, cap=8):
     """Numbers of index-k subgroups for k <= kmax via the recursion
     a_k = h_k/(k-1)! - sum_{l<k} h_{k-l} a_l / (k-l)!.  Raises CapExceeded
     before any h_k is computed if kmax exceeds ``cap``."""
     if kmax > cap:
         raise CapExceeded("k = %d exceeds the symmetric-group cap %d" % (kmax, cap))
-    hk = [hom_count_symmetric(P, k, cap=cap, threads=threads)
-          for k in range(1, kmax + 1)]
+    hk = [hom_count_symmetric(P, k, cap=cap) for k in range(1, kmax + 1)]
     ak = ak_from_homcounts(hk)
     tk = [math.factorial(k - 1) * a for k, a in zip(range(1, kmax + 1), ak)]
     return GrowthReport(kmax, hk, tk, ak)

@@ -1,5 +1,4 @@
 import json
-import os
 import time
 
 import pytest
@@ -113,22 +112,6 @@ def test_catalog_and_roundtrip(capsys, tmp_path):
     assert code == 0 and json.loads(out)["roundtrip_isomorphic"]
 
 
-def test_byte_determinism_across_threads(capsys, monkeypatch):
-    # at k = 6 the braid3_split search is split over a pool of --threads
-    # processes
-    pools = []
-    real = subgrowth._parallel_dfs
-    monkeypatch.setattr(subgrowth, "_parallel_dfs", lambda *a: pools.append(a) or real(*a))
-    outs = []
-    for threads in ("1", "3"):
-        code, out = run_cli(capsys, "growth", "--source", "builtin:braid3_split",
-                            "--kmax", "6", "--threads", threads)
-        assert code == 0
-        outs.append(out)
-    assert outs[0] == outs[1]
-    assert len(pools) == 1 and pools[0][3] == 3  # P, k, cap, threads, classes
-
-
 def test_exit_codes(capsys):
     assert main(["epi", "--source", "builtin:nosuch(1)", "--target", "S(4)"]) == 1
     capsys.readouterr()
@@ -138,6 +121,14 @@ def test_exit_codes(capsys):
     capsys.readouterr()
     assert main(["epi", "--source", "nosuchfile.txt", "--target", "S(3)"]) == 1
     capsys.readouterr()
+    # --kmax below 1 and the removed --threads are usage errors
+    for argv in (["growth", "--source", "builtin:braid(3)", "--kmax", "-2"],
+                 ["table2", "--kmax", "0"],
+                 ["growth", "--source", "builtin:braid(3)", "--threads", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        capsys.readouterr()
 
 
 def test_isomorphism_search_is_capped_before_it_starts(capsys):

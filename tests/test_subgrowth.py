@@ -98,38 +98,6 @@ def test_ak_from_homcounts():
     assert ak_from_homcounts([1, 4, 36]) == [1, 3, 13]
 
 
-def test_threads_deterministic(monkeypatch):
-    # braid3_split at k = 6 tests 11 * 720^2 candidates at its first pruning
-    # depth, enough for the search to start the process pool
-    pools = []
-    real = subgrowth._parallel_dfs
-    monkeypatch.setattr(subgrowth, "_parallel_dfs", lambda *a: pools.append(a) or real(*a))
-    P = builtin_presentation("braid3_split")
-    pooled = ak_sequence(P, 6, threads=2)
-    assert len(pools) == 1
-    single = ak_sequence(P, 6)
-    assert pooled.hk == single.hk and pooled.hk[5] == 6480
-    assert pooled.ak == single.ak
-    # braid(4) prunes at its first depth and stays in one process
-    assert hom_count_symmetric(B4, 7, threads=2) == 115920
-    assert len(pools) == 1
-
-
-def test_class_filter_chunks_sum_to_the_count():
-    # the pool's own chunks of a deeper search are summed in
-    # test_threads_deterministic; hillman_link's chunks hold the centraliser
-    # orbits of its second generator
-    cases = [(B3, 6), (B4, 6), (builtin_presentation("bs", 2, 6), 6),
-             (builtin_presentation("hillman_link"), 5)]
-    for P, k in cases:
-        want = hom_count_symmetric(P, k)
-        ncl = len(subgrowth._symmetric(k).reps)
-        for step in (1, 3):
-            parts = [hom_count_symmetric(P, k, _class_filter=list(range(i, ncl, step)))
-                     for i in range(step)]
-            assert sum(parts) == want, (str(P), k, step)
-
-
 def test_centraliser_orbits():
     for k in range(2, 8):
         S = subgrowth._symmetric(k)
@@ -170,6 +138,8 @@ def test_reduced_search_counts():
     assert hom_count_symmetric(builtin_presentation("hillman_link"), 6) == 1333440
     assert hom_count_symmetric(builtin_presentation("parafree", 3, 2), 6) == 535680
     assert hom_count_symmetric(builtin_presentation("braid4_split"), 5) == 840
+    assert hom_count_symmetric(builtin_presentation("braid3_split"), 6) == 6480
+    assert hom_count_symmetric(B4, 7) == 115920
 
 
 @pytest.mark.slow
