@@ -279,8 +279,7 @@ def _orbit_levels(P, tower, epi, cap=10**7):
             del lifts
             maps_out = int(new_weights.sum())
             if epi and len(new_weights):
-                conj = lay.group.conjugation_table()
-                centre = int((conj == np.arange(lay.group.n)).all(axis=1).sum())
+                centre = lay.group.center_order()
                 if (new_weights != lay.group.n // centre).any():
                     raise CountError("an epimorphism orbit at level %d has a size "
                                      "other than |B : Z(B)| = %d"
@@ -735,10 +734,8 @@ def enumerate_epis_to_table(P, table):
 def _elementary_table(q, s):
     from .groups import table_from_coords
 
-    elements = list(itertools.product(*[range(q)] * s))
-    elements.sort(key=lambda v: sum(c * q**i for i, c in enumerate(v)))
     return table_from_coords(
-        elements, lambda a, b: tuple((x + y) % q for x, y in zip(a, b)), name="Z%d^%d" % (q, s)
+        (q,) * s, lambda a, b: tuple((x + y) % q for x, y in zip(a, b)), name="Z%d^%d" % (q, s)
     )
 
 

@@ -38,26 +38,33 @@ BIJECTIVE_TUPLE_CAP = 1_000_000
 
 
 class FiniteGroupTable:
+    """A multiplication table, given as rows of element indices or as a
+    square integer array.  ``mul`` is kept as lists of Python ints for
+    per-element lookups; ``as_array`` gives the same table as an int64
+    array, kept from an array input and otherwise made on first use."""
+
     def __init__(self, mul, name=""):
-        self.mul = [list(row) for row in mul]
+        if isinstance(mul, np.ndarray):
+            self._arr = mul.astype(np.int64)
+            self.mul = self._arr.tolist()
+        else:
+            self._arr = None
+            self.mul = [list(row) for row in mul]
         self.n = len(self.mul)
         self.name = name
-        for i in range(self.n):
-            if self.mul[0][i] != i or self.mul[i][0] != i:
-                raise GroupSpecError("element 0 is not an identity")
-        self.inv = [None] * self.n
-        for i in range(self.n):
-            row = self.mul[i]
-            for j in range(self.n):
-                if row[j] == 0:
-                    self.inv[i] = j
-                    break
-            if self.inv[i] is None or self.mul[self.inv[i]][i] != 0:
+        ids = list(range(self.n))
+        if self.mul[0] != ids or [row[0] for row in self.mul] != ids:
+            raise GroupSpecError("element 0 is not an identity")
+        self.inv = []
+        for i, row in enumerate(self.mul):
+            j = row.index(0) if 0 in row else None
+            if j is None or self.mul[j][i] != 0:
                 raise GroupSpecError("element %d has no two-sided inverse" % i)
-        self._arr = None
+            self.inv.append(j)
         self._conj = None
         self._orders = None
         self._aut = None
+        self._center = None
 
     def __len__(self):
         return self.n
@@ -170,10 +177,14 @@ class FiniteGroupTable:
             cur = nxt
 
     def center_set(self):
-        mul = self.mul
-        return frozenset(
-            z for z in range(self.n) if all(mul[z][g] == mul[g][z] for g in range(self.n))
-        )
+        central = (self.conjugation_table() == np.arange(self.n)).all(axis=1)
+        return frozenset(np.flatnonzero(central).tolist())
+
+    def center_order(self):
+        """|Z|, counted once per table and kept on it."""
+        if self._center is None:
+            self._center = len(self.center_set())
+        return self._center
 
     def is_nilpotent(self):
         K = frozenset({0})
@@ -189,19 +200,12 @@ class FiniteGroupTable:
         """Quotient by a normal subgroup given as an element set.  Cosets are
         indexed in order of their smallest element, so coset 0 is the image
         of the identity."""
-        ns = sorted(normal)
-        proj = [None] * self.n
-        reps = []
-        mul = self.mul
-        for x in range(self.n):
-            if proj[x] is None:
-                idx = len(reps)
-                reps.append(x)
-                for h in ns:
-                    proj[mul[x][h]] = idx
-        k = len(reps)
-        table = [[proj[mul[reps[a]][reps[b]]] for b in range(k)] for a in range(k)]
-        return FiniteGroupTable(table, name=self.name and self.name + "/N"), proj, reps
+        arr = self.as_array()
+        low = arr[:, sorted(normal)].min(axis=1)  # least element of x N
+        reps, proj = np.unique(low, return_inverse=True)
+        table = proj[arr[reps[:, None], reps]]
+        return (FiniteGroupTable(table, name=self.name and self.name + "/N"),
+                proj.tolist(), reps.tolist())
 
     def subtable(self, elems):
         """Table of a subgroup (elements must be closed and contain 0)."""
@@ -224,10 +228,32 @@ class FiniteGroupTable:
 TRIVIAL_TABLE = FiniteGroupTable([[0]], name="1")
 
 
-def table_from_coords(elements, mulfn, name=""):
-    index = {e: i for i, e in enumerate(elements)}
-    table = [[index[mulfn(a, b)] for b in elements] for a in elements]
+def _coords(radices):
+    """Coordinate arrays (c0, c1, ...) of the elements 0..n-1 of a group on
+    tuples 0 <= c_i < radices[i], numbered little-endian: element
+    c0 + r0 (c1 + r1 (c2 + ...))."""
+    idx = np.arange(math.prod(radices))
+    out = []
+    for r in radices:
+        out.append(idx % r)
+        idx = idx // r
+    return out
+
+
+def table_from_coords(radices, mulfn, name=""):
+    """Multiplication table of a group on coordinate tuples numbered as in
+    ``_coords``.  ``mulfn`` takes two tuples of broadcasting integer arrays
+    and returns the product's coordinates, each reduced mod its radix."""
+    cs = _coords(radices)
+    prod = mulfn(tuple(c[:, None] for c in cs), tuple(c[None, :] for c in cs))
+    table = 0
+    for c, r in zip(prod[::-1], radices[::-1]):
+        table = table * r + c
     return FiniteGroupTable(table, name=name)
+
+
+def _elements(mask):
+    return frozenset(np.flatnonzero(mask).tolist())
 
 
 def generating_sequence(table):
@@ -353,31 +379,39 @@ class ElementaryLayer:
         self.base = base
         self.sigma = sigma
         self.chi = chi
-        self.E = q**s
+        self.E = E = q**s
+        nB = len(base)
         # little-endian: num = sum v[k] q^k
-        self._vecs = []
-        for num in range(self.E):
-            v = []
-            x = num
-            for _ in range(s):
-                v.append(x % q)
-                x //= q
-            self._vecs.append(tuple(v))
+        powers = q ** np.arange(s)
+        vecs = np.arange(E)[:, None] // powers % q
+        self._vecs = [tuple(v) for v in vecs.tolist()]
         self._nums = {v: i for i, v in enumerate(self._vecs)}
-        self.sigma_perm = [
-            [self.vec_num(self.apply_sigma(b, v)) for v in self._vecs]
-            for b in range(len(base))
-        ]
-        self.chi_num = [[self._nums[chi[b1][b2]] for b2 in range(len(base))]
-                        for b1 in range(len(base))]
-        self.group = self._build_group()
+        sig, ch = self._arrays()
+        sigma_perm = np.einsum("bac,ec->bea", sig, vecs) % q @ powers
+        chi_num = ch @ powers
+        self.sigma_perm = sigma_perm.tolist()
+        self.chi_num = chi_num.tolist()
+        # (e1, b1)(e2, b2) over the (E, nB, E, nB) grid: e1 + sigma_{b1} e2,
+        # then + chi(b1, b2), each by the addition table of E
+        add = (vecs[:, None] + vecs[None]) % q @ powers
+        e = add[np.arange(E)[:, None, None], sigma_perm]
+        e = add[e[..., None], chi_num[None, :, None, :]]
+        table = e * nB + base.as_array()[None, :, None, :]
+        self.group = FiniteGroupTable(table.reshape(E * nB, E * nB),
+                                      name="Z%d^%d.%s" % (q, s, base.name or "B"))
         # derived constants
-        self.zeta = int(any(self.sigma[b] != _identity_matrix(s) for b in range(len(base))))
+        self.zeta = int((sig != np.eye(s, dtype=np.int64)).any())
         self.kappa = self._commutant_dim()
         self.sections = self._complement_sections()
         self.complements = len(self.sections)
         self.c_chi = int(self.complements > 0)
         self.alpha = None  # filled by the tower
+
+    def _arrays(self):
+        """sigma and chi as int64 arrays of shapes (nB, s, s) and (nB, nB, s)."""
+        nB, s = len(self.base), self.s
+        return (np.array(self.sigma, dtype=np.int64).reshape(nB, s, s),
+                np.array(self.chi, dtype=np.int64).reshape(nB, nB, s))
 
     def num_vec(self, num):
         return self._vecs[num]
@@ -397,30 +431,6 @@ class ElementaryLayer:
 
     def dec(self, idx):
         return divmod(idx, len(self.base))
-
-    def _build_group(self):
-        nB = len(self.base)
-        E = self.E
-        q = self.q
-        vecs = self._vecs
-        nums = self._nums
-        add = [[nums[tuple((a + b) % q for a, b in zip(vecs[i], vecs[j]))] for j in range(E)]
-               for i in range(E)]
-        bmul = self.base.mul
-        table = [[0] * (E * nB) for _ in range(E * nB)]
-        for e1 in range(E):
-            for b1 in range(nB):
-                row = table[e1 * nB + b1]
-                sp = self.sigma_perm[b1]
-                ch = self.chi_num[b1]
-                add1 = add[e1]
-                bm = bmul[b1]
-                for e2 in range(E):
-                    x = add1[sp[e2]]
-                    for b2 in range(nB):
-                        row[e2 * nB + b2] = add[x][ch[b2]] * nB + bm[b2]
-        name = "Z%d^%d.%s" % (self.q, self.s, self.base.name or "B")
-        return FiniteGroupTable(table, name=name)
 
     def _commutant_dim(self):
         """log_q |End(E)| over the monodromy image: matrices commuting with
@@ -452,97 +462,56 @@ class ElementaryLayer:
             return np.zeros((1, 1), dtype=np.int32)
         gens = generating_sequence(base)
         links = bfs_expressions(base, gens)
-        ext = self.group
-        earr = ext.as_array()
-        barr = base.as_array()
-        rows = []
-        for combo in itertools.product(range(self.E), repeat=len(gens)):
-            images = [self.enc(e, g) for e, g in zip(combo, gens)]
-            f = _fill_map(base, links, gens, images, ext)
-            if (earr[f[:, None], f[None, :]] == f[barr]).all():
-                rows.append(f)
-        return np.array(rows, dtype=np.int32).reshape(len(rows), nB)
+        earr = self.group.as_array()
+        # one row per choice of a fibre element over each generator, in
+        # itertools.product order: the generator images enc(e, g)
+        images = np.indices((self.E,) * len(gens)).reshape(len(gens), -1).T * nB + gens
+        f = np.zeros((len(images), nB), dtype=np.int64)
+        for elem, parent, gp in links:
+            f[:, elem] = earr[f[:, parent], images[:, gp]]
+        # filled along the links, f is a homomorphism exactly when
+        # f(x g) = f(x) f(g) for every x and generator g
+        hom = (earr[f[:, :, None], images[:, None, :]]
+               == f[:, base.as_array()[:, gens]]).all(axis=(1, 2))
+        return f[hom].astype(np.int32)
 
     def verify(self, rng=None):
-        base = self.base
-        nB = len(base)
-        q, s = self.q, self.s
-        for b1 in range(nB):
-            for b2 in range(nB):
-                lhs = _matmul_mod(self.sigma[b1], self.sigma[b2], q)
-                if lhs != self.sigma[base.mul[b1][b2]]:
-                    raise GroupSpecError("monodromy is not a homomorphism")
-        for b in range(nB):
-            if any(self.chi[0][b]) or any(self.chi[b][0]):
-                raise GroupSpecError("cocycle is not normalized")
+        """Check sigma and chi as they stand: sigma is a homomorphism into
+        GL(s, q), chi is normalised and satisfies the 2-cocycle identity (on
+        every triple for |B| <= 48, on 20000 random triples above), and for
+        s > 1 the monodromy is irreducible."""
+        nB = len(self.base)
+        q = self.q
+        sig, ch = self._arrays()
+        mul = self.base.as_array()
+        if (np.einsum("iac,jcd->ijad", sig, sig) % q != sig[mul]).any():
+            raise GroupSpecError("monodromy is not a homomorphism")
+        if ch[0].any() or ch[:, 0].any():
+            raise GroupSpecError("cocycle is not normalized")
         if nB <= 48:
-            triples = itertools.product(range(nB), repeat=3)
+            b = np.arange(nB)
+            b1, b2, b3 = b[:, None, None], b[:, None], b
         else:
             rng = rng or random.Random(1)
-            triples = ((rng.randrange(nB), rng.randrange(nB), rng.randrange(nB))
-                       for _ in range(20000))
-        mul = base.mul
-        for b1, b2, b3 in triples:
-            lhs = self.apply_sigma(b1, self.chi[b2][b3])
-            v = tuple(
-                (lhs[a] - self.chi[mul[b1][b2]][b3][a] + self.chi[b1][mul[b2][b3]][a]
-                 - self.chi[b1][b2][a]) % q
-                for a in range(s)
-            )
-            if any(v):
-                raise GroupSpecError("2-cocycle identity fails")
-        if s > 1 and not self._is_irreducible():
+            b1, b2, b3 = np.array([(rng.randrange(nB), rng.randrange(nB), rng.randrange(nB))
+                                   for _ in range(20000)]).T
+        # sigma_{b1} chi(b2, b3) - chi(b1 b2, b3) + chi(b1, b2 b3) - chi(b1, b2)
+        defect = (np.einsum("...ac,...c->...a", sig[b1], ch[b2, b3]) - ch[mul[b1, b2], b3]
+                  + ch[b1, mul[b2, b3]] - ch[b1, b2]) % q
+        if defect.any():
+            raise GroupSpecError("2-cocycle identity fails")
+        if self.s > 1 and not self._is_irreducible(sig):
             raise GroupSpecError("layer kernel is not a minimal normal subgroup")
 
-    def _is_irreducible(self):
+    def _is_irreducible(self, sig):
         """No proper nonzero subspace of E invariant under the monodromy
-        image."""
-        q, s = self.q, self.s
-        gens = generating_sequence(self.base) if len(self.base) > 1 else []
-        mats = [self.sigma[g] for g in gens]
-        if not mats:
-            return s == 1
-        for num in range(1, self.E):
-            span = {0}
-            frontier = [num]
-            while frontier:
-                v = frontier.pop()
-                if v in span:
-                    continue
-                # span stays a subspace: adjoin all translates u + k v
-                vv = self.num_vec(v)
-                new = set()
-                for u in span:
-                    uu = self.num_vec(u)
-                    for k in range(1, q):
-                        w = tuple((uu[a] + k * vv[a]) % q for a in range(s))
-                        new.add(self.vec_num(w))
-                span |= new
-                for A in mats:
-                    img = self.vec_num(self.apply_sigma_mat(A, self.num_vec(v)))
-                    if img not in span:
-                        frontier.append(img)
-            if len(span) < self.E:
-                return False
-        return True
-
-    def apply_sigma_mat(self, A, vec):
+        image.  With sigma a homomorphism, the sigma_b v span an invariant
+        subspace, all of E for every nonzero v exactly when E is irreducible;
+        it is proper when a nonzero functional w kills every sigma_b v."""
         q = self.q
-        return tuple(
-            sum(A[a][c] * vec[c] for c in range(self.s)) % q for a in range(self.s)
-        )
-
-
-def _identity_matrix(s):
-    return tuple(tuple(int(i == j) for j in range(s)) for i in range(s))
-
-
-def _matmul_mod(A, B, q):
-    s = len(A)
-    return tuple(
-        tuple(sum(A[i][k] * B[k][j] for k in range(s)) % q for j in range(s))
-        for i in range(s)
-    )
+        vecs = np.array(self._vecs, dtype=np.int64)
+        vals = vecs @ (sig @ vecs.T % q) % q  # (nB, w, v): w . sigma_b v
+        return not (vals == 0).all(axis=0)[1:, 1:].any()
 
 
 class ExtensionTower:
@@ -774,52 +743,40 @@ def tower_from_chief_chain(table, chain, spec=""):
     if chain[0] != frozenset(range(table.n)) or chain[-1] != frozenset({0}):
         raise GroupSpecError("chain must run from the full group to the identity")
     layers = []
-    psi = [0]  # nested index -> index in table/chain[i] quotient
+    psi = np.zeros(1, dtype=np.int64)  # nested index -> index in table/chain[i] quotient
     prev_q = TRIVIAL_TABLE
+    prevproj = np.zeros(table.n, dtype=np.int64)  # table -> table/chain[i]
     for i in range(len(chain) - 1):
         Q, proj, reps = table.quotient(chain[i + 1])
         kset = sorted({proj[t] for t in chain[i]})
         q, s, basis, elem_of_num, num_of_elem = _elementary_structure(Q, kset)
-        # map Q -> previous quotient, and its minimal-index section
-        prevproj = table.quotient(chain[i])[1] if i > 0 else [0] * table.n
-        down = [prevproj[reps[x]] for x in range(Q.n)]
-        sec = {}
-        for x in range(Q.n):  # ascending: first hit is the lowest index
-            sec.setdefault(down[x], x)
-        sec_nested = [sec[psi[b]] for b in range(prev_q.n)]
-        kmask = set(kset)
-        sigma = []
-        chi = []
-        for b in range(prev_q.n):
-            m = sec_nested[b]
-            minv = Q.inv[m]
-            cols = []
-            for bs in basis:
-                c = Q.mul[Q.mul[m][bs]][minv]
-                if c not in kmask:
-                    raise GroupSpecError("chain member is not normal")
-                cols.append(_num_to_vec(num_of_elem[c], q, s))
-            sigma.append(tuple(tuple(cols[j][a] for j in range(s)) for a in range(s)))
-        for b1 in range(prev_q.n):
-            x1 = sec_nested[b1]
-            row = []
-            for b2 in range(prev_q.n):
-                x2 = sec_nested[b2]
-                x12 = sec_nested[prev_q.mul[b1][b2]]
-                c = Q.mul[Q.mul[x1][x2]][Q.inv[x12]]
-                if c not in kmask:
-                    raise GroupSpecError("section defect leaves the kernel")
-                row.append(_num_to_vec(num_of_elem[c], q, s))
-            chi.append(row)
+        num_of = np.full(Q.n, -1)  # kernel coordinate number, -1 off the kernel
+        num_of[list(num_of_elem)] = list(num_of_elem.values())
+        vec_of = [_num_to_vec(num, q, s) for num in range(q**s)]
+        # the minimal-index section of Q -> previous quotient: np.unique
+        # returns the first x with each image
+        sec = np.unique(prevproj[reps], return_index=True)[1][psi]
+        QA = Q.as_array()
+        Qinv = np.array(Q.inv)
+        # column j of sigma(b) is the vector of m basis[j] m^-1, m = sec[b];
+        # zip turns the columns into the matrix rows
+        nums = num_of[QA[QA[sec[:, None], basis], Qinv[sec][:, None]]]
+        if (nums < 0).any():
+            raise GroupSpecError("chain member is not normal")
+        sigma = [tuple(zip(*(vec_of[num] for num in row))) for row in nums.tolist()]
+        # chi(b1, b2) = sec[b1] sec[b2] sec[b1 b2]^-1
+        nums = num_of[QA[QA[sec[:, None], sec], Qinv[sec[prev_q.as_array()]]]]
+        if (nums < 0).any():
+            raise GroupSpecError("section defect leaves the kernel")
+        chi = [[vec_of[num] for num in row] for row in nums.tolist()]
         lay = ElementaryLayer(q, s, prev_q, sigma, chi)
         lay.verify()
-        psi = [Q.mul[elem_of_num[e]][sec_nested[b]]
-               for e in range(lay.E) for b in range(prev_q.n)]
         # psi is indexed by enc(e, b) = e * |base| + b
+        psi = QA[np.array(elem_of_num)[:, None], sec].ravel()
+        prevproj = np.array(proj)
         prev_q = lay.group
         layers.append(lay)
-    tower = ExtensionTower(layers, spec=spec, source_table=table, source_iso=psi)
-    return tower
+    return ExtensionTower(layers, spec=spec, source_table=table, source_iso=psi.tolist())
 
 
 def _num_to_vec(num, q, s):
@@ -934,9 +891,7 @@ def _cumulative_divisors(n, primes_first=None):
 
 
 def _cyclic_data(n):
-    elements = list(range(n))
-    mulfn = lambda a, b: (a + b) % n
-    table = table_from_coords(elements, mulfn, name="Z%d" % n)
+    table = table_from_coords((n,), lambda x, y: ((x[0] + y[0]) % n,), name="Z%d" % n)
     chain = [frozenset(range(n))]
     for d in _cumulative_divisors(n):
         chain.append(frozenset(range(0, n, d)))
@@ -945,17 +900,16 @@ def _cyclic_data(n):
 
 def _dihedral_data(order):
     m = order // 2
-    elements = [(u, v) for v in range(2) for u in range(m)]
 
     def mulfn(x, y):
         (u, v), (s, t) = x, y
-        return ((u + (s if v == 0 else -s)) % m, (v + t) % 2)
+        return ((u + np.where(v == 0, s, -s)) % m, (v + t) % 2)
 
-    table = table_from_coords(elements, mulfn, name="D%d" % order)
-    rot = frozenset(i for i, (u, v) in enumerate(elements) if v == 0)
-    chain = [frozenset(range(order)), rot]
+    table = table_from_coords((m, 2), mulfn, name="D%d" % order)
+    u, v = _coords((m, 2))
+    chain = [frozenset(range(order)), _elements(v == 0)]
     for d in _cumulative_divisors(m):
-        chain.append(frozenset(i for i, (u, v) in enumerate(elements) if v == 0 and u % d == 0))
+        chain.append(_elements((v == 0) & (u % d == 0)))
     return table, chain
 
 
@@ -965,10 +919,9 @@ def _binary_dihedral_data(order):
 
     def mulfn(x, y):
         (u, v), (s, t) = x, y
-        return ((u + (s if v == 0 else -s) + (m if v and t else 0)) % L, (v + t) % 2)
+        return ((u + np.where(v == 0, s, -s) + m * v * t) % L, (v + t) % 2)
 
-    elements = [(u, v) for v in range(2) for u in range(L)]
-    table = table_from_coords(elements, mulfn, name="Dstar%d" % order)
+    table = table_from_coords((L, 2), mulfn, name="Dstar%d" % order)
     a0 = factorize(m).get(2, 0)
     ds = [2**j for j in range(1, a0 + 2)]
     d = ds[-1]
@@ -977,43 +930,48 @@ def _binary_dihedral_data(order):
         odd //= 2
     for p in _cumulative_divisors(odd):
         ds.append(d * p)
-    chain = [frozenset(range(order)),
-             frozenset(i for i, (u, v) in enumerate(elements) if v == 0)]
+    u, v = _coords((L, 2))
+    chain = [frozenset(range(order)), _elements(v == 0)]
     for dd in ds:
-        chain.append(frozenset(i for i, (u, v) in enumerate(elements)
-                               if v == 0 and u % dd == 0))
+        chain.append(_elements((v == 0) & (u % dd == 0)))
     return table, chain
 
 
 _A4_MAT = ((0, 1), (1, 1))
 
 
-def _vec2_apply(mat, e):
-    return ((mat[0][0] * e[0] + mat[0][1] * e[1]) % 2, (mat[1][0] * e[0] + mat[1][1] * e[1]) % 2)
+def _vec2_apply(M, e0, e1, q):
+    """M (e0, e1) mod q for a stack of 2x2 matrices M (shape (..., 2, 2))
+    and coordinate arrays e0, e1."""
+    return ((M[..., 0, 0] * e0 + M[..., 0, 1] * e1) % q,
+            (M[..., 1, 0] * e0 + M[..., 1, 1] * e1) % q)
+
+
+def _mat2_mul(A, B, q):
+    return tuple(
+        tuple(sum(A[i][t] * B[t][j] for t in range(2)) % q for j in range(2))
+        for i in range(2)
+    )
 
 
 def _mat2_pow(mat, k, q):
     out = ((1, 0), (0, 1))
     for _ in range(k):
-        out = tuple(
-            tuple(sum(out[i][t] * mat[t][j] for t in range(2)) % q for j in range(2))
-            for i in range(2)
-        )
+        out = _mat2_mul(out, mat, q)
     return out
 
 
 def _alt4_data():
-    elements = [(e0, e1, t) for t in range(3) for e1 in range(2) for e0 in range(2)]
+    # (e0, e1, t): the plane Z_2^2 under t in Z_3
+    mats = np.array([_mat2_pow(_A4_MAT, t, 2) for t in range(3)])
 
     def mulfn(x, y):
         (a0, a1, t1), (b0, b1, t2) = x, y
-        M = _mat2_pow(_A4_MAT, t1, 2)
-        w = _vec2_apply(M, (b0, b1))
-        return ((a0 + w[0]) % 2, (a1 + w[1]) % 2, (t1 + t2) % 3)
+        u0, u1 = _vec2_apply(mats[t1], b0, b1, 2)
+        return ((a0 + u0) % 2, (a1 + u1) % 2, (t1 + t2) % 3)
 
-    table = table_from_coords(elements, mulfn, name="A4")
-    V = frozenset(i for i, (e0, e1, t) in enumerate(elements) if t == 0)
-    chain = [frozenset(range(12)), V, frozenset({0})]
+    table = table_from_coords((2, 2, 3), mulfn, name="A4")
+    chain = [frozenset(range(12)), _elements(_coords((2, 2, 3))[2] == 0), frozenset({0})]
     return table, chain
 
 
@@ -1023,29 +981,32 @@ _S3_C = ((0, 1), (1, 0))
 
 def _s3_sigma(w, v):
     M = _mat2_pow(_S3_B, w, 2)
-    if v:
-        M = tuple(
-            tuple(sum(M[i][t] * _S3_C[t][j] for t in range(2)) % 2 for j in range(2))
-            for i in range(2)
-        )
-    return M
+    return _mat2_mul(M, _S3_C, 2) if v else M
 
 
-def _sym4_data():
-    elements = [(e0, e1, w, v) for v in range(2) for w in range(3)
-                for e1 in range(2) for e0 in range(2)]
+def _plane_by_dihedral(q, p, sig, name):
+    """(e0, e1, w, v): the plane Z_q^2 under the dihedral group of order 2p,
+    w in Z_p rotating by sig[w, 0] and v reflecting, with the chain through
+    the rotations and the plane."""
+    sig = np.array(sig)
 
     def mulfn(x, y):
         (a0, a1, w1, v1), (b0, b1, w2, v2) = x, y
-        u = _vec2_apply(_s3_sigma(w1, v1), (b0, b1))
-        w = (w1 + (w2 if v1 == 0 else -w2)) % 3
-        return ((a0 + u[0]) % 2, (a1 + u[1]) % 2, w, (v1 + v2) % 2)
+        u0, u1 = _vec2_apply(sig[w1, v1], b0, b1, q)
+        w = (w1 + np.where(v1 == 0, w2, -w2)) % p
+        return ((a0 + u0) % q, (a1 + u1) % q, w, (v1 + v2) % 2)
 
-    table = table_from_coords(elements, mulfn, name="S4")
-    A4 = frozenset(i for i, e in enumerate(elements) if e[3] == 0)
-    V = frozenset(i for i, e in enumerate(elements) if e[2] == 0 and e[3] == 0)
-    chain = [frozenset(range(24)), A4, V, frozenset({0})]
+    radices = (q, q, p, 2)
+    table = table_from_coords(radices, mulfn, name=name)
+    _, _, w, v = _coords(radices)
+    chain = [frozenset(range(table.n)), _elements(v == 0), _elements((w == 0) & (v == 0)),
+             frozenset({0})]
     return table, chain
+
+
+def _sym4_data():
+    sig = [[_s3_sigma(w, v) for v in range(2)] for w in range(3)]
+    return _plane_by_dihedral(2, 3, sig, "S4")
 
 
 def _metacyclic_data(s, r, u):
@@ -1055,19 +1016,19 @@ def _metacyclic_data(s, r, u):
 
     if gcd(u, s) != 1 or pow(u, r, s) != 1 % s:
         raise GroupSpecError("M(s,r,u) needs u invertible mod s with u^r = 1")
-    elements = [(x, y) for y in range(r) for x in range(s)]
+    upow = np.array([pow(u, y, s) for y in range(r)])
 
     def mulfn(a, b):
         (x1, y1), (x2, y2) = a, b
-        return ((x1 + pow(u, y1, s) * x2) % s, (y1 + y2) % r)
+        return ((x1 + upow[y1] * x2) % s, (y1 + y2) % r)
 
-    table = table_from_coords(elements, mulfn, name="M(%d,%d,%d)" % (s, r, u))
+    table = table_from_coords((s, r), mulfn, name="M(%d,%d,%d)" % (s, r, u))
+    x, y = _coords((s, r))
     chain = [frozenset(range(s * r))]
     for d in _cumulative_divisors(r):
-        chain.append(frozenset(i for i, (x, y) in enumerate(elements) if y % d == 0))
+        chain.append(_elements(y % d == 0))
     for d in _cumulative_divisors(s):
-        chain.append(frozenset(i for i, (x, y) in enumerate(elements)
-                               if y == 0 and x % d == 0))
+        chain.append(_elements((y == 0) & (x % d == 0)))
     return table, chain
 
 
@@ -1078,44 +1039,19 @@ def _v_q2p_data(q, p, rparam):
     if _mat2_pow(B, p, q) != ((1, 0), (0, 1)) or B == ((1, 0), (0, 1)):
         raise GroupSpecError("V(q,p,r): rotation matrix does not have order %d" % p)
     C = ((0, 1), (1, 0))
-
-    def sig(w, v):
-        M = _mat2_pow(B, w, q)
-        if v:
-            M = tuple(
-                tuple(sum(M[i][t] * C[t][j] for t in range(2)) % q for j in range(2))
-                for i in range(2)
-            )
-        return M
-
-    elements = [(e0, e1, w, v) for v in range(2) for w in range(p)
-                for e1 in range(q) for e0 in range(q)]
-
-    def mulfn(x, y):
-        (a0, a1, w1, v1), (b0, b1, w2, v2) = x, y
-        M = sig(w1, v1)
-        u0 = (M[0][0] * b0 + M[0][1] * b1) % q
-        u1 = (M[1][0] * b0 + M[1][1] * b1) % q
-        w = (w1 + (w2 if v1 == 0 else -w2)) % p
-        return ((a0 + u0) % q, (a1 + u1) % q, w, (v1 + v2) % 2)
-
-    table = table_from_coords(elements, mulfn, name="V(%d,%d,%d)" % (q, p, rparam))
-    half = frozenset(i for i, e in enumerate(elements) if e[3] == 0)
-    E = frozenset(i for i, e in enumerate(elements) if e[2] == 0 and e[3] == 0)
-    chain = [frozenset(range(len(elements))), half, E, frozenset({0})]
-    return table, chain
+    powers = [_mat2_pow(B, w, q) for w in range(p)]
+    sig = [[M, _mat2_mul(M, C, q)] for M in powers]
+    return _plane_by_dihedral(q, p, sig, "V(%d,%d,%d)" % (q, p, rparam))
 
 
 def _product_data(d1, d2):
     t1, c1 = d1
     t2, c2 = d2
     n2 = t2.n
-    mul = [
-        [t1.mul[a1][a2] * n2 + t2.mul[b1][b2] for a2 in range(t1.n) for b2 in range(n2)]
-        for a1 in range(t1.n)
-        for b1 in range(n2)
-    ]
-    table = FiniteGroupTable(mul, name="%sx%s" % (t1.name, t2.name))
+    # (a1, b1)(a2, b2) = (a1 a2, b1 b2), with (a, b) numbered a * n2 + b
+    mul = t1.as_array()[:, None, :, None] * n2 + t2.as_array()[None, :, None, :]
+    table = FiniteGroupTable(mul.reshape(t1.n * n2, t1.n * n2),
+                             name="%sx%s" % (t1.name, t2.name))
     chain = [frozenset(a * n2 + b for a in K for b in range(n2)) for K in c1]
     chain += [frozenset(b for b in K) for K in c2[1:]]
     return table, chain

@@ -1,9 +1,15 @@
+import copy
+import hashlib
+import json
 import random
 
+import numpy as np
 import pytest
 
 from solvquot.counting import aut_order_by_lifting
 from solvquot.groups import (
+    CATALOG_SPECS,
+    NILPOTENT_CATALOG_SPECS,
     CapExceeded,
     FiniteGroupTable,
     GroupElement,
@@ -101,7 +107,8 @@ def test_quaternion_cocycle_formula():
 
 
 def test_multiply_inverse_formulas():
-    for spec in ["D(8)", "Q(8)", "S(4)", "Dstar(12)"]:
+    for spec in ["D(8)", "Q(8)", "S(4)", "Dstar(12)", "A(4)", "V(2,3,1)", "M(7,6,3)",
+                 "M(9,3,4)", "Z(3)*D(8)", "Z(2)*A(4)", "Z(2)*S(4)", "D(48)", "Dstar(48)"]:
         tw = builtin_group(spec)
         table = tw.group
         for x in range(len(table)):
@@ -165,6 +172,16 @@ def test_chief_series_rejects_nonsolvable_shape():
     with pytest.raises(GroupSpecError):
         # a non-group table is rejected before anything else
         FiniteGroupTable([[0, 1], [1, 1]])
+
+
+def test_center_orders():
+    for spec, want in [("D(8)", 2), ("Q(8)", 2), ("S(4)", 1), ("Z(12)", 12), ("D(12)", 2),
+                       ("Dstar(48)", 2), ("Z(2)*S(4)", 2), ("Z(3)*D(8)", 6)]:
+        t = builtin_group(spec).group
+        n = len(t)
+        central = {z for z in range(n) if all(t.mul[z][g] == t.mul[g][z] for g in range(n))}
+        assert t.center_set() == central
+        assert t.center_order() == len(central) == want, spec
 
 
 def test_minimal_normal_subgroup():
@@ -317,3 +334,197 @@ def test_tower_projection_and_vectors():
     chain = tw.chain_in_group()
     assert len(chain[0]) == 24 and chain[-1] == frozenset({0})
     assert [len(c) for c in chain] == [24, 12, 4, 1]
+
+
+def test_layer_verify_rejects_corrupted_data():
+    # each check of ElementaryLayer.verify, on a copy of a built layer with
+    # one kind of damage to sigma or chi
+    def corrupted(lay, **data):
+        bad = copy.copy(lay)
+        for name, value in data.items():
+            setattr(bad, name, value)
+        return bad
+
+    s4_top = builtin_group("S(4)").layers[-1]  # Z_2^2 under S_3
+    s4_top.verify()
+    b = next(b for b in range(6) if s4_top.sigma[b] != s4_top.sigma[0])
+    sigma = list(s4_top.sigma)
+    sigma[b] = sigma[0]
+    with pytest.raises(GroupSpecError, match="monodromy is not a homomorphism"):
+        corrupted(s4_top, sigma=sigma).verify()
+
+    d8_top = builtin_group("D(8)").layers[-1]  # central Z_2 under Z_2^2, non-split
+    d8_top.verify()
+    chi = [list(row) for row in d8_top.chi]
+    chi[0][1] = (1,)
+    with pytest.raises(GroupSpecError, match="cocycle is not normalized"):
+        corrupted(d8_top, chi=chi).verify()
+    chi = [list(row) for row in d8_top.chi]
+    chi[1][2] = ((chi[1][2][0] + 1) % 2,)
+    with pytest.raises(GroupSpecError, match="2-cocycle identity fails"):
+        corrupted(d8_top, chi=chi).verify()
+
+    a4_top = builtin_group("A(4)").layers[-1]  # Z_2^2 under Z_3, s = 2
+    a4_top.verify()
+    nB = len(a4_top.base)
+    trivial = corrupted(a4_top, sigma=[((1, 0), (0, 1))] * nB,
+                        chi=[[(0, 0)] * nB for _ in range(nB)])
+    with pytest.raises(GroupSpecError, match="not a minimal normal subgroup"):
+        trivial.verify()
+
+
+def tower_digest(tw):
+    """sha256 over the top table, its inverses, the source isomorphism and,
+    per layer, sigma, chi, sigma_perm, chi_num, the complement sections,
+    zeta, kappa, alpha and the complement count."""
+    h = hashlib.sha256()
+    items = [tw.group.mul, tw.group.inv, tw.source_iso]
+    for lay in tw.layers:
+        items += [lay.sigma, lay.chi, lay.sigma_perm, lay.chi_num, lay.sections,
+                  lay.zeta, lay.kappa, lay.alpha, lay.complements]
+    for x in items:
+        h.update(json.dumps(np.asarray(x).tolist()).encode() + b";")
+    return h.hexdigest()
+
+
+# tower_digest of builtin_group(spec), recorded from the towers built by
+# per-entry Python loops before the layers were built with array passes
+TOWER_DIGESTS = {
+    "Z(2)":
+        "74d2c11faff5862e5f71ae35612327f8ef1af224848a319042e0c949018bd7c0",
+    "Z(3)":
+        "b23fe3e367ce93600491d56ba38f6321a8635c803c4ac92cffe1a0770d864a6e",
+    "Z(4)":
+        "e63b96de12a4b3b02d9047895c7467262839f5aa1de03cd567ba8b76d0dea576",
+    "Z(5)":
+        "b887a3bfcd88dd15873a41ad785d5210a482509efc1307c59be6db4ef35a7065",
+    "Z(6)":
+        "3db55201c76f4195fa1f84f85d07aef78f0707aa9642f2d4cb64404fde3f2df6",
+    "Z(2)^2":
+        "78e869ee9d8b4923615ae8163ff5f37ef17dac844c9185a217ea56aff29167dc",
+    "Z(8)":
+        "e7f320bc8a619095cf941a5886818bf497702423f6763aba1f0ab9e0f00e3a09",
+    "Z(2)*Z(4)":
+        "16a43a03465714fc21aa590b406ceffc70898c5f617e833ff3ac9242175938a1",
+    "Z(2)^3":
+        "9ce26203c67c6c416caeaab52f9223ed6b1b7fda8e8396e09d1c6fdc5192638f",
+    "Z(9)":
+        "17714831f87c60eb8f5ca7590099cc31b868489df9ac4c0bd271e1296ae93d69",
+    "Z(3)^2":
+        "7e9b485f0837aa47aeb5341bc78f9d5e475aed9fb85075b20c174bb1d5d4f07c",
+    "Z(12)":
+        "a05d2e6978a934882da44aeb990a02c9ed6d727a69b9657f329cfec65ea7c6fa",
+    "Z(2)*Z(6)":
+        "2e73220b8fdd62b2c0fca27660ae6745a1feb1ee18bba3958866838740beaf8d",
+    "D(6)":
+        "3f17b668f8da7b79c56a49a041ca40d72b560625e8aa76c87afb412fe9fe11ec",
+    "D(8)":
+        "a51d2dbcfe896afd795cb8afc86036f9ee22e8ff1c76c1ee82158d5b0e37456e",
+    "D(10)":
+        "c8f56fc513bfb2da3b711e6735c2a7d9feccb63d65e56bd52eb7356fcce0ed76",
+    "D(12)":
+        "8f398f881308064232ee83c2afbb034942234f6d1ebd04964e303388badf5b2f",
+    "D(14)":
+        "05c52ee07513b58393def739417244322ec2561bd5a6a434757ace6b33de8a7c",
+    "D(16)":
+        "16d628f5643d79472561aba887b16e6b47d5c2388cae45e37c989b859648a135",
+    "D(18)":
+        "bba956f2daefd06e6db396288a760eb04a806959cd56f5de7ab190f7a54219a8",
+    "D(20)":
+        "70bc4fca45f98737bea351c0cf5993d867eb991093263f613041df9682b16e50",
+    "D(24)":
+        "22b73a2c13d81e0a06ebe3b56ba656d1cbea043019c4d79ca69c842c0eca1f93",
+    "D(48)":
+        "4c07518ed381e17f30c408dbcd5358f25c7db360a6f29f91a77370cab609a9f9",
+    "Q(8)":
+        "7d3d0dd5567b345a280d9c3cec8982c5a785568d44fc92ec0fcead924b3c3683",
+    "Dstar(12)":
+        "2063e19654db20621ad066f105f72af75ff0fb56030e6edcb41dfd21e55cd9e7",
+    "Q(16)":
+        "8ffe96bdb2a13f3095db066409baec542ee5478a847592965a27be2ee4aca581",
+    "Dstar(20)":
+        "2c399babfa90f49140545a060312a8ad21569fa8459d195787b004a5c1c57564",
+    "Dstar(24)":
+        "6f3200ffce291966b74d403aed12f290471193de2a6d815140bce222ccfa1988",
+    "Dstar(48)":
+        "21f379dfcf5162209e90fef11758d76639252a5c9cf3f69b4b54870837b01b21",
+    "A(4)":
+        "7e49a4a980568d1cac2a393db68693aa7af29396b836b6b01431089659bff6b4",
+    "S(4)":
+        "f05faf0ccf98966d79be3e0966cc3c1b5308210ed1c7d1b0728a7e53f2df63a9",
+    "V(2,3,1)":
+        "f05faf0ccf98966d79be3e0966cc3c1b5308210ed1c7d1b0728a7e53f2df63a9",
+    "M(5,4,2)":
+        "4b686543439cffe7c6d7e6b4d88a4107c1227f7b4c18ee15ee66bcb2b6349d84",
+    "M(7,3,2)":
+        "c8925c69ea8dd0755291b83776c6042954ca337bec79b1a60b7f0bf704e9ac0c",
+    "M(7,6,3)":
+        "04f52b422d1339e2f33367c5ef388a38dd94fa0af4b3e4638053f1c5e30bba15",
+    "M(9,3,4)":
+        "b4ceff3ddb152fb3533ce29632dd025592969f5dcc59b6ef8bbc69015191bd85",
+    "Z(3)*D(8)":
+        "ce032c94c342c076d6363872e185831264ff99487ab05f28ac2300e1fec6aa66",
+    "Z(2)*A(4)":
+        "0a76db0d80930d33e04755e35e4c82ef76f28c872c2fee706be7dff05a87232f",
+    "Z(2)*S(4)":
+        "7255f33aeda3adef8e18ed95b0e156b5ca3487ce1ccc2bb984cbd221bc560c21",
+    "Z(16)":
+        "d5e4b83d65ca58865bee2fd2f861b673191102c59c533da759bebbd6de428627",
+    "Z(4)^2":
+        "4c88a2de2d0233e27cf3f21809918070a02108393ab5cdb731e09616b31e4336",
+    "Z(2)^2*Z(4)":
+        "026d6b8948b46a95c023f1d886037afa6aa6cb27d0947d2bf0034c630c97fdec",
+    "Z(2)^4":
+        "2707d7d66ecf23c0d5cd684a15c3dd7a0848961162c2b0a241ae03fd6ac595b5",
+    "Z(27)":
+        "02a122466778eac1bac4f648d95ee23e8345acd135617ddff02d58bfd2cbe2c5",
+    "Z(2)*D(8)":
+        "361016b256f983230200601abb7d526788b6a1a70dc9cb61c559be3513d8eee6",
+    "Z(2)*Q(8)":
+        "fa3c51c1be8b12a0474c8ce01486d3b4d564c1b7bb623fa4bc2807e053b67acd",
+    "Q(32)":
+        "4a1471d5fe9210d9993da5e4e57a15ad632ab5fc906a17558256860673ae55a2",
+    "Z(3)*Q(8)":
+        "71a785478d5c24400e8d89617e37645274cbf79a920d72207664b0e73a5525e3",
+    "Z(2)^5":
+        "d69b3eb913d36ec3a59df1fa63d12eadfac3e68855be195898d3a448ffdf306c",
+    "Z(3)*S(4)":
+        "5b959581907905dc3bbdbf1d496814a9a47fef2248a5c0a3ef8f0f4bccd75d24",
+    "Z(2)*D(16)":
+        "20bc3e293363b04953c5f67a4b4bd48ef640df7939936a1727531c354985439f",
+}
+
+
+def test_tower_digests():
+    assert set(CATALOG_SPECS + NILPOTENT_CATALOG_SPECS) <= set(TOWER_DIGESTS)
+    for spec, want in TOWER_DIGESTS.items():
+        assert tower_digest(builtin_group(spec)) == want, spec
+
+
+LARGE_TOWER_DIGESTS = {
+    "D(256)":
+        "acd629a0b636654fa3404c1be3f7d24c28d0b13fd27729355566881e92158585",
+    "Dstar(128)":
+        "3fc6536ce7fc2f448d1f3256f73f14b6108601100f94dc7582e03cb14fca5205",
+    "Z(2)*S(4)*Z(2)^2":
+        "c377d673345390a86f6960ca3789377e16a496bd5000cb22e2bc584f2cc8132f",
+    "Z(2)^9":
+        "36cc47574ef70c89e867942f6a98560fd67bc9d5a0c759dd03c4baaaa6fbe8b0",
+}
+
+
+@pytest.mark.slow
+def test_towers_at_the_order_cap():
+    # Z(2)^9's top layer has a base of order 256, past the exhaustive
+    # 2-cocycle check, so verify takes its sampled-triples branch
+    rng = random.Random(5)
+    for spec, want in LARGE_TOWER_DIGESTS.items():
+        tw = builtin_group(spec)
+        tw.verify()
+        assert tower_digest(tw) == want, spec
+        table = tw.group
+        n = len(table)
+        for _ in range(2000):
+            x, y = rng.randrange(n), rng.randrange(n)
+            assert tw.mul_structural(x, y) == table.mul[x][y], spec
+            assert tw.inv_structural(x) == table.inv[x], spec
