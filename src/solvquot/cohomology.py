@@ -362,9 +362,9 @@ def twisted_z1_count(P, action):
 # -sigma(prefix rho(x_g)^-1), the prefix just after the letter.
 #
 # ``build_system`` makes this walk for one map in Python, O(|r| s^2) per
-# map; it is the reference, and the per-map routes use it.  The counting
-# engine builds a whole level with ``build_systems``, which makes the same
-# walk for m maps at once.  The prefixes of every letter of every relator
+# map; it is the reference, and the ``cocycle`` verb prints its system.
+# The counting engine builds a whole level with ``build_systems``, which
+# makes the same walk for m maps at once.  The prefixes of every letter of every relator
 # are one (relators, letters, m) array, filled by a doubling scan of
 # log2(longest relator) steps with one multiplication-table gather each.
 # Everything a letter adds, its sigma block entries and its chi terms, is
@@ -372,17 +372,6 @@ def twisted_z1_count(P, action):
 # the terms of all letters are one gather, and one matrix product with the
 # presentation's letter-to-block array sums them per (relator, generator).
 # ``solve_systems`` then eliminates the m systems together mod q.
-
-
-@dataclass
-class LayerAction:
-    """Minimal coefficient data for one elementary abelian extension layer."""
-
-    q: int
-    s: int
-    base: object  # FiniteGroupTable
-    sigma: list  # per base element: s x s matrix mod q
-    chi: list = None  # per pair of base elements: vector mod q; None = zero
 
 
 @dataclass
@@ -445,27 +434,6 @@ def build_system(P, images, layer, check=True):
 def solve_system(sys):
     rhs = [(-x) % sys.q for x in sys.chi_vec]
     return solve_mod_prime_power(sys.matrix, rhs, sys.n_gens * sys.s, sys.q, 1)
-
-
-def homogeneous_count(sys):
-    """log_q of the number of solutions of the homogeneous system."""
-    return solve_system(sys).count_exponent
-
-
-def epsilon_and_witness(sys):
-    res = solve_system(sys)
-    if not res.solvable:
-        return 0, None
-    w = res.witness
-    return 1, tuple(tuple(w[i * sys.s : (i + 1) * sys.s]) for i in range(sys.n_gens))
-
-
-def solution_vectors(sys, result=None):
-    """All solutions, each a tuple of n_gens vectors in Z_q^s."""
-    res = result if result is not None else solve_system(sys)
-    s = sys.s
-    for x in res.solutions():
-        yield tuple(tuple(x[i * s : (i + 1) * s]) for i in range(sys.n_gens))
 
 
 class _LayerTables:
@@ -601,22 +569,3 @@ def solve_systems(A, rhs, q):
         sub=np.where(pivot[:, None, :], eye, (eye - red[:, :, :C]) % q),
         y0=red[:, :, C],
     )
-
-
-def fixed_subspace_dim(layer, images):
-    """Dimension of the simultaneous fixed space of the generator actions."""
-    q, s = layer.q, layer.s
-    rows = []
-    for img in images:
-        sig = layer.sigma[img]
-        for a in range(s):
-            rows.append([(sig[a][b] - (1 if a == b else 0)) % q for b in range(s)])
-    return nullspace_dim_mod_prime(rows, s, q)
-
-
-def h1_dim(P, images, layer, d=None):
-    """dim H^1 of the source acting through the layer: the coboundary space
-    has dimension s - dim(fixed subspace of the image action)."""
-    if d is None:
-        d = homogeneous_count(build_system(P, images, layer))
-    return d - (layer.s - fixed_subspace_dim(layer, images))

@@ -400,12 +400,43 @@ class ElementaryLayer:
         self.group = FiniteGroupTable(table.reshape(E * nB, E * nB),
                                       name="Z%d^%d.%s" % (q, s, base.name or "B"))
         # derived constants
+        self._base_gens = generating_sequence(base) if nB > 1 else []
         self.zeta = int((sig != np.eye(s, dtype=np.int64)).any())
         self.kappa = self._commutant_dim()
-        self.sections = self._complement_sections()
-        self.complements = len(self.sections)
+        # the built rows pass the sections setter's check by construction
+        rows = self._complement_sections()
+        rows.flags.writeable = False
+        self._sections = rows
+        self.complements = len(rows)
         self.c_chi = int(self.complements > 0)
         self.alpha = None  # filled by the tower
+
+    @property
+    def sections(self):
+        """The complement sections as a read-only (c, |B|) int32 array: row[b]
+        is the image of the base element b.  The non-surjective lifts of an
+        epimorphism with images (b_i) are exactly the rows' restrictions
+        (row[b_i])."""
+        return self._sections
+
+    @sections.setter
+    def sections(self, rows):
+        """Set the sections after checking that they are ``complements``
+        distinct homomorphic sections of the projection onto the base; the
+        stored copy is read-only, so they cannot change without this check."""
+        c, nB, n = self.complements, len(self.base), len(self.group)
+        sec = np.array(rows, dtype=np.int64)
+        ok = sec.shape == (c, nB) and ((0 <= sec) & (sec < n)).all()
+        if ok and c:
+            # homomorphisms are equal when they agree on the generators
+            ok = ((sec % nB == np.arange(nB)).all() and self._homomorphic(sec).all()
+                  and len(np.unique(sec[:, self._base_gens], axis=0)) == c)
+        if not ok:
+            raise GroupSpecError("the complement rows are not %d distinct homomorphic "
+                                 "sections of the layer" % c)
+        sec = sec.astype(np.int32)
+        sec.flags.writeable = False
+        self._sections = sec
 
     def _arrays(self):
         """sigma and chi as int64 arrays of shapes (nB, s, s) and (nB, nB, s)."""
@@ -436,7 +467,7 @@ class ElementaryLayer:
         """log_q |End(E)| over the monodromy image: matrices commuting with
         every sigma(b)."""
         s, q = self.s, self.q
-        gens = generating_sequence(self.base) if len(self.base) > 1 else []
+        gens = self._base_gens
         rows = []
         for g in gens:
             A = self.sigma[g]
@@ -452,15 +483,13 @@ class ElementaryLayer:
 
     def _complement_sections(self):
         """Complements of E in the extension = homomorphic sections of the
-        projection, enumerated by generator images in the fibers.  One row
-        per section: row[b] is the image of the base element b.  The
-        non-surjective lifts of an epimorphism with images (b_i) are exactly
-        the rows' restrictions (row[b_i])."""
+        projection, enumerated by generator images in the fibers, as rows of
+        ``sections``."""
         base = self.base
         nB = len(base)
         if nB == 1:
             return np.zeros((1, 1), dtype=np.int32)
-        gens = generating_sequence(base)
+        gens = self._base_gens
         links = bfs_expressions(base, gens)
         earr = self.group.as_array()
         # one row per choice of a fibre element over each generator, in
@@ -469,17 +498,22 @@ class ElementaryLayer:
         f = np.zeros((len(images), nB), dtype=np.int64)
         for elem, parent, gp in links:
             f[:, elem] = earr[f[:, parent], images[:, gp]]
-        # filled along the links, f is a homomorphism exactly when
-        # f(x g) = f(x) f(g) for every x and generator g
-        hom = (earr[f[:, :, None], images[:, None, :]]
-               == f[:, base.as_array()[:, gens]]).all(axis=(1, 2))
-        return f[hom].astype(np.int32)
+        return f[self._homomorphic(f)].astype(np.int32)
+
+    def _homomorphic(self, f):
+        """Which rows f of an (m, |B|) array of extension elements are
+        homomorphisms of the base: those with f(x g) = f(x) f(g) for every
+        x and every generator g."""
+        gens = self._base_gens
+        return (self.group.as_array()[f[:, :, None], f[:, gens][:, None, :]]
+                == f[:, self.base.as_array()[:, gens]]).all(axis=(1, 2))
 
     def verify(self, rng=None):
         """Check sigma and chi as they stand: sigma is a homomorphism into
         GL(s, q), chi is normalised and satisfies the 2-cocycle identity (on
-        every triple for |B| <= 48, on 20000 random triples above), and for
-        s > 1 the monodromy is irreducible."""
+        every triple for |B| <= 48, above on 20000 random triples drawn from
+        ``rng``, a numpy Generator, seed 1 by default), and for s > 1 the
+        monodromy is irreducible."""
         nB = len(self.base)
         q = self.q
         sig, ch = self._arrays()
@@ -492,9 +526,8 @@ class ElementaryLayer:
             b = np.arange(nB)
             b1, b2, b3 = b[:, None, None], b[:, None], b
         else:
-            rng = rng or random.Random(1)
-            b1, b2, b3 = np.array([(rng.randrange(nB), rng.randrange(nB), rng.randrange(nB))
-                                   for _ in range(20000)]).T
+            rng = rng or np.random.default_rng(1)
+            b1, b2, b3 = rng.integers(nB, size=(3, 20000))
         # sigma_{b1} chi(b2, b3) - chi(b1 b2, b3) + chi(b1, b2 b3) - chi(b1, b2)
         defect = (np.einsum("...ac,...c->...a", sig[b1], ch[b2, b3]) - ch[mul[b1, b2], b3]
                   + ch[b1, mul[b2, b3]] - ch[b1, b2]) % q

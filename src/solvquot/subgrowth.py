@@ -12,8 +12,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .counting import CountError, delta_s4, table1_delta
-from .groups import CapExceeded
+from .counting import CountError, delta
+from .groups import CapExceeded, builtin_group
 from .presentations import abelian_invariants, factorize
 
 
@@ -515,13 +515,28 @@ def _abelian_shapes(order):
     return [list(combo) for combo in itertools.product(*per_prime)]
 
 
+# The nonabelian groups of order at most 15, as builtin group specs.
 _NONABELIAN_BY_ORDER = {
-    6: ["S3"],
-    8: ["D8", "Q8"],
-    10: ["D10"],
-    12: ["D12", "Dstar12", "A4"],
-    14: ["D14"],
+    6: ["D(6)"],
+    8: ["D(8)", "Q(8)"],
+    10: ["D(10)"],
+    12: ["D(12)", "Dstar(12)", "A(4)"],
+    14: ["D(14)"],
 }
+
+
+@functools.cache
+def _hall_tower(spec):
+    """The builtin tower of ``spec``, built on first use and kept for the
+    process.  The cache is private: callers of ``builtin_group`` may change
+    the towers it returns."""
+    return builtin_group(spec)
+
+
+def _hall_delta(P, spec):
+    """delta_Gamma(P) = |Epi(P, Gamma)| / |Aut Gamma| from the lifting
+    engine on the builtin tower of Gamma."""
+    return delta(P, _hall_tower(spec))
 
 
 def delta_abelian(P, shapes, inv=None):
@@ -534,7 +549,8 @@ def delta_abelian(P, shapes, inv=None):
 
 def ak_normal(P, k):
     """Number of index-k normal subgroups, as the sum of Hall invariants over
-    all isomorphism types of groups of order k (k <= 15)."""
+    all isomorphism types of groups of order k (k <= 15): closed forms for
+    the abelian ones, the lifting engine for the others."""
     if k > 15:
         raise CapExceeded("normal subgroup counts are tabulated for k <= 15 only")
     if k == 1:
@@ -543,8 +559,8 @@ def ak_normal(P, k):
     total = 0
     for shapes in _abelian_shapes(k):
         total += delta_abelian(P, shapes, inv=inv)
-    for name in _NONABELIAN_BY_ORDER.get(k, ()):
-        total += table1_delta(P, name)
+    for spec in _NONABELIAN_BY_ORDER.get(k, ()):
+        total += _hall_delta(P, spec)
     return total
 
 
@@ -558,10 +574,10 @@ def low_index_via_deltas(P):
     d_z3 = delta_abelian_closed(inv, ("cyclic", 3, 1))
     d_z4 = delta_abelian_closed(inv, ("cyclic", 2, 2))
     d_z22 = delta_abelian_closed(inv, ("elementary", 2, 2))
-    d_s3 = table1_delta(P, "S3")
-    d_d8 = table1_delta(P, "D8")
-    d_a4 = table1_delta(P, "A4")
-    d_s4 = delta_s4(P)
+    d_s3 = _hall_delta(P, "D(6)")
+    d_d8 = _hall_delta(P, "D(8)")
+    d_a4 = _hall_delta(P, "A(4)")
+    d_s4 = _hall_delta(P, "S(4)")
     a2 = d_z2
     a3 = d_z3 + 3 * d_s3
     a4_twice = d_z2 * (1 - d_z2) + 2 * (d_z4 + 4 * d_z22 + 4 * d_d8 + 4 * d_a4 + 4 * d_s4)

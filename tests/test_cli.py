@@ -174,9 +174,73 @@ def test_inline_and_file_sources(capsys, tmp_path):
 def test_table2_command(capsys):
     code, out = run_cli(capsys, "table2", "--nmax", "4", "--kmax", "4")
     assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[1].split("\t") == ["B3", "1", "1", "4", "9"]
-    assert lines[2].split("\t") == ["B4", "1", "1", "4", "17"]
+    assert out == "group\ta_1\ta_2\ta_3\ta_4\nB3\t1\t1\t4\t9\nB4\t1\t1\t4\t17\n"
+
+
+GROWTH_SURFACE2_K8 = """\
+{
+  "command": "growth",
+  "config": {
+    "source": "builtin:surface(2)",
+    "kmax": 8,
+    "normal": false
+  },
+  "source": "builtin:surface(2)",
+  "kmax": 8,
+  "h": [
+    1,
+    16,
+    486,
+    34176,
+    3858240,
+    824354640,
+    268020990720,
+    135486004792320
+  ],
+  "t": [
+    1,
+    15,
+    440,
+    31650,
+    3626064,
+    792600480,
+    260690336640,
+    132905092496400
+  ],
+  "a": [
+    1,
+    15,
+    220,
+    5275,
+    151086,
+    6605004,
+    362069912,
+    26370058035
+  ]
+}
+"""
+
+GROWTH_SURFACE2_K8_NORMAL_TSV = (
+    "k\th_k\tt_k\ta_k\ta_k_normal\n"
+    "1\t1\t1\t1\t1\n"
+    "2\t16\t15\t15\t15\n"
+    "3\t486\t440\t220\t40\n"
+    "4\t34176\t31650\t5275\t155\n"
+    "5\t3858240\t3626064\t151086\t156\n"
+    "6\t824354640\t792600480\t6605004\t660\n"
+    "7\t268020990720\t260690336640\t362069912\t400\n"
+    "8\t135486004792320\t132905092496400\t26370058035\t1635\n"
+)
+
+
+def test_growth_output_is_pinned(capsys):
+    # the whole stdout of two growth reports, byte for byte; the a_k_normal
+    # column sums Hall invariants
+    code, out = run_cli(capsys, "growth", "--source", "builtin:surface(2)", "--kmax", "8")
+    assert code == 0 and out == GROWTH_SURFACE2_K8
+    code, out = run_cli(capsys, "growth", "--source", "builtin:surface(2)", "--kmax", "8",
+                        "--normal", "--tsv")
+    assert code == 0 and out == GROWTH_SURFACE2_K8_NORMAL_TSV
 
 
 def test_scan_braid_deltas(capsys):

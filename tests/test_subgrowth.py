@@ -2,11 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from reference import delta_s4, table1_delta
 
 from solvquot import subgrowth
 from solvquot.counting import epi_count
 from solvquot.groups import CapExceeded, builtin_group
-from solvquot.presentations import Presentation, abelian_invariants, builtin_presentation
+from solvquot.presentations import (
+    Presentation,
+    abelian_invariants,
+    builtin_from_string,
+    builtin_presentation,
+)
 from solvquot.subgrowth import (
     ak_from_homcounts,
     ak_normal,
@@ -284,6 +290,31 @@ def test_ak_normal_vs_engine_on_composite_orders():
         for k, specs in by_order.items():
             want = sum(epi_count(P, builtin_group(s)).delta for s in specs)
             assert ak_normal(P, k) == want, (str(P), k)
+
+
+def test_hall_invariants_against_the_one_layer_reference(monkeypatch):
+    # ak_normal and low_index_via_deltas take each nonabelian Hall invariant
+    # from the lifting engine on a builtin tower; with the hand-built
+    # one-layer evaluations in its place they give the same numbers
+    one_layer = {
+        "D(6)": lambda P: table1_delta(P, "S3"),
+        "D(8)": lambda P: table1_delta(P, "D8"),
+        "Q(8)": lambda P: table1_delta(P, "Q8"),
+        "D(10)": lambda P: table1_delta(P, "D10"),
+        "D(12)": lambda P: table1_delta(P, "D12"),
+        "Dstar(12)": lambda P: table1_delta(P, "Dstar12"),
+        "A(4)": lambda P: table1_delta(P, "A4"),
+        "D(14)": lambda P: table1_delta(P, "D14"),
+        "S(4)": delta_s4,
+    }
+    sources = [builtin_from_string(label) for label in [
+        "hillman_link", "braid(4)", "parafree(3,2)", "surface(2)", "free(2)", "klein",
+        "bs(2,6)"]]
+    got = [([ak_normal(P, k) for k in range(1, 16)], low_index_via_deltas(P)) for P in sources]
+    monkeypatch.setattr(subgrowth, "_hall_delta", lambda P, spec: one_layer[spec](P))
+    for P, (normal, low) in zip(sources, got):
+        assert normal == [ak_normal(P, k) for k in range(1, 16)], str(P)
+        assert low == low_index_via_deltas(P), str(P)
 
 
 def test_low_index_dual_path():
