@@ -114,24 +114,39 @@ def _config(args, keys):
 # Commands.
 
 
-def cmd_count(args, want):
+def cmd_count(args):
+    """``hom`` runs only the Hom lifting, ``epi`` and ``delta`` only the Epi
+    lifting and |Aut|; the figures a verb does not compute print as null."""
     P, src_label = load_source(args.source)
     tower = load_target(args.target, args.cap_order)
-    rep = counting.epi_count(
-        P, tower, cap=args.cap_frontier, with_hom=want == "hom", source_label=src_label
-    )
-    doc = rep.to_json_dict()
-    doc["target"] = args.target
-    doc = {"command": want, "config": _config(args, ("source", "target", "cap_order", "cap_frontier"))} | doc
-    if args.tsv:
-        emit_tsv(
-            ["source", "target", "hom", "epi", "aut", "delta"],
-            [[src_label, args.target, "-" if rep.hom is None else rep.hom,
-              rep.epi, rep.aut, rep.delta]],
-            sys.stdout,
-        )
+    hom = epi = aut = dlt = None
+    levels = []
+    if args.command == "hom":
+        hom = counting.hom_count(P, tower, cap=args.cap_frontier)
     else:
-        emit_json(doc, sys.stdout)
+        rep = counting.epi_count(P, tower, cap=args.cap_frontier)
+        epi, aut, dlt, levels = rep.epi, rep.aut, rep.delta, rep.levels
+    if args.tsv:
+        emit_tsv(["source", "target", "hom", "epi", "aut", "delta"],
+                 [[src_label, args.target] + ["-" if x is None else x for x in (hom, epi, aut, dlt)]],
+                 sys.stdout)
+        return 0
+    emit_json({
+        "command": args.command,
+        "config": _config(args, ("source", "target", "cap_order", "cap_frontier")),
+        "source": src_label,
+        "target": args.target,
+        "hom": hom,
+        "epi": epi,
+        "aut": aut,
+        "delta": dlt,
+        "levels": levels,
+        "provenance": {
+            "epi": None if epi is None else "chief-series lifting",
+            "hom": None if hom is None else "layerwise cocycle counting",
+            "aut": None if aut is None else "generator-image search",
+        },
+    }, sys.stdout)
     return 0
 
 
@@ -321,15 +336,9 @@ def cmd_catalog(args):
 def cmd_check_roundtrip(args):
     """Dump + reingest a catalog group and verify the towers agree."""
     tower = builtin_group(args.spec, cap=args.cap_order)
-    import io
-
-    buf = io.StringIO()
-    write_table_file(tower.group, buf)
-    buf.seek(0)
-    path = args.out
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(buf.getvalue())
-    table = read_table_file(path)
+    with open(args.out, "w", encoding="utf-8") as fh:
+        write_table_file(tower.group, fh)
+    table = read_table_file(args.out)
     tower2 = chief_series(table, cap=args.cap_order)
     ok = find_isomorphism(tower2.group, tower.group) is not None
     emit_json({"spec": args.spec, "roundtrip_isomorphic": ok}, sys.stdout)
@@ -354,6 +363,11 @@ def build_parser():
                   description="Counting homomorphisms onto finite solvable groups")
     sub = top.add_subparsers(dest="command", required=True)
 
+    def verb(name, run, **kwargs):
+        p = sub.add_parser(name, **kwargs)
+        p.set_defaults(run=run)
+        return p
+
     def add_common(p, source=True, target=True, frontier=False):
         if source:
             p.add_argument("--source", required=True,
@@ -369,37 +383,37 @@ def build_parser():
                                 "of its orbit representatives)")
         p.add_argument("--tsv", action="store_true", help="tabular output")
 
-    for verb in ("hom", "epi", "delta"):
-        p = sub.add_parser(verb, help="count homomorphisms/epimorphisms")
+    for name in ("hom", "epi", "delta"):
+        p = verb(name, cmd_count, help="count homomorphisms/epimorphisms")
         add_common(p, frontier=True)
 
-    p = sub.add_parser("aut", help="automorphism group order")
+    p = verb("aut", cmd_aut, help="automorphism group order")
     add_common(p, source=False)
 
-    p = sub.add_parser("cocycle", help="dump a twisted lifting system (TSV)")
+    p = verb("cocycle", cmd_cocycle, help="dump a twisted lifting system (TSV)")
     add_common(p)
     p.add_argument("--level", type=int, default=None, help="tower level (default: top)")
     p.add_argument("--images", required=True,
                    help="comma list of base-element indices, one per generator")
 
-    p = sub.add_parser("moebius", help="subgroup lattice Moebius table (TSV)")
+    p = verb("moebius", cmd_moebius, help="subgroup lattice Moebius table (TSV)")
     add_common(p, source=False)
     p.add_argument("--cap-lattice", type=int, default=200)
 
-    p = sub.add_parser("growth", help="index-k subgroup counts")
+    p = verb("growth", cmd_growth, help="index-k subgroup counts")
     add_common(p, target=False)
     p.add_argument("--kmax", type=_positive_int, default=5)
     p.add_argument("--cap-k", type=int, default=8)
     p.add_argument("--normal", action="store_true",
                    help="also count normal subgroups (k <= 15)")
 
-    p = sub.add_parser("table2", help="low-index subgroup table for braid groups (TSV)")
+    p = verb("table2", cmd_table2, help="low-index subgroup table for braid groups (TSV)")
     p.add_argument("--nmax", type=int, default=6)
     p.add_argument("--kmax", type=_positive_int, default=6)
     p.add_argument("--time-budget", type=float, default=1800.0,
                    help="seconds before remaining entries are marked '?'")
 
-    p = sub.add_parser("verify", help="engine vs brute-force oracle matrix (TSV)")
+    p = verb("verify", cmd_verify, help="engine vs brute-force oracle matrix (TSV)")
     p.add_argument("--sources", nargs="*", default=None)
     p.add_argument("--targets", nargs="*", default=None)
     p.add_argument("--budget", type=int, default=10**8,
@@ -407,15 +421,15 @@ def build_parser():
     p.add_argument("--cap-order", type=int, default=512)
     p.add_argument("--cap-frontier", type=int, default=10**7)
 
-    p = sub.add_parser("scan-braid-deltas",
-                       help="experimental: Hall invariants of B_3/B_4 over the catalog")
+    p = verb("scan-braid-deltas", cmd_scan_braid_deltas,
+             help="experimental: Hall invariants of B_3/B_4 over the catalog")
     p.add_argument("--max-order", type=int, default=48)
 
-    p = sub.add_parser("catalog", help="list builtin groups or dump a table")
+    p = verb("catalog", cmd_catalog, help="list builtin groups or dump a table")
     p.add_argument("--dump", default=None, help="group spec to dump as a table file")
     p.add_argument("--cap-order", type=int, default=512)
 
-    p = sub.add_parser("roundtrip", help="dump a group table and re-ingest it")
+    p = verb("roundtrip", cmd_check_roundtrip, help="dump a group table and re-ingest it")
     p.add_argument("--spec", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--cap-order", type=int, default=512)
@@ -425,27 +439,7 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        if args.command in ("hom", "epi", "delta"):
-            return cmd_count(args, args.command)
-        if args.command == "aut":
-            return cmd_aut(args)
-        if args.command == "cocycle":
-            return cmd_cocycle(args)
-        if args.command == "moebius":
-            return cmd_moebius(args)
-        if args.command == "growth":
-            return cmd_growth(args)
-        if args.command == "table2":
-            return cmd_table2(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "scan-braid-deltas":
-            return cmd_scan_braid_deltas(args)
-        if args.command == "catalog":
-            return cmd_catalog(args)
-        if args.command == "roundtrip":
-            return cmd_check_roundtrip(args)
-        raise InputError("unknown command %r" % args.command)
+        return args.run(args)
     except (InputError, ParseError, PresentationError, GroupSpecError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 1

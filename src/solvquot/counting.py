@@ -4,13 +4,13 @@ classical source/target families."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from .cohomology import build_systems, solve_systems, solution_arrays
-from .groups import CapExceeded, aut_order, intertwiner_space_dim
+from .groups import CapExceeded, aut_order
 from .presentations import factorize
 
 
@@ -18,48 +18,27 @@ class CountError(ArithmeticError):
     pass
 
 
-LEVEL_KEYS = ("q", "s", "zeta", "kappa", "alpha", "split", "epi_in", "epi_out")
-
-
 @dataclass
 class CountReport:
-    """One count and how it was made.  The per-level figures are kept as
-    one flat tuple, level after level in the order of LEVEL_KEYS, and
-    ``levels`` and ``provenance`` are built on access, so a scan that keeps
-    thousands of reports stores no dict per report."""
+    """|Epi| onto a tower group; with |Aut| asked for, also |Aut| and delta =
+    |Epi| / |Aut|.  ``level_epi`` holds the weighted Epi count after each
+    layer, and ``levels`` pairs them with the layer constants of ``tower``."""
 
-    source: str
-    target: str
-    hom: int | None
+    tower: object = field(repr=False)
     epi: int
     aut: int | None
     delta: int | None
-    level_values: tuple = ()
+    level_epi: tuple = ()
 
     @property
     def levels(self):
-        v, k = self.level_values, len(LEVEL_KEYS)
-        return [dict(zip(LEVEL_KEYS, v[i : i + k])) for i in range(0, len(v), k)]
-
-    @property
-    def provenance(self):
-        return {
-            "epi": "chief-series lifting",
-            "hom": None if self.hom is None else "layerwise cocycle counting",
-            "aut": None if self.aut is None else "generator-image search",
-        }
-
-    def to_json_dict(self):
-        return {
-            "source": self.source,
-            "target": self.target,
-            "hom": self.hom,
-            "epi": self.epi,
-            "aut": self.aut,
-            "delta": self.delta,
-            "levels": self.levels,
-            "provenance": self.provenance,
-        }
+        out, epi_in = [], 1
+        for lay, epi_out in zip(self.tower.layers, self.level_epi):
+            out.append({"q": lay.q, "s": lay.s, "zeta": lay.zeta, "kappa": lay.kappa,
+                        "alpha": lay.alpha, "split": lay.c_chi,
+                        "epi_in": epi_in, "epi_out": epi_out})
+            epi_in = epi_out
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -289,27 +268,6 @@ def hom_count(P, tower, cap=10**7):
     return count
 
 
-def epi_levels(P, tower, cap=10**7):
-    """Iterate (level, frontier, level_stats) for the orbit-reduced
-    epimorphism lifting, one item per layer.  The frontier of a level below
-    the top is the pair (representatives, orbit sizes); the top level is
-    counted, so its frontier is None.  ``epi_in`` and ``epi_out`` in the
-    stats are weighted map counts."""
-    for lvl, reps, weights, maps_in, maps_out in _orbit_levels(P, tower, epi=True, cap=cap):
-        lay = tower.layers[lvl - 1]
-        stats = {
-            "q": lay.q,
-            "s": lay.s,
-            "zeta": lay.zeta,
-            "kappa": lay.kappa,
-            "alpha": lay.alpha,
-            "split": lay.c_chi,
-            "epi_in": maps_in,
-            "epi_out": maps_out,
-        }
-        yield lvl, (None if reps is None else (reps, weights)), stats
-
-
 def epi_maps(P, tower, cap=10**7, level=None):
     """Epimorphisms onto the level group (default: the top) as image tuples,
     every map enumerated."""
@@ -320,34 +278,25 @@ def epi_maps(P, tower, cap=10**7, level=None):
     return _as_tuples(frontier)
 
 
-def epi_count(P, tower, cap=10**7, with_hom=False, with_aut=True,
-              source_label=None):
-    values = tuple(stats[k] for _, _, stats in epi_levels(P, tower, cap=cap) for k in LEVEL_KEYS)
-    epi = values[-1] if values else 1
+def epi_count(P, tower, cap=10**7, with_aut=True):
+    """|Epi|, lifting one epimorphism per conjugacy orbit and counting the
+    top layer.  With ``with_aut`` also |Aut| by the generator-image search
+    of ``aut_order``, which must divide |Epi|, and delta = |Epi| / |Aut|."""
+    level_epi = tuple(out for *_, out in _orbit_levels(P, tower, epi=True, cap=cap))
+    epi = level_epi[-1] if level_epi else 1
     aut = dlt = None
     if with_aut:
         aut = aut_order(tower.group)
         if epi % aut:
             raise CountError("epimorphism count %d is not divisible by |Aut|=%d" % (epi, aut))
         dlt = epi // aut
-    hom = hom_count(P, tower, cap=cap) if with_hom else None
-    if hom is not None and epi > hom:
-        raise CountError("more epimorphisms than homomorphisms")
-    return CountReport(
-        source=source_label or str(P),
-        target=tower.spec or tower.group.name,
-        hom=hom,
-        epi=epi,
-        aut=aut,
-        delta=dlt,
-        level_values=values,
-    )
+    return CountReport(tower, epi, aut, dlt, level_epi)
 
 
-def delta(P, tower, cap=10**7, source_label=None):
+def delta(P, tower, cap=10**7):
     """Number of normal subgroups with quotient isomorphic to the tower
     group: |Epi|/|Aut|, an exact integer."""
-    return epi_count(P, tower, cap=cap, source_label=source_label).delta
+    return epi_count(P, tower, cap=cap).delta
 
 
 # ---------------------------------------------------------------------------
@@ -367,35 +316,17 @@ def aut_order_by_lifting(tower):
 
 
 def chief_module_types(tower):
-    """Chief factors classified up to module isomorphism over the full
-    group; returns per-type dicts with q, s, zeta, kappa, u (complemented
-    count) and v (non-complemented count)."""
-    top = len(tower.layers)
-    gens = tower.level_gens(top)
-    types = []
-    for j, lay in enumerate(tower.layers):
-        acts_j = [lay.sigma[tower.project(g, top, j)] for g in gens]
-        placed = False
-        for ty in types:
-            if ty["q"] == lay.q and ty["s"] == lay.s:
-                if intertwiner_space_dim(ty["acts"], acts_j, lay.q, lay.s) > 0:
-                    ty["u"] += lay.c_chi
-                    ty["v"] += 1 - lay.c_chi
-                    placed = True
-                    break
-        if not placed:
-            types.append(
-                {
-                    "q": lay.q,
-                    "s": lay.s,
-                    "zeta": lay.zeta,
-                    "kappa": lay.kappa,
-                    "u": lay.c_chi,
-                    "v": 1 - lay.c_chi,
-                    "acts": acts_j,
-                }
-            )
-    return types
+    """Chief factors grouped by their module-isomorphism class over the full
+    group (``module_type``, set by the tower); returns per-class dicts with
+    q, s, zeta, kappa, u (complemented count) and v (non-complemented
+    count)."""
+    types = {}
+    for lay in tower.layers:
+        ty = types.setdefault(lay.module_type, {"q": lay.q, "s": lay.s, "zeta": lay.zeta,
+                                                "kappa": lay.kappa, "u": 0, "v": 0})
+        ty["u"] += lay.c_chi
+        ty["v"] += 1 - lay.c_chi
+    return list(types.values())
 
 
 def gaschutz_eulerian(tower, n):

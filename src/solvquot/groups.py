@@ -389,8 +389,6 @@ class ElementaryLayer:
         sig, ch = self._arrays()
         sigma_perm = np.einsum("bac,ec->bea", sig, vecs) % q @ powers
         chi_num = ch @ powers
-        self.sigma_perm = sigma_perm.tolist()
-        self.chi_num = chi_num.tolist()
         # (e1, b1)(e2, b2) over the (E, nB, E, nB) grid: e1 + sigma_{b1} e2,
         # then + chi(b1, b2), each by the addition table of E
         add = (vecs[:, None] + vecs[None]) % q @ powers
@@ -402,14 +400,16 @@ class ElementaryLayer:
         # derived constants
         self._base_gens = generating_sequence(base) if nB > 1 else []
         self.zeta = int((sig != np.eye(s, dtype=np.int64)).any())
-        self.kappa = self._commutant_dim()
+        # log_q |End(E)|: the matrices commuting with the monodromy image
+        acts = [self.sigma[g] for g in self._base_gens]
+        self.kappa = intertwiner_space_dim(acts, acts, q, s)
         # the built rows pass the sections setter's check by construction
         rows = self._complement_sections()
         rows.flags.writeable = False
         self._sections = rows
         self.complements = len(rows)
         self.c_chi = int(self.complements > 0)
-        self.alpha = None  # filled by the tower
+        self.module_type = self.alpha = None  # filled by the tower
 
     @property
     def sections(self):
@@ -462,24 +462,6 @@ class ElementaryLayer:
 
     def dec(self, idx):
         return divmod(idx, len(self.base))
-
-    def _commutant_dim(self):
-        """log_q |End(E)| over the monodromy image: matrices commuting with
-        every sigma(b)."""
-        s, q = self.s, self.q
-        gens = self._base_gens
-        rows = []
-        for g in gens:
-            A = self.sigma[g]
-            # T A - A T = 0, unknowns T_{ab} flattened as a*s+b
-            for i in range(s):
-                for j in range(s):
-                    row = [0] * (s * s)
-                    for k in range(s):
-                        row[i * s + k] = (row[i * s + k] + A[k][j]) % q
-                        row[k * s + j] = (row[k * s + j] - A[i][k]) % q
-                    rows.append(row)
-        return nullspace_dim_mod_prime(rows, s * s, q)
 
     def _complement_sections(self):
         """Complements of E in the extension = homomorphic sections of the
@@ -669,20 +651,26 @@ class ExtensionTower:
         return (lay.zeta, lay.c_chi, lay.kappa, lay.alpha)
 
     def _fill_alphas(self):
+        """Number the layers' module-isomorphism classes over the top group
+        in order of first appearance (``module_type``), and set alpha_i to
+        the number of complemented layers j <= i of layer i's class.  Every
+        kernel is an irreducible module, so by Schur a nonzero intertwiner
+        with a class's first layer places a layer in that class."""
+        top = len(self.layers)
+        gens = self.level_gens(top)
+        firsts = []  # (q, s, action on gens) of each class's first layer
+        complemented = []  # per class, the complemented layers so far
         for i, lay in enumerate(self.layers):
-            gens = self.level_gens(i + 1)
-            count = 0
-            for j in range(i + 1):
-                other = self.layers[j]
-                if not other.c_chi:
-                    continue
-                if (other.q, other.s) != (lay.q, lay.s):
-                    continue
-                acts_i = [lay.sigma[self.project(g, i + 1, i)] for g in gens]
-                acts_j = [other.sigma[self.project(g, i + 1, j)] for g in gens]
-                if intertwiner_space_dim(acts_i, acts_j, lay.q, lay.s) > 0:
-                    count += 1
-            lay.alpha = count
+            acts = [lay.sigma[self.project(g, top, i)] for g in gens]
+            for t, (q, s, first) in enumerate(firsts):
+                if (q, s) == (lay.q, lay.s) and intertwiner_space_dim(first, acts, q, s) > 0:
+                    break
+            else:
+                t = len(firsts)
+                firsts.append((lay.q, lay.s, acts))
+                complemented.append(0)
+            complemented[t] += lay.c_chi
+            lay.module_type, lay.alpha = t, complemented[t]
 
 
 def _structural_mul(layers, x, y):

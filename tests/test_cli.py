@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from solvquot import subgrowth
+from solvquot import counting, subgrowth
 from solvquot.cli import main
 from solvquot.groups import builtin_group, chief_series, is_isomorphic
 from solvquot.oracle import brute_hom
@@ -35,7 +35,7 @@ def test_delta_command(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["hom"] == brute_hom(builtin_presentation("bs", 2, 6), builtin_group("D(8)").group).count
-    assert doc["delta"] == 3
+    assert (doc["epi"], doc["aut"], doc["delta"], doc["levels"]) == (None, None, None, [])
 
 
 def test_growth_command(capsys):
@@ -251,3 +251,161 @@ def test_scan_braid_deltas(capsys):
     lines = out.strip().splitlines()
     assert lines[0].split("\t") == ["target", "order", "delta_B3", "delta_B4"]
     assert len(lines) > 3
+
+
+EPI_BRAID4_S4 = """\
+{
+  "command": "epi",
+  "config": {
+    "source": "builtin:braid(4)",
+    "target": "S(4)",
+    "cap_order": 512,
+    "cap_frontier": 10000000
+  },
+  "source": "builtin:braid(4)",
+  "target": "S(4)",
+  "hom": null,
+  "epi": 72,
+  "aut": 24,
+  "delta": 3,
+  "levels": [
+    {
+      "q": 2,
+      "s": 1,
+      "zeta": 0,
+      "kappa": 1,
+      "alpha": 1,
+      "split": 1,
+      "epi_in": 1,
+      "epi_out": 1
+    },
+    {
+      "q": 3,
+      "s": 1,
+      "zeta": 1,
+      "kappa": 1,
+      "alpha": 1,
+      "split": 1,
+      "epi_in": 1,
+      "epi_out": 6
+    },
+    {
+      "q": 2,
+      "s": 2,
+      "zeta": 1,
+      "kappa": 1,
+      "alpha": 1,
+      "split": 1,
+      "epi_in": 6,
+      "epi_out": 72
+    }
+  ],
+  "provenance": {
+    "epi": "chief-series lifting",
+    "hom": null,
+    "aut": "generator-image search"
+  }
+}
+"""
+
+DELTA_BS26_D8 = """\
+{
+  "command": "delta",
+  "config": {
+    "source": "builtin:bs(2,6)",
+    "target": "D(8)",
+    "cap_order": 512,
+    "cap_frontier": 10000000
+  },
+  "source": "builtin:bs(2,6)",
+  "target": "D(8)",
+  "hom": null,
+  "epi": 24,
+  "aut": 8,
+  "delta": 3,
+  "levels": [
+    {
+      "q": 2,
+      "s": 1,
+      "zeta": 0,
+      "kappa": 1,
+      "alpha": 1,
+      "split": 1,
+      "epi_in": 1,
+      "epi_out": 3
+    },
+    {
+      "q": 2,
+      "s": 1,
+      "zeta": 0,
+      "kappa": 1,
+      "alpha": 2,
+      "split": 1,
+      "epi_in": 3,
+      "epi_out": 6
+    },
+    {
+      "q": 2,
+      "s": 1,
+      "zeta": 0,
+      "kappa": 1,
+      "alpha": 2,
+      "split": 0,
+      "epi_in": 6,
+      "epi_out": 24
+    }
+  ],
+  "provenance": {
+    "epi": "chief-series lifting",
+    "hom": null,
+    "aut": "generator-image search"
+  }
+}
+"""
+
+EPI_BRAID4_S4_TSV = (
+    "source\ttarget\thom\tepi\taut\tdelta\n"
+    "builtin:braid(4)\tS(4)\t-\t72\t24\t3\n"
+)
+
+DELTA_BS26_D8_TSV = (
+    "source\ttarget\thom\tepi\taut\tdelta\n"
+    "builtin:bs(2,6)\tD(8)\t-\t24\t8\t3\n"
+)
+
+
+def test_count_output_is_pinned(capsys):
+    # the whole stdout of epi and delta, JSON and TSV, byte for byte
+    for argv, want in [
+        (("epi", "--source", "builtin:braid(4)", "--target", "S(4)"), EPI_BRAID4_S4),
+        (("delta", "--source", "builtin:bs(2,6)", "--target", "D(8)"), DELTA_BS26_D8),
+    ]:
+        code, out = run_cli(capsys, *argv)
+        assert code == 0 and out == want
+    for argv, want in [
+        (("epi", "--source", "builtin:braid(4)", "--target", "S(4)"), EPI_BRAID4_S4_TSV),
+        (("delta", "--source", "builtin:bs(2,6)", "--target", "D(8)"), DELTA_BS26_D8_TSV),
+    ]:
+        code, out = run_cli(capsys, *argv, "--tsv")
+        assert code == 0 and out == want
+
+
+def test_hom_runs_only_the_hom_lifting(capsys, monkeypatch):
+    # |Aut(Z_2^5)| would need 28629151 candidate image tuples, over the
+    # search's cap; hom needs neither it nor the Epi lifting
+    def refuse(*args, **kwargs):
+        raise AssertionError("hom ran more than the Hom lifting")
+
+    monkeypatch.setattr(counting, "aut_order", refuse)
+    monkeypatch.setattr(counting, "epi_count", refuse)
+    argv = ("hom", "--source", "builtin:free(2)", "--target", "Z(2)^5")
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["hom"], doc["epi"], doc["aut"], doc["delta"], doc["levels"]) == (
+        1024, None, None, None, [])
+    assert doc["provenance"] == {"epi": None, "hom": "layerwise cocycle counting",
+                                 "aut": None}
+    code, out = run_cli(capsys, *argv, "--tsv")
+    assert code == 0
+    assert out == "source\ttarget\thom\tepi\taut\tdelta\nbuiltin:free(2)\tZ(2)^5\t1024\t-\t-\t-\n"

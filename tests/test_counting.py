@@ -18,7 +18,6 @@ from solvquot.counting import (
     closed_form_eulerian,
     delta,
     epi_count,
-    epi_levels,
     epi_maps,
     gaschutz_eulerian,
     hom_count,
@@ -43,8 +42,8 @@ Q8 = builtin_group("Q(8)")
 
 def test_free_group_counts():
     assert hom_count(F2, S3) == 36
-    rep = epi_count(F2, S3, with_hom=True)
-    assert (rep.hom, rep.epi, rep.aut, rep.delta) == (36, 18, 6, 3)
+    rep = epi_count(F2, S3)
+    assert (rep.epi, rep.aut, rep.delta) == (18, 6, 3)
     rep = epi_count(F2, S4)
     assert (rep.epi, rep.aut, rep.delta) == (216, 24, 9)
 
@@ -59,9 +58,8 @@ def test_coprime_product_formula():
 
 def test_lift_statistics_through_s4():
     # 18 epimorphisms onto S_3, each with 16 lifts of which 12 survive
-    levels = list(epi_levels(F2, S4))
-    stats = levels[-1][2]
-    assert stats["epi_in"] == 18 and stats["epi_out"] == 216
+    *_, epi_in, epi_out = list(counting._orbit_levels(F2, S4, epi=True))[-1]
+    assert epi_in == 18 and epi_out == 216
     assert 216 == 18 * (16 - 4)
 
 
@@ -160,11 +158,11 @@ def test_counted_path_matches_full_enumeration():
             tower = builtin_group(spec)
             if tower.order > 48:
                 continue
-            rep = epi_count(P, tower, with_hom=True, with_aut=False)
+            rep = epi_count(P, tower, with_aut=False)
             assert [stats["epi_out"] for stats in rep.levels] == [
                 len(epi_maps(P, tower, level=i)) for i in range(1, len(tower.layers) + 1)
             ], (label, spec)
-            assert rep.hom == brute_hom(P, tower.group).count, (label, spec)
+            assert hom_count(P, tower) == brute_hom(P, tower.group).count, (label, spec)
 
 
 def test_abelian_upper_levels_match_the_oracle():
@@ -181,10 +179,10 @@ def test_orbit_frontier_shape():
     # group (order 16, centre of order 2) are kept as 1440 orbits of size
     # 8, and the 276480 onto the top are counted, not stored
     tower = builtin_group("Dstar(48)")
-    levels = list(epi_levels(builtin_presentation("surface", 2), tower))
-    reps, weights = levels[3][1]
+    levels = list(counting._orbit_levels(builtin_presentation("surface", 2), tower, epi=True))
+    _, reps, weights, _, _ = levels[3]
     assert (len(reps), set(weights.tolist())) == (1440, {8})
-    assert levels[-1][1] is None and levels[-1][2]["epi_out"] == 276480
+    assert levels[-1][1] is None and levels[-1][4] == 276480
     conj = tower.layers[3].group.conjugation_table()
     least = conj[:, reps].transpose(1, 0, 2)
     # each representative is the least of its conjugates
@@ -234,9 +232,8 @@ def test_planted_errors_raise(monkeypatch):
 
 
 def test_klein_lifts():
-    levels = list(epi_levels(KLEIN, S4))
-    stats = levels[-1][2]
-    assert stats["epi_in"] == 6 and stats["epi_out"] == 0
+    *_, epi_in, epi_out = list(counting._orbit_levels(KLEIN, S4, epi=True))[-1]
+    assert epi_in == 6 and epi_out == 0
     assert epi_count(KLEIN, S4).delta == 0
     assert epi_count(KLEIN, S3).delta == 1
 
@@ -397,19 +394,21 @@ def test_lifting_stops_at_an_empty_frontier(monkeypatch):
     real = counting.build_systems
     monkeypatch.setattr(counting, "build_systems",
                         lambda P, images, lay: calls.append(len(images)) or real(P, images, lay))
+    # per level: q, s, zeta, kappa, alpha, split, epi_in, epi_out
     for label, spec, values in [
-        ("braid(3)", "Z(2)^3", (2, 1, 0, 1, 1, 1, 1, 1, 2, 1, 0, 1, 2, 1, 1, 0,
-                                2, 1, 0, 1, 3, 1, 0, 0)),
-        ("bs(1,2)", "Q(8)", (2, 1, 0, 1, 1, 1, 1, 1, 2, 1, 0, 1, 2, 1, 1, 0,
-                             2, 1, 0, 1, 2, 0, 0, 0)),
+        ("braid(3)", "Z(2)^3", [(2, 1, 0, 1, 1, 1, 1, 1), (2, 1, 0, 1, 2, 1, 1, 0),
+                                (2, 1, 0, 1, 3, 1, 0, 0)]),
+        ("bs(1,2)", "Q(8)", [(2, 1, 0, 1, 1, 1, 1, 1), (2, 1, 0, 1, 2, 1, 1, 0),
+                             (2, 1, 0, 1, 2, 0, 0, 0)]),
     ]:
         calls.clear()
         rep = epi_count(builtin_from_string(label), builtin_group(spec))
-        assert rep.level_values == values
+        assert [tuple(lv.values()) for lv in rep.levels] == values
         assert [lv["epi_out"] for lv in rep.levels] == [1, 0, 0]
         assert calls == [1, 1]
-        levels = list(epi_levels(builtin_from_string(label), builtin_group(spec)))
-        reps, weights = levels[1][1]
+        levels = list(counting._orbit_levels(builtin_from_string(label), builtin_group(spec),
+                                             epi=True))
+        _, reps, weights, _, _ = levels[1]
         assert reps.shape == (0, 2) and len(weights) == 0 and levels[2][1] is None
 
 
@@ -435,13 +434,16 @@ def test_aut_by_lifting_matches_report():
 
 
 def test_report_json_shape():
-    rep = epi_count(B4, S4, with_hom=True, source_label="builtin:braid(4)")
-    doc = rep.to_json_dict()
-    assert list(doc) == ["source", "target", "hom", "epi", "aut", "delta",
-                         "levels", "provenance"]
-    assert doc["levels"][0].keys() == {
-        "q", "s", "zeta", "kappa", "alpha", "split", "epi_in", "epi_out"
-    }
+    # the report keeps one weighted Epi count per level and reads the layer
+    # constants of each level from the tower
+    rep = epi_count(B4, S4)
+    assert (rep.epi, rep.aut, rep.delta, rep.level_epi) == (72, 24, 3, (1, 6, 72))
+    assert [list(lv) for lv in rep.levels] == [
+        ["q", "s", "zeta", "kappa", "alpha", "split", "epi_in", "epi_out"]
+    ] * 3
+    assert [(lv["q"], lv["s"], lv["epi_in"]) for lv in rep.levels] == [
+        (2, 1, 1), (3, 1, 1), (2, 2, 6)
+    ]
 
 
 def test_enumerate_epis_to_table():
@@ -457,8 +459,8 @@ def test_long_relator_counts():
     from solvquot.subgrowth import delta_abelian_closed
 
     P = parse_presentation("< x, y | x^100000 y^2 >")
-    rep = epi_count(P, builtin_group("Z(2)"), with_hom=True)
-    assert (rep.epi, rep.delta, rep.hom) == (3, 3, 4)
+    rep = epi_count(P, builtin_group("Z(2)"))
+    assert (rep.epi, rep.delta, hom_count(P, builtin_group("Z(2)"))) == (3, 3, 4)
     assert rep.delta == delta_abelian_closed(abelian_invariants(P), ("cyclic", 2, 1))
     rep = epi_count(P, builtin_group("S(3)"))
     assert rep.delta == 1 == table1_delta(P, "S3")

@@ -376,11 +376,17 @@ def test_layer_verify_rejects_corrupted_data():
 def tower_digest(tw):
     """sha256 over the top table, its inverses, the source isomorphism and,
     per layer, sigma, chi, sigma_perm, chi_num, the complement sections,
-    zeta, kappa, alpha and the complement count."""
+    zeta, kappa, alpha and the complement count.  sigma_perm[b][e] and
+    chi_num[b][c] are the numbers of sigma_b e and chi(b, c), little-endian
+    in base q."""
     h = hashlib.sha256()
     items = [tw.group.mul, tw.group.inv, tw.source_iso]
     for lay in tw.layers:
-        items += [lay.sigma, lay.chi, lay.sigma_perm, lay.chi_num, lay.sections,
+        sig, ch = lay._arrays()
+        powers = lay.q ** np.arange(lay.s)
+        vecs = np.arange(lay.E)[:, None] // powers % lay.q
+        sigma_perm = np.einsum("bac,ec->bea", sig, vecs) % lay.q @ powers
+        items += [lay.sigma, lay.chi, sigma_perm, ch @ powers, lay.sections,
                   lay.zeta, lay.kappa, lay.alpha, lay.complements]
     for x in items:
         h.update(json.dumps(np.asarray(x).tolist()).encode() + b";")
