@@ -4,6 +4,7 @@ classical source/target families."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -50,18 +51,21 @@ class CountReport:
 # by all of its solutions in one array (``solution_arrays``); no step loops
 # over the maps in Python.
 #
-# The counts carry the frontier modulo conjugation.  B_i acts on the maps
-# into B_i by conjugating every generator image.  Conjugating a map by b
-# matches its lifts one-to-one with those of the conjugate map (through
-# conjugation by a preimage of b), so the number of lifts is constant on an
-# orbit, and every orbit one level up contains a lift of the representative
-# of the orbit below it.  So each level keeps one representative per orbit,
-# its least conjugate, weighted by the orbit size; the lifts of the
-# representatives are canonicalised and deduplicated one level up.  The top
-# layer is counted, epsilon * q^d (minus the c complement lifts for Epi) per
-# representative, and never enumerated.
+# The counts carry the frontier modulo a group A_i of automorphisms of B_i,
+# acting on the maps into B_i through every generator image: Inn(B_i)
+# (conjugation), or for Epi with |Aut| the image of A = Aut(Gamma, series),
+# the automorphisms of the top group that fix every chain term.  Each
+# alpha_i is induced by an alpha_(i+1) one level up (conjugation by a
+# preimage, or the same alpha of A), which matches the lifts of a map
+# one-to-one with those of its image, so the number of lifts is constant on
+# an orbit, and every orbit one level up contains a lift of the
+# representative of the orbit below it.  So each level keeps one
+# representative per orbit, its least image, weighted by the orbit size;
+# the lifts of the representatives are canonicalised and deduplicated one
+# level up.  The top layer is counted, epsilon * q^d (minus the c complement
+# lifts for Epi) per representative, and never enumerated.
 
-_BLOCK = 1 << 20  # entries per block of the conjugate arrays
+_BLOCK = 1 << 20  # entries per block of the canonical-form candidate arrays
 
 
 def _trivial_frontier(P):
@@ -77,19 +81,20 @@ def lift_frontier(P, lay, frontier, epi, cap=10**7, level=0):
     base of ``lay``, the layer above tower level ``level``) through ``lay``.
 
     Returns the lifts as a row-sorted int32 array and, per map, the exponent
-    d of its q^d lifts, or None where the map does not lift.  With ``epi``
-    the frontier must consist of epimorphisms: the non-surjective lifts of a
-    map with images b are then exactly the c rows ``lay.sections[:, b]``,
-    one per complement of the layer's kernel, and each must occur exactly
-    once among the map's lifts.  ``cap`` bounds the number of lifts kept; it
-    is checked once every system is solved, before any lift is built."""
+    d of its q^d lifts as an int64 array, -1 where the map does not lift.
+    With ``epi`` the frontier must consist of epimorphisms: the
+    non-surjective lifts of a map with images b are then exactly the c rows
+    ``lay.sections[:, b]``, one per complement of the layer's kernel, and
+    each must occur exactly once among the map's lifts.  ``cap`` bounds the
+    number of lifts kept; it is checked once every system is solved, before
+    any lift is built."""
     q, s, n = lay.q, lay.s, P.n
     nB = len(lay.base)
     c = lay.complements if epi else 0
     A, chi = build_systems(P, frontier, lay)
     sol = solve_systems(A, -chi, q)
     dims = _dims(sol)
-    size = sum(q**d for d in dims if d is not None) - c * len(frontier)
+    size = sum(k * q**d for d, k in _weight_per_dim(dims) if d is not None) - c * len(frontier)
     if size > cap:
         raise CapExceeded(
             "%s frontier at level %d would reach %d maps, over the cap %d"
@@ -143,47 +148,107 @@ def _row_keys(owner, rows, m, radix):
 
 
 def _dims(sol):
-    """Per system of ``sol``, the exponent d of its q^d solutions, or None
-    where it has none."""
-    return [d if ok else None for d, ok in zip(sol.dims.tolist(), sol.solvable.tolist())]
+    """Per system of ``sol``, the exponent d of its q^d solutions as an
+    int64 array, -1 where it has none."""
+    return np.where(sol.solvable, sol.dims, -1)
 
 
-def _orbit_representatives(table, rows):
-    """The distinct least conjugates of ``rows`` under conjugation by the
-    group of ``table``, row-sorted, and the size of each one's orbit: |B|
-    over the number of elements fixing the row (the centraliser of its
-    images), the same rule for Hom and Epi."""
-    conj = table.conjugation_table()
-    nB = table.n
+def _weight_per_dim(dims, weights=None):
+    """The number of maps, or with ``weights`` their total weight, with
+    each exponent d of ``dims``, as pairs (d, total) of Python ints, d None
+    for the maps that do not lift (d = -1 in ``dims``)."""
+    tot = np.bincount(dims + 1, weights=weights)
+    if weights is not None and tot.sum() >= 1 << 53:  # past exact float sums
+        tot = np.zeros(len(tot), dtype=np.int64)
+        np.add.at(tot, dims + 1, weights)
+    return [(d if d >= 0 else None, int(w)) for d, w in enumerate(tot.tolist(), -1) if w]
+
+
+def _orbit_representatives(group, rows):
+    """The distinct least images of ``rows`` (distinct and row-sorted, as
+    lift_frontier returns them) under the PermutationGroup ``group``
+    (acting on every entry), row-sorted, and the size of each one's orbit.
+    The trivial group leaves every row as it is.
+
+    The least image is found in two stages.  Stage 1 moves a row's first
+    entry x to the least point p of its orbit, by an element carrying x
+    there.  Stage 2 takes the least image of the moved row under the
+    stabiliser of p, all the rows whose p has a stabiliser of one size in
+    one array pass; the images are compared as packed int64 keys, as many
+    columns per key as fit in 62 bits, one key at a time.  The elements of
+    the stabiliser that reach the least image are a coset of the row's
+    stabiliser, so the orbit has |orbit(p)| |Stab(p)| over their number
+    elements; for a group that is |G| over |Stab(row)|."""
     m, n = rows.shape
-    step = max(1, _BLOCK // (nB * n))
-    least = np.empty_like(rows)
-    fixed = np.empty(m, dtype=np.int64)
-    for lo in range(0, m, step):
-        block = conj[:, rows[lo : lo + step]]  # (nB, k, n): every conjugate
-        fixed[lo : lo + step] = (block == rows[lo : lo + step]).all(axis=2).sum(axis=0)
-        alive = np.ones(block.shape[:2], dtype=bool)
-        for g in range(n):
-            col = np.where(alive, block[:, :, g], nB)
-            low = col.min(axis=0)
-            alive &= col == low
-            least[lo : lo + step, g] = low
-    order = np.lexsort(least.T[::-1])
-    least, fixed = least[order], fixed[order]
-    keep = np.ones(m, dtype=bool)
-    keep[1:] = (least[1:] != least[:-1]).any(axis=1)
-    return least[keep], nB // fixed[keep]
+    if len(group) == 1:
+        return rows, np.ones(m, dtype=np.int64)
+    flat = group.rows.ravel()
+    nB = group.rows.shape[1]
+    moved = group.carried[rows[:, :1], rows]
+    p = moved[:, 0]
+    if len(group.by_size) > 1:  # the rows by the size of p's stabiliser
+        rank = group.rank[p]
+        by = np.argsort(rank, kind="stable")
+        p, moved = p[by], moved[by]
+        ends = np.cumsum(np.bincount(rank, minlength=len(group.by_size))).tolist()
+    else:
+        ends = [m]
+    chunks = _key_chunks(nB, n)
+    keys = np.empty((len(chunks), m), dtype=np.int64)
+    reach = np.empty(m, dtype=np.int64)
+    start = 0
+    for (size, offsets), end in zip(group.by_size, ends):
+        step = max(1, _BLOCK // (size * n))
+        for lo in range(start, end, step):
+            hi = min(lo + step, end)
+            stab = offsets[group.slot[p[lo:hi]]]
+            for j, cols in enumerate(chunks):
+                key = 0
+                for c in cols:  # every candidate's first entry is p
+                    col = flat[stab + moved[lo:hi, c, None]] if c else p[lo:hi, None]
+                    key = key * nB + col if c else col
+                if j:
+                    key[~alive] = _NO_KEY
+                keys[j, lo:hi] = best = key.min(axis=1)
+                alive = key == best[:, None]
+            # with one column, every element of Stab(p) fixes the row
+            reach[lo:hi] = alive.sum(axis=1) if n > 1 else size
+        start = end
+    order = np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys[::-1])
+    keys = keys[:, order]
+    new = np.ones(m, dtype=bool)  # differs from the row before it
+    new[1:] = keys[0, 1:] != keys[0, :-1]
+    for k in keys[1:]:
+        new[1:] |= k[1:] != k[:-1]
+    keys, kept = keys[:, new], order[new]
+    least = np.empty((len(kept), n), dtype=np.int32)
+    for k, cols in zip(keys, chunks):
+        for c in cols[::-1]:
+            k, least[:, c] = np.divmod(k, nB)
+    return least, group.orbit_stab[least[:, 0]] // reach[kept]
 
 
-def _count_top(P, lay, reps, epi):
+_NO_KEY = np.iinfo(np.int64).max  # above every packed key
+
+
+@functools.lru_cache(maxsize=None)
+def _key_chunks(radix, n):
+    """The columns of an n-column row over 0..radix-1 in chunks that pack
+    into keys below 2^62, big-endian."""
+    width = 1
+    while width < n and radix ** (width + 1) < 1 << 62:
+        width += 1
+    return tuple(range(lo, min(lo + width, n)) for lo in range(0, n, width))
+
+
+def _count_top(P, lay, reps):
     """Solve the system of each representative through the top layer and
-    nothing more.  Returns the exponents d (None where a map does not lift)
-    and, per representative, its number of lifts, epsilon * q^d, less the c
-    complement lifts with ``epi``.  The rows of ``lay.sections`` are c
-    distinct homomorphic sections of the layer (checked when they are set),
-    so their restrictions to an epimorphism's images are its c
-    non-surjective lifts; here those restrictions must solve each
-    representative's system."""
+    nothing more.  Returns the exponent d of each one's q^d lifts as an
+    int64 array, -1 where a map does not lift.  The rows of
+    ``lay.sections`` are c distinct homomorphic sections of the layer
+    (checked when they are set), so their restrictions to an epimorphism's
+    images are its c non-surjective lifts; here those restrictions must
+    solve each representative's system."""
     q, s, n = lay.q, lay.s, P.n
     nB = len(lay.base)
     c = lay.complements
@@ -195,9 +260,7 @@ def _count_top(P, lay, reps, epi):
         if ((np.einsum("jrk,cjk->cjr", A, X) + chi) % q).any() or not sol.solvable.all():
             raise CountError("a complement lift does not solve the lifting "
                              "system of its map")
-    dims = _dims(sol)
-    counts = [q**d - (c if epi else 0) if d is not None else 0 for d in dims]
-    return dims, counts
+    return _dims(sol)
 
 
 def _closed_form_lifts(lay, d, epi):
@@ -210,18 +273,22 @@ def _closed_form_lifts(lay, d, epi):
     return (lay.E**lay.zeta) * ((q ** (d - lay.s * lay.zeta) if d is not None else 0) - split)
 
 
-def _orbit_levels(P, tower, epi, cap=10**7):
-    """Lift one representative per conjugacy orbit through every layer below
-    the top and count the top layer.  Yields, per layer i, (i + 1, reps,
-    weights, maps_in, maps_out): the level-(i + 1) representatives and their
-    orbit sizes (both None at the top, which is counted and not built) and
-    the weighted map counts below and above the layer.
+def _orbit_levels(P, tower, epi, cap=10**7, _group=None):
+    """Lift one representative per orbit through every layer below the top
+    and count the top layer.  ``_group(i)`` gives the group acting on the
+    maps into level i, a PermutationGroup of B_i (default Inn(B_i),
+    ``tower.orbit_group``).  Yields, per layer i, (i + 1, reps, weights,
+    maps_in, maps_out): the level-(i + 1) representatives and their orbit
+    sizes (both None at the top, which is counted and not built) and the
+    weighted map counts below and above the layer.
 
     Self-checks: the weighted closed-form count of each layer equals the
-    weighted count above it; with ``epi`` every orbit size is |B : Z(B)|;
-    and lift_frontier's and _count_top's checks of the complement lifts.
-    Once a level has no representative, every layer above it yields
-    maps_out = 0 without building or solving anything."""
+    weighted count above it; with ``epi`` every orbit has the size of the
+    acting group, which acts freely on epimorphisms; and lift_frontier's
+    and _count_top's checks of the complement lifts.  Once a level has no
+    representative, every layer above it yields maps_out = 0 without
+    building or solving anything."""
+    group = _group or tower.orbit_group
     reps = _trivial_frontier(P)
     weights = np.ones(1, dtype=np.int64)
     maps_in = 1
@@ -235,21 +302,21 @@ def _orbit_levels(P, tower, epi, cap=10**7):
             continue
         if i < top:
             lifts, dims = lift_frontier(P, lay, reps, epi, cap=cap, level=i)
-            new_reps, new_weights = _orbit_representatives(lay.group, lifts)
+            acting = group(i + 1)
+            new_reps, new_weights = _orbit_representatives(acting, lifts)
             del lifts
             maps_out = int(new_weights.sum())
-            if epi and len(new_weights):
-                centre = lay.group.center_order()
-                if (new_weights != lay.group.n // centre).any():
-                    raise CountError("an epimorphism orbit at level %d has a size "
-                                     "other than |B : Z(B)| = %d"
-                                     % (i + 1, lay.group.n // centre))
+            if epi and (new_weights != len(acting)).any():
+                raise CountError("an epimorphism orbit at level %d has a size other than "
+                                 "|A_i| = %d, the order of the acting group"
+                                 % (i + 1, len(acting)))
+            per_dim = _weight_per_dim(dims, weights)
         else:
-            dims, counts = _count_top(P, lay, reps, epi)
+            per_dim = _weight_per_dim(_count_top(P, lay, reps), weights)
             new_reps = new_weights = None
-            maps_out = sum(w * k for w, k in zip(weights.tolist(), counts))
-        closed = sum(w * _closed_form_lifts(lay, d, epi)
-                     for w, d in zip(weights.tolist(), dims))
+            c = lay.complements if epi else 0
+            maps_out = sum(w * (lay.q**d - c) for d, w in per_dim if d is not None)
+        closed = sum(w * _closed_form_lifts(lay, d, epi) for d, w in per_dim)
         if closed != maps_out:
             raise CountError(
                 "level arithmetic %d disagrees with the orbit-weighted tally %d "
@@ -279,14 +346,21 @@ def epi_maps(P, tower, cap=10**7, level=None):
 
 
 def epi_count(P, tower, cap=10**7, with_aut=True):
-    """|Epi|, lifting one epimorphism per conjugacy orbit and counting the
-    top layer.  With ``with_aut`` also |Aut| by the generator-image search
-    of ``aut_order``, which must divide |Epi|, and delta = |Epi| / |Aut|."""
-    level_epi = tuple(out for *_, out in _orbit_levels(P, tower, epi=True, cap=cap))
-    epi = level_epi[-1] if level_epi else 1
+    """|Epi|, lifting one epimorphism per orbit and counting the top layer.
+    With ``with_aut`` also |Aut| by the generator-image search of
+    ``aut_order``, run first, which must divide |Epi|, and delta =
+    |Epi| / |Aut|; the orbits are then those of A = Aut(Gamma, series),
+    whose elements the same search finds.  Without it they are the
+    conjugacy orbits, and no search runs."""
     aut = dlt = None
+    group = None
     if with_aut:
         aut = aut_order(tower.group)
+        group = functools.partial(tower.orbit_group, series=True)
+    level_epi = tuple(out for *_, out in _orbit_levels(P, tower, epi=True, cap=cap,
+                                                       _group=group))
+    epi = level_epi[-1] if level_epi else 1
+    if with_aut:
         if epi % aut:
             raise CountError("epimorphism count %d is not divisible by |Aut|=%d" % (epi, aut))
         dlt = epi // aut

@@ -7,7 +7,6 @@ import itertools
 import math
 import random
 import re
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,14 +16,10 @@ from .cohomology import (
     nullspace_dim_mod_prime,
     twisted_z1_count,
 )
-from .presentations import Presentation, factorize, word_inverse, word_str
+from .presentations import CapExceeded, Presentation, factorize, word_inverse, word_str
 
 
 class GroupSpecError(ValueError):
-    pass
-
-
-class CapExceeded(RuntimeError):
     pass
 
 
@@ -63,8 +58,7 @@ class FiniteGroupTable:
             self.inv.append(j)
         self._conj = None
         self._orders = None
-        self._aut = None
-        self._center = None
+        self._auts = None
 
     def __len__(self):
         return self.n
@@ -180,12 +174,6 @@ class FiniteGroupTable:
         central = (self.conjugation_table() == np.arange(self.n)).all(axis=1)
         return frozenset(np.flatnonzero(central).tolist())
 
-    def center_order(self):
-        """|Z|, counted once per table and kept on it."""
-        if self._center is None:
-            self._center = len(self.center_set())
-        return self._center
-
     def is_nilpotent(self):
         K = frozenset({0})
         while len(K) < self.n:
@@ -226,6 +214,44 @@ class FiniteGroupTable:
 
 
 TRIVIAL_TABLE = FiniteGroupTable([[0]], name="1")
+
+
+class PermutationGroup:
+    """A permutation group on the points 0..n-1, given by the distinct rows
+    of its elements (row[x] is the image of x), with the data of a
+    two-stage canonical form.  For every point x, ``carried[x]`` is the row
+    of an element taking x to the least point of its orbit.  For every such
+    least point p: |orbit(p)| |Stab(p)| in ``orbit_stab[p]``, which is |G|
+    for a group, and the stabiliser of p, the elements fixing p.  The
+    stabilisers are grouped by size in ``by_size``, a list of (size,
+    offsets), ascending: p's stabiliser has size ``by_size[rank[p]][0]``
+    and is row ``slot[p]`` of that entry's offsets, each element e given as
+    the offset e n of its row in ``rows.ravel()``."""
+
+    def __init__(self, rows):
+        rows = np.asarray(rows, dtype=np.int64)
+        n = rows.shape[1]
+        if not (rows == np.arange(n)).all(axis=1).any():
+            raise GroupSpecError("the permutation rows do not contain the identity")
+        self.rows = rows
+        low = rows.min(axis=0)  # each point's least orbit point
+        self.carried = rows[rows.argmin(axis=0)]
+        points = np.flatnonzero(np.bincount(low, minlength=n))
+        fixes = rows[:, points] == points
+        stab_len = fixes.sum(axis=0)
+        self.orbit_stab = np.bincount(low, minlength=n)
+        self.orbit_stab[points] *= stab_len
+        self.rank = np.zeros(n, dtype=np.int16)
+        self.slot = np.zeros(n, dtype=np.int64)
+        self.by_size = []
+        for r, size in enumerate(sorted(set(stab_len.tolist()))):
+            at = stab_len == size
+            self.rank[points[at]] = r
+            self.slot[points[at]] = np.arange(at.sum())
+            self.by_size.append((size, np.nonzero(fixes[:, at].T)[1].reshape(-1, size) * n))
+
+    def __len__(self):
+        return len(self.rows)
 
 
 def _coords(radices):
@@ -297,25 +323,24 @@ def bfs_expressions(table, gens):
 
 
 # ---------------------------------------------------------------------------
-# Morphism search by generator images, checked on all pairs.
-
-
-def _fill_map(table, links, gens, images, dst):
-    f = np.zeros(table.n, dtype=np.int64)
-    dmul = dst.mul
-    for elem, parent, gp in links:
-        f[elem] = dmul[f[parent]][images[gp]]
-    return f
+# Morphism search by generator images, checked on the generators.
 
 
 def iter_homomorphisms(src, dst, bijective=False):
     """All homomorphisms src -> dst as image arrays, by brute generator-image
-    search with the order-divisibility pruning.  A bijective search raises
-    CapExceeded before it starts if it would try more than
-    BIJECTIVE_TUPLE_CAP candidate tuples."""
+    search with the order-divisibility pruning, in the order of
+    ``itertools.product`` over the candidate images.  A bijective search
+    raises CapExceeded before it starts if it would try more than
+    BIJECTIVE_TUPLE_CAP candidate tuples.
+
+    The candidate tuples are tried in blocks: each block's maps are filled
+    along the breadth-first expressions of the elements, one array pass per
+    element, and a map is a homomorphism when f(x g) = f(x) f(g) for every
+    x and every generator g (then f(x y) = f(x) f(y) by induction on the
+    length of y); a homomorphism is injective (``bijective``, between
+    groups of one order) when only the identity maps to the identity."""
     gens = generating_sequence(src)
     links = bfs_expressions(src, gens)
-    sarr = src.as_array()
     darr = dst.as_array()
     cands = []
     for g in gens:
@@ -328,23 +353,40 @@ def iter_homomorphisms(src, dst, bijective=False):
     if bijective and tuples > BIJECTIVE_TUPLE_CAP:
         raise CapExceeded("isomorphism search from a group of order %d would try %d candidate "
                           "image tuples (cap %d)" % (src.n, tuples, BIJECTIVE_TUPLE_CAP))
-    for images in itertools.product(*cands):
-        f = _fill_map(src, links, gens, images, dst)
-        if not (darr[f[:, None], f[None, :]] == f[sarr]).all():
-            continue
-        if bijective and len(set(f.tolist())) != src.n:
-            continue
-        yield f
+    by_gen = src.as_array()[:, gens]  # x g for every x and generator g
+    step = max(1, (1 << 14) // (src.n * max(1, len(gens))))
+    for lo in range(0, tuples, step):
+        # the block's tuples, the last generator's candidate varying fastest
+        idx = np.arange(lo, min(lo + step, tuples))
+        images = np.empty((len(idx), len(gens)), dtype=np.int64)
+        for gp in range(len(gens) - 1, -1, -1):
+            images[:, gp] = np.array(cands[gp])[idx % len(cands[gp])]
+            idx = idx // len(cands[gp])
+        f = np.zeros((len(images), src.n), dtype=np.int64)
+        for elem, parent, gp in links:
+            f[:, elem] = darr[f[:, parent], images[:, gp]]
+        ok = (darr[f[:, :, None], f[:, gens][:, None, :]] == f[:, by_gen]).all(axis=(1, 2))
+        if bijective:
+            ok &= (f[:, 1:] != 0).all(axis=1)
+        yield from f[ok]
+
+
+def automorphisms(table, cap=DEFAULT_ORDER_CAP):
+    """The automorphisms of the group as a read-only int32 array, one image
+    row per automorphism, found by one bijective generator-image search per
+    table and kept on it; ``cap`` on the order is checked on every call."""
+    if table.n > cap:
+        raise CapExceeded("group order %d exceeds cap %d" % (table.n, cap))
+    if table._auts is None:
+        rows = np.array(list(iter_homomorphisms(table, table, bijective=True)), dtype=np.int32)
+        rows.flags.writeable = False
+        table._auts = rows
+    return table._auts
 
 
 def aut_order(table, cap=DEFAULT_ORDER_CAP):
-    """|Aut| by counting bijective endomorphisms, once per table: the count
-    is kept on the table, and ``cap`` is checked on every call."""
-    if table.n > cap:
-        raise CapExceeded("group order %d exceeds cap %d" % (table.n, cap))
-    if table._aut is None:
-        table._aut = sum(1 for _ in iter_homomorphisms(table, table, bijective=True))
-    return table._aut
+    """|Aut|, the number of rows of ``automorphisms``."""
+    return len(automorphisms(table, cap))
 
 
 def find_isomorphism(t1, t2):
@@ -538,6 +580,8 @@ class ExtensionTower:
         self.spec = spec
         self.source_table = source_table
         self.source_iso = source_iso
+        self._series_auts = None
+        self._orbit_groups = {}
         self._fill_alphas()
 
     @property
@@ -619,36 +663,58 @@ class ExtensionTower:
             out.append(self.layers[j].num_vec(e))
         return tuple(reversed(out))
 
-    def element_from_vectors(self, vecs):
-        idx = 0
-        for j, lay in enumerate(self.layers):
-            idx = lay.enc(lay.vec_num(vecs[j]), idx)
-        return idx
-
     def chain_in_group(self):
-        """The chief chain as subsets of the top group, largest first."""
-        top = len(self.layers)
+        """The chief chain as sorted element arrays of the top group, largest
+        first: term i is the kernel N_i of the projection onto level i.  An
+        element e |B| + b of a layer over B projects to b, so an element x of
+        the top group projects to x mod |B_i|, and N_i holds the multiples
+        of |B_i|."""
         n = len(self.group)
-        chain = []
-        for i in range(top + 1):
-            chain.append(frozenset(x for x in range(n) if self.project(x, top, i) == 0))
-        return chain
+        return [np.arange(0, n, len(self.level_group(i))) for i in range(len(self.layers) + 1)]
 
-    def mul_structural(self, x, y):
-        """Product computed by the layer formula rather than the table."""
-        return _structural_mul(self.layers, x, y)
+    def orbit_group(self, level, series=False):
+        """The group acting on the maps into the level group B (level >= 1),
+        as a PermutationGroup on the distinct rows of its elements (row[b]
+        is the image of b): Inn(B), the distinct rows of B's conjugation
+        table, or with ``series`` the image of A = Aut(Gamma, series) in
+        Aut(B).  A is the set of automorphisms of the top group that map
+        every chain term onto itself; the top group's automorphism search
+        runs once, on first use.  An automorphism alpha in A induces
+        x mod |B| -> alpha(x) mod |B| on B, so its image is the first |B|
+        entries of its row, mod |B|.  Kept on the tower."""
+        key = (level, series)
+        if key not in self._orbit_groups:
+            table = self.level_group(level)
+            if series:
+                rows = self._series_automorphisms()[:, : table.n] % table.n
+            else:
+                rows = table.conjugation_table()
+            # rows that agree on a generating sequence are equal
+            if level < len(self.layers):
+                gens = self.layers[level]._base_gens
+            else:
+                gens = generating_sequence(table)
+            first = np.unique(rows[:, gens], axis=0, return_index=True)[1]
+            self._orbit_groups[key] = PermutationGroup(rows[first])
+        return self._orbit_groups[key]
 
-    def inv_structural(self, x):
-        """Inverse by the pair formula (-sigma_{b^-1} a - chi(b^-1, b), b^-1)."""
-        return _structural_inv(self.layers, x)
+    def _series_automorphisms(self):
+        """The rows of ``automorphisms(self.group)`` that map every chain
+        term into, hence onto, itself."""
+        if self._series_auts is None:
+            auts = automorphisms(self.group)
+            keep = np.ones(len(auts), dtype=bool)
+            inside = np.zeros(len(self.group), dtype=bool)
+            for N in self.chain_in_group()[1:-1]:
+                inside[:] = False
+                inside[N] = True
+                keep &= inside[auts[:, N]].all(axis=1)
+            self._series_auts = auts[keep]
+        return self._series_auts
 
     def verify(self):
         for lay in self.layers:
             lay.verify()
-
-    def layer_constants(self, level):
-        lay = self.layers[level]
-        return (lay.zeta, lay.c_chi, lay.kappa, lay.alpha)
 
     def _fill_alphas(self):
         """Number the layers' module-isomorphism classes over the top group
@@ -671,32 +737,6 @@ class ExtensionTower:
                 complemented.append(0)
             complemented[t] += lay.c_chi
             lay.module_type, lay.alpha = t, complemented[t]
-
-
-def _structural_mul(layers, x, y):
-    if not layers:
-        return 0
-    lay = layers[-1]
-    e1, b1 = lay.dec(x)
-    e2, b2 = lay.dec(y)
-    v = tuple(
-        (a + b + c) % lay.q
-        for a, b, c in zip(
-            lay.num_vec(e1), lay.apply_sigma(b1, lay.num_vec(e2)), lay.chi[b1][b2]
-        )
-    )
-    return lay.enc(lay.vec_num(v), _structural_mul(layers[:-1], b1, b2))
-
-
-def _structural_inv(layers, x):
-    if not layers:
-        return 0
-    lay = layers[-1]
-    e, b = lay.dec(x)
-    binv = lay.base.inv[b]
-    v = lay.apply_sigma(binv, lay.num_vec(e))
-    v = tuple((-a - c) % lay.q for a, c in zip(v, lay.chi[binv][b]))
-    return lay.enc(lay.vec_num(v), _structural_inv(layers[:-1], b))
 
 
 def intertwiner_space_dim(acts_a, acts_b, q, s):
@@ -865,26 +905,6 @@ def complement_count(tower, level):
             % (direct, via_z1, via_formula)
         )
     return direct
-
-
-@dataclass
-class GroupElement:
-    """Element of an extension tower, as per-layer kernel coordinates."""
-
-    tower: ExtensionTower
-    index: int
-
-    @property
-    def vectors(self):
-        return self.tower.element_vectors(self.index)
-
-    def __mul__(self, other):
-        if other.tower is not self.tower:
-            raise ValueError("elements from different towers")
-        return GroupElement(self.tower, self.tower.mul_structural(self.index, other.index))
-
-    def inverse(self):
-        return GroupElement(self.tower, self.tower.inv_structural(self.index))
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,15 @@ class PresentationError(ValueError):
     pass
 
 
+class CapExceeded(RuntimeError):
+    """A count or an input would pass one of the caps on its size; raised
+    before the resource is spent."""
+
+
+# most letters a power x^e may expand to; words are stored letter by letter
+WORD_LETTER_CAP = 10**7
+
+
 class ParseError(PresentationError):
     def __init__(self, message, pos):
         super().__init__("%s (at position %d)" % (message, pos))
@@ -235,6 +244,14 @@ class _Parser:
             self.next()
             kind, val, pos = self.next()
             if kind == "int":
+                # word_pow builds |e| copies of the base: max(len(base), 1) |e|
+                # letters or empty words, past the cap whenever |e| has more
+                # digits than the cap
+                digits = val.lstrip("+-")
+                if (len(digits) > len(str(WORD_LETTER_CAP))
+                        or max(len(base), 1) * int(digits) > WORD_LETTER_CAP):
+                    raise CapExceeded("the power at position %d would expand past the cap of "
+                                      "%d letters" % (pos, WORD_LETTER_CAP))
                 return word_pow(base, int(val))
             if val == "(":
                 conj = self.word(index)

@@ -15,7 +15,9 @@ Python routes that production no longer calls:
   extracted towers;
 * the per-map helpers they use: ``LayerAction``, ``solution_vectors``,
   ``homogeneous_count``, ``epsilon_and_witness``, ``fixed_subspace_dim``
-  and ``h1_dim``.
+  and ``h1_dim``;
+* tower arithmetic by the layer formulas (``mul_structural``,
+  ``inv_structural``, ``GroupElement``), one element at a time.
 
 None of them shares the batched kernel (``build_systems``,
 ``solve_systems``, ``lift_frontier``), so agreement with the library is
@@ -36,6 +38,7 @@ from solvquot.cohomology import (
 from solvquot.counting import CountError, epi_maps
 from solvquot.groups import (
     CapExceeded,
+    ExtensionTower,
     _binary_dihedral_data,
     _cyclic_data,
     _dihedral_data,
@@ -422,3 +425,64 @@ def delta_s4(P):
     lay = _s4_top_layer()
     total = _count_with_layer(P, lay.base, lay, lambda eps, d, beta: 2**beta - 1)
     return _exact_div(total, 6)
+
+
+# ---------------------------------------------------------------------------
+# Tower arithmetic by the layer formulas, one element at a time, against
+# which the tests check the multiplication tables the towers build.
+
+
+def mul_structural(tower, x, y):
+    """Product computed by the layer formula rather than the table."""
+    return _structural_mul(tower.layers, x, y)
+
+
+def inv_structural(tower, x):
+    """Inverse by the pair formula (-sigma_{b^-1} a - chi(b^-1, b), b^-1)."""
+    return _structural_inv(tower.layers, x)
+
+
+def _structural_mul(layers, x, y):
+    if not layers:
+        return 0
+    lay = layers[-1]
+    e1, b1 = lay.dec(x)
+    e2, b2 = lay.dec(y)
+    v = tuple(
+        (a + b + c) % lay.q
+        for a, b, c in zip(
+            lay.num_vec(e1), lay.apply_sigma(b1, lay.num_vec(e2)), lay.chi[b1][b2]
+        )
+    )
+    return lay.enc(lay.vec_num(v), _structural_mul(layers[:-1], b1, b2))
+
+
+def _structural_inv(layers, x):
+    if not layers:
+        return 0
+    lay = layers[-1]
+    e, b = lay.dec(x)
+    binv = lay.base.inv[b]
+    v = lay.apply_sigma(binv, lay.num_vec(e))
+    v = tuple((-a - c) % lay.q for a, c in zip(v, lay.chi[binv][b]))
+    return lay.enc(lay.vec_num(v), _structural_inv(layers[:-1], b))
+
+
+@dataclass
+class GroupElement:
+    """Element of an extension tower, as per-layer kernel coordinates."""
+
+    tower: ExtensionTower
+    index: int
+
+    @property
+    def vectors(self):
+        return self.tower.element_vectors(self.index)
+
+    def __mul__(self, other):
+        if other.tower is not self.tower:
+            raise ValueError("elements from different towers")
+        return GroupElement(self.tower, mul_structural(self.tower, self.index, other.index))
+
+    def inverse(self):
+        return GroupElement(self.tower, inv_structural(self.tower, self.index))

@@ -142,6 +142,20 @@ def test_isomorphism_search_is_capped_before_it_starts(capsys):
         assert "order 64 would try 62523502209 candidate image tuples" in err
 
 
+def test_huge_exponent_is_capped_before_it_expands(capsys):
+    # x^100000000 would expand to 10^8 letters, past the parser's cap of
+    # 10^7, and exits 2 before a letter is built, as does an exponent of
+    # 5000 digits and a huge power of the empty word; x^2000 is counted
+    for rel in ("x^100000000 y^2", "x^%s y^2" % ("1" * 5000), "(x x^-1)^100000000 y^2"):
+        start = time.perf_counter()
+        assert main(["delta", "--source", "< x, y | %s >" % rel, "--target", "Z(2)"]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "past the cap of 10000000 letters" in capsys.readouterr().err
+    code, out = run_cli(capsys, "delta", "--source", "< x, y | x^2000 y^2 >", "--target", "Z(2)",
+                        "--tsv")
+    assert code == 0 and out.splitlines()[1].split("\t")[3:] == ["3", "1", "3"]
+
+
 def test_unread_cap_options_are_rejected(capsys):
     # each cap is accepted only by the verbs that read it
     for argv in (["aut", "--target", "S(4)", "--cap-frontier", "0"],

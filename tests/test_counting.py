@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from reference import (
@@ -23,7 +25,13 @@ from solvquot.counting import (
     hom_count,
     lift_frontier,
 )
-from solvquot.groups import CATALOG_SPECS, CapExceeded, GroupSpecError, builtin_group
+from solvquot.groups import (
+    CATALOG_SPECS,
+    CapExceeded,
+    GroupSpecError,
+    PermutationGroup,
+    builtin_group,
+)
 from solvquot.oracle import brute_hom
 from solvquot.presentations import builtin_from_string, builtin_presentation
 
@@ -78,7 +86,7 @@ def test_epi_lift():
     for images in epi_maps(bs15, D8, level=2):
         out, dims = lift_frontier(bs15, D8.layers[2], np.array([images], dtype=np.int32),
                                   epi=True)
-        assert len(out) == 0 and dims == [None]
+        assert len(out) == 0 and dims.tolist() == [-1]
     # a map that is not onto its level trips the complement tally
     with pytest.raises(CountError):
         lift_frontier(F2, lay, np.zeros((1, 2), dtype=np.int32), epi=True)
@@ -150,18 +158,21 @@ def test_self_checks_fire_on_corrupted_data(monkeypatch):
 
 def test_counted_path_matches_full_enumeration():
     # the orbit-reduced, top-counted path against every map enumerated:
-    # each level's epi_out (the top one is |Epi|) against epi_maps, and Hom
-    # against the oracle, which walks up to 48^4 image tuples in chunks
+    # each level's epi_out (the top one is |Epi|), lifted modulo conjugation
+    # and modulo the series automorphisms, against epi_maps, and Hom against
+    # the oracle, which walks up to 48^4 image tuples in chunks
+    towers = [builtin_group(spec) for spec in CATALOG_SPECS]
     for label in ["free(2)", "surface(2)", "braid(4)", "bs(2,6)", "klein"]:
         P = builtin_from_string(label)
-        for spec in CATALOG_SPECS:
-            tower = builtin_group(spec)
+        for tower in towers:
             if tower.order > 48:
                 continue
+            spec = tower.spec
             rep = epi_count(P, tower, with_aut=False)
             assert [stats["epi_out"] for stats in rep.levels] == [
                 len(epi_maps(P, tower, level=i)) for i in range(1, len(tower.layers) + 1)
             ], (label, spec)
+            assert epi_count(P, tower).level_epi == rep.level_epi, (label, spec)
             assert hom_count(P, tower) == brute_hom(P, tower.group).count, (label, spec)
 
 
@@ -177,16 +188,43 @@ def test_abelian_upper_levels_match_the_oracle():
 def test_orbit_frontier_shape():
     # Dstar(48) from surface(2): the 11520 epimorphisms onto the level-4
     # group (order 16, centre of order 2) are kept as 1440 orbits of size
-    # 8, and the 276480 onto the top are counted, not stored
+    # 8 under conjugation, and as 360 orbits of size 32 under the series
+    # automorphisms; the 276480 onto the top are counted, not stored
     tower = builtin_group("Dstar(48)")
-    levels = list(counting._orbit_levels(builtin_presentation("surface", 2), tower, epi=True))
-    _, reps, weights, _, _ = levels[3]
-    assert (len(reps), set(weights.tolist())) == (1440, {8})
-    assert levels[-1][1] is None and levels[-1][4] == 276480
-    conj = tower.layers[3].group.conjugation_table()
-    least = conj[:, reps].transpose(1, 0, 2)
-    # each representative is the least of its conjugates
-    assert all(min(map(tuple, c.tolist())) == tuple(r) for c, r in zip(least, reps.tolist()))
+    surface = builtin_presentation("surface", 2)
+    by_series = functools.partial(tower.orbit_group, series=True)
+    for group, orbits, size in [(None, 1440, 8), (by_series, 360, 32)]:
+        levels = list(counting._orbit_levels(surface, tower, epi=True, _group=group))
+        _, reps, weights, _, _ = levels[3]
+        assert (len(reps), set(weights.tolist())) == (orbits, {size})
+        assert levels[-1][1] is None and levels[-1][4] == 276480
+        # each representative is the least of its images under the group
+        images = (group or tower.orbit_group)(4).rows[:, reps].transpose(1, 0, 2)
+        assert all(min(map(tuple, c.tolist())) == tuple(r) for c, r in zip(images, reps.tolist()))
+    # the acting groups per level: Inn(B_i) and the image of Aut(Gamma, series)
+    assert [len(tower.orbit_group(i)) for i in range(1, 5)] == [1, 1, 4, 8]
+    assert [len(by_series(i)) for i in range(1, 5)] == [1, 2, 8, 32]
+
+
+def test_orbit_representatives_against_every_image():
+    # random rows of 12 entries over Dstar(48), whose packed keys take two
+    # int64 chunks (48^12 > 2^62), and of 3 entries over its level-4 group:
+    # each representative is the least image of its row under the whole
+    # group, and its weight the number of distinct images
+    tower = builtin_group("Dstar(48)")
+    rng = np.random.default_rng(3)
+    for level, n in [(5, 12), (4, 3)]:
+        for series in (False, True):
+            group = tower.orbit_group(level, series=series)
+            nB = group.rows.shape[1]
+            rows = np.unique(rng.integers(nB, size=(300, n)).astype(np.int32), axis=0)
+            reps, weights = counting._orbit_representatives(group, rows)
+            want = {}
+            for row in rows:
+                images = {tuple(im) for im in group.rows[:, row].tolist()}
+                want[min(images)] = len(images)
+            assert [tuple(r) for r in reps.tolist()] == sorted(want)
+            assert weights.tolist() == [want[r] for r in sorted(want)]
 
 
 def test_planted_errors_raise(monkeypatch):
@@ -204,6 +242,18 @@ def test_planted_errors_raise(monkeypatch):
     with pytest.raises(CountError, match="orbit at level 1 has a size"):
         epi_count(F2, S4)
     monkeypatch.setattr(counting, "_orbit_representatives", real)
+    # a permutation of S(3), the level-2 group, that is not an automorphism
+    # (it swaps an element of order 2 with one of order 3) planted among
+    # the acting rows
+    swap = np.arange(6)
+    swap[[1, 2]] = [2, 1]
+
+    def planted(i):
+        rows = S4.orbit_group(i, series=True).rows
+        return PermutationGroup(np.vstack([rows, swap]) if i == 2 else rows)
+
+    with pytest.raises(CountError, match="orbit at level 2 has a size"):
+        list(counting._orbit_levels(F2, S4, epi=True, _group=planted))
     # a dropped complement row, below the top and at the top, is refused
     # where it is set; one planted past that check below the top still
     # trips lift_frontier's tally of the complement lifts
@@ -464,3 +514,23 @@ def test_long_relator_counts():
     assert rep.delta == delta_abelian_closed(abelian_invariants(P), ("cyclic", 2, 1))
     rep = epi_count(P, builtin_group("S(3)"))
     assert rep.delta == 1 == table1_delta(P, "S3")
+
+
+@pytest.mark.slow
+def test_deep_dihedral_counts():
+    # Epi and delta onto D(256) and D(128), lifted modulo the series
+    # automorphisms, and Hom onto D(128) against Frobenius' formula
+    # |Hom(surface(2), G)| = |G| sum over the irreducible characters chi of
+    # (|G| / chi(1))^2
+    P = builtin_presentation("surface", 2)
+    rep = epi_count(P, builtin_group("D(256)"))
+    assert (rep.epi, rep.delta) == (47185920, 5760)
+    tower = builtin_group("D(128)")
+    assert epi_count(P, tower).epi == 5898240
+    table = tower.group
+    classes = len({frozenset(table.conjugates(x)) for x in range(table.n)})
+    linear = table.n // len(table.derived_subgroup())
+    # the other irreducible characters of a dihedral group have degree 2
+    degrees = [1] * linear + [2] * (classes - linear)
+    assert sum(d * d for d in degrees) == table.n
+    assert hom_count(P, tower) == table.n * sum((table.n // d) ** 2 for d in degrees) == 24641536

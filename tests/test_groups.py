@@ -5,6 +5,7 @@ import random
 
 import numpy as np
 import pytest
+from reference import GroupElement, inv_structural, mul_structural
 
 from solvquot.counting import aut_order_by_lifting
 from solvquot.groups import (
@@ -12,9 +13,9 @@ from solvquot.groups import (
     NILPOTENT_CATALOG_SPECS,
     CapExceeded,
     FiniteGroupTable,
-    GroupElement,
     GroupSpecError,
     aut_order,
+    automorphisms,
     builtin_group,
     chief_series,
     complement_count,
@@ -112,9 +113,9 @@ def test_multiply_inverse_formulas():
         tw = builtin_group(spec)
         table = tw.group
         for x in range(len(table)):
-            assert tw.inv_structural(x) == table.inv[x]
+            assert inv_structural(tw, x) == table.inv[x]
             for y in range(len(table)):
-                assert tw.mul_structural(x, y) == table.mul[x][y]
+                assert mul_structural(tw, x, y) == table.mul[x][y]
         e = GroupElement(tw, 3)
         assert (e * e.inverse()).index == 0
     with pytest.raises(ValueError):
@@ -180,8 +181,7 @@ def test_center_orders():
         t = builtin_group(spec).group
         n = len(t)
         central = {z for z in range(n) if all(t.mul[z][g] == t.mul[g][z] for g in range(n))}
-        assert t.center_set() == central
-        assert t.center_order() == len(central) == want, spec
+        assert t.center_set() == central and len(central) == want, spec
 
 
 def test_minimal_normal_subgroup():
@@ -194,14 +194,13 @@ def test_minimal_normal_subgroup():
 
 
 def test_layer_constants():
-    s4 = builtin_group("S(4)")
-    assert s4.layer_constants(2) == (1, 1, 1, 1)
-    d8 = builtin_group("D(8)")
-    assert d8.layer_constants(2)[1] == 0  # non-split
-    assert d8.layer_constants(2)[3] == 2  # two complemented trivial factors
-    z22 = builtin_group("Z(2)^2")
-    zeta, c_chi, kappa, alpha = z22.layer_constants(1)
-    assert (zeta, kappa, alpha) == (0, 1, 2) and c_chi == 1
+    lay = builtin_group("S(4)").layers[2]
+    assert (lay.zeta, lay.c_chi, lay.kappa, lay.alpha) == (1, 1, 1, 1)
+    lay = builtin_group("D(8)").layers[2]
+    assert lay.c_chi == 0  # non-split
+    assert lay.alpha == 2  # two complemented trivial factors
+    lay = builtin_group("Z(2)^2").layers[1]
+    assert (lay.zeta, lay.kappa, lay.alpha) == (0, 1, 2) and lay.c_chi == 1
     a4 = builtin_group("A(4)")
     assert a4.layers[1].kappa == 2  # endomorphisms of the plane under Z_3 form F_4
 
@@ -307,6 +306,31 @@ def sl23_table():
                             name="SL(2,3)")
 
 
+def test_series_automorphisms():
+    # the automorphism rows are distinct automorphisms, and the series
+    # automorphisms, filtered by array passes over chain_in_group, are the
+    # rows that fix every chain term as defined by the projections; each
+    # level's orbit group is their distinct images mod |B_i|
+    for spec, order, series in [("D(48)", 192, 192), ("Z(2)^4", 20160, 64),
+                                ("Z(2)*S(4)", 48, 24), ("Z(3)*D(8)", 16, 16)]:
+        tw = builtin_group(spec)
+        table, top = tw.group, len(tw.layers)
+        rows = automorphisms(table)
+        assert rows.shape == (order, table.n) == (aut_order(table), table.n)
+        assert len({tuple(r) for r in rows.tolist()}) == order
+        arr = table.as_array()
+        assert all((arr[r[:, None], r[None, :]] == r[arr]).all() for r in rows[:50].astype(int))
+        kernels = [{x for x in range(table.n) if tw.project(x, top, i) == 0}
+                   for i in range(top + 1)]
+        fixing = [r for r in rows.tolist() if all({r[x] for x in N} == N for N in kernels)]
+        assert len(fixing) == series, spec
+        for level in range(1, top):
+            nB = len(tw.level_group(level))
+            images = {tuple(tw.project(r[b], top, level) for b in range(nB)) for r in fixing}
+            got = tw.orbit_group(level, series=True).rows.tolist()
+            assert sorted(map(tuple, got)) == sorted(images), (spec, level)
+
+
 def test_sl23_from_table():
     from solvquot.counting import epi_count
     from solvquot.presentations import builtin_presentation
@@ -328,11 +352,14 @@ def test_tower_projection_and_vectors():
     tw = builtin_group("S(4)")
     top = len(tw.layers)
     for x in (0, 5, 17, 23):
-        vecs = tw.element_vectors(x)
-        assert tw.element_from_vectors(vecs) == x
+        # layer j's coordinates are those of x's image in the level-(j + 1) group
+        assert tw.element_vectors(x) == tuple(
+            lay.num_vec(lay.dec(tw.project(x, top, j + 1))[0]) for j, lay in enumerate(tw.layers))
         assert tw.project(x, top, 0) == 0
+    # chain term i is the kernel of the projection onto level i
     chain = tw.chain_in_group()
-    assert len(chain[0]) == 24 and chain[-1] == frozenset({0})
+    assert [c.tolist() for c in chain] == [
+        [x for x in range(24) if tw.project(x, top, i) == 0] for i in range(top + 1)]
     assert [len(c) for c in chain] == [24, 12, 4, 1]
 
 
@@ -532,5 +559,5 @@ def test_towers_at_the_order_cap():
         n = len(table)
         for _ in range(2000):
             x, y = rng.randrange(n), rng.randrange(n)
-            assert tw.mul_structural(x, y) == table.mul[x][y], spec
-            assert tw.inv_structural(x) == table.inv[x], spec
+            assert mul_structural(tw, x, y) == table.mul[x][y], spec
+            assert inv_structural(tw, x) == table.inv[x], spec
