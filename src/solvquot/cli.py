@@ -124,7 +124,7 @@ def cmd_count(args):
     if args.command == "hom":
         hom = counting.hom_count(P, tower, cap=args.cap_frontier)
     else:
-        rep = counting.epi_count(P, tower, cap=args.cap_frontier)
+        rep = counting.epi_count(P, tower, cap=args.cap_frontier, cap_order=args.cap_order)
         epi, aut, dlt, levels = rep.epi, rep.aut, rep.delta, rep.levels
     if args.tsv:
         emit_tsv(["source", "target", "hom", "epi", "aut", "delta"],

@@ -10,8 +10,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cohomology import build_systems, solve_systems, solution_arrays
-from .groups import CapExceeded, aut_order
+from .cohomology import _layer_tables, build_systems, solve_systems, solution_arrays
+from .groups import DEFAULT_ORDER_CAP, CapExceeded, aut_order
 from .presentations import factorize
 
 
@@ -64,8 +64,18 @@ class CountReport:
 # the lifts of the representatives are canonicalised and deduplicated one
 # level up.  The top layer is counted, epsilon * q^d (minus the c complement
 # lifts for Epi) per representative, and never enumerated.
+#
+# The bottom layer of every tower is Z_q^s over the trivial group, with
+# trivial action and no cocycle, so the lifts of the trivial map through it
+# are Hom(G, Z_q^s) (minus the trivial map for Epi): they depend on the
+# source and the layer, not on the tower above.  ``_bottom_lifts`` keeps
+# them, with their exponents d, in the presentation's ``bottom_lifts``
+# dict, keyed on q, s, Hom or Epi, the layer's term table and, for Epi,
+# its complement sections; one entry serves every tower with that bottom.
+# Only this level is kept.  The cap is compared with the stored size on
+# every use, and the level arithmetic runs on every count.
 
-_BLOCK = 1 << 20  # entries per block of the canonical-form candidate arrays
+_BLOCK = 1 << 20  # entries per block of the canonical-form candidates and top systems
 
 
 def _trivial_frontier(P):
@@ -95,11 +105,7 @@ def lift_frontier(P, lay, frontier, epi, cap=10**7, level=0):
     sol = solve_systems(A, -chi, q)
     dims = _dims(sol)
     size = sum(k * q**d for d, k in _weight_per_dim(dims) if d is not None) - c * len(frontier)
-    if size > cap:
-        raise CapExceeded(
-            "%s frontier at level %d would reach %d maps, over the cap %d"
-            % ("epimorphism" if epi else "homomorphism", level + 1, size, cap)
-        )
+    _check_cap(size, cap, epi, level)
     counts = np.where(sol.solvable, q**sol.dims, 0)
     X = solution_arrays(sol)
     if len(X) != counts.sum():
@@ -131,6 +137,42 @@ def lift_frontier(P, lay, frontier, epi, cap=10**7, level=0):
         lifts = lifts[keep]
     lifts = lifts.astype(np.int32)
     return lifts[np.lexsort(lifts.T[::-1])], dims
+
+
+def _check_cap(size, cap, epi, level):
+    if size > cap:
+        raise CapExceeded(
+            "%s frontier at level %d would reach %d maps, over the cap %d"
+            % ("epimorphism" if epi else "homomorphism", level + 1, size, cap)
+        )
+
+
+def _bottom_lifts(P, lay, epi, cap, top):
+    """The lifts of the trivial map through the bottom layer ``lay`` and
+    their exponent d, as read-only arrays (lifts, dims) in the shape
+    lift_frontier returns, kept in ``P.bottom_lifts``.  A missing entry is
+    filled by lift_frontier with its cap and its complement checks; a
+    stored one is compared with ``cap``.  At the ``top`` of a one-layer
+    tower only dims is needed, so a missing entry is filled by _count_top
+    and its lifts are left None until a taller tower needs them."""
+    tab = _layer_tables(lay)
+    sec = lay.sections
+    key = (lay.q, lay.s, epi, tab.terms.shape, tab.terms.tobytes(),
+           (sec.shape, sec.tobytes()) if epi else None)
+    entry = P.bottom_lifts.get(key)
+    if entry is not None and (top or entry[0] is not None):
+        if not top:
+            _check_cap(len(entry[0]), cap, epi, 0)
+        return entry
+    if top:
+        entry = (None, _count_top(P, lay, _trivial_frontier(P)))
+    else:
+        entry = lift_frontier(P, lay, _trivial_frontier(P), epi, cap=cap)
+    for a in entry:
+        if a is not None:
+            a.flags.writeable = False
+    P.bottom_lifts[key] = entry
+    return entry
 
 
 def _row_keys(owner, rows, m, radix):
@@ -248,19 +290,26 @@ def _count_top(P, lay, reps):
     ``lay.sections`` are c distinct homomorphic sections of the layer
     (checked when they are set), so their restrictions to an epimorphism's
     images are its c non-surjective lifts; here those restrictions must
-    solve each representative's system."""
+    solve each representative's system.  The representatives are taken in
+    blocks, so that no array of a block passes about _BLOCK entries."""
     q, s, n = lay.q, lay.s, P.n
     nB = len(lay.base)
     c = lay.complements
-    A, chi = build_systems(P, reps, lay)
-    sol = solve_systems(A, -chi, q)
-    if c:
-        X = ((lay.sections[:, reps] // nB)[..., None] // q ** np.arange(s)) % q
-        X = X.reshape(c, len(reps), n * s)
-        if ((np.einsum("jrk,cjk->cjr", A, X) + chi) % q).any() or not sol.solvable.all():
-            raise CountError("a complement lift does not solve the lifting "
-                             "system of its map")
-    return _dims(sol)
+    R, C = len(P.relators) * s, n * s
+    dims = np.empty(len(reps), dtype=np.int64)
+    step = max(1, _BLOCK // ((R + C) * (C + 1) + c * C))
+    for lo in range(0, len(reps), step):
+        block = reps[lo : lo + step]
+        A, chi = build_systems(P, block, lay)
+        sol = solve_systems(A, -chi, q)
+        if c:
+            X = ((lay.sections[:, block] // nB)[..., None] // q ** np.arange(s)) % q
+            X = X.reshape(c, len(block), C)
+            if ((np.einsum("jrk,cjk->cjr", A, X) + chi) % q).any() or not sol.solvable.all():
+                raise CountError("a complement lift does not solve the lifting "
+                                 "system of its map")
+        dims[lo : lo + step] = _dims(sol)
+    return dims
 
 
 def _closed_form_lifts(lay, d, epi):
@@ -285,7 +334,8 @@ def _orbit_levels(P, tower, epi, cap=10**7, _group=None):
     Self-checks: the weighted closed-form count of each layer equals the
     weighted count above it; with ``epi`` every orbit has the size of the
     acting group, which acts freely on epimorphisms; and lift_frontier's
-    and _count_top's checks of the complement lifts.  Once a level has no
+    and _count_top's checks of the complement lifts, at the bottom layer
+    when its kept entry (``_bottom_lifts``) is filled.  Once a level has no
     representative, every layer above it yields maps_out = 0 without
     building or solving anything."""
     group = _group or tower.orbit_group
@@ -301,7 +351,10 @@ def _orbit_levels(P, tower, epi, cap=10**7, _group=None):
                 yield i + 1, None, None, 0, 0
             continue
         if i < top:
-            lifts, dims = lift_frontier(P, lay, reps, epi, cap=cap, level=i)
+            if i:
+                lifts, dims = lift_frontier(P, lay, reps, epi, cap=cap, level=i)
+            else:
+                lifts, dims = _bottom_lifts(P, lay, epi, cap, top=False)
             acting = group(i + 1)
             new_reps, new_weights = _orbit_representatives(acting, lifts)
             del lifts
@@ -312,7 +365,11 @@ def _orbit_levels(P, tower, epi, cap=10**7, _group=None):
                                  % (i + 1, len(acting)))
             per_dim = _weight_per_dim(dims, weights)
         else:
-            per_dim = _weight_per_dim(_count_top(P, lay, reps), weights)
+            if i:
+                dims = _count_top(P, lay, reps)
+            else:
+                dims = _bottom_lifts(P, lay, epi, cap, top=True)[1]
+            per_dim = _weight_per_dim(dims, weights)
             new_reps = new_weights = None
             c = lay.complements if epi else 0
             maps_out = sum(w * (lay.q**d - c) for d, w in per_dim if d is not None)
@@ -345,18 +402,18 @@ def epi_maps(P, tower, cap=10**7, level=None):
     return _as_tuples(frontier)
 
 
-def epi_count(P, tower, cap=10**7, with_aut=True):
+def epi_count(P, tower, cap=10**7, with_aut=True, cap_order=DEFAULT_ORDER_CAP):
     """|Epi|, lifting one epimorphism per orbit and counting the top layer.
     With ``with_aut`` also |Aut| by the generator-image search of
-    ``aut_order``, run first, which must divide |Epi|, and delta =
-    |Epi| / |Aut|; the orbits are then those of A = Aut(Gamma, series),
-    whose elements the same search finds.  Without it they are the
-    conjugacy orbits, and no search runs."""
+    ``aut_order`` under the order cap ``cap_order``, run first, which must
+    divide |Epi|, and delta = |Epi| / |Aut|; the orbits are then those of
+    A = Aut(Gamma, series), whose elements the same search finds.  Without
+    it they are the conjugacy orbits, and no search runs."""
     aut = dlt = None
     group = None
     if with_aut:
-        aut = aut_order(tower.group)
-        group = functools.partial(tower.orbit_group, series=True)
+        aut = aut_order(tower.group, cap_order)
+        group = functools.partial(tower.orbit_group, series=True, cap=cap_order)
     level_epi = tuple(out for *_, out in _orbit_levels(P, tower, epi=True, cap=cap,
                                                        _group=group))
     epi = level_epi[-1] if level_epi else 1

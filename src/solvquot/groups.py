@@ -672,7 +672,7 @@ class ExtensionTower:
         n = len(self.group)
         return [np.arange(0, n, len(self.level_group(i))) for i in range(len(self.layers) + 1)]
 
-    def orbit_group(self, level, series=False):
+    def orbit_group(self, level, series=False, cap=DEFAULT_ORDER_CAP):
         """The group acting on the maps into the level group B (level >= 1),
         as a PermutationGroup on the distinct rows of its elements (row[b]
         is the image of b): Inn(B), the distinct rows of B's conjugation
@@ -681,12 +681,13 @@ class ExtensionTower:
         every chain term onto itself; the top group's automorphism search
         runs once, on first use.  An automorphism alpha in A induces
         x mod |B| -> alpha(x) mod |B| on B, so its image is the first |B|
-        entries of its row, mod |B|.  Kept on the tower."""
+        entries of its row, mod |B|.  ``cap`` bounds the top group's order
+        for that search.  Kept on the tower."""
         key = (level, series)
         if key not in self._orbit_groups:
             table = self.level_group(level)
             if series:
-                rows = self._series_automorphisms()[:, : table.n] % table.n
+                rows = self._series_automorphisms(cap)[:, : table.n] % table.n
             else:
                 rows = table.conjugation_table()
             # rows that agree on a generating sequence are equal
@@ -698,11 +699,11 @@ class ExtensionTower:
             self._orbit_groups[key] = PermutationGroup(rows[first])
         return self._orbit_groups[key]
 
-    def _series_automorphisms(self):
-        """The rows of ``automorphisms(self.group)`` that map every chain
-        term into, hence onto, itself."""
+    def _series_automorphisms(self, cap=DEFAULT_ORDER_CAP):
+        """The rows of ``automorphisms(self.group, cap)`` that map every
+        chain term into, hence onto, itself."""
         if self._series_auts is None:
-            auts = automorphisms(self.group)
+            auts = automorphisms(self.group, cap)
             keep = np.ones(len(auts), dtype=bool)
             inside = np.zeros(len(self.group), dtype=bool)
             for N in self.chain_in_group()[1:-1]:

@@ -141,6 +141,16 @@ class Presentation:
                 block[k, g, t] = 1
         return gen, kind, block
 
+    @cached_property
+    def bottom_lifts(self):
+        """The counting engine's lifts of the trivial map through the bottom
+        layer of a tower, a dict filled by ``counting._bottom_lifts``.  The
+        trivial map's lifts through Z_q^s with trivial action are
+        Hom(G, Z_q^s), which depends on the presentation and the layer, not
+        on the tower above it.  Keyed on q, s, Hom or Epi, the layer's term
+        table and, for Epi, its complement sections."""
+        return {}
+
 
 # ---------------------------------------------------------------------------
 # Parser for the presentation language:

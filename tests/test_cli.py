@@ -423,3 +423,25 @@ def test_hom_runs_only_the_hom_lifting(capsys, monkeypatch):
     code, out = run_cli(capsys, *argv, "--tsv")
     assert code == 0
     assert out == "source\ttarget\thom\tepi\taut\tdelta\nbuiltin:free(2)\tZ(2)^5\t1024\t-\t-\t-\n"
+
+
+def test_epi_and_delta_honour_cap_order(capsys):
+    # the |Aut| search of epi and delta runs under --cap-order, as aut does:
+    # Z(521) is past the default cap of 512
+    for verb in ("epi", "delta"):
+        argv = (verb, "--source", "builtin:free(2)", "--target", "Z(521)")
+        assert main(list(argv)) == 2
+        assert capsys.readouterr().err.startswith("aborted: group order 521 exceeds cap 512")
+        code, out = run_cli(capsys, *argv, "--cap-order", "1024")
+        doc = json.loads(out)
+        assert code == 0 and (doc["epi"], doc["aut"], doc["delta"]) == (521**2 - 1, 520, 522)
+
+
+@pytest.mark.slow
+def test_epi_cap_order_past_the_default_on_a_dihedral_target(capsys):
+    code, out = run_cli(capsys, "aut", "--target", "D(520)", "--cap-order", "1024")
+    assert code == 0 and json.loads(out)["aut"] == 24960
+    code, out = run_cli(capsys, "epi", "--source", "builtin:free(2)", "--target", "D(520)",
+                        "--cap-order", "1024")
+    doc = json.loads(out)
+    assert code == 0 and (doc["epi"], doc["aut"], doc["delta"]) == (74880, 24960, 3)

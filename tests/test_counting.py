@@ -33,7 +33,7 @@ from solvquot.groups import (
     builtin_group,
 )
 from solvquot.oracle import brute_hom
-from solvquot.presentations import builtin_from_string, builtin_presentation
+from solvquot.presentations import builtin_from_string, builtin_presentation, parse_presentation
 
 F1 = builtin_presentation("free", 1)
 F2 = builtin_presentation("free", 2)
@@ -96,20 +96,35 @@ def test_cap_fires_before_the_lifts_at_its_level(monkeypatch):
     # F2 -> S4 lifts one map per conjugacy orbit: level 1 builds the lifts
     # of the trivial map (3 epimorphisms, 4 homomorphisms onto Z_2, each its
     # own orbit), level 2 the lifts of those (3 * 6 epimorphisms, 4 * 9
-    # homomorphisms into S_3), and the top level builds nothing
+    # homomorphisms into S_3), and the top level builds nothing.  A freshly
+    # parsed source keeps no bottom lifts yet, so level 1 allocates them
+    P = parse_presentation("< x, y | >")
     built = []
     real = counting.solution_arrays
     monkeypatch.setattr(counting, "solution_arrays",
                         lambda results: built.append(1) or real(results))
     with pytest.raises(CapExceeded, match="level 2 would reach 18 "):
-        epi_count(F2, S4, cap=10)
+        epi_count(P, S4, cap=10)
     assert len(built) == 1  # only the level-1 lifts were allocated
     built.clear()
     with pytest.raises(CapExceeded, match="level 2 would reach 36 "):
-        hom_count(F2, S4, cap=30)
+        hom_count(P, S4, cap=30)
     assert len(built) == 1
-    assert epi_count(F2, S4, cap=18).epi == 216
-    assert hom_count(F2, S4, cap=36) == 576
+    # with the bottom lifts kept on the source, level 1 allocates nothing,
+    # and the caps still fire: at level 2 as before, and at level 1 where
+    # the cap is below the kept lifts' number
+    built.clear()
+    with pytest.raises(CapExceeded, match="level 2 would reach 18 "):
+        epi_count(P, S4, cap=10)
+    with pytest.raises(CapExceeded, match="level 2 would reach 36 "):
+        hom_count(P, S4, cap=30)
+    with pytest.raises(CapExceeded, match="epimorphism frontier at level 1 would reach 3 "):
+        epi_count(P, S4, cap=2)
+    with pytest.raises(CapExceeded, match="homomorphism frontier at level 1 would reach 4 "):
+        hom_count(P, S4, cap=3)
+    assert built == []
+    assert epi_count(P, S4, cap=18).epi == 216
+    assert hom_count(P, S4, cap=36) == 576
 
 
 def test_complement_rows_match_the_surjectivity_walk():
@@ -134,6 +149,70 @@ def test_complement_rows_match_the_surjectivity_walk():
                     break
 
 
+def _long_word_source(letters, seed):
+    """A one-relator source on x, y whose relator is a freely reduced word
+    of ``letters`` letters."""
+    rng = np.random.default_rng(seed)
+    word = []
+    while len(word) < letters:
+        g, e = int(rng.integers(2)), int(rng.choice([-1, 1]))
+        if not word or word[-1] != (g, -e):
+            word.append((g, e))
+    text = " ".join("xy"[g] + ("^-1" if e < 0 else "") for g, e in word)
+    P = parse_presentation("< x, y | %s >" % text)
+    assert len(P.relators[0]) == letters
+    return P
+
+
+def test_kept_bottom_lifts_give_the_cold_counts():
+    # every catalog count from a source whose bottom lifts are kept equals
+    # the count from a freshly parsed copy, which lifts its bottom layer
+    # anew; the source keeps one entry per (bottom layer, Hom or Epi), its
+    # arrays read-only
+    towers = [builtin_group(spec) for spec in CATALOG_SPECS]
+    sources = [functools.partial(builtin_from_string, label)
+               for label in ["free(3)", "surface(2)", "bs(2,6)"]]
+    sources.append(functools.partial(_long_word_source, 399, 7))
+    for fresh in sources:
+        cold = [(hom_count(fresh(), tower), epi_count(fresh(), tower).level_epi)
+                for tower in towers]
+        warm = fresh()
+        for _ in range(2):  # the first pass fills the entries, the second reads them
+            assert [(hom_count(warm, tower), epi_count(warm, tower).level_epi)
+                    for tower in towers] == cold
+        kinds = {(t.layers[0].q, t.layers[0].s, epi) for t in towers for epi in (False, True)}
+        assert len(warm.bottom_lifts) == len(kinds)
+        assert {key[:3] for key in warm.bottom_lifts} == kinds
+        # Z(5) is the one tower with a Z_5 bottom, and its top needs only d
+        for lifts, dims in warm.bottom_lifts.values():
+            assert not (lifts is not None and lifts.flags.writeable or dims.flags.writeable)
+
+
+def test_corrupted_bottom_layer_raises_after_its_lifts_are_kept(monkeypatch):
+    # the source's bottom lifts onto Z_2 are kept by the first counts; a
+    # changed complement row of the bottom layer is another key, whose lifts
+    # are built and checked anew, and a changed alpha trips the level
+    # arithmetic, which runs on every count.  x -> 1, y -> 1 is no
+    # homomorphism of this source, so the planted row is not among the lifts
+    P = parse_presentation("< x, y | x^3 y^2 >")
+    tower, z2 = builtin_group("D(8)"), builtin_group("Z(2)")
+    want = epi_count(P, tower).level_epi
+    assert hom_count(P, tower) == brute_hom(P, tower.group).count
+    assert epi_count(P, z2).epi == 1 and len(P.bottom_lifts) == 2
+    bottom = tower.layers[0]
+    with monkeypatch.context() as m:
+        m.setattr(bottom, "_sections", np.ones((1, 1), dtype=np.int32))
+        with pytest.raises(CountError, match="complement lift is not found"):
+            epi_count(P, tower)
+    # below the top and at the top of a one-layer tower
+    for lay, target in [(bottom, tower), (z2.layers[0], z2)]:
+        with monkeypatch.context() as m:
+            m.setattr(lay, "alpha", lay.alpha + 1)
+            with pytest.raises(CountError, match="level arithmetic"):
+                epi_count(P, target)
+    assert len(P.bottom_lifts) == 2 and epi_count(P, tower).level_epi == want
+
+
 def test_self_checks_fire_on_corrupted_data(monkeypatch):
     tower = builtin_group("S(4)")
     lay = tower.layers[-1]
@@ -151,7 +230,7 @@ def test_self_checks_fire_on_corrupted_data(monkeypatch):
     with pytest.raises(CountError, match="level arithmetic"):
         epi_count(F2, tower)
     lay.alpha -= 1
-    monkeypatch.setattr(counting, "aut_order", lambda table: 5)
+    monkeypatch.setattr(counting, "aut_order", lambda table, cap: 5)
     with pytest.raises(CountError, match="not divisible"):
         epi_count(F2, tower)
 
@@ -505,7 +584,7 @@ def test_long_relator_counts():
     # the lifting systems of a level are built in one batched walk, whose
     # prefix scan takes log2 of the relator length in doubling steps, so a
     # relator of 100002 letters costs 17 array passes per level
-    from solvquot.presentations import abelian_invariants, parse_presentation
+    from solvquot.presentations import abelian_invariants
     from solvquot.subgrowth import delta_abelian_closed
 
     P = parse_presentation("< x, y | x^100000 y^2 >")
