@@ -5,9 +5,12 @@ finite abelian group."""
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .presentations import factorize
 
 
 def invmod(a, m):
@@ -64,70 +67,21 @@ class ModSolveResult:
         M = self.modulus
         return tuple(sum(c * yy for c, yy in zip(row, y)) % M for row in self._C)
 
-    def solution_array(self):
-        """All solutions of A x = b as the rows of one (count, ncols) int64
-        array, in the order of ``solution_arrays``."""
-        npiv = len(self.pivot_vals)
-        M = self.modulus
-        radix = [self.q**v for v in self.pivot_vals] + [M] * (self.ncols - npiv)
-        return solution_arrays(SolutionBatch(
-            self.q, self.r, np.array([self.solvable]),
-            np.array([self.count_exponent]),
-            np.array([radix], dtype=np.int64).reshape(1, self.ncols),
-            np.array([self._C], dtype=np.int64).reshape(1, self.ncols, self.ncols),
-            np.array([self._y0], dtype=np.int64).reshape(1, self.ncols),
-        ))
-
     def solutions(self):
-        """All solutions of A x = b as tuples, in the row order of
-        ``solution_array``."""
+        """All solutions of A x = b as tuples: x = C (y0 + k * q^r / radix)
+        mod q^r, with k over the mixed-radix grid of the radices (q^v for a
+        pivot of valuation v, q^r for a free unknown), first unknown
+        slowest."""
         if not self.solvable:
             return
-        for x in self.solution_array().tolist():
-            yield tuple(x)
+        M = self.modulus
+        radix = [self.q**v for v in self.pivot_vals] + [M] * (self.ncols - len(self.pivot_vals))
+        for k in itertools.product(*map(range, radix)):
+            yield self._apply([y + kk * (M // rad) for y, kk, rad in zip(self._y0, k, radix)])
 
-
-class SolutionBatch:
-    """The solution sets of m linear systems over Z_{q^r} in the same number
-    of unknowns: ``solvable`` (m,) bool, ``dims`` (m,), ``radix`` and ``y0``
-    (m, ncols) and ``sub`` (m, ncols, ncols), all int64.  System j has
-    q^dims[j] homogeneous solutions, and when it is solvable its solutions
-    are x = sub[j] (y0[j] + k * step) mod q^r, where k runs over the
-    mixed-radix grid of ``radix[j]`` (q^v for a pivot of valuation v, q^r
-    for a free unknown) and step = q^r / radix."""
-
-    def __init__(self, q, r, solvable, dims, radix, sub, y0):
-        self.q, self.r = q, r
-        self.solvable, self.dims, self.radix, self.sub, self.y0 = solvable, dims, radix, sub, y0
-
-
-def solution_arrays(batch):
-    """The solutions of every solvable system of ``batch`` stacked in order
-    into one int64 array, each system's in grid order (first unknown
-    slowest).  Systems with the same radices share one grid and are
-    expanded together."""
-    M = batch.q**batch.r
-    ncols = batch.radix.shape[1]
-    ok = np.nonzero(batch.solvable)[0]
-    radix = batch.radix[ok]
-    sizes = radix.prod(axis=1)
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    out = np.empty((offsets[-1], ncols), dtype=np.int64)
-    if (radix == radix[:1]).all():  # one grid for all, as for a single system
-        pats, which = radix[:1], np.zeros(len(ok), dtype=np.intp)
-    else:
-        pats, which = np.unique(radix, axis=0, return_inverse=True)
-    for g, pat in enumerate(pats):
-        pos = np.flatnonzero(which.reshape(-1) == g)
-        vary = np.nonzero(pat > 1)[0]
-        grid = np.indices(pat[vary], dtype=np.int64).reshape(len(vary), pat.prod()).T
-        grid *= M // pat[vary]
-        sub, y0 = batch.sub[ok[pos]], batch.y0[ok[pos]]
-        base = np.einsum("gij,gj->gi", sub, y0)
-        sols = (base[:, None, :] + grid @ sub[:, :, vary].transpose(0, 2, 1)) % M
-        rows = offsets[pos][:, None] + np.arange(len(grid))
-        out[rows.ravel()] = sols.reshape(-1, ncols)
-    return out
+    def solution_array(self):
+        """The rows of ``solutions`` as one (count, ncols) int64 array."""
+        return np.array(list(self.solutions()), dtype=np.int64).reshape(-1, self.ncols)
 
 
 def solve_mod_prime_power(rows, rhs, ncols, q, r=1):
@@ -249,29 +203,10 @@ class TwistedAction:
         self.factors = tuple(factors)
         self.n_gens = len(gen_matrices)
         self.blocks = {}
-        primes = set()
-        for f in factors:
-            d = 2
-            n = f
-            while d * d <= n:
-                if n % d == 0:
-                    primes.add(d)
-                    while n % d == 0:
-                        n //= d
-                d += 1
-            if n > 1:
-                primes.add(n)
-        for q in sorted(primes):
-            idx = []
-            exps = []
-            for j, f in enumerate(factors):
-                e = 0
-                while f % q == 0:
-                    f //= q
-                    e += 1
-                if e:
-                    idx.append(j)
-                    exps.append(e)
+        parts = [factorize(f) for f in self.factors]
+        for q in sorted(set().union(*parts)):
+            idx = [j for j, part in enumerate(parts) if q in part]
+            exps = [parts[j][q] for j in idx]
             if len(set(exps)) > 1:
                 raise ValueError("the %d-part of %r is not homocyclic" % (q, self.factors))
             R = exps[0]
@@ -479,7 +414,9 @@ def _layer_tables(layer):
     return tables
 
 
-_BLOCK = 1 << 20  # entries per block of the per-letter arrays
+# entries per block of a batched array: the per-letter arrays here, the
+# canonical-form candidates and the top-layer systems in ``counting``
+_BLOCK = 1 << 20
 
 
 def build_systems(P, images, layer):
@@ -537,11 +474,10 @@ def solve_systems(A, rhs, q):
     system takes the first nonzero entry of row i as its pivot, scales the
     row to make it 1 and clears the pivot's column in every other row.  A
     row left without a pivot is zero, and the system is solvable when every
-    such row has a zero right-hand side.  Returns a ``SolutionBatch``: the
-    solutions are x0 + (I - reduced rows) y, the reduced rows placed by
-    pivot column, x0 their right-hand sides and y ranging over Z_q on the
-    free unknowns, with the columns of the pivot unknowns replaced by unit
-    vectors."""
+    such row has a zero right-hand side.  Returns a ``SolutionBatch`` read
+    off the reduced rows placed by pivot column: x0 is their right-hand
+    sides, and the columns of I - (reduced rows) at the free unknowns, those
+    without a pivot, span the homogeneous solutions."""
     m, R, C = A.shape
     W = np.concatenate([A, rhs[:, :, None]], axis=2) % q
     inverse = _inverses(q)
@@ -559,13 +495,51 @@ def solve_systems(A, rhs, q):
     which, rows = np.nonzero(unit)
     red = np.zeros((m, C, C + 1), dtype=np.int64)
     red[which, col[which, rows]] = W[which, rows]
-    pivot = red[:, np.arange(C), np.arange(C)] == 1
-    eye = np.eye(C, dtype=np.int64)
+    free = red[:, np.arange(C), np.arange(C)] == 0
     return SolutionBatch(
-        q, 1,
+        q,
         solvable=~(W[:, :, C] * (unit == 0)).any(axis=1),
-        dims=C - pivot.sum(axis=1),
-        radix=np.where(pivot, 1, q),
-        sub=np.where(pivot[:, None, :], eye, (eye - red[:, :, :C]) % q),
-        y0=red[:, :, C],
+        dims=free.sum(axis=1),
+        free=free,
+        x0=red[:, :, C],
+        null=(np.eye(C, dtype=np.int64) - red[:, :, :C]) % q,
     )
+
+
+class SolutionBatch:
+    """The solution sets of m linear systems over Z_q, q prime, in the same
+    number of unknowns: ``solvable`` (m,) bool, ``dims`` (m,) int64,
+    ``free`` (m, ncols) bool, ``x0`` (m, ncols) and ``null`` (m, ncols,
+    ncols) int64.  System j has q^dims[j] homogeneous solutions, and when
+    it is solvable its solutions are x = x0[j] + null[j] y mod q, where y
+    runs over Z_q on the unknowns ``free[j]`` and is zero elsewhere."""
+
+    def __init__(self, q, solvable, dims, free, x0, null):
+        self.q = q
+        self.solvable, self.dims, self.free, self.x0, self.null = solvable, dims, free, x0, null
+
+
+def solution_arrays(batch):
+    """The solutions of every solvable system of ``batch`` stacked in order
+    into one int64 array, each system's in grid order (first free unknown
+    slowest).  Systems with the same free unknowns share one grid and are
+    expanded together."""
+    q = batch.q
+    ncols = batch.free.shape[1]
+    ok = np.nonzero(batch.solvable)[0]
+    free = batch.free[ok]
+    offsets = np.concatenate([[0], np.cumsum(q ** batch.dims[ok])])
+    out = np.empty((offsets[-1], ncols), dtype=np.int64)
+    if (free == free[:1]).all():  # one grid for all, as for a single system
+        pats, which = free[:1], np.zeros(len(ok), dtype=np.intp)
+    else:
+        pats, which = np.unique(free, axis=0, return_inverse=True)
+    for g, pat in enumerate(pats):
+        pos = np.flatnonzero(which.reshape(-1) == g)
+        vary = np.flatnonzero(pat)
+        grid = np.indices((q,) * len(vary), dtype=np.int64).reshape(len(vary), q ** len(vary)).T
+        null = batch.null[ok[pos]][:, :, vary]
+        sols = (batch.x0[ok[pos]][:, None, :] + grid @ null.transpose(0, 2, 1)) % q
+        rows = offsets[pos][:, None] + np.arange(len(grid))
+        out[rows.ravel()] = sols.reshape(-1, ncols)
+    return out

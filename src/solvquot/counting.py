@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cohomology import _layer_tables, build_systems, solve_systems, solution_arrays
+from .cohomology import _BLOCK, _layer_tables, build_systems, solve_systems, solution_arrays
 from .groups import DEFAULT_ORDER_CAP, CapExceeded, aut_order
 from .presentations import factorize
 
@@ -74,8 +74,6 @@ class CountReport:
 # its complement sections; one entry serves every tower with that bottom.
 # Only this level is kept.  The cap is compared with the stored size on
 # every use, and the level arithmetic runs on every count.
-
-_BLOCK = 1 << 20  # entries per block of the canonical-form candidates and top systems
 
 
 def _trivial_frontier(P):

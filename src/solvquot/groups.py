@@ -116,20 +116,7 @@ class FiniteGroupTable:
         return all(mul[a][b] == mul[b][a] for a in range(self.n) for b in range(a))
 
     def closure(self, gens):
-        seen = {0}
-        frontier = [0]
-        gl = sorted(set(gens))
-        mul = self.mul
-        while frontier:
-            new = []
-            for x in frontier:
-                for g in gl:
-                    y = mul[x][g]
-                    if y not in seen:
-                        seen.add(y)
-                        new.append(y)
-            frontier = new
-        return frozenset(seen)
+        return frozenset([0] + [y for y, _, _ in bfs_expressions(self, sorted(set(gens)))])
 
     def conjugates(self, x):
         mul = self.mul
@@ -301,8 +288,8 @@ def generating_sequence(table):
 
 def bfs_expressions(table, gens):
     """Breadth-first expressions: triples (elem, parent, genpos) with
-    elem = parent * gens[genpos], covering every element except the
-    identity, in discovery order."""
+    elem = parent * gens[genpos], covering every element of the subgroup
+    the generators generate except the identity, in discovery order."""
     links = []
     seen = {0}
     frontier = [0]
@@ -317,8 +304,6 @@ def bfs_expressions(table, gens):
                     links.append((y, x, gp))
                     new.append(y)
         frontier = new
-    if len(seen) != table.n:
-        raise GroupSpecError("generators do not generate")
     return links
 
 
@@ -326,22 +311,49 @@ def bfs_expressions(table, gens):
 # Morphism search by generator images, checked on the generators.
 
 
+def _homomorphic(f, src, dst, gens):
+    """Which rows f of an (m, |src|) array of images in ``dst`` are
+    homomorphisms: those with f(x g) = f(x) f(g) for every x and every
+    generator g (then f(x y) = f(x) f(y) by induction on the length of y)."""
+    return (dst.as_array()[f[:, :, None], f[:, gens][:, None, :]]
+            == f[:, src.as_array()[:, gens]]).all(axis=(1, 2))
+
+
+def _homomorphism_blocks(src, gens, dst, cands):
+    """The homomorphisms src -> dst that send gens[i] into cands[i], in the
+    order of ``itertools.product`` over the candidate lists, as blocks of
+    image rows.  Each block's candidate tuples are filled along the
+    breadth-first expressions of the elements, one array pass per element,
+    and kept when ``_homomorphic``."""
+    links = bfs_expressions(src, gens)
+    if len(links) + 1 != src.n:
+        raise GroupSpecError("generators do not generate")
+    darr = dst.as_array()
+    cands = [np.array(c, dtype=np.int64) for c in cands]
+    tuples = math.prod(len(c) for c in cands)
+    step = max(1, (1 << 14) // (src.n * max(1, len(gens))))
+    for lo in range(0, tuples, step):
+        # the block's tuples, the last generator's candidate varying fastest
+        idx = np.arange(lo, min(lo + step, tuples))
+        images = np.empty((len(idx), len(gens)), dtype=np.int64)
+        for gp in range(len(gens) - 1, -1, -1):
+            images[:, gp] = cands[gp][idx % len(cands[gp])]
+            idx = idx // len(cands[gp])
+        f = np.zeros((len(images), src.n), dtype=np.int64)
+        for elem, parent, gp in links:
+            f[:, elem] = darr[f[:, parent], images[:, gp]]
+        yield f[_homomorphic(f, src, dst, gens)]
+
+
 def iter_homomorphisms(src, dst, bijective=False):
     """All homomorphisms src -> dst as image arrays, by brute generator-image
-    search with the order-divisibility pruning, in the order of
-    ``itertools.product`` over the candidate images.  A bijective search
-    raises CapExceeded before it starts if it would try more than
-    BIJECTIVE_TUPLE_CAP candidate tuples.
-
-    The candidate tuples are tried in blocks: each block's maps are filled
-    along the breadth-first expressions of the elements, one array pass per
-    element, and a map is a homomorphism when f(x g) = f(x) f(g) for every
-    x and every generator g (then f(x y) = f(x) f(y) by induction on the
-    length of y); a homomorphism is injective (``bijective``, between
-    groups of one order) when only the identity maps to the identity."""
+    search with the order-divisibility pruning (``_homomorphism_blocks``),
+    in the order of ``itertools.product`` over the candidate images.  A
+    bijective search raises CapExceeded before it starts if it would try
+    more than BIJECTIVE_TUPLE_CAP candidate tuples; a homomorphism is
+    injective (``bijective``, between groups of one order) when only the
+    identity maps to the identity."""
     gens = generating_sequence(src)
-    links = bfs_expressions(src, gens)
-    darr = dst.as_array()
     cands = []
     for g in gens:
         o = src.order_of(g)
@@ -353,22 +365,10 @@ def iter_homomorphisms(src, dst, bijective=False):
     if bijective and tuples > BIJECTIVE_TUPLE_CAP:
         raise CapExceeded("isomorphism search from a group of order %d would try %d candidate "
                           "image tuples (cap %d)" % (src.n, tuples, BIJECTIVE_TUPLE_CAP))
-    by_gen = src.as_array()[:, gens]  # x g for every x and generator g
-    step = max(1, (1 << 14) // (src.n * max(1, len(gens))))
-    for lo in range(0, tuples, step):
-        # the block's tuples, the last generator's candidate varying fastest
-        idx = np.arange(lo, min(lo + step, tuples))
-        images = np.empty((len(idx), len(gens)), dtype=np.int64)
-        for gp in range(len(gens) - 1, -1, -1):
-            images[:, gp] = np.array(cands[gp])[idx % len(cands[gp])]
-            idx = idx // len(cands[gp])
-        f = np.zeros((len(images), src.n), dtype=np.int64)
-        for elem, parent, gp in links:
-            f[:, elem] = darr[f[:, parent], images[:, gp]]
-        ok = (darr[f[:, :, None], f[:, gens][:, None, :]] == f[:, by_gen]).all(axis=(1, 2))
+    for f in _homomorphism_blocks(src, gens, dst, cands):
         if bijective:
-            ok &= (f[:, 1:] != 0).all(axis=1)
-        yield from f[ok]
+            f = f[(f[:, 1:] != 0).all(axis=1)]
+        yield from f
 
 
 def automorphisms(table, cap=DEFAULT_ORDER_CAP):
@@ -414,6 +414,12 @@ def is_isomorphic(t1, t2):
 #   (e1, b1) (e2, b2) = (e1 + sigma_{b1} e2 + chi(b1, b2),  b1 b2).
 
 
+def _digit_vectors(q, s):
+    """The base-q digit vectors v of 0..q^s - 1 as a (q^s, s) int64 array,
+    little-endian: num = sum v[k] q^k."""
+    return np.arange(q**s)[:, None] // q ** np.arange(s) % q
+
+
 class ElementaryLayer:
     def __init__(self, q, s, base, sigma, chi):
         self.q = q
@@ -423,9 +429,8 @@ class ElementaryLayer:
         self.chi = chi
         self.E = E = q**s
         nB = len(base)
-        # little-endian: num = sum v[k] q^k
         powers = q ** np.arange(s)
-        vecs = np.arange(E)[:, None] // powers % q
+        vecs = _digit_vectors(q, s)
         self._vecs = [tuple(v) for v in vecs.tolist()]
         self._nums = {v: i for i, v in enumerate(self._vecs)}
         sig, ch = self._arrays()
@@ -471,7 +476,8 @@ class ElementaryLayer:
         ok = sec.shape == (c, nB) and ((0 <= sec) & (sec < n)).all()
         if ok and c:
             # homomorphisms are equal when they agree on the generators
-            ok = ((sec % nB == np.arange(nB)).all() and self._homomorphic(sec).all()
+            ok = ((sec % nB == np.arange(nB)).all()
+                  and _homomorphic(sec, self.base, self.group, self._base_gens).all()
                   and len(np.unique(sec[:, self._base_gens], axis=0)) == c)
         if not ok:
             raise GroupSpecError("the complement rows are not %d distinct homomorphic "
@@ -507,30 +513,16 @@ class ElementaryLayer:
 
     def _complement_sections(self):
         """Complements of E in the extension = homomorphic sections of the
-        projection, enumerated by generator images in the fibers, as rows of
-        ``sections``."""
+        projection, found by generator images in the fibres {enc(e, g)}, as
+        rows of ``sections``."""
         base = self.base
         nB = len(base)
         if nB == 1:
             return np.zeros((1, 1), dtype=np.int32)
         gens = self._base_gens
-        links = bfs_expressions(base, gens)
-        earr = self.group.as_array()
-        # one row per choice of a fibre element over each generator, in
-        # itertools.product order: the generator images enc(e, g)
-        images = np.indices((self.E,) * len(gens)).reshape(len(gens), -1).T * nB + gens
-        f = np.zeros((len(images), nB), dtype=np.int64)
-        for elem, parent, gp in links:
-            f[:, elem] = earr[f[:, parent], images[:, gp]]
-        return f[self._homomorphic(f)].astype(np.int32)
-
-    def _homomorphic(self, f):
-        """Which rows f of an (m, |B|) array of extension elements are
-        homomorphisms of the base: those with f(x g) = f(x) f(g) for every
-        x and every generator g."""
-        gens = self._base_gens
-        return (self.group.as_array()[f[:, :, None], f[:, gens][:, None, :]]
-                == f[:, self.base.as_array()[:, gens]]).all(axis=(1, 2))
+        fibres = [range(g, self.E * nB, nB) for g in gens]
+        return np.concatenate(list(_homomorphism_blocks(base, gens, self.group, fibres))
+                              ).astype(np.int32)
 
     def verify(self, rng=None):
         """Check sigma and chi as they stand: sigma is a homomorphism into
@@ -814,7 +806,7 @@ def tower_from_chief_chain(table, chain, spec=""):
         q, s, basis, elem_of_num, num_of_elem = _elementary_structure(Q, kset)
         num_of = np.full(Q.n, -1)  # kernel coordinate number, -1 off the kernel
         num_of[list(num_of_elem)] = list(num_of_elem.values())
-        vec_of = [_num_to_vec(num, q, s) for num in range(q**s)]
+        vec_of = [tuple(v) for v in _digit_vectors(q, s).tolist()]
         # the minimal-index section of Q -> previous quotient: np.unique
         # returns the first x with each image
         sec = np.unique(prevproj[reps], return_index=True)[1][psi]
@@ -839,14 +831,6 @@ def tower_from_chief_chain(table, chain, spec=""):
         prev_q = lay.group
         layers.append(lay)
     return ExtensionTower(layers, spec=spec, source_table=table, source_iso=psi.tolist())
-
-
-def _num_to_vec(num, q, s):
-    v = []
-    for _ in range(s):
-        v.append(num % q)
-        num //= q
-    return tuple(v)
 
 
 # ---------------------------------------------------------------------------

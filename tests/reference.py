@@ -19,9 +19,15 @@ Python routes that production no longer calls:
 * tower arithmetic by the layer formulas (``mul_structural``,
   ``inv_structural``, ``GroupElement``), one element at a time.
 
-None of them shares the batched kernel (``build_systems``,
-``solve_systems``, ``lift_frontier``), so agreement with the library is
-evidence rather than tautology.
+Their per-map steps share nothing with the batched kernel
+(``build_systems``, ``solve_systems``, ``solution_arrays``,
+``lift_frontier``): ``solve_mod_prime_power`` enumerates its solutions on
+its own.  One route leans on the kernel: ``epi_count_q2p`` takes the
+epimorphisms onto the level below the top from ``epi_maps``, that is from
+``lift_frontier``, and is per-map only through the top layer, so it checks
+that layer and not the levels below.  The dihedral and binary dihedral
+recursions start from the epimorphisms onto Z_2 and lift every map
+themselves.
 """
 
 from __future__ import annotations

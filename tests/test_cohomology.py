@@ -19,7 +19,9 @@ from reference import (
     solution_vectors,
 )
 
+from solvquot import cohomology
 from solvquot.cohomology import (
+    CocycleSystem,
     TwistedAction,
     build_system,
     build_systems,
@@ -42,24 +44,41 @@ from solvquot.presentations import (
 )
 
 
-def test_solver_against_enumeration():
+def test_solver_against_enumeration(monkeypatch):
+    # the per-map solver enumerates its solutions on its own: with the
+    # batched expansion refused, solutions, solution_array and
+    # solution_vectors give the brute-force solution set over Z_q and over
+    # Z_4, Z_8, Z_9 and Z_25
+    def refuse(batch):
+        raise AssertionError("the per-map solver expanded through the batched path")
+
+    monkeypatch.setattr(cohomology, "solution_arrays", refuse)
     rng = random.Random(7)
-    for _ in range(200):
-        q = rng.choice([2, 3, 5])
-        r = rng.choice([1, 2])
+    for _ in range(300):
+        q, r = rng.choice([(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (5, 2), (2, 3)])
         M = q**r
-        nr, nc = rng.randrange(0, 4), rng.randrange(1, 4)
+        s, n_gens = rng.choice([(1, 1), (1, 2), (2, 1), (1, 3)])
+        nr, nc = rng.randrange(0, 4), s * n_gens
         A = [[rng.randrange(M) for _ in range(nc)] for _ in range(nr)]
-        b = [rng.randrange(M) for _ in range(nr)]
+        if rng.random() < 0.5:  # b in the image of A, so the system is solvable
+            x = [rng.randrange(M) for _ in range(nc)]
+            b = [sum(a * xx for a, xx in zip(row, x)) % M for row in A]
+        else:
+            b = [rng.randrange(M) for _ in range(nr)]
         res = solve_mod_prime_power(A, b, nc, q, r)
-        rows = res.solution_array().tolist()
+        sols = list(res.solutions())
         brute = {
             x
             for x in itertools.product(range(M), repeat=nc)
             if all(sum(A[i][j] * x[j] for j in range(nc)) % M == b[i] for i in range(nr))
         }
-        assert {tuple(x) for x in rows} == brute and len(rows) == len(brute)
-        assert list(res.solutions()) == [tuple(x) for x in rows]
+        assert set(sols) == brute and len(sols) == len(brute), (q, r, A, b)
+        assert res.solution_array().tolist() == [list(x) for x in sols]
+        sysm = CocycleSystem(q, s, n_gens, nr, A, [(-x) % M for x in b])
+        want = {tuple(x[i * s : (i + 1) * s] for i in range(n_gens)) for x in brute}
+        assert set(solution_vectors(sysm, result=res)) == want
+        if r == 1:
+            assert set(solution_vectors(sysm)) == want
         hom = solve_mod_prime_power(A, None, nc, q, r)
         hcount = sum(
             1
