@@ -52,18 +52,20 @@ class CountReport:
 # over the maps in Python.
 #
 # The counts carry the frontier modulo a group A_i of automorphisms of B_i,
-# acting on the maps into B_i through every generator image: Inn(B_i)
-# (conjugation), or for Epi with |Aut| the image of A = Aut(Gamma, series),
-# the automorphisms of the top group that fix every chain term.  Each
-# alpha_i is induced by an alpha_(i+1) one level up (conjugation by a
-# preimage, or the same alpha of A), which matches the lifts of a map
-# one-to-one with those of its image, so the number of lifts is constant on
-# an orbit, and every orbit one level up contains a lift of the
-# representative of the orbit below it.  So each level keeps one
-# representative per orbit, its least image, weighted by the orbit size;
-# the lifts of the representatives are canonicalised and deduplicated one
-# level up.  The top layer is counted, epsilon * q^d (minus the c complement
-# lifts for Epi) per representative, and never enumerated.
+# acting on the maps into B_i through every generator image: the image of
+# A = Aut(Gamma, series), the automorphisms of the top group that fix every
+# chain term, for Hom and for Epi with |Aut|; Inn(B_i) (conjugation) for
+# Epi without |Aut|, and for Hom where the tower's series-restricted search
+# for A is refused.  Each alpha_i is induced by an alpha_(i+1) one level up
+# (the same alpha of A, or conjugation by a preimage), which matches the
+# lifts of a map one-to-one with those of its image, so the number of lifts
+# is constant on an orbit, and every orbit one level up contains a lift of
+# the representative of the orbit below it.  So each level keeps one
+# representative per orbit, its least image, weighted by the orbit size
+# |A_i| / |Stab(row)|; the lifts of the representatives are canonicalised
+# and deduplicated one level up.  The top layer is counted, epsilon * q^d
+# (minus the c complement lifts for Epi) per representative, and never
+# enumerated.
 #
 # The bottom layer of every tower is Z_q^s over the trivial group, with
 # trivial action and no cocycle, so the lifts of the trivial map through it
@@ -324,18 +326,21 @@ def _orbit_levels(P, tower, epi, cap=10**7, _group=None):
     """Lift one representative per orbit through every layer below the top
     and count the top layer.  ``_group(i)`` gives the group acting on the
     maps into level i, a PermutationGroup of B_i (default Inn(B_i),
-    ``tower.orbit_group``).  Yields, per layer i, (i + 1, reps, weights,
-    maps_in, maps_out): the level-(i + 1) representatives and their orbit
-    sizes (both None at the top, which is counted and not built) and the
-    weighted map counts below and above the layer.
+    ``tower.orbit_group``; the counts pass the image of the series
+    automorphisms, ``partial(tower.orbit_group, series=True)``).  Yields,
+    per layer i, (i + 1, reps, weights, maps_in, maps_out): the level-(i + 1)
+    representatives and their orbit sizes (both None at the top, which is
+    counted and not built) and the weighted map counts below and above the
+    layer.
 
     Self-checks: the weighted closed-form count of each layer equals the
     weighted count above it; with ``epi`` every orbit has the size of the
-    acting group, which acts freely on epimorphisms; and lift_frontier's
-    and _count_top's checks of the complement lifts, at the bottom layer
-    when its kept entry (``_bottom_lifts``) is filled.  Once a level has no
-    representative, every layer above it yields maps_out = 0 without
-    building or solving anything."""
+    acting group, which acts freely on epimorphisms, and without it every
+    orbit size divides that order; and lift_frontier's and _count_top's
+    checks of the complement lifts, at the bottom layer when its kept entry
+    (``_bottom_lifts``) is filled.  Once a level has no representative,
+    every layer above it yields maps_out = 0 without building or solving
+    anything."""
     group = _group or tower.orbit_group
     reps = _trivial_frontier(P)
     weights = np.ones(1, dtype=np.int64)
@@ -377,15 +382,28 @@ def _orbit_levels(P, tower, epi, cap=10**7, _group=None):
                 "level arithmetic %d disagrees with the orbit-weighted tally %d "
                 "at level %d" % (closed, maps_out, i + 1)
             )
+        if not epi and i < top and (len(acting) % new_weights).any():
+            raise CountError("a homomorphism orbit at level %d has a size that does not "
+                             "divide |A_i| = %d, the order of the acting group"
+                             % (i + 1, len(acting)))
         yield i + 1, new_reps, new_weights, maps_in, maps_out
         reps, weights, maps_in = new_reps, new_weights, maps_out
 
 
 def hom_count(P, tower, cap=10**7):
-    """|Hom|, lifting one map per conjugacy orbit and counting the top
-    layer."""
+    """|Hom|, lifting one map per orbit of A = Aut(Gamma, series) and
+    counting the top layer.  A comes from the tower's series-restricted
+    search, run once per tower; where that search is refused (past its
+    tuple cap, as for Z(2)^9), the orbits are the conjugacy orbits."""
+    group = None
+    if len(tower.layers) > 1:
+        try:
+            tower._series_automorphisms()
+            group = functools.partial(tower.orbit_group, series=True)
+        except CapExceeded:
+            pass
     count = 1
-    for *_, count in _orbit_levels(P, tower, epi=False, cap=cap):
+    for *_, count in _orbit_levels(P, tower, epi=False, cap=cap, _group=group):
         pass
     return count
 
@@ -405,8 +423,8 @@ def epi_count(P, tower, cap=10**7, with_aut=True, cap_order=DEFAULT_ORDER_CAP):
     With ``with_aut`` also |Aut| by the generator-image search of
     ``aut_order`` under the order cap ``cap_order``, run first, which must
     divide |Epi|, and delta = |Epi| / |Aut|; the orbits are then those of
-    A = Aut(Gamma, series), whose elements the same search finds.  Without
-    it they are the conjugacy orbits, and no search runs."""
+    A = Aut(Gamma, series), found by the tower's series-restricted search.
+    Without it they are the conjugacy orbits, and no search runs."""
     aut = dlt = None
     group = None
     if with_aut:

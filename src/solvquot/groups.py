@@ -26,6 +26,8 @@ class GroupSpecError(ValueError):
 DEFAULT_ORDER_CAP = 512
 # most candidate image tuples a bijective generator-image search may try
 BIJECTIVE_TUPLE_CAP = 1_000_000
+# image entries the generator-image search fills in one array pass
+SEARCH_BLOCK = 1 << 18
 
 
 # ---------------------------------------------------------------------------
@@ -311,42 +313,71 @@ def bfs_expressions(table, gens):
 # Morphism search by generator images, checked on the generators.
 
 
-def _homomorphic(f, src, dst, gens):
+def _homomorphic(f, src, dst, gens, elems=slice(None)):
     """Which rows f of an (m, |src|) array of images in ``dst`` are
-    homomorphisms: those with f(x g) = f(x) f(g) for every x and every
-    generator g (then f(x y) = f(x) f(y) by induction on the length of y)."""
-    return (dst.as_array()[f[:, :, None], f[:, gens][:, None, :]]
-            == f[:, src.as_array()[:, gens]]).all(axis=(1, 2))
+    homomorphisms on the subgroup ``elems`` (default: all of src) that
+    ``gens`` generate: those with f(x g) = f(x) f(g) for every x in it and
+    every generator g (then f(x y) = f(x) f(y) by induction on the length
+    of y)."""
+    return (dst.as_array()[f[:, elems, None], f[:, gens][:, None, :]]
+            == f[:, src.as_array()[:, gens][elems]]).all(axis=(1, 2))
 
 
 def _homomorphism_blocks(src, gens, dst, cands):
     """The homomorphisms src -> dst that send gens[i] into cands[i], in the
     order of ``itertools.product`` over the candidate lists, as blocks of
-    image rows.  Each block's candidate tuples are filled along the
-    breadth-first expressions of the elements, one array pass per element,
-    and kept when ``_homomorphic``."""
+    image rows.  The tuples grow one generator at a time, and a prefix for
+    gens[:k] is kept only where it is a homomorphism on the subgroup those
+    generators generate, as the restriction of every homomorphism is; once
+    the kept prefixes times the tuples of the remaining candidates fit in
+    one block of about SEARCH_BLOCK image entries, they are all tried
+    together."""
     links = bfs_expressions(src, gens)
     if len(links) + 1 != src.n:
         raise GroupSpecError("generators do not generate")
-    darr = dst.as_array()
     cands = [np.array(c, dtype=np.int64) for c in cands]
-    tuples = math.prod(len(c) for c in cands)
-    step = max(1, (1 << 14) // (src.n * max(1, len(gens))))
+    step = max(1, SEARCH_BLOCK // (src.n * max(1, len(gens))))
+    prefixes, k = np.zeros((1, 0), dtype=np.int64), 0
+    while True:
+        rest = len(prefixes) * math.prod(len(c) for c in cands[k:])
+        j = len(gens) if rest <= step else k + 1
+        sub = links if j == len(gens) else bfs_expressions(src, gens[:j])
+        blocks = _extensions(src, gens[:j], dst, sub, prefixes, cands[k:j], step)
+        if j == len(gens):
+            yield from blocks
+            return
+        prefixes = np.concatenate([f[:, gens[:j]] for f in blocks])
+        k = j
+
+
+def _extensions(src, gens, dst, links, prefixes, cands, step):
+    """Blocks of the image rows, on the subgroup that ``gens`` generate and
+    0 elsewhere, of the homomorphisms of that subgroup whose generator
+    images begin with a row of ``prefixes`` and go on with a tuple of
+    ``cands``, in the order of the prefixes and then of
+    ``itertools.product``.  Each block's tuples are filled along the
+    subgroup's breadth-first expressions ``links``, one array pass per
+    element, and kept when ``_homomorphic``."""
+    elems = np.array([0] + [y for y, _, _ in links])
+    darr = dst.as_array()
+    k = prefixes.shape[1]
+    tuples = len(prefixes) * math.prod(len(c) for c in cands)
     for lo in range(0, tuples, step):
         # the block's tuples, the last generator's candidate varying fastest
         idx = np.arange(lo, min(lo + step, tuples))
         images = np.empty((len(idx), len(gens)), dtype=np.int64)
-        for gp in range(len(gens) - 1, -1, -1):
-            images[:, gp] = cands[gp][idx % len(cands[gp])]
-            idx = idx // len(cands[gp])
+        for gp in range(len(gens) - 1, k - 1, -1):
+            images[:, gp] = cands[gp - k][idx % len(cands[gp - k])]
+            idx = idx // len(cands[gp - k])
+        images[:, :k] = prefixes[idx]
         f = np.zeros((len(images), src.n), dtype=np.int64)
         for elem, parent, gp in links:
             f[:, elem] = darr[f[:, parent], images[:, gp]]
-        yield f[_homomorphic(f, src, dst, gens)]
+        yield f[_homomorphic(f, src, dst, gens, elems)]
 
 
 def iter_homomorphisms(src, dst, bijective=False):
-    """All homomorphisms src -> dst as image arrays, by brute generator-image
+    """All homomorphisms src -> dst as image arrays, by the generator-image
     search with the order-divisibility pruning (``_homomorphism_blocks``),
     in the order of ``itertools.product`` over the candidate images.  A
     bijective search raises CapExceeded before it starts if it would try
@@ -670,8 +701,9 @@ class ExtensionTower:
         is the image of b): Inn(B), the distinct rows of B's conjugation
         table, or with ``series`` the image of A = Aut(Gamma, series) in
         Aut(B).  A is the set of automorphisms of the top group that map
-        every chain term onto itself; the top group's automorphism search
-        runs once, on first use.  An automorphism alpha in A induces
+        every chain term onto itself, found once per tower by the search
+        restricted to the series (``_series_automorphisms``), which may
+        raise CapExceeded.  An automorphism alpha in A induces
         x mod |B| -> alpha(x) mod |B| on B, so its image is the first |B|
         entries of its row, mod |B|.  ``cap`` bounds the top group's order
         for that search.  Kept on the tower."""
@@ -692,17 +724,38 @@ class ExtensionTower:
         return self._orbit_groups[key]
 
     def _series_automorphisms(self, cap=DEFAULT_ORDER_CAP):
-        """The rows of ``automorphisms(self.group, cap)`` that map every
-        chain term into, hence onto, itself."""
+        """A = Aut(Gamma, series), the automorphisms of the top group that
+        map every chain term into, hence onto, itself, as int32 image rows
+        in the order of ``automorphisms``, found by their own search.  Such
+        an automorphism keeps the order of every element and its depth, the
+        largest j with x in N_j (x mod |B_j| = 0), so each generator of
+        ``generating_sequence`` is sent only to the elements of its order
+        and depth; of those homomorphisms, the injective ones that never
+        lower a depth are A.  ``cap`` bounds the order; past
+        BIJECTIVE_TUPLE_CAP candidate tuples the search raises CapExceeded
+        before it starts, and every later call raises it again."""
+        table = self.group
+        if table.n > cap:
+            raise CapExceeded("group order %d exceeds cap %d" % (table.n, cap))
         if self._series_auts is None:
-            auts = automorphisms(self.group, cap)
-            keep = np.ones(len(auts), dtype=bool)
-            inside = np.zeros(len(self.group), dtype=bool)
-            for N in self.chain_in_group()[1:-1]:
-                inside[:] = False
-                inside[N] = True
-                keep &= inside[auts[:, N]].all(axis=1)
-            self._series_auts = auts[keep]
+            depth = np.empty(table.n, dtype=np.int64)
+            for j, N in enumerate(self.chain_in_group()):
+                depth[N] = j
+            order = np.array([table.order_of(y) for y in range(table.n)])
+            gens = generating_sequence(table)
+            cands = [np.flatnonzero((order == order[g]) & (depth == depth[g])) for g in gens]
+            tuples = math.prod(len(c) for c in cands)
+            if tuples > BIJECTIVE_TUPLE_CAP:
+                self._series_auts = (
+                    "series automorphism search of a group of order %d would try %d candidate "
+                    "image tuples (cap %d)" % (table.n, tuples, BIJECTIVE_TUPLE_CAP))
+            else:
+                rows = np.concatenate(list(_homomorphism_blocks(table, gens, table, cands)))
+                rows = rows[(rows[:, 1:] != 0).all(axis=1) & (depth[rows] >= depth).all(axis=1)]
+                self._series_auts = rows.astype(np.int32)
+                self._series_auts.flags.writeable = False
+        if isinstance(self._series_auts, str):  # the refusal, kept
+            raise CapExceeded(self._series_auts)
         return self._series_auts
 
     def verify(self):

@@ -19,7 +19,8 @@ class CapExceeded(RuntimeError):
     before the resource is spent."""
 
 
-# most letters a power x^e may expand to; words are stored letter by letter
+# most letters the parser may build for one presentation, all its powers,
+# commutators and conjugates together; words are stored letter by letter
 WORD_LETTER_CAP = 10**7
 
 
@@ -54,10 +55,28 @@ def word_mul(*words):
     return free_reduce(out)
 
 
+def _join(words):
+    """The product of freely reduced words, freely reduced: letters can
+    cancel only where two words meet, so the rest is copied as it is."""
+    out = []
+    for w in words:
+        i = 0
+        while i < len(w) and out and out[-1][0] == w[i][0] and out[-1][1] == -w[i][1]:
+            out.pop()
+            i += 1
+        out.extend(w[i:])
+    return tuple(out)
+
+
 def word_pow(w, k):
     if k < 0:
         return word_pow(word_inverse(w), -k)
-    return word_mul(*([w] * k)) if k else ()
+    # w = u c u^-1 with c cyclically reduced, so u c^k u^-1 is reduced
+    w = free_reduce(w)
+    j = 0
+    while 2 * j + 1 < len(w) and w[j][0] == w[-1 - j][0] and w[j][1] == -w[-1 - j][1]:
+        j += 1
+    return w[:j] + w[j : len(w) - j] * k + w[len(w) - j :] if k else ()
 
 
 def exponent_sum(w, j):
@@ -195,6 +214,15 @@ class _Parser:
         self.text = text
         self.toks = _tokenize(text)
         self.i = 0
+        self.letters = 0  # letters built so far, charged before they are built
+
+    def charge(self, letters, pos, what):
+        """Add ``letters`` to the running total, raising CapExceeded before
+        anything is built if the total would pass WORD_LETTER_CAP."""
+        self.letters += letters
+        if self.letters > WORD_LETTER_CAP:
+            raise CapExceeded("the %s at position %d would bring the presentation past the cap "
+                              "of %d letters" % (what, pos, WORD_LETTER_CAP))
 
     def peek(self):
         return self.toks[self.i] if self.i < len(self.toks) else (None, None, len(self.text))
@@ -240,13 +268,13 @@ class _Parser:
         return val
 
     def word(self, index):
-        letters = list(self.factor(index))
+        factors = [self.factor(index)]
         while True:
             kind, val, pos = self.peek()
             if kind is None or val in _WORD_STOPS:
                 break
-            letters.extend(self.factor(index))
-        return free_reduce(letters)
+            factors.append(self.factor(index))
+        return _join(factors)
 
     def factor(self, index):
         base = self.atom(index)
@@ -256,17 +284,16 @@ class _Parser:
             if kind == "int":
                 # word_pow builds |e| copies of the base: max(len(base), 1) |e|
                 # letters or empty words, past the cap whenever |e| has more
-                # digits than the cap
+                # digits than the cap, which is then not converted
                 digits = val.lstrip("+-")
-                if (len(digits) > len(str(WORD_LETTER_CAP))
-                        or max(len(base), 1) * int(digits) > WORD_LETTER_CAP):
-                    raise CapExceeded("the power at position %d would expand past the cap of "
-                                      "%d letters" % (pos, WORD_LETTER_CAP))
+                e = int(digits) if len(digits) <= len(str(WORD_LETTER_CAP)) else WORD_LETTER_CAP + 1
+                self.charge(max(len(base), 1) * e, pos, "power")
                 return word_pow(base, int(val))
             if val == "(":
                 conj = self.word(index)
                 self.expect(")")
-                return word_mul(word_inverse(conj), base, conj)
+                self.charge(2 * len(conj) + len(base), pos, "conjugate")
+                return _join((word_inverse(conj), base, conj))
             raise ParseError("expected an integer or '(' after '^', found %r" % val, pos)
         return base
 
@@ -275,6 +302,7 @@ class _Parser:
         if kind == "ident":
             if val not in index:
                 raise ParseError("undeclared generator %r" % val, pos)
+            self.charge(1, pos, "letter")
             return ((index[val], 1),)
         if val == "(":
             w = self.word(index)
@@ -285,7 +313,8 @@ class _Parser:
             self.expect(",")
             v = self.word(index)
             self.expect("]")
-            return word_mul(word_inverse(u), word_inverse(v), u, v)
+            self.charge(2 * (len(u) + len(v)), pos, "commutator")
+            return _join((word_inverse(u), word_inverse(v), u, v))
         raise ParseError("expected a generator, '(' or '[', found %r" % val, pos)
 
 

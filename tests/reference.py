@@ -17,23 +17,27 @@ Python routes that production no longer calls:
   ``homogeneous_count``, ``epsilon_and_witness``, ``fixed_subspace_dim``
   and ``h1_dim``;
 * tower arithmetic by the layer formulas (``mul_structural``,
-  ``inv_structural``, ``GroupElement``), one element at a time.
+  ``inv_structural``, ``GroupElement``), one element at a time;
+* the generator-image search without its prefix pruning
+  (``homomorphism_rows_unpruned``), which tries every candidate tuple.
 
 Their per-map steps share nothing with the batched kernel
 (``build_systems``, ``solve_systems``, ``solution_arrays``,
 ``lift_frontier``): ``solve_mod_prime_power`` enumerates its solutions on
-its own.  One route leans on the kernel: ``epi_count_q2p`` takes the
-epimorphisms onto the level below the top from ``epi_maps``, that is from
-``lift_frontier``, and is per-map only through the top layer, so it checks
-that layer and not the levels below.  The dihedral and binary dihedral
-recursions start from the epimorphisms onto Z_2 and lift every map
-themselves.
+its own.  ``epi_count_q2p`` takes the epimorphisms onto the level below
+the top from ``enumerate_epis_to_table`` on that level's group, a walk of
+every image tuple, so it checks every level.  The dihedral and binary
+dihedral recursions start from the epimorphisms onto Z_2 and lift every
+map themselves.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from solvquot.cohomology import (
     build_system,
@@ -41,7 +45,7 @@ from solvquot.cohomology import (
     nullspace_dim_mod_prime,
     solve_system,
 )
-from solvquot.counting import CountError, epi_maps
+from solvquot.counting import CountError
 from solvquot.groups import (
     CapExceeded,
     ExtensionTower,
@@ -50,6 +54,7 @@ from solvquot.groups import (
     _dihedral_data,
     _mat2_pow,
     _s3_sigma,
+    bfs_expressions,
     builtin_group,
     table_from_coords,
 )
@@ -117,14 +122,14 @@ def h1_dim(P, images, layer, d=None):
 # subtracts exactly one complement class per epimorphism downstairs.
 
 
-def epi_count_q2p(P, q, p, r, cap=10**7):
+def epi_count_q2p(P, q, p, r):
     """q^2 sum over Epi(G, D_2p) of (q^beta - 1); must agree with the full
     engine on the corresponding tower."""
     tower = builtin_group("V(%d,%d,%d)" % (q, p, r))
     top = len(tower.layers)
     lay = tower.layers[-1]
     total = 0
-    for images in epi_maps(P, tower, cap=cap, level=top - 1):
+    for images in enumerate_epis_to_table(P, tower.level_group(top - 1)):
         beta = h1_dim(P, images, lay)
         total += q**beta - 1
     return q**2 * total
@@ -492,3 +497,33 @@ class GroupElement:
 
     def inverse(self):
         return GroupElement(self.tower, inv_structural(self.tower, self.index))
+
+
+# ---------------------------------------------------------------------------
+# The generator-image search without pruning: every candidate tuple is
+# filled along the breadth-first expressions and checked, in blocks.
+
+
+def homomorphism_rows_unpruned(src, gens, dst, cands):
+    """The homomorphisms src -> dst that send gens[i] into cands[i], as one
+    array of image rows in the order of ``itertools.product`` over the
+    candidate lists, every tuple tried."""
+    links = bfs_expressions(src, gens)
+    darr = dst.as_array()
+    cands = [np.array(c, dtype=np.int64) for c in cands]
+    tuples = math.prod(len(c) for c in cands)
+    step = max(1, (1 << 14) // (src.n * max(1, len(gens))))
+    out = []
+    for lo in range(0, tuples, step):
+        idx = np.arange(lo, min(lo + step, tuples))
+        images = np.empty((len(idx), len(gens)), dtype=np.int64)
+        for gp in range(len(gens) - 1, -1, -1):
+            images[:, gp] = cands[gp][idx % len(cands[gp])]
+            idx = idx // len(cands[gp])
+        f = np.zeros((len(images), src.n), dtype=np.int64)
+        for elem, parent, gp in links:
+            f[:, elem] = darr[f[:, parent], images[:, gp]]
+        ok = (darr[f[:, :, None], f[:, gens][:, None, :]]
+              == f[:, src.as_array()[:, gens]]).all(axis=(1, 2))
+        out.append(f[ok])
+    return np.concatenate(out)

@@ -7,7 +7,7 @@ from solvquot import counting, subgrowth
 from solvquot.cli import main
 from solvquot.groups import builtin_group, chief_series, is_isomorphic
 from solvquot.oracle import brute_hom
-from solvquot.presentations import builtin_presentation
+from solvquot.presentations import builtin_from_string, builtin_presentation
 
 
 def run_cli(capsys, *argv):
@@ -154,6 +154,25 @@ def test_huge_exponent_is_capped_before_it_expands(capsys):
     code, out = run_cli(capsys, "delta", "--source", "< x, y | x^2000 y^2 >", "--target", "Z(2)",
                         "--tsv")
     assert code == 0 and out.splitlines()[1].split("\t")[3:] == ["3", "1", "3"]
+
+
+def test_letter_cap_is_charged_on_the_whole_presentation(capsys):
+    # three powers of 4*10^6 letters each stay under the cap one by one but
+    # pass it together, so the parser stops at the third before building it;
+    # so does a commutator that would copy a large power twice
+    for rel, pos in (("x^4000000 y^4000000 x^4000000 y^2", "power at position 31"),
+                     ("[x^6000000, y]", "commutator at position 9")):
+        start = time.perf_counter()
+        assert main(["hom", "--source", "< x, y | %s >" % rel, "--target", "Z(2)"]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert pos in err and "past the cap of 10000000 letters" in err
+    code, out = run_cli(capsys, "hom", "--source", "< x, y | x^2000 y^2 >", "--target", "Z(2)",
+                        "--tsv")
+    assert code == 0 and out.splitlines()[1].split("\t")[2] == "4"
+    for label in ("free(3)", "surface(3)", "nonorientable(4)", "klein", "bs(3,5)", "bs(2,6)",
+                  "parafree(3,2)", "braid(5)", "braid3_split", "braid4_split", "hillman_link"):
+        assert builtin_from_string(label).relators is not None
 
 
 def test_unread_cap_options_are_rejected(capsys):

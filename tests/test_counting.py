@@ -238,8 +238,9 @@ def test_self_checks_fire_on_corrupted_data(monkeypatch):
 def test_counted_path_matches_full_enumeration():
     # the orbit-reduced, top-counted path against every map enumerated:
     # each level's epi_out (the top one is |Epi|), lifted modulo conjugation
-    # and modulo the series automorphisms, against epi_maps, and Hom against
-    # the oracle, which walks up to 48^4 image tuples in chunks
+    # and modulo the series automorphisms, against epi_maps, and Hom, lifted
+    # modulo both, against the oracle, which walks up to 48^4 image tuples
+    # in chunks
     towers = [builtin_group(spec) for spec in CATALOG_SPECS]
     for label in ["free(2)", "surface(2)", "braid(4)", "bs(2,6)", "klein"]:
         P = builtin_from_string(label)
@@ -252,7 +253,8 @@ def test_counted_path_matches_full_enumeration():
                 len(epi_maps(P, tower, level=i)) for i in range(1, len(tower.layers) + 1)
             ], (label, spec)
             assert epi_count(P, tower).level_epi == rep.level_epi, (label, spec)
-            assert hom_count(P, tower) == brute_hom(P, tower.group).count, (label, spec)
+            *_, inn = list(counting._orbit_levels(P, tower, epi=False, _group=tower.orbit_group))[-1]
+            assert hom_count(P, tower) == inn == brute_hom(P, tower.group).count, (label, spec)
 
 
 def test_abelian_upper_levels_match_the_oracle():
@@ -283,6 +285,37 @@ def test_orbit_frontier_shape():
     # the acting groups per level: Inn(B_i) and the image of Aut(Gamma, series)
     assert [len(tower.orbit_group(i)) for i in range(1, 5)] == [1, 1, 4, 8]
     assert [len(by_series(i)) for i in range(1, 5)] == [1, 2, 8, 32]
+
+
+def test_hom_orbit_frontier_shape():
+    # D(48) from surface(2): the maps into the level-3 and level-4 groups
+    # (orders 8 and 16) are kept as 736 and 4096 conjugacy orbits, and as
+    # 436 and 1756 orbits of the series automorphisms (|A_3| = 8 and
+    # |A_4| = 32 against |Inn B_3| = 4 and |Inn B_4| = 8), which hom_count
+    # lifts; every orbit size divides the order of its acting group
+    tower = builtin_group("D(48)")
+    surface = builtin_presentation("surface", 2)
+    by_series = functools.partial(tower.orbit_group, series=True)
+    assert [len(by_series(i)) for i in range(1, 5)] == [1, 2, 8, 32]
+    for group, sizes in [(tower.orbit_group, [16, 256, 736, 4096]),
+                         (by_series, [16, 136, 436, 1756])]:
+        levels = list(counting._orbit_levels(surface, tower, epi=False, _group=group))
+        assert [len(reps) for _, reps, *_ in levels[:-1]] == sizes
+        for level, reps, weights, _, maps_out in levels[:-1]:
+            assert weights.sum() == maps_out and not (len(group(level)) % weights).any()
+        assert levels[-1][4] == 746496
+    # hom_count builds only the series orbit groups on a fresh tower
+    tower = builtin_group("D(48)")
+    assert hom_count(surface, tower) == 746496
+    assert sorted(tower._orbit_groups) == [(i, True) for i in range(1, 5)]
+
+
+def test_hom_falls_back_to_conjugation_where_the_search_is_refused():
+    # the series search onto Z(2)^9 would try 2^36 tuples, so Hom lifts
+    # modulo conjugation, which is trivial on an abelian group
+    tower = builtin_group("Z(2)^9")
+    assert hom_count(F2, tower) == 2**18
+    assert {series for _, series in tower._orbit_groups} == {False}
 
 
 def test_orbit_representatives_against_every_image():
@@ -320,6 +353,17 @@ def test_planted_errors_raise(monkeypatch):
         hom_count(F2, S4)
     with pytest.raises(CountError, match="orbit at level 1 has a size"):
         epi_count(F2, S4)
+    # a weight moved from one Hom orbit to another keeps the level's total,
+    # but 3 does not divide |A_3| = 8 for D(16)'s series automorphisms
+    def moved(table, rows):
+        reps, weights = real(table, rows)
+        if len(table) == 8:
+            weights[:2] += [2, -2]
+        return reps, weights
+
+    monkeypatch.setattr(counting, "_orbit_representatives", moved)
+    with pytest.raises(CountError, match="orbit at level 3 has a size that does not divide"):
+        hom_count(F2, builtin_group("D(16)"))
     monkeypatch.setattr(counting, "_orbit_representatives", real)
     # a permutation of S(3), the level-2 group, that is not an automorphism
     # (it swaps an element of order 2 with one of order 3) planted among
@@ -598,18 +642,19 @@ def test_long_relator_counts():
 @pytest.mark.slow
 def test_deep_dihedral_counts():
     # Epi and delta onto D(256) and D(128), lifted modulo the series
-    # automorphisms, and Hom onto D(128) against Frobenius' formula
+    # automorphisms, and Hom onto both against Frobenius' formula
     # |Hom(surface(2), G)| = |G| sum over the irreducible characters chi of
     # (|G| / chi(1))^2
     P = builtin_presentation("surface", 2)
-    rep = epi_count(P, builtin_group("D(256)"))
+    d256, d128 = builtin_group("D(256)"), builtin_group("D(128)")
+    rep = epi_count(P, d256)
     assert (rep.epi, rep.delta) == (47185920, 5760)
-    tower = builtin_group("D(128)")
-    assert epi_count(P, tower).epi == 5898240
-    table = tower.group
-    classes = len({frozenset(table.conjugates(x)) for x in range(table.n)})
-    linear = table.n // len(table.derived_subgroup())
-    # the other irreducible characters of a dihedral group have degree 2
-    degrees = [1] * linear + [2] * (classes - linear)
-    assert sum(d * d for d in degrees) == table.n
-    assert hom_count(P, tower) == table.n * sum((table.n // d) ** 2 for d in degrees) == 24641536
+    assert epi_count(P, d128).epi == 5898240
+    for tower, hom in [(d128, 24641536), (d256, 331350016)]:
+        table = tower.group
+        classes = len({frozenset(table.conjugates(x)) for x in range(table.n)})
+        linear = table.n // len(table.derived_subgroup())
+        # the other irreducible characters of a dihedral group have degree 2
+        degrees = [1] * linear + [2] * (classes - linear)
+        assert sum(d * d for d in degrees) == table.n
+        assert hom_count(P, tower) == table.n * sum((table.n // d) ** 2 for d in degrees) == hom

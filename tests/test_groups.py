@@ -2,11 +2,13 @@ import copy
 import hashlib
 import json
 import random
+import time
 
 import numpy as np
 import pytest
-from reference import GroupElement, inv_structural, mul_structural
+from reference import GroupElement, homomorphism_rows_unpruned, inv_structural, mul_structural
 
+from solvquot import groups
 from solvquot.counting import aut_order_by_lifting
 from solvquot.groups import (
     CATALOG_SPECS,
@@ -14,12 +16,14 @@ from solvquot.groups import (
     CapExceeded,
     FiniteGroupTable,
     GroupSpecError,
+    _homomorphism_blocks,
     aut_order,
     automorphisms,
     builtin_group,
     chief_series,
     complement_count,
     find_isomorphism,
+    generating_sequence,
     is_isomorphic,
     minimal_normal_subgroup,
 )
@@ -308,9 +312,9 @@ def sl23_table():
 
 def test_series_automorphisms():
     # the automorphism rows are distinct automorphisms, and the series
-    # automorphisms, filtered by array passes over chain_in_group, are the
-    # rows that fix every chain term as defined by the projections; each
-    # level's orbit group is their distinct images mod |B_i|
+    # automorphisms are the rows that fix every chain term as defined by the
+    # projections; each level's orbit group is their distinct images mod
+    # |B_i|
     for spec, order, series in [("D(48)", 192, 192), ("Z(2)^4", 20160, 64),
                                 ("Z(2)*S(4)", 48, 24), ("Z(3)*D(8)", 16, 16)]:
         tw = builtin_group(spec)
@@ -329,6 +333,87 @@ def test_series_automorphisms():
             images = {tuple(tw.project(r[b], top, level) for b in range(nB)) for r in fixing}
             got = tw.orbit_group(level, series=True).rows.tolist()
             assert sorted(map(tuple, got)) == sorted(images), (spec, level)
+
+
+def test_pruned_search_matches_every_tuple_tried(monkeypatch):
+    # the search that grows the image tuples generator by generator, keeping
+    # a prefix only where it is a homomorphism on the subgroup its
+    # generators generate, finds the same rows in the same order as trying
+    # every tuple: homomorphisms between catalog groups (candidates of
+    # dividing order, as iter_homomorphisms takes them) and the complement
+    # sections of every layer of every catalog tower.  These searches fit in
+    # one block, so a small block makes them prune and split, too
+    towers = {spec: builtin_group(spec) for spec in CATALOG_SPECS}
+    for block in (groups.SEARCH_BLOCK, 1 << 10):
+        monkeypatch.setattr(groups, "SEARCH_BLOCK", block)
+        for spec in ["S(4)", "D(12)", "Q(8)", "Z(2)*Z(4)", "A(4)", "D(16)", "M(7,3,2)"]:
+            src = towers[spec].group
+            gens = generating_sequence(src)
+            for tw in towers.values():
+                dst = tw.group
+                cands = [[h for h in range(dst.n) if src.order_of(g) % dst.order_of(h) == 0]
+                         for g in gens]
+                got = np.concatenate(list(_homomorphism_blocks(src, gens, dst, cands)))
+                assert np.array_equal(got, homomorphism_rows_unpruned(src, gens, dst, cands))
+        for tw in towers.values():
+            for lay in tw.layers[1:]:
+                nB = len(lay.base)
+                fibres = [range(g, lay.E * nB, nB) for g in lay._base_gens]
+                want = homomorphism_rows_unpruned(lay.base, lay._base_gens, lay.group, fibres)
+                assert np.array_equal(lay._complement_sections(), want), tw.spec
+
+
+def _series_filtered(tw):
+    """The rows of the full automorphism search that map every chain term
+    into itself."""
+    auts = automorphisms(tw.group)
+    keep = np.ones(len(auts), dtype=bool)
+    inside = np.zeros(len(tw.group), dtype=bool)
+    for N in tw.chain_in_group()[1:-1]:
+        inside[:] = False
+        inside[N] = True
+        keep &= inside[auts[:, N]].all(axis=1)
+    return auts[keep]
+
+
+def test_series_search_equals_the_filtered_full_search():
+    # the search restricted to images of the same order and chain depth
+    # finds exactly the series-fixing rows of the full search, in its order;
+    # on Z(3)*Q(8), Z(4)*D(8) and S(4)*Z(2)^2 some automorphisms that keep
+    # the generators' depths lower another element's depth
+    specs = dict.fromkeys(CATALOG_SPECS + NILPOTENT_CATALOG_SPECS
+                          + ["Z(4)*D(8)", "S(4)*Z(2)^2", "D(128)", "Dstar(128)", "Q(64)"])
+    for spec in specs:
+        tw = builtin_group(spec)
+        rows = tw._series_automorphisms()
+        assert rows.dtype == np.int32 and not rows.flags.writeable
+        assert np.array_equal(rows, _series_filtered(tw)), spec
+
+
+@pytest.mark.slow
+def test_series_search_on_d256():
+    tw = builtin_group("D(256)")
+    rows = tw._series_automorphisms()
+    assert len(rows) == 8192 and np.array_equal(rows, _series_filtered(tw))
+
+
+def test_series_search_on_elementary_abelian_towers():
+    # Z(2)^5 with one generator per layer: 16 * 8 * 4 * 2 * 1 candidate
+    # tuples, each an automorphism (the unitriangular group), where the full
+    # search refuses 28629151
+    tw = builtin_group("Z(2)^5")
+    assert len(tw._series_automorphisms()) == 1024
+    assert [len(tw.orbit_group(i, series=True)) for i in range(1, 6)] == [1, 2, 8, 64, 1024]
+    with pytest.raises(CapExceeded, match="would try 28629151 candidate"):
+        automorphisms(tw.group)
+    # Z(2)^9 would need 2^36 tuples: refused before the search starts, and
+    # again on the next call from the kept refusal
+    tw = builtin_group("Z(2)^9")
+    start = time.perf_counter()
+    for _ in range(2):
+        with pytest.raises(CapExceeded, match="would try 68719476736 candidate"):
+            tw._series_automorphisms()
+    assert time.perf_counter() - start < 1.0
 
 
 def test_sl23_from_table():

@@ -45,6 +45,9 @@ def test_free_reduce_properties():
         assert word_mul(word_mul(ra, rb), rc) == word_mul(ra, word_mul(rb, rc))
         assert word_mul(ra, ()) == ra == word_mul((), ra)
         assert word_mul(ra, word_inverse(ra)) == ()
+        # powers are built from the cyclically reduced core, not letter by letter
+        for k in range(-3, 4):
+            assert word_pow(a, k) == free_reduce((a if k > 0 else word_inverse(a)) * abs(k))
         # no adjacent cancelling pair survives
         for (g1, e1), (g2, e2) in zip(ra, ra[1:]):
             assert not (g1 == g2 and e1 == -e2)
