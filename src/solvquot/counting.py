@@ -51,16 +51,15 @@ class CountReport:
 # by all of its solutions in one array (``solution_arrays``); no step loops
 # over the maps in Python.
 #
-# The counts carry the frontier modulo a group A_i of automorphisms of B_i,
-# acting on the maps into B_i through every generator image: the image of
-# A = Aut(Gamma, series), the automorphisms of the top group that fix every
-# chain term, for Hom and for Epi with |Aut|; Inn(B_i) (conjugation) for
-# Epi without |Aut|, and for Hom where the tower's series-restricted search
-# for A is refused.  Each alpha_i is induced by an alpha_(i+1) one level up
-# (the same alpha of A, or conjugation by a preimage), which matches the
-# lifts of a map one-to-one with those of its image, so the number of lifts
-# is constant on an orbit, and every orbit one level up contains a lift of
-# the representative of the orbit below it.  So each level keeps one
+# Every count carries the frontier modulo the group A_i of automorphisms of
+# B_i that the tower chooses (``ExtensionTower.orbit_group``), acting on
+# every generator image: the image of A = Aut(Gamma, series), or Inn(B_i)
+# where the tower's series-restricted search for A is refused.  Each alpha_i
+# is induced by an automorphism of Gamma fixing the series, hence by an
+# alpha_(i+1) one level up, which matches the lifts of a map one-to-one with
+# those of its image; so any such group gives exact counts: the number of
+# lifts is constant on an orbit, and every orbit one level up contains a
+# lift of the representative of the orbit below it.  So each level keeps one
 # representative per orbit, its least image, weighted by the orbit size
 # |A_i| / |Stab(row)|; the lifts of the representatives are canonicalised
 # and deduplicated one level up.  The top layer is counted, epsilon * q^d
@@ -322,12 +321,10 @@ def _closed_form_lifts(lay, d, epi):
     return (lay.E**lay.zeta) * ((q ** (d - lay.s * lay.zeta) if d is not None else 0) - split)
 
 
-def _orbit_levels(P, tower, epi, cap=10**7, _group=None):
+def _orbit_levels(P, tower, epi, cap=10**7):
     """Lift one representative per orbit through every layer below the top
-    and count the top layer.  ``_group(i)`` gives the group acting on the
-    maps into level i, a PermutationGroup of B_i (default Inn(B_i),
-    ``tower.orbit_group``; the counts pass the image of the series
-    automorphisms, ``partial(tower.orbit_group, series=True)``).  Yields,
+    and count the top layer.  The group acting on the maps into level i is
+    ``tower.orbit_group(i)``, a PermutationGroup of B_i.  Yields,
     per layer i, (i + 1, reps, weights, maps_in, maps_out): the level-(i + 1)
     representatives and their orbit sizes (both None at the top, which is
     counted and not built) and the weighted map counts below and above the
@@ -341,7 +338,6 @@ def _orbit_levels(P, tower, epi, cap=10**7, _group=None):
     (``_bottom_lifts``) is filled.  Once a level has no representative,
     every layer above it yields maps_out = 0 without building or solving
     anything."""
-    group = _group or tower.orbit_group
     reps = _trivial_frontier(P)
     weights = np.ones(1, dtype=np.int64)
     maps_in = 1
@@ -358,7 +354,7 @@ def _orbit_levels(P, tower, epi, cap=10**7, _group=None):
                 lifts, dims = lift_frontier(P, lay, reps, epi, cap=cap, level=i)
             else:
                 lifts, dims = _bottom_lifts(P, lay, epi, cap, top=False)
-            acting = group(i + 1)
+            acting = tower.orbit_group(i + 1)
             new_reps, new_weights = _orbit_representatives(acting, lifts)
             del lifts
             maps_out = int(new_weights.sum())
@@ -391,19 +387,10 @@ def _orbit_levels(P, tower, epi, cap=10**7, _group=None):
 
 
 def hom_count(P, tower, cap=10**7):
-    """|Hom|, lifting one map per orbit of A = Aut(Gamma, series) and
-    counting the top layer.  A comes from the tower's series-restricted
-    search, run once per tower; where that search is refused (past its
-    tuple cap, as for Z(2)^9), the orbits are the conjugacy orbits."""
-    group = None
-    if len(tower.layers) > 1:
-        try:
-            tower._series_automorphisms()
-            group = functools.partial(tower.orbit_group, series=True)
-        except CapExceeded:
-            pass
+    """|Hom|, lifting one map per orbit of the tower's acting groups
+    (``ExtensionTower.orbit_group``) and counting the top layer."""
     count = 1
-    for *_, count in _orbit_levels(P, tower, epi=False, cap=cap, _group=group):
+    for *_, count in _orbit_levels(P, tower, epi=False, cap=cap):
         pass
     return count
 
@@ -419,19 +406,16 @@ def epi_maps(P, tower, cap=10**7, level=None):
 
 
 def epi_count(P, tower, cap=10**7, with_aut=True, cap_order=DEFAULT_ORDER_CAP):
-    """|Epi|, lifting one epimorphism per orbit and counting the top layer.
-    With ``with_aut`` also |Aut| by the generator-image search of
-    ``aut_order`` under the order cap ``cap_order``, run first, which must
-    divide |Epi|, and delta = |Epi| / |Aut|; the orbits are then those of
-    A = Aut(Gamma, series), found by the tower's series-restricted search.
-    Without it they are the conjugacy orbits, and no search runs."""
+    """|Epi|, lifting one epimorphism per orbit of the tower's acting
+    groups (``ExtensionTower.orbit_group``) and counting the top layer.
+    ``with_aut`` decides only whether |Aut| is computed, by the full
+    generator-image search of ``aut_order`` under the order cap
+    ``cap_order``, run first; it must divide |Epi|, and delta is
+    |Epi| / |Aut|."""
     aut = dlt = None
-    group = None
     if with_aut:
         aut = aut_order(tower.group, cap_order)
-        group = functools.partial(tower.orbit_group, series=True, cap=cap_order)
-    level_epi = tuple(out for *_, out in _orbit_levels(P, tower, epi=True, cap=cap,
-                                                       _group=group))
+    level_epi = tuple(out for *_, out in _orbit_levels(P, tower, epi=True, cap=cap))
     epi = level_epi[-1] if level_epi else 1
     if with_aut:
         if epi % aut:
@@ -454,7 +438,13 @@ def delta(P, tower, cap=10**7):
 
 def aut_order_by_lifting(tower):
     """|Aut| = |Epi(G, G)| counted by the same recursion that counts
-    epimorphisms, with the group's power-conjugate presentation as source."""
+    epimorphisms, with the group's power-conjugate presentation as source.
+    It lifts modulo the series automorphisms A and still checks
+    ``aut_order``: A's rows come from the restricted search, not the full
+    one, checked as automorphisms, and any group of them gives the exact
+    |Epi|; a row set that is not a group trips the orbit-size or level
+    arithmetic self-checks.  It reaches Z(2)^5, where the full search is
+    refused."""
     return epi_count(tower.presentation(), tower, with_aut=False).epi
 
 

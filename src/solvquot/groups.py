@@ -28,6 +28,9 @@ DEFAULT_ORDER_CAP = 512
 BIJECTIVE_TUPLE_CAP = 1_000_000
 # image entries the generator-image search fills in one array pass
 SEARCH_BLOCK = 1 << 18
+# most image entries (rows times the group order) the series automorphism
+# search may keep: D(256) (8192 rows of 256) and Z(2)^6 (32768 of 64) fit
+SERIES_ENTRY_CAP = 1 << 22
 
 
 # ---------------------------------------------------------------------------
@@ -695,24 +698,21 @@ class ExtensionTower:
         n = len(self.group)
         return [np.arange(0, n, len(self.level_group(i))) for i in range(len(self.layers) + 1)]
 
-    def orbit_group(self, level, series=False, cap=DEFAULT_ORDER_CAP):
+    def orbit_group(self, level):
         """The group acting on the maps into the level group B (level >= 1),
         as a PermutationGroup on the distinct rows of its elements (row[b]
-        is the image of b): Inn(B), the distinct rows of B's conjugation
-        table, or with ``series`` the image of A = Aut(Gamma, series) in
-        Aut(B).  A is the set of automorphisms of the top group that map
-        every chain term onto itself, found once per tower by the search
-        restricted to the series (``_series_automorphisms``), which may
-        raise CapExceeded.  An automorphism alpha in A induces
-        x mod |B| -> alpha(x) mod |B| on B, so its image is the first |B|
-        entries of its row, mod |B|.  ``cap`` bounds the top group's order
-        for that search.  Kept on the tower."""
-        key = (level, series)
-        if key not in self._orbit_groups:
+        is the image of b), one per level, kept on the tower; every count
+        lifts modulo it.  It is the image of A = Aut(Gamma, series), the
+        automorphisms of the top group that map every chain term onto
+        itself (``_series_automorphisms``): alpha induces x mod |B| ->
+        alpha(x) mod |B| on B, the first |B| entries of its row, mod |B|.
+        Where that search is refused, it is Inn(B), the distinct rows of
+        B's conjugation table."""
+        if level not in self._orbit_groups:
             table = self.level_group(level)
-            if series:
-                rows = self._series_automorphisms(cap)[:, : table.n] % table.n
-            else:
+            try:
+                rows = self._series_automorphisms()[:, : table.n] % table.n
+            except CapExceeded:
                 rows = table.conjugation_table()
             # rows that agree on a generating sequence are equal
             if level < len(self.layers):
@@ -720,10 +720,10 @@ class ExtensionTower:
             else:
                 gens = generating_sequence(table)
             first = np.unique(rows[:, gens], axis=0, return_index=True)[1]
-            self._orbit_groups[key] = PermutationGroup(rows[first])
-        return self._orbit_groups[key]
+            self._orbit_groups[level] = PermutationGroup(rows[first])
+        return self._orbit_groups[level]
 
-    def _series_automorphisms(self, cap=DEFAULT_ORDER_CAP):
+    def _series_automorphisms(self):
         """A = Aut(Gamma, series), the automorphisms of the top group that
         map every chain term into, hence onto, itself, as int32 image rows
         in the order of ``automorphisms``, found by their own search.  Such
@@ -731,12 +731,12 @@ class ExtensionTower:
         largest j with x in N_j (x mod |B_j| = 0), so each generator of
         ``generating_sequence`` is sent only to the elements of its order
         and depth; of those homomorphisms, the injective ones that never
-        lower a depth are A.  ``cap`` bounds the order; past
-        BIJECTIVE_TUPLE_CAP candidate tuples the search raises CapExceeded
-        before it starts, and every later call raises it again."""
+        lower a depth are A.  The search raises CapExceeded before it
+        starts past BIJECTIVE_TUPLE_CAP candidate tuples, and before it
+        keeps a block of rows that would bring them past SERIES_ENTRY_CAP
+        entries; the refusal is kept and raised again on every later call.
+        The order was checked against the caller's cap at tower build."""
         table = self.group
-        if table.n > cap:
-            raise CapExceeded("group order %d exceeds cap %d" % (table.n, cap))
         if self._series_auts is None:
             depth = np.empty(table.n, dtype=np.int64)
             for j, N in enumerate(self.chain_in_group()):
@@ -745,15 +745,23 @@ class ExtensionTower:
             gens = generating_sequence(table)
             cands = [np.flatnonzero((order == order[g]) & (depth == depth[g])) for g in gens]
             tuples = math.prod(len(c) for c in cands)
+            message = "series automorphism search of a group of order %d would " % table.n
             if tuples > BIJECTIVE_TUPLE_CAP:
-                self._series_auts = (
-                    "series automorphism search of a group of order %d would try %d candidate "
-                    "image tuples (cap %d)" % (table.n, tuples, BIJECTIVE_TUPLE_CAP))
+                self._series_auts = message + "try %d candidate image tuples (cap %d)" % (
+                    tuples, BIJECTIVE_TUPLE_CAP)
             else:
-                rows = np.concatenate(list(_homomorphism_blocks(table, gens, table, cands)))
-                rows = rows[(rows[:, 1:] != 0).all(axis=1) & (depth[rows] >= depth).all(axis=1)]
-                self._series_auts = rows.astype(np.int32)
-                self._series_auts.flags.writeable = False
+                kept, entries = [], 0
+                for f in _homomorphism_blocks(table, gens, table, cands):
+                    f = f[(f[:, 1:] != 0).all(axis=1) & (depth[f] >= depth).all(axis=1)]
+                    entries += f.size
+                    if entries > SERIES_ENTRY_CAP:
+                        self._series_auts = message + "keep at least %d image entries (cap %d)" % (
+                            entries, SERIES_ENTRY_CAP)
+                        break
+                    kept.append(f.astype(np.int32))
+                else:
+                    self._series_auts = np.concatenate(kept)
+                    self._series_auts.flags.writeable = False
         if isinstance(self._series_auts, str):  # the refusal, kept
             raise CapExceeded(self._series_auts)
         return self._series_auts

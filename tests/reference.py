@@ -19,7 +19,10 @@ Python routes that production no longer calls:
 * tower arithmetic by the layer formulas (``mul_structural``,
   ``inv_structural``, ``GroupElement``), one element at a time;
 * the generator-image search without its prefix pruning
-  (``homomorphism_rows_unpruned``), which tries every candidate tuple.
+  (``homomorphism_rows_unpruned``), which tries every candidate tuple;
+* Inn(B_i) as an acting group (``conjugation_orbit_groups``), which the
+  tests put in place of a tower's ``orbit_group`` to compare the counts
+  modulo conjugation with those modulo the series automorphisms.
 
 Their per-map steps share nothing with the batched kernel
 (``build_systems``, ``solve_systems``, ``solution_arrays``,
@@ -33,6 +36,7 @@ map themselves.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -49,6 +53,7 @@ from solvquot.counting import CountError
 from solvquot.groups import (
     CapExceeded,
     ExtensionTower,
+    PermutationGroup,
     _binary_dihedral_data,
     _cyclic_data,
     _dihedral_data,
@@ -527,3 +532,15 @@ def homomorphism_rows_unpruned(src, gens, dst, cands):
               == f[:, src.as_array()[:, gens]]).all(axis=(1, 2))
         out.append(f[ok])
     return np.concatenate(out)
+
+
+# ---------------------------------------------------------------------------
+# Conjugation as the acting group of every level.
+
+
+def conjugation_orbit_groups(tower):
+    """A stand-in for ``tower.orbit_group``: per level i >= 1, Inn(B_i) as
+    the PermutationGroup of the distinct rows of B_i's conjugation table,
+    built once per level."""
+    return functools.cache(lambda level: PermutationGroup(
+        np.unique(tower.level_group(level).conjugation_table(), axis=0)))

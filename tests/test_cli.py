@@ -1,11 +1,13 @@
 import json
 import time
 
+import numpy as np
 import pytest
+from reference import conjugation_orbit_groups
 
-from solvquot import counting, subgrowth
+from solvquot import cli, counting, subgrowth
 from solvquot.cli import main
-from solvquot.groups import builtin_group, chief_series, is_isomorphic
+from solvquot.groups import CapExceeded, builtin_group, chief_series, is_isomorphic
 from solvquot.oracle import brute_hom
 from solvquot.presentations import builtin_from_string, builtin_presentation
 
@@ -457,10 +459,28 @@ def test_epi_and_delta_honour_cap_order(capsys):
 
 
 @pytest.mark.slow
-def test_epi_cap_order_past_the_default_on_a_dihedral_target(capsys):
+def test_epi_cap_order_past_the_default_on_a_dihedral_target(capsys, monkeypatch):
     code, out = run_cli(capsys, "aut", "--target", "D(520)", "--cap-order", "1024")
     assert code == 0 and json.loads(out)["aut"] == 24960
+    towers = []
+    real = cli.load_target
+    monkeypatch.setattr(cli, "load_target", lambda *args: towers.append(real(*args)) or towers[-1])
     code, out = run_cli(capsys, "epi", "--source", "builtin:free(2)", "--target", "D(520)",
                         "--cap-order", "1024")
     doc = json.loads(out)
     assert code == 0 and (doc["epi"], doc["aut"], doc["delta"]) == (74880, 24960, 3)
+    # epi and hom onto D(520) lift modulo conjugation: its 24960 series
+    # automorphisms would keep 24960 * 520 image entries, past the entry
+    # cap, which refuses the search (it has no order cap)
+    code, out = run_cli(capsys, "hom", "--source", "builtin:free(2)", "--target", "D(520)",
+                        "--cap-order", "1024")
+    assert code == 0 and json.loads(out)["hom"] == 520**2
+    for tower in towers:
+        with pytest.raises(CapExceeded, match="would keep at least"):
+            tower._series_automorphisms()
+        inn = conjugation_orbit_groups(tower)
+        levels = range(1, len(tower.layers))
+        assert sorted(tower._orbit_groups) == list(levels)
+        assert all(np.array_equal(np.unique(tower._orbit_groups[i].rows, axis=0), inn(i).rows)
+                   for i in levels)
+    assert len(towers) == 2

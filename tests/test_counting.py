@@ -3,6 +3,7 @@ import functools
 import numpy as np
 import pytest
 from reference import (
+    conjugation_orbit_groups,
     delta_s4,
     dihedral_prime_delta,
     enumerate_epis_to_table,
@@ -235,7 +236,7 @@ def test_self_checks_fire_on_corrupted_data(monkeypatch):
         epi_count(F2, tower)
 
 
-def test_counted_path_matches_full_enumeration():
+def test_counted_path_matches_full_enumeration(monkeypatch):
     # the orbit-reduced, top-counted path against every map enumerated:
     # each level's epi_out (the top one is |Epi|), lifted modulo conjugation
     # and modulo the series automorphisms, against epi_maps, and Hom, lifted
@@ -253,7 +254,10 @@ def test_counted_path_matches_full_enumeration():
                 len(epi_maps(P, tower, level=i)) for i in range(1, len(tower.layers) + 1)
             ], (label, spec)
             assert epi_count(P, tower).level_epi == rep.level_epi, (label, spec)
-            *_, inn = list(counting._orbit_levels(P, tower, epi=False, _group=tower.orbit_group))[-1]
+            with monkeypatch.context() as m:
+                m.setattr(tower, "orbit_group", conjugation_orbit_groups(tower))
+                assert epi_count(P, tower, with_aut=False).level_epi == rep.level_epi
+                inn = hom_count(P, tower)
             assert hom_count(P, tower) == inn == brute_hom(P, tower.group).count, (label, spec)
 
 
@@ -266,28 +270,30 @@ def test_abelian_upper_levels_match_the_oracle():
     assert epi_count(P, tower).epi == len(epi_maps(P, tower)) == 115200
 
 
-def test_orbit_frontier_shape():
+def test_orbit_frontier_shape(monkeypatch):
     # Dstar(48) from surface(2): the 11520 epimorphisms onto the level-4
     # group (order 16, centre of order 2) are kept as 1440 orbits of size
     # 8 under conjugation, and as 360 orbits of size 32 under the series
     # automorphisms; the 276480 onto the top are counted, not stored
     tower = builtin_group("Dstar(48)")
     surface = builtin_presentation("surface", 2)
-    by_series = functools.partial(tower.orbit_group, series=True)
-    for group, orbits, size in [(None, 1440, 8), (by_series, 360, 32)]:
-        levels = list(counting._orbit_levels(surface, tower, epi=True, _group=group))
+    inn = conjugation_orbit_groups(tower)
+    for group, orbits, size in [(inn, 1440, 8), (tower.orbit_group, 360, 32)]:
+        with monkeypatch.context() as m:
+            m.setattr(tower, "orbit_group", group)
+            levels = list(counting._orbit_levels(surface, tower, epi=True))
         _, reps, weights, _, _ = levels[3]
         assert (len(reps), set(weights.tolist())) == (orbits, {size})
         assert levels[-1][1] is None and levels[-1][4] == 276480
         # each representative is the least of its images under the group
-        images = (group or tower.orbit_group)(4).rows[:, reps].transpose(1, 0, 2)
+        images = group(4).rows[:, reps].transpose(1, 0, 2)
         assert all(min(map(tuple, c.tolist())) == tuple(r) for c, r in zip(images, reps.tolist()))
     # the acting groups per level: Inn(B_i) and the image of Aut(Gamma, series)
-    assert [len(tower.orbit_group(i)) for i in range(1, 5)] == [1, 1, 4, 8]
-    assert [len(by_series(i)) for i in range(1, 5)] == [1, 2, 8, 32]
+    assert [len(inn(i)) for i in range(1, 5)] == [1, 1, 4, 8]
+    assert [len(tower.orbit_group(i)) for i in range(1, 5)] == [1, 2, 8, 32]
 
 
-def test_hom_orbit_frontier_shape():
+def test_hom_orbit_frontier_shape(monkeypatch):
     # D(48) from surface(2): the maps into the level-3 and level-4 groups
     # (orders 8 and 16) are kept as 736 and 4096 conjugacy orbits, and as
     # 436 and 1756 orbits of the series automorphisms (|A_3| = 8 and
@@ -295,27 +301,44 @@ def test_hom_orbit_frontier_shape():
     # lifts; every orbit size divides the order of its acting group
     tower = builtin_group("D(48)")
     surface = builtin_presentation("surface", 2)
-    by_series = functools.partial(tower.orbit_group, series=True)
-    assert [len(by_series(i)) for i in range(1, 5)] == [1, 2, 8, 32]
-    for group, sizes in [(tower.orbit_group, [16, 256, 736, 4096]),
-                         (by_series, [16, 136, 436, 1756])]:
-        levels = list(counting._orbit_levels(surface, tower, epi=False, _group=group))
+    inn = conjugation_orbit_groups(tower)
+    assert [len(tower.orbit_group(i)) for i in range(1, 5)] == [1, 2, 8, 32]
+    for group, sizes in [(inn, [16, 256, 736, 4096]),
+                         (tower.orbit_group, [16, 136, 436, 1756])]:
+        with monkeypatch.context() as m:
+            m.setattr(tower, "orbit_group", group)
+            levels = list(counting._orbit_levels(surface, tower, epi=False))
         assert [len(reps) for _, reps, *_ in levels[:-1]] == sizes
         for level, reps, weights, _, maps_out in levels[:-1]:
             assert weights.sum() == maps_out and not (len(group(level)) % weights).any()
         assert levels[-1][4] == 746496
-    # hom_count builds only the series orbit groups on a fresh tower
+    # hom_count builds one orbit group per level below the top on a fresh
+    # tower, each the image of the series automorphisms
     tower = builtin_group("D(48)")
     assert hom_count(surface, tower) == 746496
-    assert sorted(tower._orbit_groups) == [(i, True) for i in range(1, 5)]
+    assert sorted(tower._orbit_groups) == [1, 2, 3, 4]
+    assert [len(tower._orbit_groups[i]) for i in range(1, 5)] == [1, 2, 8, 32]
 
 
-def test_hom_falls_back_to_conjugation_where_the_search_is_refused():
-    # the series search onto Z(2)^9 would try 2^36 tuples, so Hom lifts
-    # modulo conjugation, which is trivial on an abelian group
-    tower = builtin_group("Z(2)^9")
-    assert hom_count(F2, tower) == 2**18
-    assert {series for _, series in tower._orbit_groups} == {False}
+def test_hom_falls_back_to_conjugation_where_the_search_is_refused(monkeypatch):
+    # the series search onto Z(2)^9 would try 2^36 tuples, and the one onto
+    # Z(2)^5*D(8) would keep 262144 rows of 256 entries, so every level's
+    # acting group is conjugation (trivial on Z(2)^9), and Hom gives the
+    # same count as with conjugation put in place
+    for spec, count, refusal in [("Z(2)^9", 2**18, "would try 68719476736 candidate"),
+                                 ("Z(2)^5*D(8)", 65536, "would keep at least")]:
+        tower = builtin_group(spec)
+        assert hom_count(F2, tower) == count
+        with pytest.raises(CapExceeded, match=refusal):
+            tower._series_automorphisms()
+        inn = conjugation_orbit_groups(tower)
+        levels = range(1, len(tower.layers))
+        assert sorted(tower._orbit_groups) == list(levels)
+        assert all(np.array_equal(np.unique(tower._orbit_groups[i].rows, axis=0), inn(i).rows)
+                   for i in levels), spec
+        with monkeypatch.context() as m:
+            m.setattr(tower, "orbit_group", inn)
+            assert hom_count(F2, tower) == count
 
 
 def test_orbit_representatives_against_every_image():
@@ -326,8 +349,7 @@ def test_orbit_representatives_against_every_image():
     tower = builtin_group("Dstar(48)")
     rng = np.random.default_rng(3)
     for level, n in [(5, 12), (4, 3)]:
-        for series in (False, True):
-            group = tower.orbit_group(level, series=series)
+        for group in (conjugation_orbit_groups(tower)(level), tower.orbit_group(level)):
             nB = group.rows.shape[1]
             rows = np.unique(rng.integers(nB, size=(300, n)).astype(np.int32), axis=0)
             reps, weights = counting._orbit_representatives(group, rows)
@@ -372,11 +394,14 @@ def test_planted_errors_raise(monkeypatch):
     swap[[1, 2]] = [2, 1]
 
     def planted(i):
-        rows = S4.orbit_group(i, series=True).rows
+        rows = real_group(i).rows
         return PermutationGroup(np.vstack([rows, swap]) if i == 2 else rows)
 
-    with pytest.raises(CountError, match="orbit at level 2 has a size"):
-        list(counting._orbit_levels(F2, S4, epi=True, _group=planted))
+    real_group = S4.orbit_group
+    with monkeypatch.context() as m:
+        m.setattr(S4, "orbit_group", planted)
+        with pytest.raises(CountError, match="orbit at level 2 has a size"):
+            list(counting._orbit_levels(F2, S4, epi=True))
     # a dropped complement row, below the top and at the top, is refused
     # where it is set; one planted past that check below the top still
     # trips lift_frontier's tally of the complement lifts
@@ -604,6 +629,30 @@ def test_epi_maps_are_epimorphisms():
 def test_aut_by_lifting_matches_report():
     rep = epi_count(B4, S4)
     assert rep.aut == aut_order_by_lifting(S4) == 24
+
+
+def test_aut_by_lifting_modulo_the_series_automorphisms(monkeypatch):
+    # lifting modulo A reaches |GL(5, 2)|, where the full search behind
+    # aut_order refuses 28629151 candidate tuples
+    assert aut_order_by_lifting(builtin_group("Z(2)^5")) == 9999360
+    # D(48)'s A image at level 3 (|A_3| = 8) or 4 (|A_4| = 32) less one
+    # non-identity row is no group, and every such plant is refused
+    tower = builtin_group("D(48)")
+    real = tower.orbit_group
+    for level in (3, 4):
+        rows = real(level).rows
+        n = rows.shape[1]
+        for k in np.flatnonzero((rows != np.arange(n)).any(axis=1)):
+            rest = np.delete(rows, k, axis=0)
+            products = {tuple(r) for r in rest[:, rest].reshape(-1, n).tolist()}
+            assert not products <= {tuple(r) for r in rest.tolist()}
+            with monkeypatch.context() as m:
+                m.setattr(tower, "orbit_group",
+                          lambda i, rest=rest, level=level:
+                          PermutationGroup(rest) if i == level else real(i))
+                with pytest.raises(CountError, match="orbit at level %d has a size" % level):
+                    aut_order_by_lifting(tower)
+    assert aut_order_by_lifting(tower) == 192
 
 
 def test_report_json_shape():

@@ -331,7 +331,7 @@ def test_series_automorphisms():
         for level in range(1, top):
             nB = len(tw.level_group(level))
             images = {tuple(tw.project(r[b], top, level) for b in range(nB)) for r in fixing}
-            got = tw.orbit_group(level, series=True).rows.tolist()
+            got = tw.orbit_group(level).rows.tolist()
             assert sorted(map(tuple, got)) == sorted(images), (spec, level)
 
 
@@ -395,6 +395,23 @@ def test_series_search_on_d256():
     tw = builtin_group("D(256)")
     rows = tw._series_automorphisms()
     assert len(rows) == 8192 and np.array_equal(rows, _series_filtered(tw))
+    # 8192 rows of 256 entries, and Z(2)^6's 32768 rows of 64, both 2^21
+    # entries, fit under the entry cap
+    assert len(builtin_group("Z(2)^6")._series_automorphisms()) == 32768
+
+
+def test_series_search_refused_past_its_entry_cap(monkeypatch):
+    # D(48)'s 192 series automorphisms keep 192 * 48 = 9216 entries: found
+    # under a cap of 9216, refused under 9215, and the refusal is kept
+    monkeypatch.setattr(groups, "SERIES_ENTRY_CAP", 9216)
+    assert len(builtin_group("D(48)")._series_automorphisms()) == 192
+    monkeypatch.setattr(groups, "SERIES_ENTRY_CAP", 9215)
+    tw = builtin_group("D(48)")
+    with pytest.raises(CapExceeded, match="would keep at least 9216 image entries"):
+        tw._series_automorphisms()
+    monkeypatch.setattr(groups, "SERIES_ENTRY_CAP", 9216)
+    with pytest.raises(CapExceeded, match="would keep at least 9216 image entries"):
+        tw._series_automorphisms()
 
 
 def test_series_search_on_elementary_abelian_towers():
@@ -403,7 +420,7 @@ def test_series_search_on_elementary_abelian_towers():
     # search refuses 28629151
     tw = builtin_group("Z(2)^5")
     assert len(tw._series_automorphisms()) == 1024
-    assert [len(tw.orbit_group(i, series=True)) for i in range(1, 6)] == [1, 2, 8, 64, 1024]
+    assert [len(tw.orbit_group(i)) for i in range(1, 6)] == [1, 2, 8, 64, 1024]
     with pytest.raises(CapExceeded, match="would try 28629151 candidate"):
         automorphisms(tw.group)
     # Z(2)^9 would need 2^36 tuples: refused before the search starts, and
