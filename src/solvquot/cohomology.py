@@ -518,12 +518,21 @@ class SolutionBatch:
         self.q = q
         self.solvable, self.dims, self.free, self.x0, self.null = solvable, dims, free, x0, null
 
+    def place(self, X):
+        """The index of each solution X[..., j, :] of system j within that
+        system's block of ``solution_arrays``: x is x0 + null y with x = y on
+        the free unknowns, so its place in the grid is its free entries read
+        as base-q digits, the first most significant.  The caller keeps
+        q^dims within int64."""
+        after = self.dims[:, None] - np.cumsum(self.free, axis=1)
+        return (X * np.where(self.free, self.q**after, 0)).sum(axis=-1)
+
 
 def solution_arrays(batch):
     """The solutions of every solvable system of ``batch`` stacked in order
     into one int64 array, each system's in grid order (first free unknown
-    slowest).  Systems with the same free unknowns share one grid and are
-    expanded together."""
+    slowest; ``SolutionBatch.place`` inverts it).  Systems with the same
+    free unknowns share one grid and are expanded together."""
     q = batch.q
     ncols = batch.free.shape[1]
     ok = np.nonzero(batch.solvable)[0]

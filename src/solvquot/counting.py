@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 
 from .cohomology import _BLOCK, _layer_tables, build_systems, solve_systems, solution_arrays
-from .groups import DEFAULT_ORDER_CAP, CapExceeded, aut_order
+from .groups import DEFAULT_ORDER_CAP, CapExceeded, _digit_vectors, aut_order
 from .presentations import factorize
 
 
@@ -49,7 +49,10 @@ class CountReport:
 # systems of all m maps in one batched relator walk (``build_systems``),
 # eliminates them together mod q (``solve_systems``) and extends every map
 # by all of its solutions in one array (``solution_arrays``); no step loops
-# over the maps in Python.
+# over the maps in Python.  Every level, the top included, solves through
+# ``_solve_level``, which checks that each map's c complement lifts solve
+# its system; for Epi they are the non-surjective lifts, dropped at their
+# places in the map's block of solutions (``SolutionBatch.place``).
 #
 # Every count carries the frontier modulo the group A_i of automorphisms of
 # B_i that the tower chooses (``ExtensionTower.orbit_group``), acting on
@@ -92,41 +95,30 @@ def lift_frontier(P, lay, frontier, epi, cap=10**7, level=0):
     Returns the lifts as a row-sorted int32 array and, per map, the exponent
     d of its q^d lifts as an int64 array, -1 where the map does not lift.
     With ``epi`` the frontier must consist of epimorphisms: the
-    non-surjective lifts of a map with images b are then exactly the c rows
-    ``lay.sections[:, b]``, one per complement of the layer's kernel, and
-    each must occur exactly once among the map's lifts.  ``cap`` bounds the
+    non-surjective lifts of a map are then exactly its c complement lifts
+    (``_solve_level``), which are dropped by their place in the map's block
+    of solutions, and every map must keep q^d - c lifts.  ``cap`` bounds the
     number of lifts kept; it is checked once every system is solved, before
     any lift is built."""
     q, s, n = lay.q, lay.s, P.n
-    nB = len(lay.base)
+    nB, m = len(lay.base), len(frontier)
+    sol = _solve_level(P, lay, frontier)
     c = lay.complements if epi else 0
-    A, chi = build_systems(P, frontier, lay)
-    sol = solve_systems(A, -chi, q)
-    dims = _dims(sol)
-    size = sum(k * q**d for d, k in _weight_per_dim(dims) if d is not None) - c * len(frontier)
-    _check_cap(size, cap, epi, level)
+    size = sum(k * q**d for d, k in enumerate(np.bincount(sol.dims[sol.solvable]).tolist()))
+    _check_cap(size - c * m, cap, epi, level)
     counts = np.where(sol.solvable, q**sol.dims, 0)
+    if c:
+        drop = np.cumsum(counts) - counts + sol.place(_complement_vectors(lay, frontier))
     X = solution_arrays(sol)
     if len(X) != counts.sum():
         raise CountError("lift enumeration disagrees with the solution count")
-    owner = np.repeat(np.arange(len(frontier)), counts)
+    owner = np.repeat(np.arange(m), counts)
     lifts = (X.reshape(-1, n, s) @ q ** np.arange(s, dtype=np.int64)) * nB + frontier[owner]
     del X
     if c:
-        # match each map's c complement rows with its lifts by (owner, row)
-        comp = lay.sections[:, frontier].reshape(-1, n)
-        comp_owner = np.tile(np.arange(len(frontier)), len(lay.sections))
-        keys = _row_keys(np.concatenate([owner, comp_owner]),
-                         np.concatenate([lifts, comp]), len(frontier), len(lay.group))
-        lift_keys, comp_keys = keys[: len(lifts)], keys[len(lifts) :]
-        by_key = np.argsort(comp_keys)
-        at = np.minimum(np.searchsorted(comp_keys[by_key], lift_keys), len(comp_keys) - 1)
-        hit = comp_keys[by_key[at]] == lift_keys
-        if (np.bincount(by_key[at[hit]], minlength=len(comp_keys)) != 1).any():
-            raise CountError("a complement lift is not found exactly once among "
-                             "the lifts of its map")
-        keep = ~hit
-        kept = np.bincount(owner[keep], minlength=len(frontier))
+        keep = np.ones(len(lifts), dtype=bool)
+        keep[drop.ravel()] = False
+        kept = np.bincount(owner[keep], minlength=m)
         if (kept != counts - c).any():
             j = int(np.nonzero(kept != counts - c)[0][0])
             raise CountError(
@@ -135,7 +127,38 @@ def lift_frontier(P, lay, frontier, epi, cap=10**7, level=0):
             )
         lifts = lifts[keep]
     lifts = lifts.astype(np.int32)
-    return lifts[np.lexsort(lifts.T[::-1])], dims
+    return lifts[np.lexsort(lifts.T[::-1])], np.where(sol.solvable, sol.dims, -1)
+
+
+def _solve_level(P, lay, images):
+    """The SolutionBatch of the lifting systems of the maps ``images``
+    through ``lay``.  The rows of ``lay.sections`` are c distinct
+    homomorphic sections (checked when they are set), so their restrictions
+    (row[b_i]) lift every map: their solution vectors X must satisfy
+    A X + chi = 0 mod q, checked in blocks of about _BLOCK entries, and
+    every system must then be solvable."""
+    q = lay.q
+    A, chi = build_systems(P, images, lay)
+    sol = solve_systems(A, -chi, q)
+    c = len(lay.sections)
+    bad = c and not sol.solvable.all()
+    step = max(1, _BLOCK // max(1, c * A.shape[2]))
+    for lo in range(0, len(images) if c else 0, step):
+        at = slice(lo, lo + step)
+        X = _complement_vectors(lay, images[at])[..., None]
+        bad = bad or (((A[at] @ X)[..., 0] + chi[at]) % q).any()
+    if bad:
+        raise CountError("a complement lift is not found among the lifts of its map: "
+                         "it does not solve the map's lifting system")
+    return sol
+
+
+def _complement_vectors(lay, images):
+    """The solution vectors of the c complement lifts of every map of
+    ``images``, the restrictions of ``lay.sections``, as a (c, m, n s)
+    array."""
+    X = _digit_vectors(lay.q, lay.s)[lay.sections[:, images] // len(lay.base)]
+    return X.reshape(*X.shape[:2], X.shape[2] * lay.s)
 
 
 def _check_cap(size, cap, epi, level):
@@ -174,32 +197,12 @@ def _bottom_lifts(P, lay, epi, cap, top):
     return entry
 
 
-def _row_keys(owner, rows, m, radix):
-    """One int64 per (owner, row) pair, equal exactly where the pairs are:
-    owner < m and the entries < radix are packed in mixed radix, and
-    renumbered densely whenever the next column could overflow."""
-    key, bound = owner.astype(np.int64), m
-    for col in rows.T:
-        if bound * radix >= 1 << 62:
-            uniq, key = np.unique(key, return_inverse=True)
-            key, bound = key.reshape(-1), len(uniq)
-        key = key * radix + col
-        bound *= radix
-    return key
-
-
-def _dims(sol):
-    """Per system of ``sol``, the exponent d of its q^d solutions as an
-    int64 array, -1 where it has none."""
-    return np.where(sol.solvable, sol.dims, -1)
-
-
-def _weight_per_dim(dims, weights=None):
-    """The number of maps, or with ``weights`` their total weight, with
-    each exponent d of ``dims``, as pairs (d, total) of Python ints, d None
-    for the maps that do not lift (d = -1 in ``dims``)."""
+def _weight_per_dim(dims, weights):
+    """The total weight of the maps with each exponent d of ``dims``, as
+    pairs (d, total) of Python ints, d None for the maps that do not lift
+    (d = -1 in ``dims``)."""
     tot = np.bincount(dims + 1, weights=weights)
-    if weights is not None and tot.sum() >= 1 << 53:  # past exact float sums
+    if tot.sum() >= 1 << 53:  # past exact float sums
         tot = np.zeros(len(tot), dtype=np.int64)
         np.add.at(tot, dims + 1, weights)
     return [(d if d >= 0 else None, int(w)) for d, w in enumerate(tot.tolist(), -1) if w]
@@ -284,30 +287,16 @@ def _key_chunks(radix, n):
 
 def _count_top(P, lay, reps):
     """Solve the system of each representative through the top layer and
-    nothing more.  Returns the exponent d of each one's q^d lifts as an
-    int64 array, -1 where a map does not lift.  The rows of
-    ``lay.sections`` are c distinct homomorphic sections of the layer
-    (checked when they are set), so their restrictions to an epimorphism's
-    images are its c non-surjective lifts; here those restrictions must
-    solve each representative's system.  The representatives are taken in
+    nothing more (``_solve_level``, with its check of the complement
+    lifts).  Returns the exponent d of each one's q^d lifts as an int64
+    array, -1 where a map does not lift.  The representatives are taken in
     blocks, so that no array of a block passes about _BLOCK entries."""
-    q, s, n = lay.q, lay.s, P.n
-    nB = len(lay.base)
-    c = lay.complements
-    R, C = len(P.relators) * s, n * s
+    R, C = len(P.relators) * lay.s, P.n * lay.s
     dims = np.empty(len(reps), dtype=np.int64)
-    step = max(1, _BLOCK // ((R + C) * (C + 1) + c * C))
+    step = max(1, _BLOCK // ((R + C) * (C + 1)))
     for lo in range(0, len(reps), step):
-        block = reps[lo : lo + step]
-        A, chi = build_systems(P, block, lay)
-        sol = solve_systems(A, -chi, q)
-        if c:
-            X = ((lay.sections[:, block] // nB)[..., None] // q ** np.arange(s)) % q
-            X = X.reshape(c, len(block), C)
-            if ((np.einsum("jrk,cjk->cjr", A, X) + chi) % q).any() or not sol.solvable.all():
-                raise CountError("a complement lift does not solve the lifting "
-                                 "system of its map")
-        dims[lo : lo + step] = _dims(sol)
+        sol = _solve_level(P, lay, reps[lo : lo + step])
+        dims[lo : lo + step] = np.where(sol.solvable, sol.dims, -1)
     return dims
 
 
@@ -333,11 +322,12 @@ def _orbit_levels(P, tower, epi, cap=10**7):
     Self-checks: the weighted closed-form count of each layer equals the
     weighted count above it; with ``epi`` every orbit has the size of the
     acting group, which acts freely on epimorphisms, and without it every
-    orbit size divides that order; and lift_frontier's and _count_top's
-    checks of the complement lifts, at the bottom layer when its kept entry
-    (``_bottom_lifts``) is filled.  Once a level has no representative,
-    every layer above it yields maps_out = 0 without building or solving
-    anything."""
+    orbit size divides that order; on every level the complement lifts of
+    every map solve its system (``_solve_level``), and with ``epi`` every
+    enumerated map keeps q^d - c lifts once they are dropped; at the bottom
+    layer these run when its kept entry (``_bottom_lifts``) is filled.  Once
+    a level has no representative, every layer above it yields maps_out = 0
+    without building or solving anything."""
     reps = _trivial_frontier(P)
     weights = np.ones(1, dtype=np.int64)
     maps_in = 1

@@ -3,6 +3,7 @@ monodromy and 2-cocycle data, plus multiplication-table utilities."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -12,6 +13,7 @@ import numpy as np
 
 from .cohomology import (
     TwistedAction,
+    _mat_mul,
     eval_word_in_table,
     nullspace_dim_mod_prime,
     twisted_z1_count,
@@ -448,10 +450,13 @@ def is_isomorphic(t1, t2):
 #   (e1, b1) (e2, b2) = (e1 + sigma_{b1} e2 + chi(b1, b2),  b1 b2).
 
 
+@functools.lru_cache(maxsize=None)
 def _digit_vectors(q, s):
-    """The base-q digit vectors v of 0..q^s - 1 as a (q^s, s) int64 array,
-    little-endian: num = sum v[k] q^k."""
-    return np.arange(q**s)[:, None] // q ** np.arange(s) % q
+    """The base-q digit vectors v of 0..q^s - 1 as a read-only (q^s, s)
+    int64 array, little-endian: num = sum v[k] q^k."""
+    vecs = np.arange(q**s)[:, None] // q ** np.arange(s) % q
+    vecs.flags.writeable = False
+    return vecs
 
 
 class ElementaryLayer:
@@ -1034,17 +1039,10 @@ def _vec2_apply(M, e0, e1, q):
             (M[..., 1, 0] * e0 + M[..., 1, 1] * e1) % q)
 
 
-def _mat2_mul(A, B, q):
-    return tuple(
-        tuple(sum(A[i][t] * B[t][j] for t in range(2)) % q for j in range(2))
-        for i in range(2)
-    )
-
-
 def _mat2_pow(mat, k, q):
     out = ((1, 0), (0, 1))
     for _ in range(k):
-        out = _mat2_mul(out, mat, q)
+        out = _mat_mul(out, mat, q)
     return out
 
 
@@ -1068,7 +1066,7 @@ _S3_C = ((0, 1), (1, 0))
 
 def _s3_sigma(w, v):
     M = _mat2_pow(_S3_B, w, 2)
-    return _mat2_mul(M, _S3_C, 2) if v else M
+    return _mat_mul(M, _S3_C, 2) if v else M
 
 
 def _plane_by_dihedral(q, p, sig, name):
@@ -1127,7 +1125,7 @@ def _v_q2p_data(q, p, rparam):
         raise GroupSpecError("V(q,p,r): rotation matrix does not have order %d" % p)
     C = ((0, 1), (1, 0))
     powers = [_mat2_pow(B, w, q) for w in range(p)]
-    sig = [[M, _mat2_mul(M, C, q)] for M in powers]
+    sig = [[M, _mat_mul(M, C, q)] for M in powers]
     return _plane_by_dihedral(q, p, sig, "V(%d,%d,%d)" % (q, p, rparam))
 
 

@@ -184,17 +184,36 @@ def test_build_system_matches_symbolic_jacobian():
                                 ], (label, tower.spec, images, k, i)
 
 
+def _assert_places(sol, sols):
+    # SolutionBatch.place of every solution row of every solvable system is
+    # its index within that system's block of solution_arrays; returns the
+    # number of distinct free patterns among those systems
+    ok = np.flatnonzero(sol.solvable)
+    start = 0
+    for j in ok.tolist():
+        count = sol.q ** int(sol.dims[j])
+        X = np.zeros((count,) + sol.free.shape, dtype=np.int64)
+        X[:, j] = sols[start : start + count]
+        assert sol.place(X)[:, j].tolist() == list(range(count))
+        start += count
+    assert start == len(sols)
+    return len(np.unique(sol.free[ok], axis=0))
+
+
 def _assert_batch_matches_reference(P, rows, lay):
     # build_systems, solve_systems and solution_arrays on a batch of image
     # rows against build_system and solve_mod_prime_power map by map:
-    # matrix, rhs, solvability, d and the solution set of every map
+    # matrix, rhs, solvability, d and the solution set of every map, and
+    # the place of every solution; returns the number of free patterns
     q, s = lay.q, lay.s
     rows = np.asarray(rows, dtype=np.int64).reshape(-1, P.n)
     A, chi = build_systems(P, rows, lay)
     assert A.shape == (len(rows), len(P.relators) * s, P.n * s)
     assert chi.shape == (len(rows), len(P.relators) * s)
     sol = solve_systems(A, -chi, q)
-    sols = solution_arrays(sol).tolist()
+    sols = solution_arrays(sol)
+    patterns = _assert_places(sol, sols)
+    sols = sols.tolist()
     start = 0
     for j, images in enumerate(rows.tolist()):
         sysm = build_system(P, images, lay, check=False)
@@ -205,6 +224,7 @@ def _assert_batch_matches_reference(P, rows, lay):
         assert sorted(map(tuple, sols[start : start + len(want)])) == want, images
         start += len(want)
     assert start == len(sols)
+    return patterns
 
 
 def test_batched_systems_match_the_per_map_reference():
@@ -215,13 +235,15 @@ def test_batched_systems_match_the_per_map_reference():
     sources = ["free(3)", "surface(2)", "klein", "bs(2,6)", "braid(4)",
                "parafree(3,2)", "hillman_link"]
     towers = [t for t in map(builtin_group, CATALOG_SPECS) if t.order <= 48]
+    mixed = 0  # batches whose solvable systems have different free unknowns
     for label in sources:
         P = builtin_from_string(label)
         for tower in towers:
             for lay in tower.layers:
                 rows = [[0] * P.n] + [[rng.randrange(len(lay.base)) for _ in range(P.n)]
                                       for _ in range(5)]
-                _assert_batch_matches_reference(P, rows, lay)
+                mixed += _assert_batch_matches_reference(P, rows, lay) > 1
+    assert mixed >= 60
 
 
 def test_batched_systems_edge_cases():
@@ -249,6 +271,7 @@ def test_batched_systems_edge_cases():
 def test_batched_solver_against_the_per_map_solver():
     # random systems mod a prime, eliminated together
     rng = random.Random(11)
+    mixed = 0  # batches whose solvable systems have different free unknowns
     for q in [2, 3, 5, 7]:
         for R, C in [(0, 2), (1, 1), (2, 4), (4, 2), (3, 3), (5, 5)]:
             A = np.array([[[rng.randrange(q) * (rng.random() < 0.7) for _ in range(C)]
@@ -257,7 +280,9 @@ def test_batched_solver_against_the_per_map_solver():
             b = np.array([[rng.randrange(q) for _ in range(R)] for _ in range(40)],
                          dtype=np.int64).reshape(40, R)
             sol = solve_systems(A, b, q)
-            sols = solution_arrays(sol).tolist()
+            sols = solution_arrays(sol)
+            mixed += _assert_places(sol, sols) > 1
+            sols = sols.tolist()
             start = 0
             for j in range(40):
                 res = solve_mod_prime_power(A[j].tolist(), b[j].tolist(), C, q)
@@ -267,6 +292,7 @@ def test_batched_solver_against_the_per_map_solver():
                 assert sorted(map(tuple, sols[start : start + len(want)])) == want
                 start += len(want)
             assert start == len(sols)
+    assert mixed >= 12
 
 
 def test_free_source_system_is_empty():

@@ -404,27 +404,35 @@ def test_planted_errors_raise(monkeypatch):
             list(counting._orbit_levels(F2, S4, epi=True))
     # a dropped complement row, below the top and at the top, is refused
     # where it is set; one planted past that check below the top still
-    # trips lift_frontier's tally of the complement lifts
+    # trips lift_frontier's tally of the complement lifts, and so does a
+    # duplicated row, which drops one lift where two are owed
     for lay in S4.layers[1:]:
         with pytest.raises(GroupSpecError, match="complement"):
             lay.sections = lay.sections[1:]
+    sec = S4.layers[1].sections
+    assert len(sec) == 3
     with monkeypatch.context() as m:
-        m.setattr(S4.layers[1], "_sections", S4.layers[1].sections[1:])
+        m.setattr(S4.layers[1], "_sections", sec[1:])
         with pytest.raises(CountError, match="complement"):
             epi_count(B4, S4)
-    # a top-layer system that its complement lifts do not solve
-    top = S4.layers[-1]
+        m.setattr(S4.layers[1], "_sections", sec[[0, 0, 2]])
+        with pytest.raises(CountError, match="surjective lift tally"):
+            epi_count(B4, S4)
+    # a system that its complement lifts do not solve, at the top and on
+    # the middle layer, where the enumerated Hom level is checked too
     real_build = counting.build_systems
+    for planted in [S4.layers[-1], S4.layers[1]]:
+        def shifted(P, images, lay):
+            A, chi = real_build(P, images, lay)
+            return A, (chi + (lay is planted)) % lay.q
 
-    def shifted(P, images, lay):
-        A, chi = real_build(P, images, lay)
-        return A, (chi + (lay is top)) % lay.q
-
-    monkeypatch.setattr(counting, "build_systems", shifted)
-    with pytest.raises(CountError, match="does not solve"):
-        epi_count(B4, S4)
-    with pytest.raises(CountError, match="does not solve"):
-        hom_count(B4, S4)
+        monkeypatch.setattr(counting, "build_systems", shifted)
+        with pytest.raises(CountError, match="does not solve"):
+            epi_count(B4, S4)
+        with pytest.raises(CountError, match="does not solve"):
+            hom_count(B4, S4)
+        with pytest.raises(CountError, match="complement lift is not found"):
+            hom_count(B4, S4)
     monkeypatch.setattr(counting, "build_systems", real_build)
     assert epi_count(B4, S4).epi == 72 and hom_count(B4, S4) == 144
 
