@@ -9,7 +9,7 @@ import os
 import sys
 
 from . import counting, lattice, subgrowth
-from .cohomology import build_system
+from .cohomology import build_systems, eval_word_in_table
 from .groups import (
     CapExceeded,
     FiniteGroupTable,
@@ -180,14 +180,11 @@ def cmd_cocycle(args):
     if len(images) != P.n or any(not (0 <= im < len(lay.base)) for im in images):
         raise InputError("--images needs %d base-element indices < %d"
                          % (P.n, len(lay.base)))
-    try:
-        sysm = build_system(P, images, lay, check=True)
-    except ValueError as exc:
-        raise InputError(str(exc))
+    if any(eval_word_in_table(lay.base, images, rel) != 0 for rel in P.relators):
+        raise InputError("images do not satisfy the relators")
+    A, chi = build_systems(P, [images], lay)
     header = ["row"] + ["a%d_%d" % (i, c) for i in range(P.n) for c in range(lay.s)] + ["rhs"]
-    rows = []
-    for r in range(len(sysm.matrix)):
-        rows.append([r] + list(sysm.matrix[r]) + [sysm.chi_vec[r]])
+    rows = [[r] + row + [x] for r, (row, x) in enumerate(zip(A[0].tolist(), chi[0].tolist()))]
     emit_tsv(header, rows, sys.stdout)
     return 0
 

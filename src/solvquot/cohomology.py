@@ -223,30 +223,11 @@ class TwistedAction:
             self.blocks[q] = PrimeBlock(q, tuple(exps), mats, tuple(invs))
 
 
-def evaluate_ring_element(elem, action):
-    """Image of a free-group-ring element under a twisted action; one matrix
-    per prime of the coefficient group."""
-    out = {}
-    for q, blk in action.blocks.items():
-        M = blk.modulus
-        n = len(blk.exps)
-        acc = [[0] * n for _ in range(n)]
-        for w, c in elem.terms.items():
-            mat = _mat_id(n)
-            for g, e in w:
-                mat = _mat_mul(mat, blk.mats[g] if e == 1 else blk.inv_mats[g], M)
-            for i in range(n):
-                for j in range(n):
-                    acc[i][j] = (acc[i][j] + c * mat[i][j]) % M
-        out[q] = tuple(tuple(row) for row in acc)
-    return out
-
-
 def twisted_z1_count(P, action):
     """|Z^1| of the source acting on a finite abelian group: the twisted
     derivative systems are solved per prime and the counts multiplied.  The
     Fox Jacobian is expanded in one walk per relator, as in
-    ``build_system``, with a running prefix matrix."""
+    ``build_systems``, with a running prefix matrix."""
     total = 1
     for q in sorted(action.blocks):
         blk = action.blocks[q]
@@ -296,10 +277,9 @@ def twisted_z1_count(P, action):
 # +sigma(prefix) to block (k, g), and a letter x_g^-1 add
 # -sigma(prefix rho(x_g)^-1), the prefix just after the letter.
 #
-# ``build_system`` makes this walk for one map in Python, O(|r| s^2) per
-# map; it is the reference, and the ``cocycle`` verb prints its system.
-# The counting engine builds a whole level with ``build_systems``, which
-# makes the same walk for m maps at once.  The prefixes of every letter of every relator
+# ``build_systems`` makes this walk for m maps at once: the counting engine
+# builds a whole level with it, and the ``cocycle`` verb prints the system
+# of one map.  The prefixes of every letter of every relator
 # are one (relators, letters, m) array, filled by a doubling scan of
 # log2(longest relator) steps with one multiplication-table gather each.
 # Everything a letter adds, its sigma block entries and its chi terms, is
@@ -309,16 +289,6 @@ def twisted_z1_count(P, action):
 # ``solve_systems`` then eliminates the m systems together mod q.
 
 
-@dataclass
-class CocycleSystem:
-    q: int
-    s: int
-    n_gens: int
-    n_rels: int
-    matrix: list  # (n_rels*s) x (n_gens*s) over Z_q
-    chi_vec: list  # length n_rels*s; solutions solve  matrix . a = -chi_vec
-
-
 def eval_word_in_table(table, images, w):
     x = 0
     mul = table.mul
@@ -326,49 +296,6 @@ def eval_word_in_table(table, images, w):
     for g, e in w:
         x = mul[x][images[g] if e == 1 else inv[images[g]]]
     return x
-
-
-def build_system(P, images, layer, check=True):
-    q, s = layer.q, layer.s
-    mul, inv = layer.base.mul, layer.base.inv
-    sigma, chi = layer.sigma, layer.chi
-    n, m = P.n, len(P.relators)
-    rows = [[0] * (n * s) for _ in range(m * s)]
-    chi_vec = [0] * (m * s)
-    for k, rel in enumerate(P.relators):
-        block = rows[k * s : (k + 1) * s]
-        acc = [0] * s
-        prefix = 0
-        for idx, (g, e) in enumerate(rel):
-            li = images[g] if e == 1 else inv[images[g]]
-            after = mul[prefix][li]
-            sig = sigma[prefix if e == 1 else after]
-            for a in range(s):
-                row, sa = block[a], sig[a]
-                for b in range(s):
-                    row[g * s + b] += e * sa[b]
-            if chi is not None:
-                if idx > 0:
-                    vec = chi[prefix][li]
-                    for a in range(s):
-                        acc[a] += vec[a]
-                if e == -1:
-                    sig = sigma[prefix]
-                    vec = chi[li][images[g]]
-                    for a in range(s):
-                        acc[a] -= sum(sig[a][b] * vec[b] for b in range(s))
-            prefix = after
-        if check and prefix != 0:
-            raise ValueError("images do not satisfy the relators")
-        for a in range(s):
-            block[a][:] = [x % q for x in block[a]]
-            chi_vec[k * s + a] = acc[a] % q
-    return CocycleSystem(q, s, n, m, rows, chi_vec)
-
-
-def solve_system(sys):
-    rhs = [(-x) % sys.q for x in sys.chi_vec]
-    return solve_mod_prime_power(sys.matrix, rhs, sys.n_gens * sys.s, sys.q, 1)
 
 
 class _LayerTables:
@@ -424,8 +351,7 @@ def build_systems(P, images, layer):
     of generator images in the base of ``layer``.  Returns A, an (m, R, C)
     int64 array mod q with R = |relators| s and C = n s, and chi, an (m, R)
     array, such that the lifts of map j are the solutions of
-    A[j] a = -chi[j]: entry for entry what ``build_system`` gives map by map
-    (without its relator check).
+    A[j] a = -chi[j].  The relators are not checked on the images.
 
     The prefixes come from one scan along the (relators, letters, maps)
     array of letter elements, log2(Lmax) doubling steps of one table gather

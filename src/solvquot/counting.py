@@ -84,10 +84,6 @@ def _trivial_frontier(P):
     return np.zeros((1, P.n), dtype=np.int32)
 
 
-def _as_tuples(frontier):
-    return [tuple(row) for row in frontier.tolist()]
-
-
 def lift_frontier(P, lay, frontier, epi, cap=10**7, level=0):
     """Lift every map of ``frontier`` (an int32 array of image rows into the
     base of ``lay``, the layer above tower level ``level``) through ``lay``.
@@ -383,16 +379,6 @@ def hom_count(P, tower, cap=10**7):
     for *_, count in _orbit_levels(P, tower, epi=False, cap=cap):
         pass
     return count
-
-
-def epi_maps(P, tower, cap=10**7, level=None):
-    """Epimorphisms onto the level group (default: the top) as image tuples,
-    every map enumerated."""
-    top = len(tower.layers) if level is None else level
-    frontier = _trivial_frontier(P)
-    for i, lay in enumerate(tower.layers[:top]):
-        frontier, _ = lift_frontier(P, lay, frontier, epi=True, cap=cap, level=i)
-    return _as_tuples(frontier)
 
 
 def epi_count(P, tower, cap=10**7, with_aut=True, cap_order=DEFAULT_ORDER_CAP):

@@ -26,7 +26,7 @@ class GroupSpecError(ValueError):
 
 
 DEFAULT_ORDER_CAP = 512
-# most candidate image tuples a bijective generator-image search may try
+# most candidate image tuples an isomorphism search may try
 BIJECTIVE_TUPLE_CAP = 1_000_000
 # image entries the generator-image search fills in one array pass
 SEARCH_BLOCK = 1 << 18
@@ -83,17 +83,16 @@ class FiniteGroupTable:
             self._conj = arr[arr, inv[:, None]].astype(np.int32)
         return self._conj
 
-    def check_associativity(self, rng=None):
-        """Exhaustive for order <= 64, randomly sampled above."""
+    def check_associativity(self):
+        """Exhaustive for order <= 64, above on 20000 random triples (seed
+        0)."""
         n = self.n
         mul = self.mul
         if n <= 64:
             triples = itertools.product(range(n), repeat=3)
         else:
-            rng = rng or random.Random(0)
-            triples = (
-                (rng.randrange(n), rng.randrange(n), rng.randrange(n)) for _ in range(20000)
-            )
+            draw = random.Random(0).randrange
+            triples = ((draw(n), draw(n), draw(n)) for _ in range(20000))
         for a, b, c in triples:
             if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
                 raise GroupSpecError("multiplication table is not associative")
@@ -126,9 +125,7 @@ class FiniteGroupTable:
         return frozenset([0] + [y for y, _, _ in bfs_expressions(self, sorted(set(gens)))])
 
     def conjugates(self, x):
-        mul = self.mul
-        inv = self.inv
-        return {mul[mul[g][x]][inv[g]] for g in range(self.n)}
+        return set(self.conjugation_table()[:, x].tolist())
 
     def normal_closure(self, xs):
         conj = set()
@@ -137,14 +134,8 @@ class FiniteGroupTable:
         return self.closure(conj)
 
     def is_normal(self, elems):
-        s = set(elems)
-        mul = self.mul
-        inv = self.inv
-        for g in range(self.n):
-            for x in elems:
-                if mul[mul[g][x]][inv[g]] not in s:
-                    return False
-        return True
+        elems = sorted(elems)
+        return bool(np.isin(self.conjugation_table()[:, elems], elems).all())
 
     def commutator(self, a, b):
         mul = self.mul
@@ -195,16 +186,6 @@ class FiniteGroupTable:
         pos = {x: i for i, x in enumerate(sub)}
         table = [[pos[self.mul[a][b]] for b in sub] for a in sub]
         return FiniteGroupTable(table), sub
-
-    def relabel(self, perm):
-        """Conjugate the table by a permutation of 1..n-1 (perm[0] must be 0)."""
-        inv = [None] * self.n
-        for i, p in enumerate(perm):
-            inv[p] = i
-        table = [
-            [inv[self.mul[perm[a]][perm[b]]] for b in range(self.n)] for a in range(self.n)
-        ]
-        return FiniteGroupTable(table, name=self.name)
 
 
 TRIVIAL_TABLE = FiniteGroupTable([[0]], name="1")
@@ -381,40 +362,32 @@ def _extensions(src, gens, dst, links, prefixes, cands, step):
         yield f[_homomorphic(f, src, dst, gens, elems)]
 
 
-def iter_homomorphisms(src, dst, bijective=False):
-    """All homomorphisms src -> dst as image arrays, by the generator-image
-    search with the order-divisibility pruning (``_homomorphism_blocks``),
-    in the order of ``itertools.product`` over the candidate images.  A
-    bijective search raises CapExceeded before it starts if it would try
-    more than BIJECTIVE_TUPLE_CAP candidate tuples; a homomorphism is
-    injective (``bijective``, between groups of one order) when only the
-    identity maps to the identity."""
+def iter_isomorphisms(src, dst):
+    """All isomorphisms src -> dst, groups of one order, as image arrays,
+    by the generator-image search (``_homomorphism_blocks``) with each
+    generator sent to the elements of its order, in the order of
+    ``itertools.product`` over the candidate images.  Raises CapExceeded
+    before it starts if it would try more than BIJECTIVE_TUPLE_CAP
+    candidate tuples.  A homomorphism is injective when only the identity
+    maps to the identity."""
     gens = generating_sequence(src)
-    cands = []
-    for g in gens:
-        o = src.order_of(g)
-        if bijective:
-            cands.append([h for h in range(dst.n) if dst.order_of(h) == o])
-        else:
-            cands.append([h for h in range(dst.n) if o % dst.order_of(h) == 0])
+    cands = [[h for h in range(dst.n) if dst.order_of(h) == src.order_of(g)] for g in gens]
     tuples = math.prod(len(c) for c in cands)
-    if bijective and tuples > BIJECTIVE_TUPLE_CAP:
+    if tuples > BIJECTIVE_TUPLE_CAP:
         raise CapExceeded("isomorphism search from a group of order %d would try %d candidate "
                           "image tuples (cap %d)" % (src.n, tuples, BIJECTIVE_TUPLE_CAP))
     for f in _homomorphism_blocks(src, gens, dst, cands):
-        if bijective:
-            f = f[(f[:, 1:] != 0).all(axis=1)]
-        yield from f
+        yield from f[(f[:, 1:] != 0).all(axis=1)]
 
 
 def automorphisms(table, cap=DEFAULT_ORDER_CAP):
     """The automorphisms of the group as a read-only int32 array, one image
-    row per automorphism, found by one bijective generator-image search per
-    table and kept on it; ``cap`` on the order is checked on every call."""
+    row per automorphism, found by one isomorphism search per table and
+    kept on it; ``cap`` on the order is checked on every call."""
     if table.n > cap:
         raise CapExceeded("group order %d exceeds cap %d" % (table.n, cap))
     if table._auts is None:
-        rows = np.array(list(iter_homomorphisms(table, table, bijective=True)), dtype=np.int32)
+        rows = np.array(list(iter_isomorphisms(table, table)), dtype=np.int32)
         rows.flags.writeable = False
         table._auts = rows
     return table._auts
@@ -432,13 +405,9 @@ def find_isomorphism(t1, t2):
         t2.order_of(x) for x in range(t2.n)
     ):
         return None
-    for f in iter_homomorphisms(t1, t2, bijective=True):
+    for f in iter_isomorphisms(t1, t2):
         return f.tolist()
     return None
-
-
-def is_isomorphic(t1, t2):
-    return find_isomorphism(t1, t2) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -470,8 +439,6 @@ class ElementaryLayer:
         nB = len(base)
         powers = q ** np.arange(s)
         vecs = _digit_vectors(q, s)
-        self._vecs = [tuple(v) for v in vecs.tolist()]
-        self._nums = {v: i for i, v in enumerate(self._vecs)}
         sig, ch = self._arrays()
         sigma_perm = np.einsum("bac,ec->bea", sig, vecs) % q @ powers
         chi_num = ch @ powers
@@ -531,19 +498,6 @@ class ElementaryLayer:
         return (np.array(self.sigma, dtype=np.int64).reshape(nB, s, s),
                 np.array(self.chi, dtype=np.int64).reshape(nB, nB, s))
 
-    def num_vec(self, num):
-        return self._vecs[num]
-
-    def vec_num(self, vec):
-        return self._nums[tuple(x % self.q for x in vec)]
-
-    def apply_sigma(self, b, vec):
-        sig = self.sigma[b]
-        q = self.q
-        return tuple(
-            sum(sig[a][c] * vec[c] for c in range(self.s)) % q for a in range(self.s)
-        )
-
     def enc(self, e_num, b):
         return e_num * len(self.base) + b
 
@@ -563,12 +517,12 @@ class ElementaryLayer:
         return np.concatenate(list(_homomorphism_blocks(base, gens, self.group, fibres))
                               ).astype(np.int32)
 
-    def verify(self, rng=None):
+    def verify(self):
         """Check sigma and chi as they stand: sigma is a homomorphism into
         GL(s, q), chi is normalised and satisfies the 2-cocycle identity (on
-        every triple for |B| <= 48, above on 20000 random triples drawn from
-        ``rng``, a numpy Generator, seed 1 by default), and for s > 1 the
-        monodromy is irreducible."""
+        every triple for |B| <= 48, above on 20000 random triples from a
+        numpy Generator with seed 1), and for s > 1 the monodromy is
+        irreducible."""
         nB = len(self.base)
         q = self.q
         sig, ch = self._arrays()
@@ -581,8 +535,8 @@ class ElementaryLayer:
             b = np.arange(nB)
             b1, b2, b3 = b[:, None, None], b[:, None], b
         else:
-            rng = rng or np.random.default_rng(1)
-            b1, b2, b3 = rng.integers(nB, size=(3, 20000))
+            b1, b2, b3 = np.random.Generator(np.random.PCG64(1)).integers(
+                nB, size=(3, 20000))
         # sigma_{b1} chi(b2, b3) - chi(b1 b2, b3) + chi(b1, b2 b3) - chi(b1, b2)
         defect = (np.einsum("...ac,...c->...a", sig[b1], ch[b2, b3]) - ch[mul[b1, b2], b3]
                   + ch[b1, mul[b2, b3]] - ch[b1, b2]) % q
@@ -597,7 +551,7 @@ class ElementaryLayer:
         subspace, all of E for every nonzero v exactly when E is irreducible;
         it is proper when a nonzero functional w kills every sigma_b v."""
         q = self.q
-        vecs = np.array(self._vecs, dtype=np.int64)
+        vecs = _digit_vectors(q, self.s)
         vals = vecs @ (sig @ vecs.T % q) % q  # (nB, w, v): w . sigma_b v
         return not (vals == 0).all(axis=0)[1:, 1:].any()
 
@@ -636,8 +590,7 @@ class ExtensionTower:
         for j in range(i):
             lay = self.layers[j]
             gens = [lay.enc(0, g) for g in gens]
-            for k in range(lay.s):
-                gens.append(lay.enc(lay.vec_num(tuple(int(t == k) for t in range(lay.s))), 0))
+            gens += [lay.enc(lay.q**k, 0) for k in range(lay.s)]
         return gens
 
     def project(self, idx, from_level, to_level):
@@ -665,7 +618,7 @@ class ExtensionTower:
             word, first = [], 0
             for j, lay in enumerate(self.layers[:level]):
                 e = lay.dec(self.project(x, level, j + 1))[0]
-                for g, k in enumerate(lay.num_vec(e), first):
+                for g, k in enumerate(_digit_vectors(lay.q, lay.s)[e].tolist(), first):
                     word += [(g, 1)] * k
                     for _ in range(k):
                         x = mul[inv[gens[g]]][x]
@@ -684,15 +637,6 @@ class ExtensionTower:
                 raise ArithmeticError("the generators of level %d do not satisfy %s"
                                       % (level, word_str(rel, P.generators)))
         return P
-
-    def element_vectors(self, idx):
-        """Per-layer kernel coordinates of a top-group element, bottom layer
-        first."""
-        out = []
-        for j in range(len(self.layers) - 1, -1, -1):
-            e, idx = self.layers[j].dec(idx)
-            out.append(self.layers[j].num_vec(e))
-        return tuple(reversed(out))
 
     def chain_in_group(self):
         """The chief chain as sorted element arrays of the top group, largest

@@ -26,9 +26,6 @@ class SubgroupLattice:
     def full_index(self):
         return len(self.subgroups) - 1
 
-    def leq(self, i, j):
-        return self.masks[i] & ~self.masks[j] == 0
-
     def meet(self, i, j):
         return self.index[self.masks[i] & self.masks[j]]
 

@@ -520,7 +520,7 @@ def fox_derivative(w, j):
 def symbolic_jacobian(P):
     """Matrix of free derivatives: one row per relator, one column per
     generator.  The counting path expands these numerically instead (see
-    ``cohomology.build_system``); this is the symbolic reference."""
+    ``cohomology.build_systems``); this is the symbolic reference."""
     return tuple(
         tuple(fox_derivative(r, j) for j in range(P.n)) for r in P.relators
     )
@@ -632,13 +632,6 @@ class AbelianInvariants:
         # log_p |Hom(A, Z_{p^s})| minus s*rank: each Z_{p^i} factor
         # contributes min(i, s).
         return sum(min(i + 1, s) * a for i, a in enumerate(self.alphas(p)))
-
-    def torsion_order(self):
-        out = 1
-        for p, alphas in self.torsion:
-            for i, a in enumerate(alphas):
-                out *= p ** ((i + 1) * a)
-        return out
 
 
 def abelianized_jacobian(P):

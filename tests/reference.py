@@ -1,8 +1,14 @@
 """The independent reference routes the tests compare the library with.
 
 Nothing under src/solvquot imports this module.  It keeps the per-map
-Python routes that production no longer calls:
+Python routes and the helpers that only the tests call:
 
+* the lifting system of one map (``build_system``, ``CocycleSystem``,
+  ``solve_system``): a walk of each relator in Python, the reference for
+  ``build_systems``, which the counts and the ``cocycle`` verb use;
+* every level's epimorphisms enumerated (``epi_maps``), one
+  ``lift_frontier`` pass per layer, against which the counted path is
+  checked level by level;
 * the one-layer Hall invariants (``table1_delta``, ``delta_s4``,
   ``dihedral_prime_delta``): each target is a single elementary layer,
   built by hand here, over a small base onto which the epimorphisms are
@@ -17,9 +23,17 @@ Python routes that production no longer calls:
   ``homogeneous_count``, ``epsilon_and_witness``, ``fixed_subspace_dim``
   and ``h1_dim``;
 * tower arithmetic by the layer formulas (``mul_structural``,
-  ``inv_structural``, ``GroupElement``), one element at a time;
+  ``inv_structural``, ``GroupElement``), one element at a time, with a
+  kernel element's digits (``kernel_vector``, ``kernel_number``) computed
+  here rather than read from the layer;
 * the generator-image search without its prefix pruning
-  (``homomorphism_rows_unpruned``), which tries every candidate tuple;
+  (``homomorphism_rows_unpruned``), which tries every candidate tuple,
+  and all homomorphisms between two tables by it (``homomorphism_rows``);
+* small helpers: the evaluation of a free-group-ring element under a
+  twisted action (``evaluate_ring_element``), the torsion order of
+  abelian invariants (``torsion_order``), inclusion between the subgroups of a
+  lattice (``leq``), relabelling a table (``relabel``) and an isomorphism test
+  (``is_isomorphic``);
 * Inn(B_i) as an acting group (``conjugation_orbit_groups``), which the
   tests put in place of a tower's ``orbit_group`` to compare the counts
   modulo conjugation with those modulo the series automorphisms.
@@ -27,7 +41,9 @@ Python routes that production no longer calls:
 Their per-map steps share nothing with the batched kernel
 (``build_systems``, ``solve_systems``, ``solution_arrays``,
 ``lift_frontier``): ``solve_mod_prime_power`` enumerates its solutions on
-its own.  ``epi_count_q2p`` takes the epimorphisms onto the level below
+its own.  ``epi_maps`` is the exception: it runs the kernel on every map
+rather than on one representative per orbit, so it checks the orbit
+reduction and the counted top layer, not the kernel.  ``epi_count_q2p`` takes the epimorphisms onto the level below
 the top from ``enumerate_epis_to_table`` on that level's group, a walk of
 every image tuple, so it checks every level.  The dihedral and binary
 dihedral recursions start from the epimorphisms onto Z_2 and lift every
@@ -44,15 +60,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from solvquot.cohomology import (
-    build_system,
+    _mat_id,
+    _mat_mul,
     eval_word_in_table,
     nullspace_dim_mod_prime,
-    solve_system,
+    solve_mod_prime_power,
 )
-from solvquot.counting import CountError
+from solvquot.counting import CountError, lift_frontier
 from solvquot.groups import (
     CapExceeded,
     ExtensionTower,
+    FiniteGroupTable,
     PermutationGroup,
     _binary_dihedral_data,
     _cyclic_data,
@@ -61,14 +79,16 @@ from solvquot.groups import (
     _s3_sigma,
     bfs_expressions,
     builtin_group,
+    find_isomorphism,
+    generating_sequence,
     table_from_coords,
 )
 from solvquot.presentations import factorize
 
 
 # ---------------------------------------------------------------------------
-# Per-map lifting systems: the layer data, and the solutions and dimensions
-# of one map's system.
+# Per-map lifting systems: the layer data, one map's system, and its
+# solutions and dimensions.
 
 
 @dataclass
@@ -80,6 +100,65 @@ class LayerAction:
     base: object  # FiniteGroupTable
     sigma: list  # per base element: s x s matrix mod q
     chi: list = None  # per pair of base elements: vector mod q; None = zero
+
+
+@dataclass
+class CocycleSystem:
+    q: int
+    s: int
+    n_gens: int
+    n_rels: int
+    matrix: list  # (n_rels*s) x (n_gens*s) over Z_q
+    chi_vec: list  # length n_rels*s; solutions solve  matrix . a = -chi_vec
+
+
+def build_system(P, images, layer, check=True):
+    """The lifting system of one map, by a left-to-right walk of each
+    relator in Python: a letter x_g adds +sigma(prefix) to block (k, g),
+    a letter x_g^-1 adds -sigma(prefix after the letter), and the chi terms
+    share the same prefix (see the comment on the lifting system in
+    ``solvquot.cohomology``).  With ``check`` the final prefix of every
+    relator must be the identity."""
+    q, s = layer.q, layer.s
+    mul, inv = layer.base.mul, layer.base.inv
+    sigma, chi = layer.sigma, layer.chi
+    n, m = P.n, len(P.relators)
+    rows = [[0] * (n * s) for _ in range(m * s)]
+    chi_vec = [0] * (m * s)
+    for k, rel in enumerate(P.relators):
+        block = rows[k * s : (k + 1) * s]
+        acc = [0] * s
+        prefix = 0
+        for idx, (g, e) in enumerate(rel):
+            li = images[g] if e == 1 else inv[images[g]]
+            after = mul[prefix][li]
+            sig = sigma[prefix if e == 1 else after]
+            for a in range(s):
+                row, sa = block[a], sig[a]
+                for b in range(s):
+                    row[g * s + b] += e * sa[b]
+            if chi is not None:
+                if idx > 0:
+                    vec = chi[prefix][li]
+                    for a in range(s):
+                        acc[a] += vec[a]
+                if e == -1:
+                    sig = sigma[prefix]
+                    vec = chi[li][images[g]]
+                    for a in range(s):
+                        acc[a] -= sum(sig[a][b] * vec[b] for b in range(s))
+            prefix = after
+        if check and prefix != 0:
+            raise ValueError("images do not satisfy the relators")
+        for a in range(s):
+            block[a][:] = [x % q for x in block[a]]
+            chi_vec[k * s + a] = acc[a] % q
+    return CocycleSystem(q, s, n, m, rows, chi_vec)
+
+
+def solve_system(sys):
+    rhs = [(-x) % sys.q for x in sys.chi_vec]
+    return solve_mod_prime_power(sys.matrix, rhs, sys.n_gens * sys.s, sys.q, 1)
 
 
 def homogeneous_count(sys):
@@ -120,6 +199,22 @@ def h1_dim(P, images, layer, d=None):
     if d is None:
         d = homogeneous_count(build_system(P, images, layer))
     return d - (layer.s - fixed_subspace_dim(layer, images))
+
+
+# ---------------------------------------------------------------------------
+# Every level's epimorphisms, enumerated.
+
+
+def epi_maps(P, tower, cap=10**7):
+    """The epimorphisms onto every level group, level 1 first, each level's
+    as the row-sorted int32 array of their image rows that
+    ``lift_frontier`` returns: one pass per layer, every map enumerated."""
+    frontier = np.zeros((1, P.n), dtype=np.int32)
+    out = []
+    for i, lay in enumerate(tower.layers):
+        frontier, _ = lift_frontier(P, lay, frontier, epi=True, cap=cap, level=i)
+        out.append(frontier)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +540,33 @@ def delta_s4(P):
 
 # ---------------------------------------------------------------------------
 # Tower arithmetic by the layer formulas, one element at a time, against
-# which the tests check the multiplication tables the towers build.
+# which the tests check the multiplication tables the towers build.  A layer
+# numbers its kernel element v as sum v[k] q^k.
+
+
+def kernel_vector(lay, e):
+    """The digit vector of the kernel element numbered e."""
+    return tuple(e // lay.q**k % lay.q for k in range(lay.s))
+
+
+def kernel_number(lay, vec):
+    """The number of the kernel element with digits ``vec`` (taken mod q)."""
+    return sum(x % lay.q * lay.q**k for k, x in enumerate(vec))
+
+
+def _apply_sigma(lay, b, vec):
+    sig = lay.sigma[b]
+    return tuple(sum(sig[a][c] * vec[c] for c in range(lay.s)) % lay.q for a in range(lay.s))
+
+
+def element_vectors(tower, idx):
+    """Per-layer kernel coordinates of a top-group element, bottom layer
+    first."""
+    out = []
+    for lay in reversed(tower.layers):
+        e, idx = lay.dec(idx)
+        out.append(kernel_vector(lay, e))
+    return tuple(reversed(out))
 
 
 def mul_structural(tower, x, y):
@@ -465,12 +586,13 @@ def _structural_mul(layers, x, y):
     e1, b1 = lay.dec(x)
     e2, b2 = lay.dec(y)
     v = tuple(
-        (a + b + c) % lay.q
+        a + b + c
         for a, b, c in zip(
-            lay.num_vec(e1), lay.apply_sigma(b1, lay.num_vec(e2)), lay.chi[b1][b2]
+            kernel_vector(lay, e1), _apply_sigma(lay, b1, kernel_vector(lay, e2)),
+            lay.chi[b1][b2]
         )
     )
-    return lay.enc(lay.vec_num(v), _structural_mul(layers[:-1], b1, b2))
+    return lay.enc(kernel_number(lay, v), _structural_mul(layers[:-1], b1, b2))
 
 
 def _structural_inv(layers, x):
@@ -479,9 +601,9 @@ def _structural_inv(layers, x):
     lay = layers[-1]
     e, b = lay.dec(x)
     binv = lay.base.inv[b]
-    v = lay.apply_sigma(binv, lay.num_vec(e))
-    v = tuple((-a - c) % lay.q for a, c in zip(v, lay.chi[binv][b]))
-    return lay.enc(lay.vec_num(v), _structural_inv(layers[:-1], b))
+    v = _apply_sigma(lay, binv, kernel_vector(lay, e))
+    v = tuple(-a - c for a, c in zip(v, lay.chi[binv][b]))
+    return lay.enc(kernel_number(lay, v), _structural_inv(layers[:-1], b))
 
 
 @dataclass
@@ -493,7 +615,7 @@ class GroupElement:
 
     @property
     def vectors(self):
-        return self.tower.element_vectors(self.index)
+        return element_vectors(self.tower, self.index)
 
     def __mul__(self, other):
         if other.tower is not self.tower:
@@ -534,6 +656,15 @@ def homomorphism_rows_unpruned(src, gens, dst, cands):
     return np.concatenate(out)
 
 
+def homomorphism_rows(src, dst):
+    """All homomorphisms src -> dst as image rows, by trying every tuple of
+    images of src's generating sequence with orders dividing the
+    generators' orders."""
+    gens = generating_sequence(src)
+    cands = [[h for h in range(dst.n) if src.order_of(g) % dst.order_of(h) == 0] for g in gens]
+    return homomorphism_rows_unpruned(src, gens, dst, cands)
+
+
 # ---------------------------------------------------------------------------
 # Conjugation as the acting group of every level.
 
@@ -544,3 +675,53 @@ def conjugation_orbit_groups(tower):
     built once per level."""
     return functools.cache(lambda level: PermutationGroup(
         np.unique(tower.level_group(level).conjugation_table(), axis=0)))
+
+
+# ---------------------------------------------------------------------------
+# Small helpers that only the tests call.
+
+
+def evaluate_ring_element(elem, action):
+    """Image of a free-group-ring element under a twisted action; one matrix
+    per prime of the coefficient group."""
+    out = {}
+    for q, blk in action.blocks.items():
+        M = blk.modulus
+        n = len(blk.exps)
+        acc = [[0] * n for _ in range(n)]
+        for w, c in elem.terms.items():
+            mat = _mat_id(n)
+            for g, e in w:
+                mat = _mat_mul(mat, blk.mats[g] if e == 1 else blk.inv_mats[g], M)
+            for i in range(n):
+                for j in range(n):
+                    acc[i][j] = (acc[i][j] + c * mat[i][j]) % M
+        out[q] = tuple(tuple(row) for row in acc)
+    return out
+
+
+def torsion_order(inv):
+    """The order of the torsion part of ``AbelianInvariants`` ``inv``."""
+    out = 1
+    for p, alphas in inv.torsion:
+        for i, a in enumerate(alphas):
+            out *= p ** ((i + 1) * a)
+    return out
+
+
+def leq(lattice, i, j):
+    """Whether subgroup i of a ``SubgroupLattice`` lies in subgroup j."""
+    return lattice.masks[i] & ~lattice.masks[j] == 0
+
+
+def relabel(table, perm):
+    """Conjugate the table by a permutation of 1..n-1 (perm[0] must be 0)."""
+    inv = [None] * table.n
+    for i, p in enumerate(perm):
+        inv[p] = i
+    rows = [[inv[table.mul[perm[a]][perm[b]]] for b in range(table.n)] for a in range(table.n)]
+    return FiniteGroupTable(rows, name=table.name)
+
+
+def is_isomorphic(t1, t2):
+    return find_isomorphism(t1, t2) is not None

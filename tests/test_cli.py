@@ -1,14 +1,16 @@
+import itertools
 import json
+import random
 import time
 
 import numpy as np
 import pytest
-from reference import conjugation_orbit_groups
+from reference import build_system, conjugation_orbit_groups, is_isomorphic
 
 from solvquot import cli, counting, subgrowth
 from solvquot.cli import main
-from solvquot.groups import CapExceeded, builtin_group, chief_series, is_isomorphic
-from solvquot.oracle import brute_hom
+from solvquot.groups import CapExceeded, builtin_group, chief_series
+from solvquot.oracle import brute_hom, brute_hom_images
 from solvquot.presentations import builtin_from_string, builtin_presentation
 
 
@@ -82,6 +84,42 @@ def test_cocycle_command(capsys):
                      "--images", "0,0,0"])
     capsys.readouterr()
     assert bad_code == 1
+
+
+def test_cocycle_command_matches_the_reference(capsys):
+    # the verb prints the batched system of one map; at every level of three
+    # targets it equals the per-map reference build_system row for row, on
+    # sampled homomorphisms, and sampled tuples that break a relator exit 1
+    # with the reference's message
+    rng = random.Random(43)
+    shown = rejected = 0
+    for label in ("klein", "free(2)", "surface(2)"):
+        P = builtin_from_string(label)
+        for spec in ("S(4)", "D(8)", "Q(8)"):
+            for level, lay in enumerate(builtin_group(spec).layers):
+                homs = brute_hom_images(P, lay.base)
+                broken = sorted(set(itertools.product(range(len(lay.base)), repeat=P.n))
+                                - set(homs))
+                for images in (rng.sample(homs, min(3, len(homs)))
+                               + rng.sample(broken, min(4, len(broken)))):
+                    code = main(["cocycle", "--source", "builtin:" + label, "--target", spec,
+                                 "--level", str(level), "--images", ",".join(map(str, images))])
+                    out, err = capsys.readouterr()
+                    try:
+                        sysm = build_system(P, images, lay)
+                    except ValueError as exc:
+                        assert (code, out, err) == (1, "", "error: %s\n" % exc)
+                        rejected += 1
+                        continue
+                    header = ["row"] + ["a%d_%d" % (i, c) for i in range(P.n)
+                                        for c in range(lay.s)] + ["rhs"]
+                    rows = [[r] + row + [x]
+                            for r, (row, x) in enumerate(zip(sysm.matrix, sysm.chi_vec))]
+                    assert code == 0 and err == "", (label, spec, level, images)
+                    assert out == "".join("\t".join(map(str, row)) + "\n"
+                                          for row in [header] + rows), (label, spec, level)
+                    shown += 1
+    assert shown >= 60 and rejected >= 8  # onto S(3) at level 2 of S(4)
 
 
 def test_aut_command(capsys):

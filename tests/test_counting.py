@@ -8,6 +8,7 @@ from reference import (
     dihedral_prime_delta,
     enumerate_epis_to_table,
     epi_binary_dihedral_recursive,
+    epi_maps,
     epi_count_q2p,
     epi_dihedral_recursive,
     table1_delta,
@@ -21,7 +22,6 @@ from solvquot.counting import (
     closed_form_eulerian,
     delta,
     epi_count,
-    epi_maps,
     gaschutz_eulerian,
     hom_count,
     lift_frontier,
@@ -75,16 +75,16 @@ def test_lift_statistics_through_s4():
 def test_epi_lift():
     # lift_frontier on one epimorphism row at a time
     lay = S4.layers[2]
-    for images in epi_maps(F2, S4, level=2):
+    for images in epi_maps(F2, S4)[1]:
         out, _ = lift_frontier(F2, lay, np.array([images], dtype=np.int32), epi=True)
         assert len(out) == 12  # 16 lifts minus the 4 complements
         assert all(len(lay.group.closure(t)) == 24 for t in out.tolist())
-    for images in epi_maps(KLEIN, S4, level=2):
+    for images in epi_maps(KLEIN, S4)[1]:
         out, _ = lift_frontier(KLEIN, lay, np.array([images], dtype=np.int32), epi=True)
         assert len(out) == 0
     # a non-liftable epimorphism into a non-split layer gives nothing
     bs15 = builtin_presentation("bs", 1, 5)
-    for images in epi_maps(bs15, D8, level=2):
+    for images in epi_maps(bs15, D8)[1]:
         out, dims = lift_frontier(bs15, D8.layers[2], np.array([images], dtype=np.int32),
                                   epi=True)
         assert len(out) == 0 and dims.tolist() == [-1]
@@ -239,7 +239,8 @@ def test_self_checks_fire_on_corrupted_data(monkeypatch):
 def test_counted_path_matches_full_enumeration(monkeypatch):
     # the orbit-reduced, top-counted path against every map enumerated:
     # each level's epi_out (the top one is |Epi|), lifted modulo conjugation
-    # and modulo the series automorphisms, against epi_maps, and Hom, lifted
+    # and modulo the series automorphisms, against epi_maps (every level's
+    # maps enumerated in one pass), and Hom, lifted
     # modulo both, against the oracle, which walks up to 48^4 image tuples
     # in chunks
     towers = [builtin_group(spec) for spec in CATALOG_SPECS]
@@ -251,8 +252,7 @@ def test_counted_path_matches_full_enumeration(monkeypatch):
             spec = tower.spec
             rep = epi_count(P, tower, with_aut=False)
             assert [stats["epi_out"] for stats in rep.levels] == [
-                len(epi_maps(P, tower, level=i)) for i in range(1, len(tower.layers) + 1)
-            ], (label, spec)
+                len(maps) for maps in epi_maps(P, tower)], (label, spec)
             assert epi_count(P, tower).level_epi == rep.level_epi, (label, spec)
             with monkeypatch.context() as m:
                 m.setattr(tower, "orbit_group", conjugation_orbit_groups(tower))
@@ -267,7 +267,7 @@ def test_abelian_upper_levels_match_the_oracle():
     P = builtin_presentation("surface", 2)
     tower = builtin_group("Z(3)*D(8)")
     assert hom_count(P, tower) == brute_hom(P, tower.group).count == 176256
-    assert epi_count(P, tower).epi == len(epi_maps(P, tower)) == 115200
+    assert epi_count(P, tower).epi == len(epi_maps(P, tower)[-1]) == 115200
 
 
 def test_orbit_frontier_shape(monkeypatch):
@@ -628,7 +628,7 @@ def test_delta_integrality_enforced():
 
 
 def test_epi_maps_are_epimorphisms():
-    maps = epi_maps(F2, S4)
+    maps = epi_maps(F2, S4)[-1]
     assert len(maps) == 216
     table = S4.group
     assert all(len(table.closure(im)) == 24 for im in maps[:10])

@@ -6,7 +6,16 @@ import time
 
 import numpy as np
 import pytest
-from reference import GroupElement, homomorphism_rows_unpruned, inv_structural, mul_structural
+from reference import (
+    GroupElement,
+    element_vectors,
+    homomorphism_rows_unpruned,
+    inv_structural,
+    is_isomorphic,
+    kernel_vector,
+    mul_structural,
+    relabel,
+)
 
 from solvquot import groups
 from solvquot.counting import aut_order_by_lifting
@@ -24,7 +33,6 @@ from solvquot.groups import (
     complement_count,
     find_isomorphism,
     generating_sequence,
-    is_isomorphic,
     minimal_normal_subgroup,
 )
 from solvquot.lattice import all_subgroups
@@ -197,6 +205,21 @@ def test_minimal_normal_subgroup():
     assert len(M) == 2  # the center
 
 
+def test_conjugates_and_normality_against_the_table():
+    # conjugates and is_normal read the conjugation table; against g x g^-1
+    # from the multiplication table, on every element and every subgroup
+    for spec in ["S(4)", "D(12)", "Q(8)", "A(4)", "Z(3)*D(8)", "Dstar(24)", "M(7,6,3)"]:
+        t = builtin_group(spec).group
+        mul, inv = t.mul, t.inv
+        for x in range(t.n):
+            assert t.conjugates(x) == {mul[mul[g][x]][inv[g]] for g in range(t.n)}, spec
+        lat = all_subgroups(t)
+        normal = [H for H in lat.subgroups
+                  if all(mul[mul[g][x]][inv[g]] in H for g in range(t.n) for x in H)]
+        assert [H for H in lat.subgroups if t.is_normal(H)] == normal, spec
+        assert len(normal) > 1, spec
+
+
 def test_layer_constants():
     lay = builtin_group("S(4)").layers[2]
     assert (lay.zeta, lay.c_chi, lay.kappa, lay.alpha) == (1, 1, 1, 1)
@@ -281,7 +304,7 @@ def test_section_independence_under_relabelling():
         t = base.group
         for _ in range(3):
             perm = [0] + rng.sample(range(1, len(t)), len(t) - 1)
-            shuffled = t.relabel(perm)
+            shuffled = relabel(t, perm)
             tower = chief_series(shuffled)
             assert epi_count(P, tower, with_aut=False).epi == want
 
@@ -340,7 +363,7 @@ def test_pruned_search_matches_every_tuple_tried(monkeypatch):
     # a prefix only where it is a homomorphism on the subgroup its
     # generators generate, finds the same rows in the same order as trying
     # every tuple: homomorphisms between catalog groups (candidates of
-    # dividing order, as iter_homomorphisms takes them) and the complement
+    # dividing order, as reference.homomorphism_rows takes them) and the complement
     # sections of every layer of every catalog tower.  These searches fit in
     # one block, so a small block makes them prune and split, too
     towers = {spec: builtin_group(spec) for spec in CATALOG_SPECS}
@@ -455,8 +478,9 @@ def test_tower_projection_and_vectors():
     top = len(tw.layers)
     for x in (0, 5, 17, 23):
         # layer j's coordinates are those of x's image in the level-(j + 1) group
-        assert tw.element_vectors(x) == tuple(
-            lay.num_vec(lay.dec(tw.project(x, top, j + 1))[0]) for j, lay in enumerate(tw.layers))
+        assert element_vectors(tw, x) == tuple(
+            kernel_vector(lay, lay.dec(tw.project(x, top, j + 1))[0])
+            for j, lay in enumerate(tw.layers))
         assert tw.project(x, top, 0) == 0
     # chain term i is the kernel of the projection onto level i
     chain = tw.chain_in_group()
