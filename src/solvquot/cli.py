@@ -11,6 +11,7 @@ import sys
 from . import counting, lattice, subgrowth
 from .cohomology import build_systems, eval_word_in_table
 from .groups import (
+    DEFAULT_ORDER_CAP,
     CapExceeded,
     FiniteGroupTable,
     GroupSpecError,
@@ -124,7 +125,7 @@ def cmd_count(args):
     if args.command == "hom":
         hom = counting.hom_count(P, tower, cap=args.cap_frontier)
     else:
-        rep = counting.epi_count(P, tower, cap=args.cap_frontier, cap_order=args.cap_order)
+        rep = counting.epi_count(P, tower, cap=args.cap_frontier)
         epi, aut, dlt, levels = rep.epi, rep.aut, rep.delta, rep.levels
     if args.tsv:
         emit_tsv(["source", "target", "hom", "epi", "aut", "delta"],
@@ -152,7 +153,7 @@ def cmd_count(args):
 
 def cmd_aut(args):
     tower = load_target(args.target, args.cap_order)
-    order = aut_order(tower.group, cap=args.cap_order)
+    order = aut_order(tower.group)
     doc = {
         "command": "aut",
         "config": _config(args, ("target", "cap_order")),
@@ -372,10 +373,10 @@ def build_parser():
         if target:
             p.add_argument("--target", required=True,
                            help="group spec like 'S(4)' or a table file")
-            p.add_argument("--cap-order", type=int, default=512,
+            p.add_argument("--cap-order", type=int, default=DEFAULT_ORDER_CAP,
                            help="largest allowed target group order")
         if frontier:
-            p.add_argument("--cap-frontier", type=int, default=10**7,
+            p.add_argument("--cap-frontier", type=int, default=counting.DEFAULT_FRONTIER_CAP,
                            help="most maps one tower level may build (the lifts "
                                 "of its orbit representatives)")
         p.add_argument("--tsv", action="store_true", help="tabular output")
@@ -415,8 +416,8 @@ def build_parser():
     p.add_argument("--targets", nargs="*", default=None)
     p.add_argument("--budget", type=int, default=10**8,
                    help="oracle budget in letter operations")
-    p.add_argument("--cap-order", type=int, default=512)
-    p.add_argument("--cap-frontier", type=int, default=10**7)
+    p.add_argument("--cap-order", type=int, default=DEFAULT_ORDER_CAP)
+    p.add_argument("--cap-frontier", type=int, default=counting.DEFAULT_FRONTIER_CAP)
 
     p = verb("scan-braid-deltas", cmd_scan_braid_deltas,
              help="experimental: Hall invariants of B_3/B_4 over the catalog")
@@ -424,12 +425,12 @@ def build_parser():
 
     p = verb("catalog", cmd_catalog, help="list builtin groups or dump a table")
     p.add_argument("--dump", default=None, help="group spec to dump as a table file")
-    p.add_argument("--cap-order", type=int, default=512)
+    p.add_argument("--cap-order", type=int, default=DEFAULT_ORDER_CAP)
 
     p = verb("roundtrip", cmd_check_roundtrip, help="dump a group table and re-ingest it")
     p.add_argument("--spec", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--cap-order", type=int, default=512)
+    p.add_argument("--cap-order", type=int, default=DEFAULT_ORDER_CAP)
     return top
 
 

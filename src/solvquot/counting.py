@@ -11,8 +11,11 @@ from fractions import Fraction
 import numpy as np
 
 from .cohomology import _BLOCK, _layer_tables, build_systems, solve_systems, solution_arrays
-from .groups import DEFAULT_ORDER_CAP, CapExceeded, _digit_vectors, aut_order
+from .groups import CapExceeded, _digit_vectors, aut_order
 from .presentations import factorize
+
+# most maps one tower level may build (the lifts of its orbit representatives)
+DEFAULT_FRONTIER_CAP = 10**7
 
 
 class CountError(ArithmeticError):
@@ -84,7 +87,7 @@ def _trivial_frontier(P):
     return np.zeros((1, P.n), dtype=np.int32)
 
 
-def lift_frontier(P, lay, frontier, epi, cap=10**7, level=0):
+def lift_frontier(P, lay, frontier, epi, cap=DEFAULT_FRONTIER_CAP, level=0):
     """Lift every map of ``frontier`` (an int32 array of image rows into the
     base of ``lay``, the layer above tower level ``level``) through ``lay``.
 
@@ -306,7 +309,7 @@ def _closed_form_lifts(lay, d, epi):
     return (lay.E**lay.zeta) * ((q ** (d - lay.s * lay.zeta) if d is not None else 0) - split)
 
 
-def _orbit_levels(P, tower, epi, cap=10**7):
+def _orbit_levels(P, tower, epi, cap=DEFAULT_FRONTIER_CAP):
     """Lift one representative per orbit through every layer below the top
     and count the top layer.  The group acting on the maps into level i is
     ``tower.orbit_group(i)``, a PermutationGroup of B_i.  Yields,
@@ -372,7 +375,7 @@ def _orbit_levels(P, tower, epi, cap=10**7):
         reps, weights, maps_in = new_reps, new_weights, maps_out
 
 
-def hom_count(P, tower, cap=10**7):
+def hom_count(P, tower, cap=DEFAULT_FRONTIER_CAP):
     """|Hom|, lifting one map per orbit of the tower's acting groups
     (``ExtensionTower.orbit_group``) and counting the top layer."""
     count = 1
@@ -381,16 +384,15 @@ def hom_count(P, tower, cap=10**7):
     return count
 
 
-def epi_count(P, tower, cap=10**7, with_aut=True, cap_order=DEFAULT_ORDER_CAP):
+def epi_count(P, tower, cap=DEFAULT_FRONTIER_CAP, with_aut=True):
     """|Epi|, lifting one epimorphism per orbit of the tower's acting
     groups (``ExtensionTower.orbit_group``) and counting the top layer.
     ``with_aut`` decides only whether |Aut| is computed, by the full
-    generator-image search of ``aut_order`` under the order cap
-    ``cap_order``, run first; it must divide |Epi|, and delta is
-    |Epi| / |Aut|."""
+    generator-image search of ``aut_order``, run first; it must divide
+    |Epi|, and delta is |Epi| / |Aut|."""
     aut = dlt = None
     if with_aut:
-        aut = aut_order(tower.group, cap_order)
+        aut = aut_order(tower.group)
     level_epi = tuple(out for *_, out in _orbit_levels(P, tower, epi=True, cap=cap))
     epi = level_epi[-1] if level_epi else 1
     if with_aut:
@@ -400,7 +402,7 @@ def epi_count(P, tower, cap=10**7, with_aut=True, cap_order=DEFAULT_ORDER_CAP):
     return CountReport(tower, epi, aut, dlt, level_epi)
 
 
-def delta(P, tower, cap=10**7):
+def delta(P, tower, cap=DEFAULT_FRONTIER_CAP):
     """Number of normal subgroups with quotient isomorphic to the tower
     group: |Epi|/|Aut|, an exact integer."""
     return epi_count(P, tower, cap=cap).delta

@@ -380,12 +380,11 @@ def iter_isomorphisms(src, dst):
         yield from f[(f[:, 1:] != 0).all(axis=1)]
 
 
-def automorphisms(table, cap=DEFAULT_ORDER_CAP):
+def automorphisms(table):
     """The automorphisms of the group as a read-only int32 array, one image
     row per automorphism, found by one isomorphism search per table and
-    kept on it; ``cap`` on the order is checked on every call."""
-    if table.n > cap:
-        raise CapExceeded("group order %d exceeds cap %d" % (table.n, cap))
+    kept on it.  The order was checked against the caller's cap when the
+    group was built; the search is bounded by its tuple cap."""
     if table._auts is None:
         rows = np.array(list(iter_isomorphisms(table, table)), dtype=np.int32)
         rows.flags.writeable = False
@@ -393,9 +392,9 @@ def automorphisms(table, cap=DEFAULT_ORDER_CAP):
     return table._auts
 
 
-def aut_order(table, cap=DEFAULT_ORDER_CAP):
+def aut_order(table):
     """|Aut|, the number of rows of ``automorphisms``."""
-    return len(automorphisms(table, cap))
+    return len(automorphisms(table))
 
 
 def find_isomorphism(t1, t2):
@@ -584,19 +583,16 @@ class ExtensionTower:
         return self.layers[i - 1].group if i > 0 else TRIVIAL_TABLE
 
     def level_gens(self, i):
-        """Standard generators of the level-i group: lifts of lower-level
-        generators plus the kernel basis of each layer."""
-        gens = []
-        for j in range(i):
-            lay = self.layers[j]
-            gens = [lay.enc(0, g) for g in gens]
-            gens += [lay.enc(lay.q**k, 0) for k in range(lay.s)]
-        return gens
+        """Standard generators of the level-i group: the kernel basis q^k of
+        each layer j below it, as the elements q^k |B_j| (``project``)."""
+        return [lay.q**k * len(lay.base) for lay in self.layers[:i] for k in range(lay.s)]
 
-    def project(self, idx, from_level, to_level):
-        for j in range(from_level - 1, to_level - 1, -1):
-            idx = self.layers[j].dec(idx)[1]
-        return idx
+    def project(self, x, level):
+        """The image in the level group B of x (an element or an array) of
+        any level above: e |B'| + b in a layer over B' projects to b, and
+        |B| divides |B'|, so x projects to x mod |B|, and an element of B is
+        the same number in every level above it."""
+        return x % len(self.level_group(level))
 
     def presentation(self, level=None):
         """The power-conjugate presentation of the level group (default: the
@@ -617,7 +613,7 @@ class ExtensionTower:
         def normal_word(x):
             word, first = [], 0
             for j, lay in enumerate(self.layers[:level]):
-                e = lay.dec(self.project(x, level, j + 1))[0]
+                e = self.project(x, j + 1) // len(lay.base)
                 for g, k in enumerate(_digit_vectors(lay.q, lay.s)[e].tolist(), first):
                     word += [(g, 1)] * k
                     for _ in range(k):
@@ -640,10 +636,8 @@ class ExtensionTower:
 
     def chain_in_group(self):
         """The chief chain as sorted element arrays of the top group, largest
-        first: term i is the kernel N_i of the projection onto level i.  An
-        element e |B| + b of a layer over B projects to b, so an element x of
-        the top group projects to x mod |B_i|, and N_i holds the multiples
-        of |B_i|."""
+        first: term i is the kernel N_i of the projection onto level i, the
+        multiples of |B_i| (``project``)."""
         n = len(self.group)
         return [np.arange(0, n, len(self.level_group(i))) for i in range(len(self.layers) + 1)]
 
@@ -653,14 +647,14 @@ class ExtensionTower:
         is the image of b), one per level, kept on the tower; every count
         lifts modulo it.  It is the image of A = Aut(Gamma, series), the
         automorphisms of the top group that map every chain term onto
-        itself (``_series_automorphisms``): alpha induces x mod |B| ->
-        alpha(x) mod |B| on B, the first |B| entries of its row, mod |B|.
+        itself (``_series_automorphisms``): alpha induces on B the map
+        b -> alpha(b) projected to B, the first |B| entries of its row.
         Where that search is refused, it is Inn(B), the distinct rows of
         B's conjugation table."""
         if level not in self._orbit_groups:
             table = self.level_group(level)
             try:
-                rows = self._series_automorphisms()[:, : table.n] % table.n
+                rows = self.project(self._series_automorphisms()[:, : table.n], level)
             except CapExceeded:
                 rows = table.conjugation_table()
             # rows that agree on a generating sequence are equal
@@ -677,8 +671,8 @@ class ExtensionTower:
         map every chain term into, hence onto, itself, as int32 image rows
         in the order of ``automorphisms``, found by their own search.  Such
         an automorphism keeps the order of every element and its depth, the
-        largest j with x in N_j (x mod |B_j| = 0), so each generator of
-        ``generating_sequence`` is sent only to the elements of its order
+        largest j with x in N_j (x projects to 0 in B_j), so each generator
+        of ``generating_sequence`` is sent only to the elements of its order
         and depth; of those homomorphisms, the injective ones that never
         lower a depth are A.  The search raises CapExceeded before it
         starts past BIJECTIVE_TUPLE_CAP candidate tuples, and before it
@@ -730,7 +724,7 @@ class ExtensionTower:
         firsts = []  # (q, s, action on gens) of each class's first layer
         complemented = []  # per class, the complemented layers so far
         for i, lay in enumerate(self.layers):
-            acts = [lay.sigma[self.project(g, top, i)] for g in gens]
+            acts = [lay.sigma[self.project(g, i)] for g in gens]
             for t, (q, s, first) in enumerate(firsts):
                 if (q, s) == (lay.q, lay.s) and intertwiner_space_dim(first, acts, q, s) > 0:
                     break
@@ -908,44 +902,31 @@ def complement_count(tower, level):
 # through the generic chief-chain extraction.
 
 
-def _cumulative_divisors(n, primes_first=None):
-    """1 < d1 < d2 ... = n stepping by one prime at a time, ascending primes,
-    optionally forcing some primes first."""
-    fac = factorize(n)
-    seq = []
-    if primes_first:
-        for p in primes_first:
-            seq += [p] * fac.pop(p, 0)
-    for p in sorted(fac):
-        seq += [p] * fac[p]
-    out = []
-    d = 1
-    for p in seq:
-        d *= p
-        out.append(d)
-    return out
+def _cumulative_divisors(n):
+    """1 < d1 < d2 ... = n stepping by one prime at a time, ascending
+    primes."""
+    primes = [p for p, k in sorted(factorize(n).items()) for _ in range(k)]
+    return [math.prod(primes[:i]) for i in range(1, len(primes) + 1)]
 
 
-def _cyclic_data(n):
-    table = table_from_coords((n,), lambda x, y: ((x[0] + y[0]) % n,), name="Z%d" % n)
-    chain = [frozenset(range(n))]
-    for d in _cumulative_divisors(n):
-        chain.append(frozenset(range(0, n, d)))
-    return table, chain
+def _metacyclic_data(s, r, u):
+    """M(s,r,u) = <x, y | x^s, y^r, y x y^-1 = x^u> on coordinates (x, y),
+    with the chain through <x> and its cyclic subgroups; u must be
+    invertible mod s with u^r = 1.  Z(n) is M(n,1,1) and D(2m) is
+    M(m,2,m-1)."""
+    upow = np.array([pow(u, y, s) for y in range(r)])
 
+    def mulfn(a, b):
+        (x1, y1), (x2, y2) = a, b
+        return ((x1 + upow[y1] * x2) % s, (y1 + y2) % r)
 
-def _dihedral_data(order):
-    m = order // 2
-
-    def mulfn(x, y):
-        (u, v), (s, t) = x, y
-        return ((u + np.where(v == 0, s, -s)) % m, (v + t) % 2)
-
-    table = table_from_coords((m, 2), mulfn, name="D%d" % order)
-    u, v = _coords((m, 2))
-    chain = [frozenset(range(order)), _elements(v == 0)]
-    for d in _cumulative_divisors(m):
-        chain.append(_elements((v == 0) & (u % d == 0)))
+    table = table_from_coords((s, r), mulfn, name="M(%d,%d,%d)" % (s, r, u))
+    x, y = _coords((s, r))
+    chain = [frozenset(range(s * r))]
+    for d in _cumulative_divisors(r):
+        chain.append(_elements(y % d == 0))
+    for d in _cumulative_divisors(s):
+        chain.append(_elements((y == 0) & (x % d == 0)))
     return table, chain
 
 
@@ -958,18 +939,10 @@ def _binary_dihedral_data(order):
         return ((u + np.where(v == 0, s, -s) + m * v * t) % L, (v + t) % 2)
 
     table = table_from_coords((L, 2), mulfn, name="Dstar%d" % order)
-    a0 = factorize(m).get(2, 0)
-    ds = [2**j for j in range(1, a0 + 2)]
-    d = ds[-1]
-    odd = m
-    while odd % 2 == 0:
-        odd //= 2
-    for p in _cumulative_divisors(odd):
-        ds.append(d * p)
     u, v = _coords((L, 2))
     chain = [frozenset(range(order)), _elements(v == 0)]
-    for dd in ds:
-        chain.append(_elements((v == 0) & (u % dd == 0)))
+    for d in _cumulative_divisors(L):
+        chain.append(_elements((v == 0) & (u % d == 0)))
     return table, chain
 
 
@@ -1038,29 +1011,6 @@ def _sym4_data():
     return _plane_by_dihedral(2, 3, sig, "S4")
 
 
-def _metacyclic_data(s, r, u):
-    if s < 1 or r < 1:
-        raise GroupSpecError("M(s,r,u) needs s, r >= 1")
-    from math import gcd
-
-    if gcd(u, s) != 1 or pow(u, r, s) != 1 % s:
-        raise GroupSpecError("M(s,r,u) needs u invertible mod s with u^r = 1")
-    upow = np.array([pow(u, y, s) for y in range(r)])
-
-    def mulfn(a, b):
-        (x1, y1), (x2, y2) = a, b
-        return ((x1 + upow[y1] * x2) % s, (y1 + y2) % r)
-
-    table = table_from_coords((s, r), mulfn, name="M(%d,%d,%d)" % (s, r, u))
-    x, y = _coords((s, r))
-    chain = [frozenset(range(s * r))]
-    for d in _cumulative_divisors(r):
-        chain.append(_elements(y % d == 0))
-    for d in _cumulative_divisors(s):
-        chain.append(_elements((y == 0) & (x % d == 0)))
-    return table, chain
-
-
 def _v_q2p_data(q, p, rparam):
     if len(factorize(q)) != 1 or q != min(factorize(q)) or len(factorize(p)) != 1:
         raise GroupSpecError("V(q,p,r) needs primes q, p")
@@ -1091,95 +1041,101 @@ _FACTOR_RE = re.compile(
 )
 
 
-def _factor_order(name, params):
-    name = name.upper()
-    try:
-        if name in ("Z", "D", "DSTAR", "Q"):
-            (n,) = params
-            return n
-        if name == "S":
-            return {3: 6, 4: 24}[params[0]]
-        if name == "A":
-            return {4: 12}[params[0]]
-        if name == "M":
-            return params[0] * params[1]
-        if name == "V":
-            return params[0] ** 2 * 2 * params[1]
-    except GroupSpecError:
-        raise
-    except (ValueError, KeyError, IndexError):
-        raise GroupSpecError("bad parameters for %s%r" % (name, tuple(params)))
-    raise GroupSpecError("unknown group family %r" % name)
+def _require(ok, message):
+    if not ok:
+        raise GroupSpecError(message)
 
 
-def _build_factor(name, params):
-    name = name.upper()
-    try:
-        if name == "Z":
-            (n,) = params
-            if n < 1:
-                raise GroupSpecError("Z(n) needs n >= 1")
-            return _cyclic_data(n)
-        if name == "D":
-            (n,) = params
-            if n < 2 or n % 2:
-                raise GroupSpecError("D(n) needs even n >= 2")
-            return _dihedral_data(n)
-        if name in ("DSTAR", "Q"):
-            (n,) = params
-            if n % 4 or n < 4:
-                raise GroupSpecError("Dstar(n) needs 4 | n")
-            if name == "Q" and (n & (n - 1) or n < 8):
-                raise GroupSpecError("Q(n) needs a 2-power n >= 8")
-            return _binary_dihedral_data(n)
-        if name == "S":
-            (k,) = params
-            if k == 3:
-                return _dihedral_data(6)
-            if k == 4:
-                return _sym4_data()
-            raise GroupSpecError("only S(3) and S(4) are built in")
-        if name == "A":
-            (k,) = params
-            if k == 4:
-                return _alt4_data()
-            raise GroupSpecError("only A(4) is built in")
-        if name == "M":
-            s, r, u = params
-            return _metacyclic_data(s, r, u)
-        if name == "V":
-            q, p, rr = params
-            return _v_q2p_data(q, p, rr)
-    except GroupSpecError:
-        raise
-    except ValueError:
-        raise GroupSpecError("wrong parameter count for %s%r" % (name, tuple(params)))
-    raise GroupSpecError("unknown group family %r" % name)
+def _dihedral(n):
+    _require(n >= 2 and n % 2 == 0, "D(n) needs even n >= 2")
+    return n, lambda: _metacyclic_data(n // 2, 2, n // 2 - 1)
+
+
+def _binary_dihedral(n):
+    _require(n >= 4 and n % 4 == 0, "Dstar(n) needs 4 | n")
+    return n, lambda: _binary_dihedral_data(n)
+
+
+def _quaternion(n):
+    _require(n >= 8 and n & (n - 1) == 0, "Q(n) needs a 2-power n >= 8")
+    return _binary_dihedral(n)
+
+
+def _metacyclic(s, r, u):
+    _require(s >= 1 and r >= 1, "M(s,r,u) needs s, r >= 1")
+    _require(math.gcd(u, s) == 1 and pow(u, r, s) == 1 % s,
+             "M(s,r,u) needs u invertible mod s with u^r = 1")
+    return s * r, lambda: _metacyclic_data(s, r, u)
+
+
+def _cyclic(n):
+    _require(n >= 1, "Z(n) needs n >= 1")
+    return _metacyclic(n, 1, 1)
+
+
+def _symmetric(k):
+    _require(k in (3, 4), "only S(3) and S(4) are built in")
+    return _dihedral(6) if k == 3 else (24, _sym4_data)
+
+
+def _alternating(k):
+    _require(k == 4, "only A(4) is built in")
+    return 12, _alt4_data
+
+
+def _v_q2p(q, p, r):
+    # the primes are checked in the build: trial division of a huge p would not end
+    return 2 * q * q * p, lambda: _v_q2p_data(q, p, r)
+
+
+# Every spec family: a function of the factor's parameters that checks them
+# and returns the factor's order with a function building its (table, chain).
+_FAMILIES = {"Z": _cyclic, "D": _dihedral, "DSTAR": _binary_dihedral, "Q": _quaternion,
+             "S": _symmetric, "A": _alternating, "M": _metacyclic, "V": _v_q2p}
 
 
 def builtin_group(spec, cap=DEFAULT_ORDER_CAP):
     """Build an extension tower from a group spec like ``D(8)``,
-    ``Z(3)*S(4)`` or ``Z(2)^3``."""
+    ``Z(3)*S(4)`` or ``Z(2)^3``.  The parts F^k of the spec are checked and
+    charged to the order cap one by one before any table is built; a
+    nontrivial F has |F|^k > cap for k > cap.bit_length(), so no more copies
+    are charged or built."""
+    builds = []
+    order = 1  # of the parts charged so far
     parts = spec.split("*")
-    factors = []
-    total = 1
-    for part in parts:
+    for i, part in enumerate(parts):
         m = _FACTOR_RE.match(part)
         if m is None:
             raise GroupSpecError("cannot parse group spec %r" % part)
-        name = m.group(1)
-        params = tuple(int(x) for x in m.group(2).split(",")) if m.group(2) else ()
-        power = int(m.group(3)) if m.group(3) else 1
-        for _ in range(power):
-            factors.append((name, params))
-            total *= _factor_order(name, params)
-    if total > cap:
-        raise CapExceeded("group order %d exceeds cap %d" % (total, cap))
-    if not factors:
+        name, params, power = m.groups()
+        try:
+            params = tuple(int(x) for x in params.split(",")) if params else ()
+            power = int(power or 1)
+        except ValueError:  # int() refuses more digits than its limit
+            raise GroupSpecError("a number in group spec %r has too many digits" % part)
+        family = _FAMILIES.get(name.upper())
+        if family is None:
+            raise GroupSpecError("unknown group family %r" % name)
+        try:
+            factor_order, build = family(*params)
+        except TypeError:
+            raise GroupSpecError("wrong parameter count for %s%r" % (name, params))
+        copies = min(power, cap.bit_length() + 1 if factor_order > 1 else 1)
+        order *= factor_order**copies
+        if order > cap:
+            # the spec's order, a lower bound when parts are left or copies
+            # not charged, and as 2^k past the digits str() may print
+            big = order.bit_length() > 8192
+            exact = not big and i == len(parts) - 1 and (copies == power or factor_order == 1)
+            raise CapExceeded("group order %s%s exceeds cap %d" % (
+                "" if exact else "at least ", "2^%d" % (order.bit_length() - 1) if big else order,
+                cap))
+        builds += [build] * copies
+    if not builds:
         raise GroupSpecError("empty group spec %r" % spec)
-    data = _build_factor(*factors[0])
-    for f in factors[1:]:
-        data = _product_data(data, _build_factor(*f))
+    data = builds[0]()
+    for build in builds[1:]:
+        data = _product_data(data, build())
     table, chain = data
     return tower_from_chief_chain(table, chain, spec=spec)
 

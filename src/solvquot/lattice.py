@@ -3,6 +3,7 @@ Weisner), and the Hall enumeration identities."""
 
 from __future__ import annotations
 
+from .counting import DEFAULT_FRONTIER_CAP, epi_count, hom_count
 from .groups import CapExceeded, GroupSpecError, chief_series, generating_sequence
 from .presentations import factorize
 
@@ -57,24 +58,25 @@ def _mask(elems):
 
 def all_subgroups(table, cap=200):
     """The full subgroup lattice by closure generation: cyclic seeds, then
-    repeated pairwise joins."""
+    rounds of pairwise joins.  A pair is joined in the round after the later
+    of its two subgroups was found, so each round joins only the pairs with
+    a subgroup new in the round before."""
     if table.n > cap:
         raise CapExceeded("group order %d exceeds lattice cap %d" % (table.n, cap))
-    subs = {frozenset({0})}
-    for x in range(1, table.n):
-        subs.add(table.closure([x]))
-    while True:
+    subs = set()
+    fresh = {frozenset({0})} | {table.closure([x]) for x in range(1, table.n)}
+    while fresh:
+        old = list(subs)
+        subs |= fresh
+        fresh = list(fresh)
         new = set()
-        cur = sorted(subs, key=lambda s: (len(s), tuple(sorted(s))))
-        for i, a in enumerate(cur):
-            for b in cur[i + 1 :]:
+        for i, a in enumerate(fresh):
+            for b in old + fresh[i + 1 :]:
                 if not (a <= b or b <= a):
                     j = table.closure(a | b)
                     if j not in subs:
                         new.add(j)
-        if not new:
-            break
-        subs |= new
+        fresh = new
     return SubgroupLattice(table, subs)
 
 
@@ -160,12 +162,10 @@ def eulerian_via_moebius(lattice, mu, n):
     return sum(m * o**n for m, o in zip(mu, lattice.orders))
 
 
-def hall_identities(P, table, cap=10**7):
+def hall_identities(P, table, cap=DEFAULT_FRONTIER_CAP):
     """Check |Hom(G,Gamma)| = sum |Epi(G,H)| and its Moebius inversion
     |Epi(G,Gamma)| = sum mu(H) |Hom(G,H)| against the lifting engine;
     returns the computed numbers."""
-    from .counting import epi_count, hom_count
-
     lattice = all_subgroups(table)
     mu = moebius(lattice)
     homs = []

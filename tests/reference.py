@@ -73,8 +73,7 @@ from solvquot.groups import (
     FiniteGroupTable,
     PermutationGroup,
     _binary_dihedral_data,
-    _cyclic_data,
-    _dihedral_data,
+    _metacyclic_data,
     _mat2_pow,
     _s3_sigma,
     bfs_expressions,
@@ -242,7 +241,7 @@ def epi_count_q2p(P, q, p, r):
 
 
 def _dihedral_coord_table(l):
-    return _dihedral_data(2 * l)[0]
+    return _metacyclic_data(l, 2, l - 1)[0]
 
 
 def _binary_dihedral_coord_table(L):
@@ -425,7 +424,7 @@ def _elementary_table(q, s):
 
 
 def _cyclic_table(n):
-    return _cyclic_data(n)[0]
+    return _metacyclic_data(n, 1, 1)[0]
 
 
 def _d8_center_layer():

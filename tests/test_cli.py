@@ -485,7 +485,7 @@ def test_hom_runs_only_the_hom_lifting(capsys, monkeypatch):
 
 
 def test_epi_and_delta_honour_cap_order(capsys):
-    # the |Aut| search of epi and delta runs under --cap-order, as aut does:
+    # epi and delta build their target under --cap-order, as aut does:
     # Z(521) is past the default cap of 512
     for verb in ("epi", "delta"):
         argv = (verb, "--source", "builtin:free(2)", "--target", "Z(521)")
@@ -494,6 +494,26 @@ def test_epi_and_delta_honour_cap_order(capsys):
         code, out = run_cli(capsys, *argv, "--cap-order", "1024")
         doc = json.loads(out)
         assert code == 0 and (doc["epi"], doc["aut"], doc["delta"]) == (521**2 - 1, 520, 522)
+
+
+def test_huge_specs_end_at_once(capsys):
+    # the order cap is charged before any table is built: every verb ends
+    # within a second, with exit 2 past the cap and exit 1 on a bad spec
+    for spec, code, err in [
+        ("Z(2)^14300", 2, "aborted: group order at least 2048 exceeds cap 512\n"),
+        ("Z(2)^100000000", 2, "aborted: group order at least 2048 exceeds cap 512\n"),
+        ("Z(%s)" % ("9" * 5001), 1, "error: a number in group spec %r has too many digits\n"
+         % ("Z(%s)" % ("9" * 5001))),
+        ("D(1001)", 1, "error: D(n) needs even n >= 2\n"),
+    ]:
+        for argv in (("aut", "--target", spec),
+                     ("epi", "--source", "builtin:free(2)", "--target", spec),
+                     ("delta", "--source", "builtin:free(2)", "--target", spec),
+                     ("catalog", "--dump", spec)):
+            start = time.perf_counter()
+            assert main(list(argv)) == code, argv
+            assert time.perf_counter() - start < 1, argv
+            assert capsys.readouterr().err == err, argv
 
 
 @pytest.mark.slow

@@ -231,7 +231,7 @@ def test_self_checks_fire_on_corrupted_data(monkeypatch):
     with pytest.raises(CountError, match="level arithmetic"):
         epi_count(F2, tower)
     lay.alpha -= 1
-    monkeypatch.setattr(counting, "aut_order", lambda table, cap: 5)
+    monkeypatch.setattr(counting, "aut_order", lambda table: 5)
     with pytest.raises(CountError, match="not divisible"):
         epi_count(F2, tower)
 

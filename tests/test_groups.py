@@ -63,6 +63,41 @@ def test_builtin_errors():
         builtin_group("Z(2)^10")
 
 
+def test_order_cap_is_charged_before_anything_is_built(monkeypatch):
+    # past the cap at once: a 4300-digit order is not formatted, and a huge
+    # exponent is not multiplied out
+    with pytest.raises(CapExceeded, match="group order at least 2048 exceeds cap 512"):
+        builtin_group("Z(2)^14300")
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded):
+        builtin_group("Z(2)^100000000")
+    assert time.perf_counter() - start < 1
+    with pytest.raises(CapExceeded, match="group order 3000 exceeds cap 512"):
+        builtin_group("Z(3)*D(1000)")
+    with pytest.raises(CapExceeded, match="group order at least 1000 exceeds cap 512"):
+        builtin_group("D(1000)*Z(3)")
+    # int() refuses a number past its digit limit
+    with pytest.raises(GroupSpecError, match="too many digits"):
+        builtin_group("Z(%s)" % ("1" * 5001))
+    # a parameter error comes before the cap
+    with pytest.raises(GroupSpecError, match="even n"):
+        builtin_group("D(1001)")
+
+    def refuse(*args):
+        raise AssertionError("a table was built past the order cap")
+
+    for name in ("_metacyclic_data", "_binary_dihedral_data", "_sym4_data", "_alt4_data",
+                 "_v_q2p_data", "_product_data", "table_from_coords"):
+        monkeypatch.setattr(groups, name, refuse)
+    for spec in ("D(100000)", "Z(2)^10", "Q(1024)", "S(4)^3", "A(4)*M(7,6,3)^2",
+                 "V(5,3,1)*Z(4)", "Z(1)^100000000*Z(600)"):
+        with pytest.raises(CapExceeded):
+            builtin_group(spec)
+    # under the cap the same spec reaches the builders
+    with pytest.raises(AssertionError, match="past the order cap"):
+        builtin_group("Z(1)^100000000*Z(600)", cap=600)
+
+
 def test_d8_tower_structure():
     tw = builtin_group("D(8)")
     assert [lay.E for lay in tw.layers] == [2, 2, 2]
@@ -266,8 +301,6 @@ def test_aut_orders():
     assert aut_order(builtin_group("S(4)").group) == 24
     assert aut_order(builtin_group("D(12)").group) == 12
     assert aut_order(builtin_group("A(4)").group) == 24
-    with pytest.raises(CapExceeded):
-        aut_order(builtin_group("S(4)").group, cap=10)
     # the largest catalog search (Z(2)*S(4): 768 tuples) stays under the
     # tuple cap; Z(2)^5 (31^5 tuples) and Z(2)^6 do not
     assert aut_order(builtin_group("Z(2)*S(4)").group) == 48
@@ -347,13 +380,13 @@ def test_series_automorphisms():
         assert len({tuple(r) for r in rows.tolist()}) == order
         arr = table.as_array()
         assert all((arr[r[:, None], r[None, :]] == r[arr]).all() for r in rows[:50].astype(int))
-        kernels = [{x for x in range(table.n) if tw.project(x, top, i) == 0}
+        kernels = [{x for x in range(table.n) if tw.project(x, i) == 0}
                    for i in range(top + 1)]
         fixing = [r for r in rows.tolist() if all({r[x] for x in N} == N for N in kernels)]
         assert len(fixing) == series, spec
         for level in range(1, top):
             nB = len(tw.level_group(level))
-            images = {tuple(tw.project(r[b], top, level) for b in range(nB)) for r in fixing}
+            images = {tuple(tw.project(r[b], level) for b in range(nB)) for r in fixing}
             got = tw.orbit_group(level).rows.tolist()
             assert sorted(map(tuple, got)) == sorted(images), (spec, level)
 
@@ -479,13 +512,13 @@ def test_tower_projection_and_vectors():
     for x in (0, 5, 17, 23):
         # layer j's coordinates are those of x's image in the level-(j + 1) group
         assert element_vectors(tw, x) == tuple(
-            kernel_vector(lay, lay.dec(tw.project(x, top, j + 1))[0])
+            kernel_vector(lay, lay.dec(tw.project(x, j + 1))[0])
             for j, lay in enumerate(tw.layers))
-        assert tw.project(x, top, 0) == 0
+        assert tw.project(x, 0) == 0
     # chain term i is the kernel of the projection onto level i
     chain = tw.chain_in_group()
     assert [c.tolist() for c in chain] == [
-        [x for x in range(24) if tw.project(x, top, i) == 0] for i in range(top + 1)]
+        [x for x in range(24) if tw.project(x, i) == 0] for i in range(top + 1)]
     assert [len(c) for c in chain] == [24, 12, 4, 1]
 
 

@@ -25,6 +25,7 @@ def test_subgroup_counts():
     assert len(all_subgroups(builtin_group("Z(6)").group)) == 4
     assert len(all_subgroups(builtin_group("D(8)").group)) == 10
     assert len(all_subgroups(builtin_group("S(4)").group)) == 30
+    assert len(all_subgroups(builtin_group("Z(2)^4").group)) == 67
     with pytest.raises(CapExceeded):
         all_subgroups(builtin_group("S(4)").group, cap=10)
 
