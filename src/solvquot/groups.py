@@ -497,16 +497,10 @@ class ElementaryLayer:
         return (np.array(self.sigma, dtype=np.int64).reshape(nB, s, s),
                 np.array(self.chi, dtype=np.int64).reshape(nB, nB, s))
 
-    def enc(self, e_num, b):
-        return e_num * len(self.base) + b
-
-    def dec(self, idx):
-        return divmod(idx, len(self.base))
-
     def _complement_sections(self):
         """Complements of E in the extension = homomorphic sections of the
-        projection, found by generator images in the fibres {enc(e, g)}, as
-        rows of ``sections``."""
+        projection, found by generator images in the fibres
+        {e * |base| + g}, as rows of ``sections``."""
         base = self.base
         nB = len(base)
         if nB == 1:
@@ -829,7 +823,7 @@ def tower_from_chief_chain(table, chain, spec=""):
         chi = [[vec_of[num] for num in row] for row in nums.tolist()]
         lay = ElementaryLayer(q, s, prev_q, sigma, chi)
         lay.verify()
-        # psi is indexed by enc(e, b) = e * |base| + b
+        # psi is indexed by e * |base| + b
         psi = QA[np.array(elem_of_num)[:, None], sec].ravel()
         prevproj = np.array(proj)
         prev_q = lay.group

@@ -58,26 +58,30 @@ def _mask(elems):
 
 def all_subgroups(table, cap=200):
     """The full subgroup lattice by closure generation: cyclic seeds, then
-    rounds of pairwise joins.  A pair is joined in the round after the later
-    of its two subgroups was found, so each round joins only the pairs with
-    a subgroup new in the round before."""
+    rounds of joins with them.  A subgroup generated by x_1, ..., x_r is
+    the join of <x_1, ..., x_{r-1}> with the cyclic <x_r>, so each round
+    joins only the subgroups new in the round before with the seeds.  Each
+    subgroup keeps the generators it was found from, and a join is the
+    closure of those and the seed's generator."""
     if table.n > cap:
         raise CapExceeded("group order %d exceeds lattice cap %d" % (table.n, cap))
-    subs = set()
-    fresh = {frozenset({0})} | {table.closure([x]) for x in range(1, table.n)}
+    seeds = {}
+    for x in range(1, table.n):
+        seeds.setdefault(table.closure([x]), x)
+    gens = {frozenset({0}): ()}
+    fresh = {c: (x,) for c, x in seeds.items()}
     while fresh:
-        old = list(subs)
-        subs |= fresh
-        fresh = list(fresh)
-        new = set()
-        for i, a in enumerate(fresh):
-            for b in old + fresh[i + 1 :]:
-                if not (a <= b or b <= a):
-                    j = table.closure(a | b)
-                    if j not in subs:
-                        new.add(j)
+        gens.update(fresh)
+        new = {}
+        for a, ga in fresh.items():
+            for c, x in seeds.items():
+                if not (c <= a or a <= c):
+                    both = ga + (x,)
+                    j = table.closure(both)
+                    if j not in gens:
+                        new.setdefault(j, both)
         fresh = new
-    return SubgroupLattice(table, subs)
+    return SubgroupLattice(table, gens)
 
 
 def moebius(lattice):

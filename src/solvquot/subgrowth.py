@@ -30,23 +30,25 @@ _CHUNK = 1 << 18  # assignments per array pass of a block measure
 # The search keeps two relator evaluators, each the faster on its own path.
 # ``_relator_values`` takes one row of assigned images (the class
 # representatives, the centraliser orbits, a chunk of one row) and folds its
-# runs into fixed permutations; ``_chunk_values`` takes a chunk of rows and
-# looks each letter up per (row, candidate) pair.  Measured on 2 CPUs:
-# evaluating the one-row cases with ``_chunk_values`` took braid3_split
-# k <= 7 from 1.34 to 3.2-3.6 s and braid(4) k <= 7 from 0.015 to
-# 0.020-0.026 s; expanding every depth one row at a time took hillman_link
-# k <= 5 from 0.02 to 0.09 s.
+# runs into fixed permutations; ``_code_values`` takes a chunk of rows and
+# composes permutation codes through the Cayley table, one lookup per
+# (row, candidate) pair and letter.  Measured on 2 CPUs (median of 30):
+# expanding every depth one row at a time took hillman_link k <= 5 from
+# 0.005 to 0.07 s.
 #
 # Most (row, candidate) pairs the search tests in one array pass.  At k = 7
-# (5040 candidates) a chunk is one row, on the fixed-permutation path: 13
-# rows at a time measured twice as slow as one.
+# (5040 candidates) a chunk is one row, on the fixed-permutation path, so
+# the Cayley table is built only where a chunk holds two rows or more,
+# k! <= _SIBLINGS / 2, that is k <= 6 (1 MB at k = 6; 50 MB at k = 7).
 _SIBLINGS = 1 << 13
 
 
 class _Symmetric:
     """The permutations of range(k) and their inverses, their lexicographic
     codes (ascending, so searchsorted ranks a batch), and the conjugacy
-    classes, numbered in the order the permutations first meet them."""
+    classes, numbered in the order the permutations first meet them.  The
+    index of a permutation in ``perms`` is its code in the Cayley table;
+    the identity's is 0."""
 
     def __init__(self, k):
         perms = np.array(list(itertools.permutations(range(k))), dtype=np.int8)
@@ -54,6 +56,7 @@ class _Symmetric:
         self.perms = perms
         self.inv = np.argsort(perms, axis=1).astype(np.int8)
         self.codes = self.code(perms)
+        self.inv_code = self.rank(self.inv)
         self.offsets = _row_offsets(len(perms), k)
         # the fixed-point counts of p, p^2, ..., p^k determine the cycle type
         power = perms
@@ -80,6 +83,39 @@ class _Symmetric:
 
     def rank(self, V):
         return np.searchsorted(self.codes, self.code(V))
+
+    @functools.cached_property
+    def cayley(self):
+        """The k! x k! int16 table M[a, b] = index of perms[a] o perms[b]
+        (perms[b] applied first), built on first use by a walk from the
+        identity along the adjacent transpositions s: the row of s o a is
+        M[s][M[a]].  Checked once: row 0 is the identity's and
+        M[a, inv_code[a]] = 0 for every a."""
+        N = len(self.perms)
+        M = np.empty((N, N), dtype=np.int16)
+        M[0] = np.arange(N)
+        done = np.zeros(N, dtype=bool)
+        done[0] = True
+        steps = []
+        for i in range(self.k - 1):
+            s = np.arange(self.k, dtype=np.int8)
+            s[i], s[i + 1] = i + 1, i
+            steps.append(self.rank(s[self.perms]).astype(np.int16))
+        frontier = np.zeros(1, dtype=np.intp)
+        for _ in range(self.k * (self.k - 1) // 2):  # the longest word's length
+            found = []
+            for row in steps:
+                new = row[frontier]
+                fresh = ~done[new]
+                new = new[fresh]
+                done[new] = True
+                M[new] = row[M[frontier[fresh]]]
+                found.append(new)
+            frontier = np.concatenate(found)
+        if not (done.all() and (M[0] == np.arange(N)).all()
+                and (M[np.arange(N), self.inv_code] == 0).all()):
+            raise ArithmeticError("Cayley table of S_%d is not a group table" % self.k)
+        return M
 
     def centraliser_orbits(self, r):
         """The orbits of the centraliser C(p) of the permutation p = perms[r]
@@ -316,7 +352,6 @@ def _search(P, S):
     everything = np.arange(N)
     ident = S.perms[0]
     step = max(1, _SIBLINGS // N)
-    offsets = _row_offsets(step, S.k)
     total = 0
 
     def one_row(depth, row):
@@ -342,8 +377,7 @@ def _search(P, S):
         r_of = np.repeat(np.arange(len(rows)), N)
         cand = np.tile(everything, len(rows))
         for segs in ready_at[depth]:
-            V = _chunk_values(segs, rows, pos, S, r_of, cand, offsets)
-            keep = (V == ident).all(axis=1)
+            keep = _code_values(segs, rows, pos, S, r_of, cand) == 0
             r_of, cand = r_of[keep], cand[keep]
         return r_of, cand
 
@@ -369,28 +403,26 @@ def _search(P, S):
     return total
 
 
-def _chunk_values(segs, rows, pos, S, r_of, cand, offsets):
-    """The value of a relator, given as _segments, at each (row, candidate)
-    pair: rows[r_of] are the images assigned so far (column pos[h] for
-    generator h) and cand the image index of its one unassigned generator.
-    Each run of assigned letters is folded once per row; the word is then
-    applied right to left, each letter a lookup in its small table (the
-    k! images, or the chunk's folded runs) at the pair's row of it."""
-    k = S.k
+def _code_values(segs, rows, pos, S, r_of, cand):
+    """The code of a relator's value, given as _segments, at each
+    (row, candidate) pair: rows[r_of] are the codes assigned so far (column
+    pos[h] for generator h) and cand the code of its one unassigned
+    generator.  Each run of assigned letters is folded once per row; the
+    word is then applied right to left, each letter one lookup in the
+    flattened Cayley table (int16 codes are widened to index it)."""
+    M = S.cayley.ravel()
+    N = len(S.perms)
     V = None
     for seg in reversed(segs):
         if isinstance(seg, int):
-            table, at = (S.perms if seg == 1 else S.inv), cand
+            at = cand if seg == 1 else S.inv_code[cand]
         else:
-            table = None
+            run = None
             for h, e in seg:
-                p = (S.perms if e == 1 else S.inv)[rows[:, pos[h]]]
-                table = p if table is None else _times(table, p, offsets)
-            at = r_of
-        if V is None:
-            V = table[at]
-        else:
-            V = table.ravel()[(at * k)[:, None] + V]
+                c = rows[:, pos[h]] if e == 1 else S.inv_code[rows[:, pos[h]]]
+                run = c if run is None else M[np.multiply(run, N, dtype=np.intp) + c]
+            at = run[r_of]
+        V = at if V is None else M[np.multiply(at, N, dtype=np.intp) + V]
     return V
 
 

@@ -553,6 +553,17 @@ def kernel_number(lay, vec):
     return sum(x % lay.q * lay.q**k for k, x in enumerate(vec))
 
 
+def layer_enc(lay, e, b):
+    """The extension element (kernel element numbered e, base element b),
+    numbered e * |base| + b."""
+    return e * len(lay.base) + b
+
+
+def layer_dec(lay, idx):
+    """The (kernel number, base element) pair of the extension element idx."""
+    return divmod(idx, len(lay.base))
+
+
 def _apply_sigma(lay, b, vec):
     sig = lay.sigma[b]
     return tuple(sum(sig[a][c] * vec[c] for c in range(lay.s)) % lay.q for a in range(lay.s))
@@ -563,7 +574,7 @@ def element_vectors(tower, idx):
     first."""
     out = []
     for lay in reversed(tower.layers):
-        e, idx = lay.dec(idx)
+        e, idx = layer_dec(lay, idx)
         out.append(kernel_vector(lay, e))
     return tuple(reversed(out))
 
@@ -582,8 +593,8 @@ def _structural_mul(layers, x, y):
     if not layers:
         return 0
     lay = layers[-1]
-    e1, b1 = lay.dec(x)
-    e2, b2 = lay.dec(y)
+    e1, b1 = layer_dec(lay, x)
+    e2, b2 = layer_dec(lay, y)
     v = tuple(
         a + b + c
         for a, b, c in zip(
@@ -591,18 +602,18 @@ def _structural_mul(layers, x, y):
             lay.chi[b1][b2]
         )
     )
-    return lay.enc(kernel_number(lay, v), _structural_mul(layers[:-1], b1, b2))
+    return layer_enc(lay, kernel_number(lay, v), _structural_mul(layers[:-1], b1, b2))
 
 
 def _structural_inv(layers, x):
     if not layers:
         return 0
     lay = layers[-1]
-    e, b = lay.dec(x)
+    e, b = layer_dec(lay, x)
     binv = lay.base.inv[b]
     v = _apply_sigma(lay, binv, kernel_vector(lay, e))
     v = tuple(-a - c for a, c in zip(v, lay.chi[binv][b]))
-    return lay.enc(kernel_number(lay, v), _structural_inv(layers[:-1], b))
+    return layer_enc(lay, kernel_number(lay, v), _structural_inv(layers[:-1], b))
 
 
 @dataclass

@@ -13,6 +13,8 @@ from reference import (
     inv_structural,
     is_isomorphic,
     kernel_vector,
+    layer_dec,
+    layer_enc,
     mul_structural,
     relabel,
 )
@@ -285,7 +287,7 @@ def test_complement_count_vs_lattice_scan():
         tw = builtin_group(spec)
         for level, lay in enumerate(tw.layers):
             ext = lay.group
-            kernel = {lay.enc(e, 0) for e in range(lay.E)}
+            kernel = {layer_enc(lay, e, 0) for e in range(lay.E)}
             lat = all_subgroups(ext)
             scan = sum(
                 1
@@ -512,7 +514,7 @@ def test_tower_projection_and_vectors():
     for x in (0, 5, 17, 23):
         # layer j's coordinates are those of x's image in the level-(j + 1) group
         assert element_vectors(tw, x) == tuple(
-            kernel_vector(lay, lay.dec(tw.project(x, j + 1))[0])
+            kernel_vector(lay, layer_dec(lay, tw.project(x, j + 1))[0])
             for j, lay in enumerate(tw.layers))
         assert tw.project(x, 0) == 0
     # chain term i is the kernel of the projection onto level i

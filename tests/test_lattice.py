@@ -30,6 +30,22 @@ def test_subgroup_counts():
         all_subgroups(builtin_group("S(4)").group, cap=10)
 
 
+def test_lattice_is_closed_under_joins():
+    # the subgroups are the closures of their generators, every cyclic
+    # subgroup is one, and the join of any two (the closure of all their
+    # elements) is one: together, the whole lattice
+    for spec in ["Q(8)", "Dstar(12)", "S(4)", "D(16)", "Z(2)*A(4)", "Z(2)^4"]:
+        t = builtin_group(spec).group
+        lat = all_subgroups(t)
+        for i, sub in enumerate(lat.subgroups):
+            assert t.closure(lat.generators_of(i)) == sub, (spec, i)
+        found = set(lat.subgroups)
+        assert {t.closure([x]) for x in range(t.n)} <= found, spec
+        for i, a in enumerate(lat.subgroups):
+            for b in lat.subgroups[:i]:
+                assert t.closure(a | b) in found, (spec, sorted(a), sorted(b))
+
+
 def test_dihedral_lattice_structure():
     # one subgroup Z_l and m/l of dihedral type per divisor l of m
     for m in (3, 4, 6, 8):

@@ -139,6 +139,42 @@ def test_centraliser_orbits_against_conjugating_by_the_centraliser():
             assert sizes.tolist() == [list(label.values()).count(m) for m in want]
 
 
+def test_cayley_table():
+    for k in range(1, 7):
+        S = subgrowth._symmetric(k)
+        M = S.cayley
+        N = len(S.perms)
+        assert M.shape == (N, N) and M.dtype == np.int16
+        for a in range(N):
+            assert (M[a] == S.rank(S.perms[a][S.perms])).all(), (k, a)
+        assert (M[0] == np.arange(N)).all()
+        assert (S.perms[S.inv_code] == S.inv).all()
+        assert (M[np.arange(N), S.inv_code] == 0).all()
+
+
+def test_code_path_matches_the_fixed_permutation_path(monkeypatch):
+    sources = [builtin_presentation("hillman_link"), B4, builtin_presentation("parafree", 3, 2),
+               builtin_presentation("braid3_split"), builtin_presentation("braid4_split")]
+    calls = []
+    real = subgrowth._code_values
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(subgrowth, "_code_values", counted)
+    want = []
+    for P in sources:
+        del calls[:]
+        want.append([hom_count_symmetric(P, k) for k in range(1, 6)])
+        assert calls, P
+    # chunks of one row: every depth on the fixed-permutation path
+    monkeypatch.setattr(subgrowth, "_SIBLINGS", 1)
+    del calls[:]
+    assert [[hom_count_symmetric(P, k) for k in range(1, 6)] for P in sources] == want
+    assert not calls
+
+
 def test_reduced_search_counts():
     # values of the search before the centraliser reduction
     assert hom_count_symmetric(builtin_presentation("hillman_link"), 6) == 1333440
