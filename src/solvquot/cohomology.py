@@ -286,7 +286,11 @@ def twisted_z1_count(P, action):
 # one row of a per-layer table indexed by (letter kind, prefix, letter), so
 # the terms of all letters are one gather, and one matrix product with the
 # presentation's letter-to-block array sums them per (relator, generator).
-# ``solve_systems`` then eliminates the m systems together mod q.
+# ``solve_systems`` then eliminates the m systems together mod q, in two
+# steps (``eliminate``, ``Elimination.solve``), so that one elimination
+# serves every map where they share a matrix: on a layer of trivial action
+# each block is the exponent sum of its generator in its relator times
+# I_s, the abelianized Fox Jacobian tensor I_s, and only chi varies.
 
 
 def eval_word_in_table(table, images, w):
@@ -307,7 +311,8 @@ class _LayerTables:
     kind and element y, read after the prefix b, adds to its Fox block
     (s^2 entries) and to its relator's chi vector (s entries):
     +sigma(b) for x, -sigma(b y) for x^-1; chi(b, y) unless the letter is
-    the first, and -sigma(b) chi(y, y^-1) for x^-1."""
+    the first, and -sigma(b) chi(y, y^-1) for x^-1.  ``trivial`` tells
+    whether every sigma(b) is the identity."""
 
     def __init__(self, layer):
         q, s = layer.q, layer.s
@@ -318,6 +323,7 @@ class _LayerTables:
         zero = np.zeros(nB, dtype=np.int64)
         self.letter = np.concatenate([ar, inv, zero, ar, inv])
         sigma = np.array(layer.sigma, dtype=np.int64).reshape(nB, s * s)
+        self.trivial = bool((sigma % q == np.eye(s, dtype=np.int64).ravel()).all())
         chi = np.zeros((nB, nB, s), dtype=np.int64)
         if layer.chi is not None:
             chi = np.array(layer.chi, dtype=np.int64).reshape(nB, nB, s)
@@ -394,18 +400,18 @@ def _inverses(q):
     return np.array([0] + [pow(a, -1, q) for a in range(1, q)], dtype=np.int64)
 
 
-def solve_systems(A, rhs, q):
-    """Solve A[j] x = rhs[j] over Z_q, q prime, for every j at once; A is
-    (m, R, C) and rhs (m, R).  Gauss-Jordan elimination row by row: each
-    system takes the first nonzero entry of row i as its pivot, scales the
-    row to make it 1 and clears the pivot's column in every other row.  A
-    row left without a pivot is zero, and the system is solvable when every
-    such row has a zero right-hand side.  Returns a ``SolutionBatch`` read
-    off the reduced rows placed by pivot column: x0 is their right-hand
-    sides, and the columns of I - (reduced rows) at the free unknowns, those
-    without a pivot, span the homogeneous solutions."""
+def eliminate(A, q):
+    """Gauss-Jordan elimination of [A[j] | I_R] over Z_q, q prime, for
+    every j at once; A is (m, R, C).  Row by row, each system takes the
+    first nonzero entry of row i of A as its pivot, scales the row to make
+    it 1 and clears the pivot's column in every other row; the same row
+    operations carry I_R to a row transform.  A row left without a pivot
+    is zero in A.  Returns an ``Elimination``: the reduced rows placed by
+    pivot column give the free unknowns, those without a pivot, and the
+    columns of I - (reduced rows) at them span the homogeneous solutions."""
     m, R, C = A.shape
-    W = np.concatenate([A, rhs[:, :, None]], axis=2) % q
+    eye = np.broadcast_to(np.eye(R, dtype=np.int64), (m, R, R))
+    W = np.concatenate([A % q, eye], axis=2)
     inverse = _inverses(q)
     maps = np.arange(m)
     col = np.empty((m, R), dtype=np.int64)
@@ -417,19 +423,52 @@ def solve_systems(A, rhs, q):
         piv = row * u[:, None] % q
         W -= W[maps, :, p][:, :, None] * piv[:, None, :]
         W %= q
-        W[:, i] += piv  # the pivot row was cleared to zero; a zero row keeps its rhs
+        W[:, i] += piv  # the pivot row was cleared to zero; a zero row keeps its transform
     which, rows = np.nonzero(unit)
-    red = np.zeros((m, C, C + 1), dtype=np.int64)
+    red = np.zeros((m, C, C + R), dtype=np.int64)
     red[which, col[which, rows]] = W[which, rows]
-    free = red[:, np.arange(C), np.arange(C)] == 0
-    return SolutionBatch(
+    return Elimination(
         q,
-        solvable=~(W[:, :, C] * (unit == 0)).any(axis=1),
-        dims=free.sum(axis=1),
-        free=free,
-        x0=red[:, :, C],
+        T=np.concatenate([red[:, :, C:], W[:, :, C:] * (unit == 0)[:, :, None]], axis=1),
+        free=red[:, np.arange(C), np.arange(C)] == 0,
         null=(np.eye(C, dtype=np.int64) - red[:, :, :C]) % q,
     )
+
+
+class Elimination:
+    """The reduced form of m matrices over Z_q, q prime, in C unknowns and R
+    rows: ``free`` (m, C) bool, ``dims`` (m,) int64, ``null`` (m, C, C) and
+    ``T`` (m, C + R, R) int64.  Row c < C of T[j] reads the reduced
+    right-hand side of the row whose pivot is unknown c (zero where c is
+    free), and rows C.. read those of the rows with no pivot."""
+
+    def __init__(self, q, T, free, null):
+        self.q, self.T, self.free, self.null = q, T, free, null
+        self.dims = free.sum(axis=1)
+
+    def solve(self, rhs):
+        """The ``SolutionBatch`` of A[j] x = rhs[j] for the (m', R) array
+        ``rhs``; an elimination of one matrix serves any m'.  rhs' = T rhs:
+        a system is solvable when rhs' is zero on the rows without a pivot,
+        and x0 is rhs' at the pivot unknowns."""
+        C = self.free.shape[1]
+        y = (self.T @ rhs[:, :, None])[..., 0] % self.q
+        return SolutionBatch(self, solvable=~y[:, C:].any(axis=1), x0=y[:, :C])
+
+    @functools.cached_property
+    def grid(self):
+        """The homogeneous solutions of the first matrix as a (q^d, C)
+        array, in grid order (first free unknown slowest)."""
+        vary = np.flatnonzero(self.free[0])
+        d = len(vary)
+        y = np.indices((self.q,) * d, dtype=np.int64).reshape(d, self.q**d)
+        return (self.null[0][:, vary] @ y).T % self.q
+
+
+def solve_systems(A, rhs, q):
+    """Solve A[j] x = rhs[j] over Z_q, q prime, for every j at once; A is
+    (m, R, C) and rhs (m, R): ``eliminate`` then ``Elimination.solve``."""
+    return eliminate(A, q).solve(rhs)
 
 
 class SolutionBatch:
@@ -438,34 +477,46 @@ class SolutionBatch:
     ``free`` (m, ncols) bool, ``x0`` (m, ncols) and ``null`` (m, ncols,
     ncols) int64.  System j has q^dims[j] homogeneous solutions, and when
     it is solvable its solutions are x = x0[j] + null[j] y mod q, where y
-    runs over Z_q on the unknowns ``free[j]`` and is zero elsewhere."""
+    runs over Z_q on the unknowns ``free[j]`` and is zero elsewhere.
+    ``elim`` is the ``Elimination`` they come from; where it holds one
+    matrix, every system shares it, and dims, free and null are views of
+    its arrays."""
 
-    def __init__(self, q, solvable, dims, free, x0, null):
-        self.q = q
-        self.solvable, self.dims, self.free, self.x0, self.null = solvable, dims, free, x0, null
+    def __init__(self, elim, solvable, x0):
+        m = len(x0)
+        self.q, self.elim, self.solvable, self.x0 = elim.q, elim, solvable, x0
+        self.dims, self.free, self.null = (
+            a if len(a) == m else np.broadcast_to(a, (m,) + a.shape[1:])
+            for a in (elim.dims, elim.free, elim.null))
 
-    def place(self, X):
-        """The index of each solution X[..., j, :] of system j within that
-        system's block of ``solution_arrays``: x is x0 + null y with x = y on
-        the free unknowns, so its place in the grid is its free entries read
-        as base-q digits, the first most significant.  The caller keeps
-        q^dims within int64."""
-        after = self.dims[:, None] - np.cumsum(self.free, axis=1)
-        return (X * np.where(self.free, self.q**after, 0)).sum(axis=-1)
+    def place(self, X, at=slice(None)):
+        """The index of each solution X[..., j, :] of system j of the slice
+        ``at`` of the systems within that system's block of
+        ``solution_arrays``: x is x0 + null y with x = y on the free
+        unknowns, so its place in the grid is its free entries read as
+        base-q digits, the first most significant.  The caller keeps q^dims
+        within int64."""
+        free = self.free[at]
+        after = self.dims[at, None] - np.cumsum(free, axis=1)
+        return (X * np.where(free, self.q**after, 0)).sum(axis=-1)
 
 
 def solution_arrays(batch):
     """The solutions of every solvable system of ``batch`` stacked in order
     into one int64 array, each system's in grid order (first free unknown
     slowest; ``SolutionBatch.place`` inverts it).  Systems with the same
-    free unknowns share one grid and are expanded together."""
+    free unknowns share one grid and are expanded together; where they
+    share one matrix, they share its homogeneous solutions too
+    (``Elimination.grid``)."""
     q = batch.q
     ncols = batch.free.shape[1]
     ok = np.nonzero(batch.solvable)[0]
+    if len(batch.elim.T) == 1:
+        return ((batch.x0[ok, None, :] + batch.elim.grid) % q).reshape(-1, ncols)
     free = batch.free[ok]
     offsets = np.concatenate([[0], np.cumsum(q ** batch.dims[ok])])
     out = np.empty((offsets[-1], ncols), dtype=np.int64)
-    if (free == free[:1]).all():  # one grid for all, as for a single system
+    if (free == free[:1]).all():  # one grid for all
         pats, which = free[:1], np.zeros(len(ok), dtype=np.intp)
     else:
         pats, which = np.unique(free, axis=0, return_inverse=True)

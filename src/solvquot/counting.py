@@ -10,7 +10,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cohomology import _BLOCK, _layer_tables, build_systems, solve_systems, solution_arrays
+from .cohomology import (
+    _BLOCK, _layer_tables, build_systems, eliminate, solve_systems, solution_arrays)
 from .groups import CapExceeded, _digit_vectors, aut_order
 from .presentations import factorize
 
@@ -22,7 +23,7 @@ class CountError(ArithmeticError):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class CountReport:
     """|Epi| onto a tower group; with |Aut| asked for, also |Aut| and delta =
     |Epi| / |Aut|.  ``level_epi`` holds the weighted Epi count after each
@@ -52,10 +53,15 @@ class CountReport:
 # systems of all m maps in one batched relator walk (``build_systems``),
 # eliminates them together mod q (``solve_systems``) and extends every map
 # by all of its solutions in one array (``solution_arrays``); no step loops
-# over the maps in Python.  Every level, the top included, solves through
-# ``_solve_level``, which checks that each map's c complement lifts solve
-# its system; for Epi they are the non-surjective lifts, dropped at their
-# places in the map's block of solutions (``SolutionBatch.place``).
+# over the maps in Python.  Where the layer acts trivially, or the source
+# has no relators, every map has the same matrix (the abelianized Fox
+# Jacobian tensor I_s), and the level applies the elimination its source
+# keeps for (q, s) instead (``_shared_elimination``), after checking that
+# the maps' matrices equal the kept one.  Every level, the top included,
+# solves through ``_solve_level``, which checks that each map's c
+# complement lifts solve its system; for Epi they are the non-surjective
+# lifts, dropped at their places in the map's block of solutions
+# (``SolutionBatch.place``).
 #
 # Every count carries the frontier modulo the group A_i of automorphisms of
 # B_i that the tower chooses (``ExtensionTower.orbit_group``), acting on
@@ -101,13 +107,13 @@ def lift_frontier(P, lay, frontier, epi, cap=DEFAULT_FRONTIER_CAP, level=0):
     any lift is built."""
     q, s, n = lay.q, lay.s, P.n
     nB, m = len(lay.base), len(frontier)
-    sol = _solve_level(P, lay, frontier)
     c = lay.complements if epi else 0
+    sol, places = _solve_level(P, lay, frontier, places=bool(c))
     size = sum(k * q**d for d, k in enumerate(np.bincount(sol.dims[sol.solvable]).tolist()))
     _check_cap(size - c * m, cap, epi, level)
     counts = np.where(sol.solvable, q**sol.dims, 0)
     if c:
-        drop = np.cumsum(counts) - counts + sol.place(_complement_vectors(lay, frontier))
+        drop = np.cumsum(counts) - counts + places
     X = solution_arrays(sol)
     if len(X) != counts.sum():
         raise CountError("lift enumeration disagrees with the solution count")
@@ -129,27 +135,56 @@ def lift_frontier(P, lay, frontier, epi, cap=DEFAULT_FRONTIER_CAP, level=0):
     return lifts[np.lexsort(lifts.T[::-1])], np.where(sol.solvable, sol.dims, -1)
 
 
-def _solve_level(P, lay, images):
+def _solve_level(P, lay, images, places=False):
     """The SolutionBatch of the lifting systems of the maps ``images``
-    through ``lay``.  The rows of ``lay.sections`` are c distinct
-    homomorphic sections (checked when they are set), so their restrictions
-    (row[b_i]) lift every map: their solution vectors X must satisfy
-    A X + chi = 0 mod q, checked in blocks of about _BLOCK entries, and
-    every system must then be solvable."""
+    through ``lay`` and, with ``places``, the place of each map's
+    complement lifts in its block of solutions (``SolutionBatch.place``)
+    as a (c, m) array, else None.  The rows of ``lay.sections`` are c
+    distinct homomorphic sections (checked when they are set), so their
+    restrictions (row[b_i]) lift every map: their solution vectors X must
+    satisfy A X + chi = 0 mod q, checked in blocks of about _BLOCK
+    entries, and every system must then be solvable; the places are read
+    from the same blocks of X.  A level whose maps share their matrix
+    (``_shared_elimination``) solves through the elimination its source
+    keeps."""
     q = lay.q
     A, chi = build_systems(P, images, lay)
-    sol = solve_systems(A, -chi, q)
+    if len(A) and (_layer_tables(lay).trivial or not P.relators):
+        sol = _shared_elimination(P, lay, A).solve(-chi)
+    else:
+        sol = solve_systems(A, -chi, q)
     c = len(lay.sections)
+    placed = np.empty((c, len(images)), dtype=np.int64) if places else None
     bad = c and not sol.solvable.all()
     step = max(1, _BLOCK // max(1, c * A.shape[2]))
     for lo in range(0, len(images) if c else 0, step):
         at = slice(lo, lo + step)
-        X = _complement_vectors(lay, images[at])[..., None]
-        bad = bad or (((A[at] @ X)[..., 0] + chi[at]) % q).any()
+        X = _complement_vectors(lay, images[at])
+        bad = bad or (((A[at] @ X[..., None])[..., 0] + chi[at]) % q).any()
+        if places:
+            placed[:, at] = sol.place(X, at)
     if bad:
         raise CountError("a complement lift is not found among the lifts of its map: "
                          "it does not solve the map's lifting system")
-    return sol
+    return sol, placed
+
+
+def _shared_elimination(P, lay, A):
+    """The elimination of the one matrix that the lifting systems ``A`` of
+    a level share: the layer acts trivially, so A is the abelianized Fox
+    Jacobian tensor I_s mod q, or the source has no relators.  It depends
+    only on the source, q and s, and ``P.eliminations`` keeps it keyed on
+    (q, s), filled from A[0] on first use.  Every use checks that each map's
+    matrix equals the kept one."""
+    key = (lay.q, lay.s)
+    entry = P.eliminations.get(key)
+    if entry is None:
+        entry = P.eliminations[key] = (A[0].copy(), eliminate(A[:1], lay.q))
+        entry[0].flags.writeable = False
+    if (A != entry[0]).any():
+        raise CountError("a lifting matrix through a layer with q = %d, s = %d differs from "
+                         "the one its source shares among all such maps" % key)
+    return entry[1]
 
 
 def _complement_vectors(lay, images):
@@ -292,9 +327,9 @@ def _count_top(P, lay, reps):
     blocks, so that no array of a block passes about _BLOCK entries."""
     R, C = len(P.relators) * lay.s, P.n * lay.s
     dims = np.empty(len(reps), dtype=np.int64)
-    step = max(1, _BLOCK // ((R + C) * (C + 1)))
+    step = max(1, _BLOCK // ((R + C) * (C + R + 1)))
     for lo in range(0, len(reps), step):
-        sol = _solve_level(P, lay, reps[lo : lo + step])
+        sol, _ = _solve_level(P, lay, reps[lo : lo + step])
         dims[lo : lo + step] = np.where(sol.solvable, sol.dims, -1)
     return dims
 

@@ -18,7 +18,8 @@ class SubgroupLattice:
         self.masks = [_mask(s) for s in self.subgroups]
         self.index = {m: i for i, m in enumerate(self.masks)}
         self.orders = [len(s) for s in self.subgroups]
-        self._joins = None
+        self._joins = {}
+        self._generators = {}
 
     def __len__(self):
         return len(self.subgroups)
@@ -31,12 +32,12 @@ class SubgroupLattice:
         return self.index[self.masks[i] & self.masks[j]]
 
     def join(self, i, j):
-        if self._joins is None:
-            self._joins = {}
+        """The index of the subgroup generated by subgroups i and j: the
+        closure of their generators, kept per pair."""
         key = (min(i, j), max(i, j))
         got = self._joins.get(key)
         if got is None:
-            got = self.index[_mask(self.table.closure(self.subgroups[i] | self.subgroups[j]))]
+            got = self.index[_mask(self.table.closure(self.generators_of(i) + self.generators_of(j)))]
             self._joins[key] = got
         return got
 
@@ -45,8 +46,13 @@ class SubgroupLattice:
         return [j for j, mj in enumerate(self.masks) if mi & ~mj == 0]
 
     def generators_of(self, i):
-        sub, elems = self.table.subtable(self.subgroups[i])
-        return [elems[g] for g in generating_sequence(sub)]
+        """A generating sequence of subgroup i (``generating_sequence`` of
+        its subtable), kept per subgroup."""
+        gens = self._generators.get(i)
+        if gens is None:
+            sub, elems = self.table.subtable(self.subgroups[i])
+            gens = self._generators[i] = [elems[g] for g in generating_sequence(sub)]
+        return list(gens)
 
 
 def _mask(elems):

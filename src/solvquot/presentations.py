@@ -170,6 +170,15 @@ class Presentation:
         table and, for Epi, its complement sections."""
         return {}
 
+    @cached_property
+    def eliminations(self):
+        """The counting engine's eliminations of the lifting matrices that
+        every map shares through a layer of trivial action (or any layer,
+        for a source without relators), a dict filled by
+        ``counting._shared_elimination``.  Such a matrix is the abelianized
+        Fox Jacobian tensor I_s mod q, so it is keyed on (q, s)."""
+        return {}
+
 
 # ---------------------------------------------------------------------------
 # Parser for the presentation language:

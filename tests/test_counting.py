@@ -33,6 +33,7 @@ from solvquot.groups import (
     PermutationGroup,
     builtin_group,
 )
+from solvquot.cohomology import eliminate, solution_arrays, solve_systems
 from solvquot.oracle import brute_hom
 from solvquot.presentations import builtin_from_string, builtin_presentation, parse_presentation
 
@@ -433,8 +434,70 @@ def test_planted_errors_raise(monkeypatch):
             hom_count(B4, S4)
         with pytest.raises(CountError, match="complement lift is not found"):
             hom_count(B4, S4)
+    # the same on D(8)'s middle layer, Z_2 over Z_2 with trivial action,
+    # whose systems solve through the elimination the source keeps
+    planted = D8.layers[1]
+    monkeypatch.setattr(counting, "build_systems", shifted)
+    for count in [hom_count, lambda P, T: epi_count(P, T).epi]:
+        with pytest.raises(CountError, match="does not solve"):
+            count(B4, D8)
     monkeypatch.setattr(counting, "build_systems", real_build)
     assert epi_count(B4, S4).epi == 72 and hom_count(B4, S4) == 144
+    # a kept elimination whose matrix differs from the level's in every
+    # entry
+    want = hom_count(B4, D8), epi_count(B4, D8).epi
+    wrong = (B4.eliminations[(2, 1)][0] + 1) % 2
+    with monkeypatch.context() as m:
+        m.setitem(B4.eliminations, (2, 1), (wrong, eliminate(wrong[None], 2)))
+        for count in [hom_count, lambda P, T: epi_count(P, T).epi]:
+            with pytest.raises(CountError, match="differs from the one its source shares"):
+                count(B4, D8)
+    assert (hom_count(B4, D8), epi_count(B4, D8).epi) == want
+
+
+def test_shared_eliminations_match_the_per_map_solver(monkeypatch):
+    # on every level that solves through the elimination its source keeps
+    # (a layer of trivial action, or any layer for free(2), which has no
+    # relators), the batch equals solve_systems' map by map: solvable,
+    # dims, free and x0, the same solutions in the same order, and the
+    # same place for each of them; Hom and Epi on every catalog tower of
+    # order <= 48, each source parsed afresh so that its eliminations are
+    # filled here
+    real_build, real_shared = counting.build_systems, counting._shared_elimination
+    walked, levels = [], []
+
+    def build(P, images, lay):
+        walked[:] = real_build(P, images, lay)
+        return tuple(walked)
+
+    def shared(P, lay, A):
+        elim = real_shared(P, lay, A)
+        assert A is walked[0]
+        got, want = elim.solve(-walked[1]), solve_systems(A, -walked[1], lay.q)
+        for key in ["solvable", "dims", "free", "x0"]:
+            assert (getattr(got, key) == getattr(want, key)).all(), key
+        sols = solution_arrays(got)
+        assert sols.shape == solution_arrays(want).shape
+        assert (sols == solution_arrays(want)).all()
+        # one matrix, one d: solution t of each solvable map is X[t]
+        size = lay.q ** int(want.dims[0])
+        X = np.zeros((size,) + want.x0.shape, dtype=np.int64)
+        X[:, want.solvable] = sols.reshape(-1, size, sols.shape[1]).transpose(1, 0, 2)
+        assert (got.place(X)[:, want.solvable] == np.arange(size)[:, None]).all()
+        assert (got.place(X) == want.place(X)).all()
+        levels.append(len(A))
+        return elim
+
+    monkeypatch.setattr(counting, "build_systems", build)
+    monkeypatch.setattr(counting, "_shared_elimination", shared)
+    towers = [t for t in map(builtin_group, CATALOG_SPECS) if t.order <= 48]
+    for label in ["surface(2)", "braid(4)", "bs(2,6)", "free(2)"]:
+        P = parse_presentation(str(builtin_from_string(label)))
+        for tower in towers:
+            hom_count(P, tower)
+            epi_count(P, tower, with_aut=False)
+        assert P.eliminations, label
+    assert len(levels) > 400 and max(levels) > 1000
 
 
 def test_klein_lifts():
