@@ -15,6 +15,7 @@ from reference import (
 )
 
 from solvquot import counting
+from solvquot.cohomology import eliminate, solution_arrays, solve_systems
 from solvquot.counting import (
     CountError,
     aut_order_by_lifting,
@@ -33,7 +34,6 @@ from solvquot.groups import (
     PermutationGroup,
     builtin_group,
 )
-from solvquot.cohomology import eliminate, solution_arrays, solve_systems
 from solvquot.oracle import brute_hom
 from solvquot.presentations import builtin_from_string, builtin_presentation, parse_presentation
 
