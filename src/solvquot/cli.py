@@ -18,7 +18,6 @@ from .groups import (
     aut_order,
     builtin_group,
     chief_series,
-    find_isomorphism,
 )
 from .oracle import OracleBudget, brute_epi, brute_hom
 from .presentations import (
@@ -228,27 +227,22 @@ def cmd_growth(args):
 
 
 def cmd_table2(args):
-    import time
-
+    """a_k of the braid groups B_3..B_nmax for k <= kmax, with '?' past the
+    S_k cap of ``hom_count_symmetric``, so the table depends on its input
+    alone."""
     from .presentations import builtin_presentation
 
-    deadline = time.monotonic() + args.time_budget
     rows = []
     for n in range(3, args.nmax + 1):
         P = builtin_presentation("braid", n)
         row = ["B%d" % n]
         hk = []
-        exhausted = False
         for k in range(1, args.kmax + 1):
-            if exhausted or time.monotonic() > deadline:
-                row.append("?")
-                continue
             try:
                 hk.append(subgrowth.hom_count_symmetric(P, k))
-            except CapExceeded:
-                exhausted = True
-                row.append("?")
-                continue
+            except CapExceeded:  # k past the cap, and so is every larger k
+                row += ["?"] * (args.kmax + 1 - k)
+                break
             row.append(subgrowth.ak_from_homcounts(hk)[-1])
         rows.append(row)
     emit_tsv(["group"] + ["a_%d" % k for k in range(1, args.kmax + 1)], rows, sys.stdout)
@@ -291,26 +285,6 @@ def cmd_verify(args):
     return 1 if failed else 0
 
 
-def cmd_scan_braid_deltas(args):
-    """Experimental scan of the Hall invariants of the 3- and 4-string braid
-    groups over the small-group catalog; prints observations only."""
-    from .groups import CATALOG_SPECS
-    from .presentations import builtin_presentation
-
-    b3 = builtin_presentation("braid", 3)
-    b4 = builtin_presentation("braid", 4)
-    rows = []
-    for spec in CATALOG_SPECS:
-        tower = builtin_group(spec)
-        if tower.order > args.max_order:
-            continue
-        d3 = counting.epi_count(b3, tower).delta
-        d4 = counting.epi_count(b4, tower).delta
-        rows.append([spec, tower.order, d3, d4])
-    emit_tsv(["target", "order", "delta_B3", "delta_B4"], rows, sys.stdout)
-    return 0
-
-
 def cmd_catalog(args):
     if args.dump:
         tower = builtin_group(args.dump, cap=args.cap_order)
@@ -329,18 +303,6 @@ def cmd_catalog(args):
         ])
     emit_tsv(["spec", "order", "chief_factors", "split_pattern"], rows, sys.stdout)
     return 0
-
-
-def cmd_check_roundtrip(args):
-    """Dump + reingest a catalog group and verify the towers agree."""
-    tower = builtin_group(args.spec, cap=args.cap_order)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        write_table_file(tower.group, fh)
-    table = read_table_file(args.out)
-    tower2 = chief_series(table, cap=args.cap_order)
-    ok = find_isomorphism(tower2.group, tower.group) is not None
-    emit_json({"spec": args.spec, "roundtrip_isomorphic": ok}, sys.stdout)
-    return 0 if ok else 1
 
 
 # ---------------------------------------------------------------------------
@@ -408,8 +370,6 @@ def build_parser():
     p = verb("table2", cmd_table2, help="low-index subgroup table for braid groups (TSV)")
     p.add_argument("--nmax", type=int, default=6)
     p.add_argument("--kmax", type=_positive_int, default=6)
-    p.add_argument("--time-budget", type=float, default=1800.0,
-                   help="seconds before remaining entries are marked '?'")
 
     p = verb("verify", cmd_verify, help="engine vs brute-force oracle matrix (TSV)")
     p.add_argument("--sources", nargs="*", default=None)
@@ -419,17 +379,8 @@ def build_parser():
     p.add_argument("--cap-order", type=int, default=DEFAULT_ORDER_CAP)
     p.add_argument("--cap-frontier", type=int, default=counting.DEFAULT_FRONTIER_CAP)
 
-    p = verb("scan-braid-deltas", cmd_scan_braid_deltas,
-             help="experimental: Hall invariants of B_3/B_4 over the catalog")
-    p.add_argument("--max-order", type=int, default=48)
-
     p = verb("catalog", cmd_catalog, help="list builtin groups or dump a table")
     p.add_argument("--dump", default=None, help="group spec to dump as a table file")
-    p.add_argument("--cap-order", type=int, default=DEFAULT_ORDER_CAP)
-
-    p = verb("roundtrip", cmd_check_roundtrip, help="dump a group table and re-ingest it")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--out", required=True)
     p.add_argument("--cap-order", type=int, default=DEFAULT_ORDER_CAP)
     return top
 

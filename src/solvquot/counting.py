@@ -1,19 +1,16 @@
 """The lifting engine: counting and enumerating Hom and Epi through extension
-towers, the Gaschuetz product formula, and closed-form case tables for the
-classical source/target families."""
+towers, and the Gaschuetz product formula."""
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
 from .cohomology import (
     _BLOCK, _layer_tables, build_systems, eliminate, solve_systems, solution_arrays)
 from .groups import CapExceeded, _digit_vectors, aut_order
-from .presentations import factorize
 
 # most maps one tower level may build (the lifts of its orbit representatives)
 DEFAULT_FRONTIER_CAP = 10**7
@@ -488,99 +485,3 @@ def gaschutz_eulerian(tower, n):
         for t in range(ty["u"]):
             total *= q ** (s * n) - q ** (s * zeta + t * kappa)
     return total
-
-
-# ---------------------------------------------------------------------------
-# Closed forms for the classical families (exact integer arithmetic).
-
-
-def _prime_list(m):
-    return sorted(factorize(m))
-
-
-def closed_form_eulerian(family, params, n):
-    if family == "dihedral":
-        (m,) = params
-        out = Fraction((2**n - 1) * m**n)
-        for qi in _prime_list(m):
-            out *= 1 - Fraction(qi) ** (1 - n)
-        return int(out)
-    if family == "binary_dihedral":
-        (m,) = params
-        out = Fraction((4**n - 2**n) * m**n)
-        for qi in _prime_list(m):
-            out *= 1 - Fraction(qi) ** (1 - n)
-        return int(out)
-    if family in ("surface", "nonorientable"):
-        g, m = params
-        if m % 4 == 0:
-            # the displayed closed forms fail for 4 | m (already for the
-            # genus-2 surface group onto the dihedral group of order 16,
-            # where direct enumeration doubles the displayed value); use the
-            # lifting engine there
-            raise ValueError("surface closed forms need m odd or m = 2 mod 4")
-    if family == "surface":
-        g, m = params
-        out = Fraction(m ** (2 * g - 1) * (2 ** (2 * g) - 1))
-        for qi in _prime_list(m):
-            if qi != 2:
-                out *= 1 - Fraction(qi) ** (2 - 2 * g)
-        if m % 2 == 0:
-            out *= 2 - Fraction(2) ** (2 - 2 * g)
-        return int(out)
-    if family == "nonorientable":
-        g, m = params
-        odd = [qi for qi in _prime_list(m) if qi != 2]
-        s1 = Fraction(2**g - 2)
-        s2 = Fraction(1)
-        for qi in odd:
-            s1 *= 1 - Fraction(qi) ** (2 - g)
-            s2 *= qi - Fraction(qi) ** (2 - g)
-        out = Fraction(m) ** (g - 1) * (s1 + s2)
-        if m % 2 == 0:
-            out *= 2 - Fraction(2) ** (2 - g)
-        return int(out)
-    raise ValueError("unknown closed-form family %r" % family)
-
-
-def closed_form_delta(family, params):
-    if family == "bs_d8":
-        m, n = params
-        if (n - m) % 2:
-            return 0
-        if m % 2 == 0 and (n - m) % 4 == 0:
-            return 3
-        if m % 2 == 0 and (n - m) % 4 == 2:
-            return 2
-        if m % 2 == 1 and (n - m) % 4 == 2:
-            return 1
-        return 0
-    if family == "bs_q8":
-        m, n = params
-        return 1 if (n - m) % 2 == 0 and (m + n) % 4 == 0 else 0
-    if family == "parafree_s4":
-        m, n = params
-        return 17 if m % 2 == 1 and (m - n) % 4 == 2 else 9
-    if family == "braid_metabelian":
-        kind, r, k = params
-        if kind == 1:
-            if r != 3 or k % 6 not in (2, 4):
-                raise ValueError("type 1 is Z_3 x| Z_k with k = +-2 mod 6")
-            return 1
-        if kind == 2:
-            if r <= 3 or k % 6:
-                raise ValueError("type 2 is Z_r x| Z_k with r > 3, 6 | k")
-            return 2
-        if kind == 3:
-            if r != 2 or k % 6 != 3:
-                raise ValueError("type 3 is Z_2^2 x| Z_k with k = 3 mod 6")
-            return 1
-        if kind == 4:
-            if r <= 3 or k % 6:
-                raise ValueError("type 4 is Z_r^2 x| Z_k with r > 3, 6 | k")
-            return 1
-        raise ValueError("unknown metabelian quotient type %r" % kind)
-    if family == "braid_solvable":
-        (cyclic,) = params
-        return 1 if cyclic else 0
-    raise ValueError("unknown closed-form family %r" % family)

@@ -11,13 +11,7 @@ import re
 
 import numpy as np
 
-from .cohomology import (
-    TwistedAction,
-    _mat_mul,
-    eval_word_in_table,
-    nullspace_dim_mod_prime,
-    twisted_z1_count,
-)
+from .cohomology import _mat_mul, eval_word_in_table, nullspace_dim_mod_prime
 from .presentations import CapExceeded, Presentation, factorize, word_inverse, word_str
 
 
@@ -309,7 +303,7 @@ def _homomorphic(f, src, dst, gens, elems=slice(None)):
             == f[:, src.as_array()[:, gens][elems]]).all(axis=(1, 2))
 
 
-def _homomorphism_blocks(src, gens, dst, cands):
+def _homomorphism_blocks(src, gens, dst, cands, entry_cap=None):
     """The homomorphisms src -> dst that send gens[i] into cands[i], in the
     order of ``itertools.product`` over the candidate lists, as blocks of
     image rows.  The tuples grow one generator at a time, and a prefix for
@@ -317,7 +311,8 @@ def _homomorphism_blocks(src, gens, dst, cands):
     generators generate, as the restriction of every homomorphism is; once
     the kept prefixes times the tuples of the remaining candidates fit in
     one block of about SEARCH_BLOCK image entries, they are all tried
-    together."""
+    together.  With ``entry_cap``, a prefix stage raises CapExceeded once
+    its kept rows times |src| pass it."""
     links = bfs_expressions(src, gens)
     if len(links) + 1 != src.n:
         raise GroupSpecError("generators do not generate")
@@ -332,7 +327,14 @@ def _homomorphism_blocks(src, gens, dst, cands):
         if j == len(gens):
             yield from blocks
             return
-        prefixes = np.concatenate([f[:, gens[:j]] for f in blocks])
+        kept, rows = [], 0
+        for f in blocks:
+            rows += len(f)
+            if entry_cap is not None and rows * src.n > entry_cap:
+                raise CapExceeded("would keep at least %d image entries (cap %d)"
+                                  % (rows * src.n, entry_cap))
+            kept.append(f[:, gens[:j]])
+        prefixes = np.concatenate(kept)
         k = j
 
 
@@ -395,18 +397,6 @@ def automorphisms(table):
 def aut_order(table):
     """|Aut|, the number of rows of ``automorphisms``."""
     return len(automorphisms(table))
-
-
-def find_isomorphism(t1, t2):
-    if t1.n != t2.n:
-        return None
-    if sorted(t1.order_of(x) for x in range(t1.n)) != sorted(
-        t2.order_of(x) for x in range(t2.n)
-    ):
-        return None
-    for f in iter_isomorphisms(t1, t2):
-        return f.tolist()
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -669,9 +659,10 @@ class ExtensionTower:
         of ``generating_sequence`` is sent only to the elements of its order
         and depth; of those homomorphisms, the injective ones that never
         lower a depth are A.  The search raises CapExceeded before it
-        starts past BIJECTIVE_TUPLE_CAP candidate tuples, and before it
-        keeps a block of rows that would bring them past SERIES_ENTRY_CAP
-        entries; the refusal is kept and raised again on every later call.
+        starts past BIJECTIVE_TUPLE_CAP candidate tuples, and before any
+        of its stages, a prefix stage or the last, keeps more than
+        SERIES_ENTRY_CAP entries (rows times |Gamma|); the refusal is kept
+        and raised again on every later call.
         The order was checked against the caller's cap at tower build."""
         table = self.group
         if self._series_auts is None:
@@ -682,20 +673,22 @@ class ExtensionTower:
             gens = generating_sequence(table)
             cands = [np.flatnonzero((order == order[g]) & (depth == depth[g])) for g in gens]
             tuples = math.prod(len(c) for c in cands)
-            message = "series automorphism search of a group of order %d would " % table.n
+            message = "series automorphism search of a group of order %d " % table.n
             if tuples > BIJECTIVE_TUPLE_CAP:
-                self._series_auts = message + "try %d candidate image tuples (cap %d)" % (
+                self._series_auts = message + "would try %d candidate image tuples (cap %d)" % (
                     tuples, BIJECTIVE_TUPLE_CAP)
             else:
                 kept, entries = [], 0
-                for f in _homomorphism_blocks(table, gens, table, cands):
-                    f = f[(f[:, 1:] != 0).all(axis=1) & (depth[f] >= depth).all(axis=1)]
-                    entries += f.size
-                    if entries > SERIES_ENTRY_CAP:
-                        self._series_auts = message + "keep at least %d image entries (cap %d)" % (
-                            entries, SERIES_ENTRY_CAP)
-                        break
-                    kept.append(f.astype(np.int32))
+                try:
+                    for f in _homomorphism_blocks(table, gens, table, cands, SERIES_ENTRY_CAP):
+                        f = f[(f[:, 1:] != 0).all(axis=1) & (depth[f] >= depth).all(axis=1)]
+                        entries += f.size
+                        if entries > SERIES_ENTRY_CAP:
+                            raise CapExceeded("would keep at least %d image entries (cap %d)"
+                                              % (entries, SERIES_ENTRY_CAP))
+                        kept.append(f.astype(np.int32))
+                except CapExceeded as exc:
+                    self._series_auts = message + str(exc)
                 else:
                     self._series_auts = np.concatenate(kept)
                     self._series_auts.flags.writeable = False
@@ -870,24 +863,6 @@ def chief_series(table, cap=DEFAULT_ORDER_CAP, spec=""):
     if not table.is_solvable():
         raise GroupSpecError("group is not solvable")
     return tower_from_chief_chain(table, chief_chain(table), spec=spec or table.name)
-
-
-def complement_count(tower, level):
-    """Number of complements of the level's kernel, cross-checked three ways:
-    direct section search, c_chi * |Z^1| of the base (from its power-conjugate
-    presentation) and the Gaschuetz complement formula
-    c_chi |E|^zeta q^{kappa(alpha-1)}."""
-    lay = tower.layers[level]
-    direct = lay.complements
-    action = TwistedAction([lay.q] * lay.s, [lay.sigma[g] for g in tower.level_gens(level)])
-    via_z1 = lay.c_chi * twisted_z1_count(tower.presentation(level), action)
-    via_formula = lay.c_chi * (lay.E**lay.zeta) * lay.q ** (lay.kappa * (lay.alpha - 1))
-    if not (direct == via_z1 == via_formula):
-        raise ArithmeticError(
-            "complement count mismatch: direct=%d z1=%d formula=%d"
-            % (direct, via_z1, via_formula)
-        )
-    return direct
 
 
 # ---------------------------------------------------------------------------

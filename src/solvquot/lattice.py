@@ -1,10 +1,9 @@
-"""Subgroup lattices, Moebius functions (inductive, Kratzer-Thevenaz,
-Weisner), and the Hall enumeration identities."""
+"""Subgroup lattices and Moebius functions (inductive, Kratzer-Thevenaz,
+Weisner)."""
 
 from __future__ import annotations
 
-from .counting import DEFAULT_FRONTIER_CAP, epi_count, hom_count
-from .groups import CapExceeded, GroupSpecError, chief_series, generating_sequence
+from .groups import CapExceeded, GroupSpecError, generating_sequence
 from .presentations import factorize
 
 
@@ -165,35 +164,3 @@ def moebius_weisner(table, lattice):
             val *= (-1) ** s * p ** (s * (s - 1) // 2)
         out[idx] = val
     return out
-
-
-def eulerian_via_moebius(lattice, mu, n):
-    """phi(Gamma, n) = sum mu(H) |H|^n over the subgroup lattice."""
-    return sum(m * o**n for m, o in zip(mu, lattice.orders))
-
-
-def hall_identities(P, table, cap=DEFAULT_FRONTIER_CAP):
-    """Check |Hom(G,Gamma)| = sum |Epi(G,H)| and its Moebius inversion
-    |Epi(G,Gamma)| = sum mu(H) |Hom(G,H)| against the lifting engine;
-    returns the computed numbers."""
-    lattice = all_subgroups(table)
-    mu = moebius(lattice)
-    homs = []
-    epis = []
-    for sub in lattice.subgroups:
-        subtable, _ = table.subtable(sub)
-        tower = chief_series(subtable)
-        homs.append(hom_count(P, tower, cap=cap))
-        epis.append(epi_count(P, tower, cap=cap, with_aut=False).epi)
-    hom_total = homs[-1]
-    epi_total = epis[-1]
-    sum_epi = sum(epis)
-    sum_mu_hom = sum(m * h for m, h in zip(mu, homs))
-    return {
-        "hom": hom_total,
-        "epi": epi_total,
-        "sum_epi_over_subgroups": sum_epi,
-        "moebius_inversion": sum_mu_hom,
-        "hom_identity_holds": hom_total == sum_epi,
-        "epi_identity_holds": epi_total == sum_mu_hom,
-    }

@@ -29,11 +29,19 @@ Python routes and the helpers that only the tests call:
 * the generator-image search without its prefix pruning
   (``homomorphism_rows_unpruned``), which tries every candidate tuple,
   and all homomorphisms between two tables by it (``homomorphism_rows``);
+* the evidence by formula: the closed forms for the classical families
+  (``closed_form_eulerian``, ``closed_form_delta``), the complement count
+  of a level three ways (``complement_count``: the sections, c_chi |Z^1|
+  of the level group's presentation, and Gaschuetz's formula), and the
+  identities over a subgroup lattice (``eulerian_via_moebius``, and
+  ``hall_identities``, which sums the engine's counts over every
+  subgroup);
 * small helpers: the evaluation of a free-group-ring element under a
   twisted action (``evaluate_ring_element``), the torsion order of
   abelian invariants (``torsion_order``), inclusion between the subgroups of a
-  lattice (``leq``), relabelling a table (``relabel``) and an isomorphism test
-  (``is_isomorphic``);
+  lattice (``leq``), relabelling a table (``relabel``), an isomorphism
+  between two tables by the library's search (``find_isomorphism``) and an
+  isomorphism test (``is_isomorphic``);
 * Inn(B_i) as an acting group (``conjugation_orbit_groups``), which the
   tests put in place of a tower's ``orbit_group`` to compare the counts
   modulo conjugation with those modulo the series automorphisms.
@@ -56,17 +64,26 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from solvquot.cohomology import (
+    TwistedAction,
     _mat_id,
     _mat_mul,
     eval_word_in_table,
     nullspace_dim_mod_prime,
     solve_mod_prime_power,
+    twisted_z1_count,
 )
-from solvquot.counting import CountError, lift_frontier
+from solvquot.counting import (
+    DEFAULT_FRONTIER_CAP,
+    CountError,
+    epi_count,
+    hom_count,
+    lift_frontier,
+)
 from solvquot.groups import (
     CapExceeded,
     ExtensionTower,
@@ -78,10 +95,12 @@ from solvquot.groups import (
     _s3_sigma,
     bfs_expressions,
     builtin_group,
-    find_isomorphism,
+    chief_series,
     generating_sequence,
+    iter_isomorphisms,
     table_from_coords,
 )
+from solvquot.lattice import all_subgroups, moebius
 from solvquot.presentations import factorize
 
 
@@ -688,6 +707,154 @@ def conjugation_orbit_groups(tower):
 
 
 # ---------------------------------------------------------------------------
+# Evidence by formula: closed forms for the classical families (exact
+# integer arithmetic), the complement count three ways and the Hall and
+# Moebius identities over the subgroup lattice.
+
+
+def _prime_list(m):
+    return sorted(factorize(m))
+
+
+def closed_form_eulerian(family, params, n):
+    if family == "dihedral":
+        (m,) = params
+        out = Fraction((2**n - 1) * m**n)
+        for qi in _prime_list(m):
+            out *= 1 - Fraction(qi) ** (1 - n)
+        return int(out)
+    if family == "binary_dihedral":
+        (m,) = params
+        out = Fraction((4**n - 2**n) * m**n)
+        for qi in _prime_list(m):
+            out *= 1 - Fraction(qi) ** (1 - n)
+        return int(out)
+    if family in ("surface", "nonorientable"):
+        g, m = params
+        if m % 4 == 0:
+            # the displayed closed forms fail for 4 | m (already for the
+            # genus-2 surface group onto the dihedral group of order 16,
+            # where direct enumeration doubles the displayed value); use the
+            # lifting engine there
+            raise ValueError("surface closed forms need m odd or m = 2 mod 4")
+    if family == "surface":
+        g, m = params
+        out = Fraction(m ** (2 * g - 1) * (2 ** (2 * g) - 1))
+        for qi in _prime_list(m):
+            if qi != 2:
+                out *= 1 - Fraction(qi) ** (2 - 2 * g)
+        if m % 2 == 0:
+            out *= 2 - Fraction(2) ** (2 - 2 * g)
+        return int(out)
+    if family == "nonorientable":
+        g, m = params
+        odd = [qi for qi in _prime_list(m) if qi != 2]
+        s1 = Fraction(2**g - 2)
+        s2 = Fraction(1)
+        for qi in odd:
+            s1 *= 1 - Fraction(qi) ** (2 - g)
+            s2 *= qi - Fraction(qi) ** (2 - g)
+        out = Fraction(m) ** (g - 1) * (s1 + s2)
+        if m % 2 == 0:
+            out *= 2 - Fraction(2) ** (2 - g)
+        return int(out)
+    raise ValueError("unknown closed-form family %r" % family)
+
+
+def closed_form_delta(family, params):
+    if family == "bs_d8":
+        m, n = params
+        if (n - m) % 2:
+            return 0
+        if m % 2 == 0 and (n - m) % 4 == 0:
+            return 3
+        if m % 2 == 0 and (n - m) % 4 == 2:
+            return 2
+        if m % 2 == 1 and (n - m) % 4 == 2:
+            return 1
+        return 0
+    if family == "bs_q8":
+        m, n = params
+        return 1 if (n - m) % 2 == 0 and (m + n) % 4 == 0 else 0
+    if family == "parafree_s4":
+        m, n = params
+        return 17 if m % 2 == 1 and (m - n) % 4 == 2 else 9
+    if family == "braid_metabelian":
+        kind, r, k = params
+        if kind == 1:
+            if r != 3 or k % 6 not in (2, 4):
+                raise ValueError("type 1 is Z_3 x| Z_k with k = +-2 mod 6")
+            return 1
+        if kind == 2:
+            if r <= 3 or k % 6:
+                raise ValueError("type 2 is Z_r x| Z_k with r > 3, 6 | k")
+            return 2
+        if kind == 3:
+            if r != 2 or k % 6 != 3:
+                raise ValueError("type 3 is Z_2^2 x| Z_k with k = 3 mod 6")
+            return 1
+        if kind == 4:
+            if r <= 3 or k % 6:
+                raise ValueError("type 4 is Z_r^2 x| Z_k with r > 3, 6 | k")
+            return 1
+        raise ValueError("unknown metabelian quotient type %r" % kind)
+    if family == "braid_solvable":
+        (cyclic,) = params
+        return 1 if cyclic else 0
+    raise ValueError("unknown closed-form family %r" % family)
+
+
+def complement_count(tower, level):
+    """Number of complements of the level's kernel, cross-checked three ways:
+    direct section search, c_chi * |Z^1| of the base (from its power-conjugate
+    presentation) and the Gaschuetz complement formula
+    c_chi |E|^zeta q^{kappa(alpha-1)}."""
+    lay = tower.layers[level]
+    direct = lay.complements
+    action = TwistedAction([lay.q] * lay.s, [lay.sigma[g] for g in tower.level_gens(level)])
+    via_z1 = lay.c_chi * twisted_z1_count(tower.presentation(level), action)
+    via_formula = lay.c_chi * (lay.E**lay.zeta) * lay.q ** (lay.kappa * (lay.alpha - 1))
+    if not (direct == via_z1 == via_formula):
+        raise ArithmeticError(
+            "complement count mismatch: direct=%d z1=%d formula=%d"
+            % (direct, via_z1, via_formula)
+        )
+    return direct
+
+
+def eulerian_via_moebius(lattice, mu, n):
+    """phi(Gamma, n) = sum mu(H) |H|^n over the subgroup lattice."""
+    return sum(m * o**n for m, o in zip(mu, lattice.orders))
+
+
+def hall_identities(P, table, cap=DEFAULT_FRONTIER_CAP):
+    """Check |Hom(G,Gamma)| = sum |Epi(G,H)| and its Moebius inversion
+    |Epi(G,Gamma)| = sum mu(H) |Hom(G,H)| against the lifting engine;
+    returns the computed numbers."""
+    lattice = all_subgroups(table)
+    mu = moebius(lattice)
+    homs = []
+    epis = []
+    for sub in lattice.subgroups:
+        subtable, _ = table.subtable(sub)
+        tower = chief_series(subtable)
+        homs.append(hom_count(P, tower, cap=cap))
+        epis.append(epi_count(P, tower, cap=cap, with_aut=False).epi)
+    hom_total = homs[-1]
+    epi_total = epis[-1]
+    sum_epi = sum(epis)
+    sum_mu_hom = sum(m * h for m, h in zip(mu, homs))
+    return {
+        "hom": hom_total,
+        "epi": epi_total,
+        "sum_epi_over_subgroups": sum_epi,
+        "moebius_inversion": sum_mu_hom,
+        "hom_identity_holds": hom_total == sum_epi,
+        "epi_identity_holds": epi_total == sum_mu_hom,
+    }
+
+
+# ---------------------------------------------------------------------------
 # Small helpers that only the tests call.
 
 
@@ -731,6 +898,18 @@ def relabel(table, perm):
         inv[p] = i
     rows = [[inv[table.mul[perm[a]][perm[b]]] for b in range(table.n)] for a in range(table.n)]
     return FiniteGroupTable(rows, name=table.name)
+
+
+def find_isomorphism(t1, t2):
+    if t1.n != t2.n:
+        return None
+    if sorted(t1.order_of(x) for x in range(t1.n)) != sorted(
+        t2.order_of(x) for x in range(t2.n)
+    ):
+        return None
+    for f in iter_isomorphisms(t1, t2):
+        return f.tolist()
+    return None
 
 
 def is_isomorphic(t1, t2):

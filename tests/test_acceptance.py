@@ -9,6 +9,10 @@ import time
 
 from reference import (
     build_system,
+    closed_form_delta,
+    closed_form_eulerian,
+    complement_count,
+    eulerian_via_moebius,
     homomorphism_rows,
     kernel_vector,
     solution_vectors,
@@ -17,8 +21,6 @@ from reference import (
 
 from solvquot.counting import (
     aut_order_by_lifting,
-    closed_form_delta,
-    closed_form_eulerian,
     epi_count,
     gaschutz_eulerian,
     hom_count,
@@ -28,11 +30,9 @@ from solvquot.groups import (
     NILPOTENT_CATALOG_SPECS,
     aut_order,
     builtin_group,
-    complement_count,
 )
 from solvquot.lattice import (
     all_subgroups,
-    eulerian_via_moebius,
     moebius,
     moebius_kt,
     moebius_weisner,

@@ -138,18 +138,19 @@ def test_verify_command(capsys):
 def test_catalog_and_roundtrip(capsys, tmp_path):
     code, out = run_cli(capsys, "catalog")
     assert code == 0 and "D(8)" in out
-    code, out = run_cli(capsys, "catalog", "--dump", "D(12)")
-    assert code == 0
-    path = tmp_path / "d12.tbl"
-    path.write_text(out)
     from solvquot.cli import read_table_file
 
-    table = read_table_file(str(path))
-    tower = chief_series(table)
-    assert is_isomorphic(tower.group, builtin_group("D(12)").group)
-    code, out = run_cli(capsys, "roundtrip", "--spec", "Q(16)",
-                        "--out", str(tmp_path / "q16.tbl"))
-    assert code == 0 and json.loads(out)["roundtrip_isomorphic"]
+    for spec in ("D(12)", "Q(16)"):
+        code, out = run_cli(capsys, "catalog", "--dump", spec)
+        assert code == 0
+        path = tmp_path / "dump.tbl"
+        path.write_text(out)
+        tower = chief_series(read_table_file(str(path)))
+        assert is_isomorphic(tower.group, builtin_group(spec).group)
+    # the dump of Q(16) read back as a target has the |Aut| of the spec
+    auts = [json.loads(run_cli(capsys, "aut", "--target", target)[1])["aut"]
+            for target in (str(path), "Q(16)")]
+    assert auts == [32, 32]
 
 
 def test_exit_codes(capsys):
@@ -161,10 +162,14 @@ def test_exit_codes(capsys):
     capsys.readouterr()
     assert main(["epi", "--source", "nosuchfile.txt", "--target", "S(3)"]) == 1
     capsys.readouterr()
-    # --kmax below 1 and the removed --threads are usage errors
+    # --kmax below 1, and the removed --threads, --time-budget and verbs,
+    # are usage errors
     for argv in (["growth", "--source", "builtin:braid(3)", "--kmax", "-2"],
                  ["table2", "--kmax", "0"],
-                 ["growth", "--source", "builtin:braid(3)", "--threads", "2"]):
+                 ["growth", "--source", "builtin:braid(3)", "--threads", "2"],
+                 ["scan-braid-deltas"],
+                 ["roundtrip", "--spec", "Q(16)", "--out", "x"],
+                 ["table2", "--time-budget", "1"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 1
@@ -248,6 +253,11 @@ def test_table2_command(capsys):
     code, out = run_cli(capsys, "table2", "--nmax", "4", "--kmax", "4")
     assert code == 0
     assert out == "group\ta_1\ta_2\ta_3\ta_4\nB3\t1\t1\t4\t9\nB4\t1\t1\t4\t17\n"
+    # k = 9 is past the S_k cap of 8: its entry is '?' on any host
+    code, out = run_cli(capsys, "table2", "--nmax", "3", "--kmax", "9")
+    assert code == 0
+    assert out == ("group\ta_1\ta_2\ta_3\ta_4\ta_5\ta_6\ta_7\ta_8\ta_9\n"
+                   "B3\t1\t1\t4\t9\t6\t22\t43\t49\t?\n")
 
 
 GROWTH_SURFACE2_K8 = """\
@@ -314,16 +324,6 @@ def test_growth_output_is_pinned(capsys):
     code, out = run_cli(capsys, "growth", "--source", "builtin:surface(2)", "--kmax", "8",
                         "--normal", "--tsv")
     assert code == 0 and out == GROWTH_SURFACE2_K8_NORMAL_TSV
-
-
-def test_scan_braid_deltas(capsys):
-    # the scan only reports observations; nothing about the observed bounds
-    # is asserted here by design
-    code, out = run_cli(capsys, "scan-braid-deltas", "--max-order", "12")
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0].split("\t") == ["target", "order", "delta_B3", "delta_B4"]
-    assert len(lines) > 3
 
 
 EPI_BRAID4_S4 = """\

@@ -3,6 +3,8 @@ import functools
 import numpy as np
 import pytest
 from reference import (
+    closed_form_delta,
+    closed_form_eulerian,
     conjugation_orbit_groups,
     delta_s4,
     dihedral_prime_delta,
@@ -19,8 +21,6 @@ from solvquot.cohomology import eliminate, solution_arrays, solve_systems
 from solvquot.counting import (
     CountError,
     aut_order_by_lifting,
-    closed_form_delta,
-    closed_form_eulerian,
     delta,
     epi_count,
     gaschutz_eulerian,
@@ -323,9 +323,10 @@ def test_hom_orbit_frontier_shape(monkeypatch):
 
 def test_hom_falls_back_to_conjugation_where_the_search_is_refused(monkeypatch):
     # the series search onto Z(2)^9 would try 2^36 tuples, and the one onto
-    # Z(2)^5*D(8) would keep 262144 rows of 256 entries, so every level's
-    # acting group is conjugation (trivial on Z(2)^9), and Hom gives the
-    # same count as with conjugation put in place
+    # Z(2)^5*D(8) would keep 32768 prefixes of 256 entries for its first
+    # five generators, so every level's acting group is conjugation
+    # (trivial on Z(2)^9), and Hom gives the same count as with conjugation
+    # put in place
     for spec, count, refusal in [("Z(2)^9", 2**18, "would try 68719476736 candidate"),
                                  ("Z(2)^5*D(8)", 65536, "would keep at least")]:
         tower = builtin_group(spec)

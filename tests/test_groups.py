@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 from reference import (
     GroupElement,
+    complement_count,
     element_vectors,
+    find_isomorphism,
     homomorphism_rows_unpruned,
     inv_structural,
     is_isomorphic,
@@ -32,8 +34,6 @@ from solvquot.groups import (
     automorphisms,
     builtin_group,
     chief_series,
-    complement_count,
-    find_isomorphism,
     generating_sequence,
     minimal_normal_subgroup,
 )
@@ -470,6 +470,20 @@ def test_series_search_refused_past_its_entry_cap(monkeypatch):
     monkeypatch.setattr(groups, "SERIES_ENTRY_CAP", 9216)
     with pytest.raises(CapExceeded, match="would keep at least 9216 image entries"):
         tw._series_automorphisms()
+
+
+def test_series_search_charges_its_prefix_stages(monkeypatch):
+    # Z(2)^5*D(8) has seven generators; its stage for the first five would
+    # keep 32768 prefixes of 256 entries, past the entry cap, so the search
+    # is refused there, before the sixth generator is tried
+    tw = builtin_group("Z(2)^5*D(8)")
+    extended = []
+    real = groups._extensions
+    monkeypatch.setattr(groups, "_extensions",
+                        lambda src, gens, *args: extended.append(len(gens)) or real(src, gens, *args))
+    with pytest.raises(CapExceeded, match="would keep at least 4223488 image entries"):
+        tw._series_automorphisms()
+    assert len(generating_sequence(tw.group)) == 7 and max(extended) == 5
 
 
 def test_series_search_on_elementary_abelian_towers():

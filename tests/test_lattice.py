@@ -1,12 +1,10 @@
 import pytest
-from reference import leq
+from reference import eulerian_via_moebius, hall_identities, leq
 
 from solvquot.counting import epi_count, gaschutz_eulerian, hom_count
 from solvquot.groups import CapExceeded, builtin_group
 from solvquot.lattice import (
     all_subgroups,
-    eulerian_via_moebius,
-    hall_identities,
     moebius,
     moebius_kt,
     moebius_weisner,

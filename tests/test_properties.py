@@ -6,10 +6,10 @@ import itertools
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from reference import hall_identities
 
 from solvquot.counting import epi_count, hom_count
 from solvquot.groups import CATALOG_SPECS, FiniteGroupTable, builtin_group
-from solvquot.lattice import hall_identities
 from solvquot.oracle import brute_epi, brute_hom
 from solvquot.presentations import Presentation
 from solvquot.subgrowth import hom_count_symmetric
