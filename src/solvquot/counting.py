@@ -245,75 +245,48 @@ def _orbit_representatives(group, rows):
     (acting on every entry), row-sorted, and the size of each one's orbit.
     The trivial group leaves every row as it is.
 
-    The least image is found in two stages.  Stage 1 moves a row's first
-    entry x to the least point p of its orbit, by an element carrying x
-    there.  Stage 2 takes the least image of the moved row under the
-    stabiliser of p, all the rows whose p has a stabiliser of one size in
-    one array pass; the images are compared as packed int64 keys, as many
-    columns per key as fit in 62 bits, one key at a time.  The elements of
-    the stabiliser that reach the least image are a coset of the row's
-    stabiliser, so the orbit has |orbit(p)| |Stab(p)| over their number
-    elements; for a group that is |G| over |Stab(row)|."""
+    The least image is taken greedily down the group's stabiliser chain:
+    at node H, a row's entry j goes to the least point p of its orbit
+    under H, by an element of H that moves the whole row, and the row
+    steps down to the stabiliser of p in H.  The row's orbit then has the
+    product of the orbit lengths it passed as its size (orbit-stabiliser:
+    the last node is the stabiliser of the least image).  Rows move as
+    int32 blocks of about _BLOCK entries, and the least images are
+    deduplicated as packed int64 keys (``_key_chunks``)."""
     m, n = rows.shape
     if len(group) == 1:
         return rows, np.ones(m, dtype=np.int64)
     flat = group.rows.ravel()
+    least = rows.copy()
+    weights = np.ones(m, dtype=np.int64)
+    step = max(1, _BLOCK // n)
+    for lo in range(0, m, step):
+        moved, w = least[lo : lo + step], weights[lo : lo + step]
+        node = np.zeros(len(moved), dtype=np.int64)
+        for j in range(n):
+            x = moved[:, j]
+            w *= group.length[node, x]
+            moved[:, j:] = flat[group.carry[node, x][:, None] + moved[:, j:]]
+            if j < n - 1:
+                node = group.descend(node, moved[:, j])
     nB = group.rows.shape[1]
-    moved = group.carried[rows[:, :1], rows]
-    p = moved[:, 0]
-    if len(group.by_size) > 1:  # the rows by the size of p's stabiliser
-        rank = group.rank[p]
-        by = np.argsort(rank, kind="stable")
-        p, moved = p[by], moved[by]
-        ends = np.cumsum(np.bincount(rank, minlength=len(group.by_size))).tolist()
-    else:
-        ends = [m]
-    chunks = _key_chunks(nB, n)
-    keys = np.empty((len(chunks), m), dtype=np.int64)
-    reach = np.empty(m, dtype=np.int64)
-    start = 0
-    for (size, offsets), end in zip(group.by_size, ends):
-        step = max(1, _BLOCK // (size * n))
-        for lo in range(start, end, step):
-            hi = min(lo + step, end)
-            stab = offsets[group.slot[p[lo:hi]]]
-            for j, cols in enumerate(chunks):
-                key = 0
-                for c in cols:  # every candidate's first entry is p
-                    col = flat[stab + moved[lo:hi, c, None]] if c else p[lo:hi, None]
-                    key = key * nB + col if c else col
-                if j:
-                    key[~alive] = _NO_KEY
-                keys[j, lo:hi] = best = key.min(axis=1)
-                alive = key == best[:, None]
-            # with one column, every element of Stab(p) fixes the row
-            reach[lo:hi] = alive.sum(axis=1) if n > 1 else size
-        start = end
+    keys = np.array([least[:, at].astype(np.int64) @ nB ** np.arange(at.stop - at.start)[::-1]
+                     for at in _key_chunks(nB, n)])
     order = np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys[::-1])
-    keys = keys[:, order]
     new = np.ones(m, dtype=bool)  # differs from the row before it
-    new[1:] = keys[0, 1:] != keys[0, :-1]
-    for k in keys[1:]:
-        new[1:] |= k[1:] != k[:-1]
-    keys, kept = keys[:, new], order[new]
-    least = np.empty((len(kept), n), dtype=np.int32)
-    for k, cols in zip(keys, chunks):
-        for c in cols[::-1]:
-            k, least[:, c] = np.divmod(k, nB)
-    return least, group.orbit_stab[least[:, 0]] // reach[kept]
-
-
-_NO_KEY = np.iinfo(np.int64).max  # above every packed key
+    new[1:] = (np.diff(keys[:, order]) != 0).any(axis=0)
+    kept = order[new]
+    return least[kept], weights[kept]
 
 
 @functools.lru_cache(maxsize=None)
 def _key_chunks(radix, n):
-    """The columns of an n-column row over 0..radix-1 in chunks that pack
+    """The columns of an n-column row over 0..radix-1 as slices that pack
     into keys below 2^62, big-endian."""
     width = 1
     while width < n and radix ** (width + 1) < 1 << 62:
         width += 1
-    return tuple(range(lo, min(lo + width, n)) for lo in range(0, n, width))
+    return tuple(slice(lo, min(lo + width, n)) for lo in range(0, n, width))
 
 
 def _count_top(P, lay, reps):

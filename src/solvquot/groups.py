@@ -187,15 +187,15 @@ TRIVIAL_TABLE = FiniteGroupTable([[0]], name="1")
 
 class PermutationGroup:
     """A permutation group on the points 0..n-1, given by the distinct rows
-    of its elements (row[x] is the image of x), with the data of a
-    two-stage canonical form.  For every point x, ``carried[x]`` is the row
-    of an element taking x to the least point of its orbit.  For every such
-    least point p: |orbit(p)| |Stab(p)| in ``orbit_stab[p]``, which is |G|
-    for a group, and the stabiliser of p, the elements fixing p.  The
-    stabilisers are grouped by size in ``by_size``, a list of (size,
-    offsets), ascending: p's stabiliser has size ``by_size[rank[p]][0]``
-    and is row ``slot[p]`` of that entry's offsets, each element e given as
-    the offset e n of its row in ``rows.ravel()``."""
+    of its elements (row[x] is the image of x), with a stabiliser chain
+    that canonical forms build as they need it.  A node is a set of
+    elements, kept once per set: node 0 is the group, and its child at a
+    point p its stabiliser of p.  For node k and point x, ``carry[k, x]``
+    is the offset e n in ``rows.ravel()`` of an element e of the node
+    taking x to the least point p of x's orbit under the node,
+    ``length[k, x]`` that orbit's length, measured from the node's rows
+    (so a row set that is not a group shows in the orbit sizes), and
+    ``child[k, p]`` the child at p, -1 until ``descend`` builds it."""
 
     def __init__(self, rows):
         rows = np.asarray(rows, dtype=np.int64)
@@ -203,24 +203,41 @@ class PermutationGroup:
         if not (rows == np.arange(n)).all(axis=1).any():
             raise GroupSpecError("the permutation rows do not contain the identity")
         self.rows = rows
-        low = rows.min(axis=0)  # each point's least orbit point
-        self.carried = rows[rows.argmin(axis=0)]
-        points = np.flatnonzero(np.bincount(low, minlength=n))
-        fixes = rows[:, points] == points
-        stab_len = fixes.sum(axis=0)
-        self.orbit_stab = np.bincount(low, minlength=n)
-        self.orbit_stab[points] *= stab_len
-        self.rank = np.zeros(n, dtype=np.int16)
-        self.slot = np.zeros(n, dtype=np.int64)
-        self.by_size = []
-        for r, size in enumerate(sorted(set(stab_len.tolist()))):
-            at = stab_len == size
-            self.rank[points[at]] = r
-            self.slot[points[at]] = np.arange(at.sum())
-            self.by_size.append((size, np.nonzero(fixes[:, at].T)[1].reshape(-1, size) * n))
+        self.members = []  # the element indices of each node
+        self._nodes = {}  # a node's members as bytes -> its index
+        self.carry = np.empty((0, n), dtype=np.int64)
+        self.length = np.empty((0, n), dtype=np.int64)
+        self.child = np.empty((0, n), dtype=np.int64)
+        self._node(np.arange(len(rows)))
 
     def __len__(self):
         return len(self.rows)
+
+    def _node(self, members):
+        """The index of the node of the elements ``members``, added with its
+        orbit data if no node has them."""
+        key = members.tobytes()
+        if key not in self._nodes:
+            self._nodes[key] = len(self.members)
+            self.members.append(members)
+            sub = self.rows[members]
+            n = sub.shape[1]
+            self.carry = np.vstack([self.carry, members[sub.argmin(axis=0)] * n])
+            distinct = np.diff(np.sort(sub, axis=0), axis=0) != 0
+            self.length = np.vstack([self.length, 1 + distinct.sum(axis=0)])
+            self.child = np.vstack([self.child, np.full(n, -1)])
+        return self._nodes[key]
+
+    def descend(self, nodes, points):
+        """The child of each node of ``nodes`` at its point of ``points``, a
+        least orbit point, building the stabilisers that are missing."""
+        n = self.rows.shape[1]
+        at = nodes * n + points
+        missing = np.bincount(at[self.child.ravel()[at] < 0], minlength=self.child.size)
+        for k, p in zip(*np.divmod(np.flatnonzero(missing), n)):
+            members = self.members[k]
+            self.child[k, p] = self._node(members[self.rows[members, p] == p])
+        return self.child.ravel()[at]
 
 
 def _coords(radices):
@@ -628,8 +645,9 @@ class ExtensionTower:
     def orbit_group(self, level):
         """The group acting on the maps into the level group B (level >= 1),
         as a PermutationGroup on the distinct rows of its elements (row[b]
-        is the image of b), one per level, kept on the tower; every count
-        lifts modulo it.  It is the image of A = Aut(Gamma, series), the
+        is the image of b), one per level, kept on the tower with the
+        stabiliser chain its canonical forms build; every count lifts
+        modulo it.  It is the image of A = Aut(Gamma, series), the
         automorphisms of the top group that map every chain term onto
         itself (``_series_automorphisms``): alpha induces on B the map
         b -> alpha(b) projected to B, the first |B| entries of its row.

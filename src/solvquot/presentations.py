@@ -341,8 +341,18 @@ def _free_names(k):
     return tuple("x%d" % (i + 1) for i in range(k))
 
 
+# the number of integer parameters of each family
+_FAMILY_PARAMS = dict(free=1, bs=2, parafree=2, klein=0, surface=1, nonorientable=1, braid=1,
+                      braid3_split=0, braid4_split=0, hillman_link=0)
+
+
 def builtin_presentation(family, *params):
     fam = family.lower()
+    if fam not in _FAMILY_PARAMS:
+        raise PresentationError("unknown presentation family %r" % family)
+    if len(params) != _FAMILY_PARAMS[fam]:
+        raise PresentationError("wrong parameter count for %s: %d given, %d taken"
+                                % (fam, len(params), _FAMILY_PARAMS[fam]))
     if fam == "free":
         (k,) = params
         if k < 1:
@@ -397,8 +407,6 @@ def builtin_presentation(family, *params):
             "(x2^-1 x1^-1 x2) x3^-1 x1 x4 (x2^-1 x1^-1 x2)^-1 x3 x1 x4 x3^-1, "
             "[x1^-1 x4^-1 x3 x1 x4 x3^-2 x4, x2] >"
         )
-    else:
-        raise PresentationError("unknown presentation family %r" % family)
     return parse_presentation(text)
 
 

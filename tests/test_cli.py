@@ -162,6 +162,14 @@ def test_exit_codes(capsys):
     capsys.readouterr()
     assert main(["epi", "--source", "nosuchfile.txt", "--target", "S(3)"]) == 1
     capsys.readouterr()
+    # a builtin source family with too many or too few parameters
+    for spec in ("surface(1,2)", "free()", "bs(2)", "parafree(1)", "braid(2,3)",
+                 "nonorientable(1,1)", "klein(3)", "braid3_split(1)", "braid4_split(2,2)",
+                 "hillman_link(5)"):
+        assert main(["hom", "--source", "builtin:" + spec, "--target", "Z(2)"]) == 1, spec
+        assert "wrong parameter count" in capsys.readouterr().err, spec
+    assert main(["hom", "--source", "builtin:klein()", "--target", "Z(2)"]) == 0
+    capsys.readouterr()
     # --kmax below 1, and the removed --threads, --time-budget and verbs,
     # are usage errors
     for argv in (["growth", "--source", "builtin:braid(3)", "--kmax", "-2"],

@@ -344,23 +344,38 @@ def test_hom_falls_back_to_conjugation_where_the_search_is_refused(monkeypatch):
 
 
 def test_orbit_representatives_against_every_image():
-    # random rows of 12 entries over Dstar(48), whose packed keys take two
-    # int64 chunks (48^12 > 2^62), and of 3 entries over its level-4 group:
-    # each representative is the least image of its row under the whole
-    # group, and its weight the number of distinct images
-    tower = builtin_group("Dstar(48)")
+    # random rows of 3 entries on every level of every catalog tower, under
+    # the series automorphisms A and under Inn, and of 12 entries over
+    # Dstar(48), whose packed keys take two int64 chunks (48^12 > 2^62);
+    # half the rows differ from the other half in the last entry only, so
+    # some least images agree on every chunk but the last.  Each
+    # representative is the least image of its row under the whole group,
+    # and its weight the number of distinct images.  The images of all rows
+    # are sorted together, by row and then entry by entry.
     rng = np.random.default_rng(3)
-    for level, n in [(5, 12), (4, 3)]:
+    towers = {spec: builtin_group(spec) for spec in CATALOG_SPECS}
+    cases = [(spec, level, 3) for spec, tower in towers.items()
+             for level in range(1, len(tower.layers) + 1)]
+    for spec, level, n in cases + [("Dstar(48)", 5, 12)]:
+        tower = towers[spec]
         for group in (conjugation_orbit_groups(tower)(level), tower.orbit_group(level)):
             nB = group.rows.shape[1]
-            rows = np.unique(rng.integers(nB, size=(300, n)).astype(np.int32), axis=0)
+            rows = rng.integers(nB, size=(100, n)).astype(np.int32)
+            twins = rows.copy()
+            twins[:, -1] = rng.integers(nB, size=100)
+            rows = np.unique(np.vstack([rows, twins]), axis=0)
             reps, weights = counting._orbit_representatives(group, rows)
-            want = {}
-            for row in rows:
-                images = {tuple(im) for im in group.rows[:, row].tolist()}
-                want[min(images)] = len(images)
-            assert [tuple(r) for r in reps.tolist()] == sorted(want)
-            assert weights.tolist() == [want[r] for r in sorted(want)]
+            images = group.rows[:, rows].transpose(1, 0, 2).reshape(-1, n)
+            owner = np.repeat(np.arange(len(rows)), len(group))
+            order = np.lexsort([*images.T[::-1], owner])
+            images, owner = images[order], owner[order]
+            first = np.ones(len(owner), dtype=bool)
+            first[1:] = (owner[1:] != owner[:-1]) | (images[1:] != images[:-1]).any(axis=1)
+            least = images[np.searchsorted(owner, np.arange(len(rows)))]
+            distinct = np.bincount(owner[first], minlength=len(rows))
+            want = dict(zip(map(tuple, least.tolist()), distinct.tolist()))
+            assert [tuple(r) for r in reps.tolist()] == sorted(want), (spec, level)
+            assert weights.tolist() == [want[r] for r in sorted(want)], (spec, level)
 
 
 def test_planted_errors_raise(monkeypatch):
