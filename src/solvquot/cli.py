@@ -9,7 +9,7 @@ import os
 import sys
 
 from . import counting, lattice, subgrowth
-from .cohomology import build_systems, eval_word_in_table
+from .cohomology import build_systems
 from .groups import (
     DEFAULT_ORDER_CAP,
     CapExceeded,
@@ -18,6 +18,7 @@ from .groups import (
     aut_order,
     builtin_group,
     chief_series,
+    eval_word_in_table,
 )
 from .oracle import OracleBudget, brute_epi, brute_hom
 from .presentations import (

@@ -1,258 +1,11 @@
-"""Twisted cocycle systems: linear algebra over Z_{q^r}, lifting systems
-assembled from Fox derivatives, and |Z^1| of a presented group acting on a
-finite abelian group."""
+"""The lifting systems of homomorphisms through an elementary abelian layer,
+assembled from Fox derivatives, and their batched solver over Z_q."""
 
 from __future__ import annotations
 
 import functools
-import itertools
-from dataclasses import dataclass, field
 
 import numpy as np
-
-from .presentations import factorize
-
-
-def invmod(a, m):
-    return pow(a, -1, m)
-
-
-def _valuation(x, q, r):
-    if x % (q**r) == 0:
-        return r
-    v = 0
-    while x % q == 0:
-        x //= q
-        v += 1
-    return v
-
-
-# ---------------------------------------------------------------------------
-# Solving A x = b over Z_{q^r}.
-#
-# Row reduction with pivoting on the entry of minimal q-valuation; the pivot
-# is normalized to q^v by a unit, rows below are cleared, and the rest of the
-# pivot row is cleared by column operations recorded in a substitution matrix
-# C (x = C y).  The result is a diagonal system q^{v_t} y_t = c_t whose
-# solution set is read off directly.
-
-
-@dataclass
-class ModSolveResult:
-    q: int
-    r: int
-    ncols: int
-    solvable: bool
-    pivot_vals: tuple
-    _C: tuple = field(repr=False)
-    _y0: tuple = field(repr=False)
-
-    @property
-    def modulus(self):
-        return self.q**self.r
-
-    @property
-    def count_exponent(self):
-        """log_q of the number of solutions of the homogeneous system."""
-        free = self.ncols - len(self.pivot_vals)
-        return sum(self.pivot_vals) + self.r * free
-
-    @property
-    def witness(self):
-        if not self.solvable:
-            return None
-        return self._apply(self._y0)
-
-    def _apply(self, y):
-        M = self.modulus
-        return tuple(sum(c * yy for c, yy in zip(row, y)) % M for row in self._C)
-
-    def solutions(self):
-        """All solutions of A x = b as tuples: x = C (y0 + k * q^r / radix)
-        mod q^r, with k over the mixed-radix grid of the radices (q^v for a
-        pivot of valuation v, q^r for a free unknown), first unknown
-        slowest."""
-        if not self.solvable:
-            return
-        M = self.modulus
-        radix = [self.q**v for v in self.pivot_vals] + [M] * (self.ncols - len(self.pivot_vals))
-        for k in itertools.product(*map(range, radix)):
-            yield self._apply([y + kk * (M // rad) for y, kk, rad in zip(self._y0, k, radix)])
-
-    def solution_array(self):
-        """The rows of ``solutions`` as one (count, ncols) int64 array."""
-        return np.array(list(self.solutions()), dtype=np.int64).reshape(-1, self.ncols)
-
-
-def solve_mod_prime_power(rows, rhs, ncols, q, r=1):
-    """Solve ``rows . x = rhs`` over Z_{q**r}; ``rhs=None`` means the
-    homogeneous system."""
-    M = q**r
-    A = [[x % M for x in row] for row in rows]
-    b = [x % M for x in rhs] if rhs is not None else [0] * len(A)
-    nrows = len(A)
-    C = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
-    pivot_vals = []
-    t = 0
-    while t < nrows and t < ncols:
-        best = None
-        for i in range(t, nrows):
-            Ai = A[i]
-            for j in range(t, ncols):
-                x = Ai[j]
-                if x:
-                    v = _valuation(x, q, r)
-                    if best is None or v < best[0]:
-                        best = (v, i, j)
-            if best is not None and best[0] == 0:
-                break
-        if best is None:
-            break
-        v, bi, bj = best
-        A[t], A[bi] = A[bi], A[t]
-        b[t], b[bi] = b[bi], b[t]
-        if bj != t:
-            for row in A:
-                row[t], row[bj] = row[bj], row[t]
-            for row in C:
-                row[t], row[bj] = row[bj], row[t]
-        qv = q**v
-        u = invmod((A[t][t] // qv) % M, M)
-        A[t] = [(x * u) % M for x in A[t]]
-        b[t] = (b[t] * u) % M
-        for i in range(t + 1, nrows):
-            x = A[i][t]
-            if x:
-                f = x // qv
-                A[i] = [(a - f * p) % M for a, p in zip(A[i], A[t])]
-                b[i] = (b[i] - f * b[t]) % M
-        for j in range(t + 1, ncols):
-            x = A[t][j]
-            if x:
-                f = x // qv
-                for row in A:
-                    row[j] = (row[j] - f * row[t]) % M
-                for row in C:
-                    row[j] = (row[j] - f * row[t]) % M
-        pivot_vals.append(v)
-        t += 1
-    solvable = all(b[i] % M == 0 for i in range(t, nrows))
-    y0 = [0] * ncols
-    for k, v in enumerate(pivot_vals):
-        if b[k] % (q**v):
-            solvable = False
-            break
-        y0[k] = (b[k] // (q**v)) % M
-    return ModSolveResult(
-        q, r, ncols, solvable, tuple(pivot_vals), tuple(tuple(r_) for r_ in C), tuple(y0)
-    )
-
-
-def nullspace_dim_mod_prime(rows, ncols, q):
-    return solve_mod_prime_power(rows, None, ncols, q, 1).count_exponent
-
-
-# ---------------------------------------------------------------------------
-# Twisted actions on a finite abelian group, split by prime.
-
-
-def _mat_mul(Amat, Bmat, M):
-    n = len(Amat)
-    k = len(Bmat)
-    return tuple(
-        tuple(sum(Amat[i][t] * Bmat[t][j] for t in range(k)) % M for j in range(len(Bmat[0])))
-        for i in range(n)
-    )
-
-
-def _mat_id(n):
-    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-
-
-def _mat_inverse(mat, q, r):
-    """Inverse of a matrix over Z_{q^r}; None if singular."""
-    n = len(mat)
-    cols = []
-    for k in range(n):
-        rhs = [int(i == k) for i in range(n)]
-        res = solve_mod_prime_power([list(row) for row in mat], rhs, n, q, r)
-        if not res.solvable or res.count_exponent != 0:
-            return None
-        cols.append(res.witness)
-    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-
-
-@dataclass
-class PrimeBlock:
-    q: int
-    exps: tuple  # per-coordinate exponents, all equal
-    mats: tuple  # one matrix per source generator
-    inv_mats: tuple
-
-    @property
-    def modulus(self):
-        return self.q ** max(self.exps)
-
-
-class TwistedAction:
-    """Action of source generators on a finite abelian group given as a list
-    of cyclic factors; stored per prime.  Each prime's part must be
-    homocyclic, Z_{q^r}^s: the factors [2, 4] are rejected."""
-
-    def __init__(self, factors, gen_matrices):
-        self.factors = tuple(factors)
-        self.n_gens = len(gen_matrices)
-        self.blocks = {}
-        parts = [factorize(f) for f in self.factors]
-        for q in sorted(set().union(*parts)):
-            idx = [j for j, part in enumerate(parts) if q in part]
-            exps = [parts[j][q] for j in idx]
-            if len(set(exps)) > 1:
-                raise ValueError("the %d-part of %r is not homocyclic" % (q, self.factors))
-            R = exps[0]
-            M = q**R
-            mats = tuple(
-                tuple(tuple(mat[i][j] % M for j in idx) for i in idx) for mat in gen_matrices
-            )
-            invs = []
-            for mat in mats:
-                inv = _mat_inverse(mat, q, R)
-                if inv is None:
-                    raise ValueError("generator action is not invertible mod %d" % M)
-                invs.append(inv)
-            self.blocks[q] = PrimeBlock(q, tuple(exps), mats, tuple(invs))
-
-
-def twisted_z1_count(P, action):
-    """|Z^1| of the source acting on a finite abelian group: the twisted
-    derivative systems are solved per prime and the counts multiplied.  The
-    Fox Jacobian is expanded in one walk per relator, as in
-    ``build_systems``, with a running prefix matrix."""
-    total = 1
-    for q in sorted(action.blocks):
-        blk = action.blocks[q]
-        dim = len(blk.exps)
-        M = blk.modulus
-        rows = []
-        for rel in P.relators:
-            acc = [[[0] * dim for _ in range(dim)] for _ in range(P.n)]
-            mat = _mat_id(dim)
-            for g, e in rel:
-                if e == -1:
-                    mat = _mat_mul(mat, blk.inv_mats[g], M)
-                for a in range(dim):
-                    for b in range(dim):
-                        acc[g][a][b] = (acc[g][a][b] + e * mat[a][b]) % M
-                if e == 1:
-                    mat = _mat_mul(mat, blk.mats[g], M)
-            for a in range(dim):
-                row = []
-                for i in range(P.n):
-                    row.extend(acc[i][a])
-                rows.append(row)
-        res = solve_mod_prime_power(rows, None, P.n * dim, q, blk.exps[0])
-        total *= q**res.count_exponent
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -293,15 +46,6 @@ def twisted_z1_count(P, action):
 # I_s, the abelianized Fox Jacobian tensor I_s, and only chi varies.
 
 
-def eval_word_in_table(table, images, w):
-    x = 0
-    mul = table.mul
-    inv = table.inv
-    for g, e in w:
-        x = mul[x][images[g] if e == 1 else inv[images[g]]]
-    return x
-
-
 class _LayerTables:
     """A layer's multiplication and the lifting-system terms of one letter,
     as the tables that ``build_systems`` gathers from.  ``letter`` maps
@@ -310,9 +54,11 @@ class _LayerTables:
     ((kind * nB) + b) * nB + y of ``terms`` holds what a letter of that
     kind and element y, read after the prefix b, adds to its Fox block
     (s^2 entries) and to its relator's chi vector (s entries):
-    +sigma(b) for x, -sigma(b y) for x^-1; chi(b, y) unless the letter is
-    the first, and -sigma(b) chi(y, y^-1) for x^-1.  ``trivial`` tells
-    whether every sigma(b) is the identity."""
+    +sigma(b) for x, -sigma(b y) for x^-1; chi(b, y), and -sigma(b)
+    chi(y, y^-1) for x^-1.  The first letter of a relator reads after the
+    identity, and chi(1, y) = 0 on a verified layer (``verify``), so it
+    needs no kind of its own.  ``trivial`` tells whether every sigma(b) is
+    the identity."""
 
     def __init__(self, layer):
         q, s = layer.q, layer.s
@@ -320,8 +66,7 @@ class _LayerTables:
         self.mul = layer.base.as_array()
         ar = np.arange(nB)
         inv = np.array(layer.base.inv, dtype=np.int64)
-        zero = np.zeros(nB, dtype=np.int64)
-        self.letter = np.concatenate([ar, inv, zero, ar, inv])
+        self.letter = np.concatenate([ar, inv, np.zeros(nB, dtype=np.int64)])
         sigma = np.array(layer.sigma, dtype=np.int64).reshape(nB, s * s)
         self.trivial = bool((sigma % q == np.eye(s, dtype=np.int64).ravel()).all())
         chi = np.zeros((nB, nB, s), dtype=np.int64)
@@ -330,12 +75,10 @@ class _LayerTables:
         back = np.einsum("bij,yj->byi", sigma.reshape(nB, s, s), chi[ar, inv])
         plus = np.broadcast_to(sigma[:, None], (nB, nB, s * s))
         minus = -sigma[self.mul]
-        none = np.zeros((nB, nB, s * s), dtype=np.int64)
-        nil = np.zeros((nB, nB, s), dtype=np.int64)
+        none = np.zeros((nB, nB, s * s + s), dtype=np.int64)
         self.terms = np.concatenate([
-            np.concatenate(blk, axis=2) for blk in [
-                (plus, chi), (minus, chi - back), (none, nil), (plus, nil), (minus, -back)]
-        ]).reshape(5 * nB * nB, s * s + s) % q
+            np.concatenate((plus, chi), axis=2), np.concatenate((minus, chi - back), axis=2), none,
+        ]).reshape(3 * nB * nB, s * s + s) % q
 
 
 def _layer_tables(layer):

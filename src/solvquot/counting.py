@@ -44,21 +44,20 @@ class CountReport:
 
 
 # ---------------------------------------------------------------------------
-# Level-by-level lifting.  A frontier at level i is an (m, n) int32 array
-# whose rows, sorted, are generator images of homomorphisms (or
-# epimorphisms) into B_i.  Lifting through layer i builds the cocycle
-# systems of all m maps in one batched relator walk (``build_systems``),
-# eliminates them together mod q (``solve_systems``) and extends every map
-# by all of its solutions in one array (``solution_arrays``); no step loops
-# over the maps in Python.  Where the layer acts trivially, or the source
-# has no relators, every map has the same matrix (the abelianized Fox
-# Jacobian tensor I_s), and the level applies the elimination its source
-# keeps for (q, s) instead (``_shared_elimination``), after checking that
-# the maps' matrices equal the kept one.  Every level, the top included,
-# solves through ``_solve_level``, which checks that each map's c
-# complement lifts solve its system; for Epi they are the non-surjective
-# lifts, dropped at their places in the map's block of solutions
-# (``SolutionBatch.place``).
+# Level-by-level lifting.  A frontier at level i is an (m, n) int32 array whose
+# rows, a set in no particular order, are generator images of homomorphisms (or
+# epimorphisms) into B_i.  Lifting through layer i builds the cocycle systems
+# of all m maps in one batched relator walk (``build_systems``), eliminates
+# them together mod q (``solve_systems``) and extends every map by all of its
+# solutions in one array (``solution_arrays``); no step loops over the maps in
+# Python.  Where the layer acts trivially, or the source has no relators, every
+# map has the same matrix (the abelianized Fox Jacobian tensor I_s), and the
+# level applies the elimination its source keeps for (q, s) instead
+# (``_shared_elimination``), after checking that the maps' matrices equal the
+# kept one.  Every level, the top included, solves through ``_solve_level``,
+# which checks that each map's c complement lifts solve its system; for Epi
+# they are the non-surjective lifts, dropped at their places in the map's block
+# of solutions (``SolutionBatch.place``).
 #
 # Every count carries the frontier modulo the group A_i of automorphisms of
 # B_i that the tower chooses (``ExtensionTower.orbit_group``), acting on
@@ -94,8 +93,9 @@ def lift_frontier(P, lay, frontier, epi, cap=DEFAULT_FRONTIER_CAP, level=0):
     """Lift every map of ``frontier`` (an int32 array of image rows into the
     base of ``lay``, the layer above tower level ``level``) through ``lay``.
 
-    Returns the lifts as a row-sorted int32 array and, per map, the exponent
-    d of its q^d lifts as an int64 array, -1 where the map does not lift.
+    Returns the lifts as an int32 array of image rows, each map's in the
+    grid order of its solutions, and, per map, the exponent d of its q^d
+    lifts as an int64 array, -1 where the map does not lift.
     With ``epi`` the frontier must consist of epimorphisms: the
     non-surjective lifts of a map are then exactly its c complement lifts
     (``_solve_level``), which are dropped by their place in the map's block
@@ -128,8 +128,7 @@ def lift_frontier(P, lay, frontier, epi, cap=DEFAULT_FRONTIER_CAP, level=0):
                 "subtraction %d - %d" % (kept[j], counts[j], c)
             )
         lifts = lifts[keep]
-    lifts = lifts.astype(np.int32)
-    return lifts[np.lexsort(lifts.T[::-1])], np.where(sol.solvable, sol.dims, -1)
+    return lifts.astype(np.int32), np.where(sol.solvable, sol.dims, -1)
 
 
 def _solve_level(P, lay, images, places=False):
@@ -240,10 +239,10 @@ def _weight_per_dim(dims, weights):
 
 
 def _orbit_representatives(group, rows):
-    """The distinct least images of ``rows`` (distinct and row-sorted, as
-    lift_frontier returns them) under the PermutationGroup ``group``
-    (acting on every entry), row-sorted, and the size of each one's orbit.
-    The trivial group leaves every row as it is.
+    """The distinct least images of the distinct ``rows`` (as lift_frontier
+    returns them) under the PermutationGroup ``group`` (acting on every
+    entry), row-sorted, and the size of each one's orbit.  The trivial
+    group leaves every row as it is, in its order.
 
     The least image is taken greedily down the group's stabiliser chain:
     at node H, a row's entry j goes to the least point p of its orbit

@@ -11,8 +11,8 @@ import re
 
 import numpy as np
 
-from .cohomology import _mat_mul, eval_word_in_table, nullspace_dim_mod_prime
-from .presentations import CapExceeded, Presentation, factorize, word_inverse, word_str
+from .presentations import (
+    CapExceeded, Presentation, factorize, smith_normal_form, word_inverse, word_str)
 
 
 class GroupSpecError(ValueError):
@@ -306,6 +306,15 @@ def bfs_expressions(table, gens):
     return links
 
 
+def eval_word_in_table(table, images, w):
+    x = 0
+    mul = table.mul
+    inv = table.inv
+    for g, e in w:
+        x = mul[x][images[g] if e == 1 else inv[images[g]]]
+    return x
+
+
 # ---------------------------------------------------------------------------
 # Morphism search by generator images, checked on the generators.
 
@@ -381,33 +390,52 @@ def _extensions(src, gens, dst, links, prefixes, cands, step):
         yield f[_homomorphic(f, src, dst, gens, elems)]
 
 
-def iter_isomorphisms(src, dst):
-    """All isomorphisms src -> dst, groups of one order, as image arrays,
-    by the generator-image search (``_homomorphism_blocks``) with each
-    generator sent to the elements of its order, in the order of
-    ``itertools.product`` over the candidate images.  Raises CapExceeded
-    before it starts if it would try more than BIJECTIVE_TUPLE_CAP
-    candidate tuples.  A homomorphism is injective when only the identity
-    maps to the identity."""
-    gens = generating_sequence(src)
-    cands = [[h for h in range(dst.n) if dst.order_of(h) == src.order_of(g)] for g in gens]
+def _automorphism_search(table, label, what, entry_cap=None):
+    """The automorphisms of the group that keep ``label`` (an int array over
+    its elements) as a read-only int32 array of image rows: each generator
+    of ``generating_sequence`` goes to the elements of its label, in the
+    order of ``itertools.product`` (``_homomorphism_blocks``), and the
+    injective homomorphisms (only the identity maps to the identity) that
+    keep every label are kept.  Raises CapExceeded, its message beginning
+    with ``what`` and the order, before it starts past BIJECTIVE_TUPLE_CAP
+    candidate tuples and, with ``entry_cap``, before any stage, a prefix
+    stage or the last, keeps more image entries (rows times the order)."""
+    gens = generating_sequence(table)
+    cands = [np.flatnonzero(label == label[g]) for g in gens]
     tuples = math.prod(len(c) for c in cands)
+    message = "%s a group of order %d " % (what, table.n)
     if tuples > BIJECTIVE_TUPLE_CAP:
-        raise CapExceeded("isomorphism search from a group of order %d would try %d candidate "
-                          "image tuples (cap %d)" % (src.n, tuples, BIJECTIVE_TUPLE_CAP))
-    for f in _homomorphism_blocks(src, gens, dst, cands):
-        yield from f[(f[:, 1:] != 0).all(axis=1)]
+        raise CapExceeded(message + "would try %d candidate image tuples (cap %d)"
+                          % (tuples, BIJECTIVE_TUPLE_CAP))
+    kept, entries = [], 0
+    try:
+        for f in _homomorphism_blocks(table, gens, table, cands, entry_cap):
+            f = f[(f[:, 1:] != 0).all(axis=1) & (label[f] == label).all(axis=1)]
+            entries += f.size
+            if entry_cap is not None and entries > entry_cap:
+                raise CapExceeded("would keep at least %d image entries (cap %d)"
+                                  % (entries, entry_cap))
+            kept.append(f.astype(np.int32))
+    except CapExceeded as exc:
+        raise CapExceeded(message + str(exc)) from None
+    rows = np.concatenate(kept)
+    rows.flags.writeable = False
+    return rows
+
+
+def _element_orders(table):
+    return np.array([table.order_of(x) for x in range(table.n)])
 
 
 def automorphisms(table):
     """The automorphisms of the group as a read-only int32 array, one image
-    row per automorphism, found by one isomorphism search per table and
+    row per automorphism, found by one search per table that sends each
+    generator to the elements of its order (``_automorphism_search``) and
     kept on it.  The order was checked against the caller's cap when the
     group was built; the search is bounded by its tuple cap."""
     if table._auts is None:
-        rows = np.array(list(iter_isomorphisms(table, table)), dtype=np.int32)
-        rows.flags.writeable = False
-        table._auts = rows
+        table._auts = _automorphism_search(table, _element_orders(table),
+                                           "isomorphism search from")
     return table._auts
 
 
@@ -673,43 +701,27 @@ class ExtensionTower:
         map every chain term into, hence onto, itself, as int32 image rows
         in the order of ``automorphisms``, found by their own search.  Such
         an automorphism keeps the order of every element and its depth, the
-        largest j with x in N_j (x projects to 0 in B_j), so each generator
-        of ``generating_sequence`` is sent only to the elements of its order
-        and depth; of those homomorphisms, the injective ones that never
-        lower a depth are A.  The search raises CapExceeded before it
-        starts past BIJECTIVE_TUPLE_CAP candidate tuples, and before any
-        of its stages, a prefix stage or the last, keeps more than
-        SERIES_ENTRY_CAP entries (rows times |Gamma|); the refusal is kept
-        and raised again on every later call.
-        The order was checked against the caller's cap at tower build."""
+        largest j with x in N_j (x projects to 0 in B_j); conversely a
+        bijection that keeps every depth maps each N_j onto itself.  So A
+        is ``_automorphism_search`` with the label order * (len(chain) + 1)
+        + depth, which tells both apart.  The search raises CapExceeded
+        before it starts past BIJECTIVE_TUPLE_CAP candidate tuples, and
+        before any of its stages keeps more than SERIES_ENTRY_CAP entries
+        (rows times |Gamma|); the refusal is kept and raised again on every
+        later call.  The order was checked against the caller's cap at
+        tower build."""
         table = self.group
         if self._series_auts is None:
+            chain = self.chain_in_group()
             depth = np.empty(table.n, dtype=np.int64)
-            for j, N in enumerate(self.chain_in_group()):
+            for j, N in enumerate(chain):
                 depth[N] = j
-            order = np.array([table.order_of(y) for y in range(table.n)])
-            gens = generating_sequence(table)
-            cands = [np.flatnonzero((order == order[g]) & (depth == depth[g])) for g in gens]
-            tuples = math.prod(len(c) for c in cands)
-            message = "series automorphism search of a group of order %d " % table.n
-            if tuples > BIJECTIVE_TUPLE_CAP:
-                self._series_auts = message + "would try %d candidate image tuples (cap %d)" % (
-                    tuples, BIJECTIVE_TUPLE_CAP)
-            else:
-                kept, entries = [], 0
-                try:
-                    for f in _homomorphism_blocks(table, gens, table, cands, SERIES_ENTRY_CAP):
-                        f = f[(f[:, 1:] != 0).all(axis=1) & (depth[f] >= depth).all(axis=1)]
-                        entries += f.size
-                        if entries > SERIES_ENTRY_CAP:
-                            raise CapExceeded("would keep at least %d image entries (cap %d)"
-                                              % (entries, SERIES_ENTRY_CAP))
-                        kept.append(f.astype(np.int32))
-                except CapExceeded as exc:
-                    self._series_auts = message + str(exc)
-                else:
-                    self._series_auts = np.concatenate(kept)
-                    self._series_auts.flags.writeable = False
+            label = _element_orders(table) * (len(chain) + 1) + depth
+            try:
+                self._series_auts = _automorphism_search(
+                    table, label, "series automorphism search of", SERIES_ENTRY_CAP)
+            except CapExceeded as exc:
+                self._series_auts = str(exc)
         if isinstance(self._series_auts, str):  # the refusal, kept
             raise CapExceeded(self._series_auts)
         return self._series_auts
@@ -742,7 +754,10 @@ class ExtensionTower:
 
 
 def intertwiner_space_dim(acts_a, acts_b, q, s):
-    """Dimension of {T : T A_g = B_g T for all g} over Z_q."""
+    """Dimension of {T : T A_g = B_g T for all g} over Z_q: s^2 less the
+    rank mod q of the system, the number of its Smith invariants that q
+    does not divide (the unimodular transforms of the Smith normal form
+    stay invertible mod q)."""
     rows = []
     for A, B in zip(acts_a, acts_b):
         for i in range(s):
@@ -752,7 +767,7 @@ def intertwiner_space_dim(acts_a, acts_b, q, s):
                     row[i * s + k] = (row[i * s + k] + A[k][j]) % q
                     row[k * s + j] = (row[k * s + j] - B[i][k]) % q
                 rows.append(row)
-    return nullspace_dim_mod_prime(rows, s * s, q)
+    return s * s - sum(d % q != 0 for d in smith_normal_form(rows, ncols=s * s))
 
 
 def _elementary_structure(Q, kset):
@@ -934,6 +949,15 @@ def _binary_dihedral_data(order):
 
 
 _A4_MAT = ((0, 1), (1, 1))
+
+
+def _mat_mul(Amat, Bmat, M):
+    n = len(Amat)
+    k = len(Bmat)
+    return tuple(
+        tuple(sum(Amat[i][t] * Bmat[t][j] for t in range(k)) % M for j in range(len(Bmat[0])))
+        for i in range(n)
+    )
 
 
 def _vec2_apply(M, e0, e1, q):

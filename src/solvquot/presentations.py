@@ -144,10 +144,10 @@ class Presentation:
         """The relators letter by letter: (gen, kind, block).  ``gen`` and
         ``kind`` are (K, Lmax) int64 arrays with relator k left-aligned in
         row k and padded to the longest relator: the generator of each letter
-        (0 in the padding), and 0 for x, 1 for x^-1 and 2 for padding, plus 3
-        on the first letter of a relator.  ``block`` is the (K, n, Lmax) 0/1
-        array with block[k, g, t] = 1 where letter t of relator k is a
-        letter of generator g: the Fox derivative block (k, g) it adds to."""
+        (0 in the padding), and 0 for x, 1 for x^-1 and 2 for padding.
+        ``block`` is the (K, n, Lmax) 0/1 array with block[k, g, t] = 1
+        where letter t of relator k is a letter of generator g: the Fox
+        derivative block (k, g) it adds to."""
         K, n = len(self.relators), len(self.generators)
         width = max((len(r) for r in self.relators), default=0)
         gen = np.zeros((K, width), dtype=np.int64)
@@ -156,7 +156,7 @@ class Presentation:
         for k, rel in enumerate(self.relators):
             for t, (g, e) in enumerate(rel):
                 gen[k, t] = g
-                kind[k, t] = (e < 0) + 3 * (t == 0)
+                kind[k, t] = e < 0
                 block[k, g, t] = 1
         return gen, kind, block
 

@@ -3,6 +3,15 @@
 Nothing under src/solvquot imports this module.  It keeps the per-map
 Python routes and the helpers that only the tests call:
 
+* linear algebra over Z_{q^r} (``solve_mod_prime_power``,
+  ``ModSolveResult``): row reduction pivoting on the entry of least
+  q-valuation, whose solutions are read off a diagonal system; the
+  reference for the batched Z_q elimination (``solve_systems``) and for
+  the Smith normal form rank of ``intertwiner_space_dim``;
+* |Z^1| of a presented group acting on a finite abelian group, each prime
+  part homocyclic (``TwistedAction``, ``PrimeBlock``,
+  ``twisted_z1_count``): its own relator walk with a running prefix
+  matrix, solved over Z_{q^r};
 * the lifting system of one map (``build_system``, ``CocycleSystem``,
   ``solve_system``): a walk of each relator in Python, the reference for
   ``build_systems``, which the counts and the ``cocycle`` verb use;
@@ -39,8 +48,9 @@ Python routes and the helpers that only the tests call:
 * small helpers: the evaluation of a free-group-ring element under a
   twisted action (``evaluate_ring_element``), the torsion order of
   abelian invariants (``torsion_order``), inclusion between the subgroups of a
-  lattice (``leq``), relabelling a table (``relabel``), an isomorphism
-  between two tables by the library's search (``find_isomorphism``) and an
+  lattice (``leq``), relabelling a table (``relabel``), the isomorphisms
+  between two tables by the library's generator-image search
+  (``iter_isomorphisms``), one of them (``find_isomorphism``) and an
   isomorphism test (``is_isomorphic``);
 * Inn(B_i) as an acting group (``conjugation_orbit_groups``), which the
   tests put in place of a tower's ``orbit_group`` to compare the counts
@@ -63,20 +73,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from solvquot.cohomology import (
-    TwistedAction,
-    _mat_id,
-    _mat_mul,
-    eval_word_in_table,
-    nullspace_dim_mod_prime,
-    solve_mod_prime_power,
-    twisted_z1_count,
-)
 from solvquot.counting import (
     DEFAULT_FRONTIER_CAP,
     CountError,
@@ -85,23 +86,255 @@ from solvquot.counting import (
     lift_frontier,
 )
 from solvquot.groups import (
+    BIJECTIVE_TUPLE_CAP,
     CapExceeded,
     ExtensionTower,
     FiniteGroupTable,
     PermutationGroup,
     _binary_dihedral_data,
-    _metacyclic_data,
+    _homomorphism_blocks,
     _mat2_pow,
+    _mat_mul,
+    _metacyclic_data,
     _s3_sigma,
     bfs_expressions,
     builtin_group,
     chief_series,
+    eval_word_in_table,
     generating_sequence,
-    iter_isomorphisms,
     table_from_coords,
 )
 from solvquot.lattice import all_subgroups, moebius
 from solvquot.presentations import factorize
+
+
+def invmod(a, m):
+    return pow(a, -1, m)
+
+
+def _valuation(x, q, r):
+    if x % (q**r) == 0:
+        return r
+    v = 0
+    while x % q == 0:
+        x //= q
+        v += 1
+    return v
+
+
+# ---------------------------------------------------------------------------
+# Solving A x = b over Z_{q^r}.
+#
+# Row reduction with pivoting on the entry of minimal q-valuation; the pivot
+# is normalized to q^v by a unit, rows below are cleared, and the rest of the
+# pivot row is cleared by column operations recorded in a substitution matrix
+# C (x = C y).  The result is a diagonal system q^{v_t} y_t = c_t whose
+# solution set is read off directly.
+
+
+@dataclass
+class ModSolveResult:
+    q: int
+    r: int
+    ncols: int
+    solvable: bool
+    pivot_vals: tuple
+    _C: tuple = field(repr=False)
+    _y0: tuple = field(repr=False)
+
+    @property
+    def modulus(self):
+        return self.q**self.r
+
+    @property
+    def count_exponent(self):
+        """log_q of the number of solutions of the homogeneous system."""
+        free = self.ncols - len(self.pivot_vals)
+        return sum(self.pivot_vals) + self.r * free
+
+    @property
+    def witness(self):
+        if not self.solvable:
+            return None
+        return self._apply(self._y0)
+
+    def _apply(self, y):
+        M = self.modulus
+        return tuple(sum(c * yy for c, yy in zip(row, y)) % M for row in self._C)
+
+    def solutions(self):
+        """All solutions of A x = b as tuples: x = C (y0 + k * q^r / radix)
+        mod q^r, with k over the mixed-radix grid of the radices (q^v for a
+        pivot of valuation v, q^r for a free unknown), first unknown
+        slowest."""
+        if not self.solvable:
+            return
+        M = self.modulus
+        radix = [self.q**v for v in self.pivot_vals] + [M] * (self.ncols - len(self.pivot_vals))
+        for k in itertools.product(*map(range, radix)):
+            yield self._apply([y + kk * (M // rad) for y, kk, rad in zip(self._y0, k, radix)])
+
+    def solution_array(self):
+        """The rows of ``solutions`` as one (count, ncols) int64 array."""
+        return np.array(list(self.solutions()), dtype=np.int64).reshape(-1, self.ncols)
+
+
+def solve_mod_prime_power(rows, rhs, ncols, q, r=1):
+    """Solve ``rows . x = rhs`` over Z_{q**r}; ``rhs=None`` means the
+    homogeneous system."""
+    M = q**r
+    A = [[x % M for x in row] for row in rows]
+    b = [x % M for x in rhs] if rhs is not None else [0] * len(A)
+    nrows = len(A)
+    C = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+    pivot_vals = []
+    t = 0
+    while t < nrows and t < ncols:
+        best = None
+        for i in range(t, nrows):
+            Ai = A[i]
+            for j in range(t, ncols):
+                x = Ai[j]
+                if x:
+                    v = _valuation(x, q, r)
+                    if best is None or v < best[0]:
+                        best = (v, i, j)
+            if best is not None and best[0] == 0:
+                break
+        if best is None:
+            break
+        v, bi, bj = best
+        A[t], A[bi] = A[bi], A[t]
+        b[t], b[bi] = b[bi], b[t]
+        if bj != t:
+            for row in A:
+                row[t], row[bj] = row[bj], row[t]
+            for row in C:
+                row[t], row[bj] = row[bj], row[t]
+        qv = q**v
+        u = invmod((A[t][t] // qv) % M, M)
+        A[t] = [(x * u) % M for x in A[t]]
+        b[t] = (b[t] * u) % M
+        for i in range(t + 1, nrows):
+            x = A[i][t]
+            if x:
+                f = x // qv
+                A[i] = [(a - f * p) % M for a, p in zip(A[i], A[t])]
+                b[i] = (b[i] - f * b[t]) % M
+        for j in range(t + 1, ncols):
+            x = A[t][j]
+            if x:
+                f = x // qv
+                for row in A:
+                    row[j] = (row[j] - f * row[t]) % M
+                for row in C:
+                    row[j] = (row[j] - f * row[t]) % M
+        pivot_vals.append(v)
+        t += 1
+    solvable = all(b[i] % M == 0 for i in range(t, nrows))
+    y0 = [0] * ncols
+    for k, v in enumerate(pivot_vals):
+        if b[k] % (q**v):
+            solvable = False
+            break
+        y0[k] = (b[k] // (q**v)) % M
+    return ModSolveResult(
+        q, r, ncols, solvable, tuple(pivot_vals), tuple(tuple(r_) for r_ in C), tuple(y0)
+    )
+
+
+# ---------------------------------------------------------------------------
+# Twisted actions on a finite abelian group, split by prime.
+
+
+def _mat_id(n):
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+def _mat_inverse(mat, q, r):
+    """Inverse of a matrix over Z_{q^r}; None if singular."""
+    n = len(mat)
+    cols = []
+    for k in range(n):
+        rhs = [int(i == k) for i in range(n)]
+        res = solve_mod_prime_power([list(row) for row in mat], rhs, n, q, r)
+        if not res.solvable or res.count_exponent != 0:
+            return None
+        cols.append(res.witness)
+    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
+
+
+@dataclass
+class PrimeBlock:
+    q: int
+    exps: tuple  # per-coordinate exponents, all equal
+    mats: tuple  # one matrix per source generator
+    inv_mats: tuple
+
+    @property
+    def modulus(self):
+        return self.q ** max(self.exps)
+
+
+class TwistedAction:
+    """Action of source generators on a finite abelian group given as a list
+    of cyclic factors; stored per prime.  Each prime's part must be
+    homocyclic, Z_{q^r}^s: the factors [2, 4] are rejected."""
+
+    def __init__(self, factors, gen_matrices):
+        self.factors = tuple(factors)
+        self.n_gens = len(gen_matrices)
+        self.blocks = {}
+        parts = [factorize(f) for f in self.factors]
+        for q in sorted(set().union(*parts)):
+            idx = [j for j, part in enumerate(parts) if q in part]
+            exps = [parts[j][q] for j in idx]
+            if len(set(exps)) > 1:
+                raise ValueError("the %d-part of %r is not homocyclic" % (q, self.factors))
+            R = exps[0]
+            M = q**R
+            mats = tuple(
+                tuple(tuple(mat[i][j] % M for j in idx) for i in idx) for mat in gen_matrices
+            )
+            invs = []
+            for mat in mats:
+                inv = _mat_inverse(mat, q, R)
+                if inv is None:
+                    raise ValueError("generator action is not invertible mod %d" % M)
+                invs.append(inv)
+            self.blocks[q] = PrimeBlock(q, tuple(exps), mats, tuple(invs))
+
+
+def twisted_z1_count(P, action):
+    """|Z^1| of the source acting on a finite abelian group: the twisted
+    derivative systems are solved per prime and the counts multiplied.  The
+    Fox Jacobian is expanded in one walk per relator, as in
+    ``build_systems``, with a running prefix matrix."""
+    total = 1
+    for q in sorted(action.blocks):
+        blk = action.blocks[q]
+        dim = len(blk.exps)
+        M = blk.modulus
+        rows = []
+        for rel in P.relators:
+            acc = [[[0] * dim for _ in range(dim)] for _ in range(P.n)]
+            mat = _mat_id(dim)
+            for g, e in rel:
+                if e == -1:
+                    mat = _mat_mul(mat, blk.inv_mats[g], M)
+                for a in range(dim):
+                    for b in range(dim):
+                        acc[g][a][b] = (acc[g][a][b] + e * mat[a][b]) % M
+                if e == 1:
+                    mat = _mat_mul(mat, blk.mats[g], M)
+            for a in range(dim):
+                row = []
+                for i in range(P.n):
+                    row.extend(acc[i][a])
+                rows.append(row)
+        res = solve_mod_prime_power(rows, None, P.n * dim, q, blk.exps[0])
+        total *= q**res.count_exponent
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +441,7 @@ def fixed_subspace_dim(layer, images):
         sig = layer.sigma[img]
         for a in range(s):
             rows.append([(sig[a][b] - (1 if a == b else 0)) % q for b in range(s)])
-    return nullspace_dim_mod_prime(rows, s, q)
+    return solve_mod_prime_power(rows, None, s, q, 1).count_exponent
 
 
 def h1_dim(P, images, layer, d=None):
@@ -225,13 +458,13 @@ def h1_dim(P, images, layer, d=None):
 
 def epi_maps(P, tower, cap=10**7):
     """The epimorphisms onto every level group, level 1 first, each level's
-    as the row-sorted int32 array of their image rows that
-    ``lift_frontier`` returns: one pass per layer, every map enumerated."""
+    as the row-sorted int32 array of their image rows: one
+    ``lift_frontier`` pass per layer, every map enumerated."""
     frontier = np.zeros((1, P.n), dtype=np.int32)
     out = []
     for i, lay in enumerate(tower.layers):
         frontier, _ = lift_frontier(P, lay, frontier, epi=True, cap=cap, level=i)
-        out.append(frontier)
+        out.append(frontier[np.lexsort(frontier.T[::-1])])
     return out
 
 
@@ -898,6 +1131,24 @@ def relabel(table, perm):
         inv[p] = i
     rows = [[inv[table.mul[perm[a]][perm[b]]] for b in range(table.n)] for a in range(table.n)]
     return FiniteGroupTable(rows, name=table.name)
+
+
+def iter_isomorphisms(src, dst):
+    """All isomorphisms src -> dst, groups of one order, as image arrays,
+    by the generator-image search (``_homomorphism_blocks``) with each
+    generator sent to the elements of its order, in the order of
+    ``itertools.product`` over the candidate images.  Raises CapExceeded
+    before it starts if it would try more than BIJECTIVE_TUPLE_CAP
+    candidate tuples.  A homomorphism is injective when only the identity
+    maps to the identity."""
+    gens = generating_sequence(src)
+    cands = [[h for h in range(dst.n) if dst.order_of(h) == src.order_of(g)] for g in gens]
+    tuples = math.prod(len(c) for c in cands)
+    if tuples > BIJECTIVE_TUPLE_CAP:
+        raise CapExceeded("isomorphism search from a group of order %d would try %d candidate "
+                          "image tuples (cap %d)" % (src.n, tuples, BIJECTIVE_TUPLE_CAP))
+    for f in _homomorphism_blocks(src, gens, dst, cands):
+        yield from f[(f[:, 1:] != 0).all(axis=1)]
 
 
 def find_isomorphism(t1, t2):

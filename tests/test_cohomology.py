@@ -7,6 +7,7 @@ import pytest
 from reference import (
     CocycleSystem,
     LayerAction,
+    TwistedAction,
     _d8_center_layer,
     _dihedral_layer,
     _elementary_table,
@@ -21,20 +22,14 @@ from reference import (
     h1_dim,
     homogeneous_count,
     solution_vectors,
+    solve_mod_prime_power,
     solve_system,
+    twisted_z1_count,
 )
 
 from solvquot import cohomology
-from solvquot.cohomology import (
-    TwistedAction,
-    build_systems,
-    eval_word_in_table,
-    solution_arrays,
-    solve_mod_prime_power,
-    solve_systems,
-    twisted_z1_count,
-)
-from solvquot.groups import CATALOG_SPECS, builtin_group
+from solvquot.cohomology import build_systems, solution_arrays, solve_systems
+from solvquot.groups import CATALOG_SPECS, builtin_group, eval_word_in_table
 from solvquot.presentations import (
     FreeGroupRingElement,
     builtin_from_string,

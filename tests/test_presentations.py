@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from reference import evaluate_ring_element, torsion_order
+from reference import TwistedAction, evaluate_ring_element, torsion_order
 
 from solvquot.presentations import (
     AbelianInvariants,
@@ -195,8 +195,6 @@ def test_symbolic_jacobian():
 def test_parafree_jacobian_matches_displayed_entries():
     # under any relator-killing evaluation the free-ring derivatives equal
     # the textbook entries 1 + x z^m - y z^n y^-1 z^-n and y z^n y^-1 - 1
-    from solvquot.cohomology import TwistedAction
-
     m, n = 2, 3
     P = builtin_presentation("parafree", m, n)
     jac = symbolic_jacobian(P)

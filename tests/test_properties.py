@@ -1,17 +1,19 @@
 """Property tests on random short presentations: the orbit-counted engine
 and the symmetric-group search against the brute-force oracle, and the
-engine against the Hall identities over a subgroup lattice."""
+engine against the Hall identities over a subgroup lattice; and on random
+matrices over Z_q: the Smith normal form rank against the Z_{q^r}
+reference solver."""
 
 import itertools
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from reference import hall_identities
+from reference import hall_identities, solve_mod_prime_power
 
 from solvquot.counting import epi_count, hom_count
 from solvquot.groups import CATALOG_SPECS, FiniteGroupTable, builtin_group
 from solvquot.oracle import brute_epi, brute_hom
-from solvquot.presentations import Presentation
+from solvquot.presentations import Presentation, smith_normal_form
 from solvquot.subgrowth import hom_count_symmetric
 
 TOWERS = {}
@@ -74,3 +76,23 @@ def test_symmetric_search_against_the_oracle(data, k):
     # centraliser-reduced second generator
     P = data.draw(presentations(4 if k == 3 else 3))
     assert hom_count_symmetric(P, k) == brute_hom(P, SYMMETRIC[k]).count
+
+
+@st.composite
+def matrices_mod_prime(draw):
+    q = draw(st.sampled_from((2, 3, 5, 7)))
+    ncols = draw(st.integers(1, 9))
+    rows = draw(st.lists(st.lists(st.integers(0, q - 1), min_size=ncols, max_size=ncols),
+                         max_size=12))
+    return q, ncols, rows
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(matrices_mod_prime())
+def test_smith_rank_mod_prime_against_the_reference_solver(case):
+    # the nullity over Z_q that intertwiner_space_dim reads from the Smith
+    # invariants: the unimodular transforms stay invertible mod q, so the
+    # rank mod q counts the invariants that q does not divide
+    q, ncols, rows = case
+    nullity = ncols - sum(d % q != 0 for d in smith_normal_form(rows, ncols=ncols))
+    assert nullity == solve_mod_prime_power(rows, None, ncols, q, 1).count_exponent
