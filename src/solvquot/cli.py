@@ -53,26 +53,41 @@ def load_source(spec):
     if text.startswith("<"):
         return parse_presentation(text), text
     if os.path.exists(text):
-        with open(text, "r", encoding="utf-8") as fh:
-            return parse_presentation(fh.read()), text
+        return parse_presentation(_read_text(text)), text
     raise InputError("source %r is neither builtin:, an inline presentation, "
                      "nor an existing file" % spec)
+
+
+def _read_text(path):
+    """A file's text; a directory, an unreadable file or bytes that are not
+    UTF-8 are input errors."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise InputError("cannot read %r: %s" % (path, exc.strerror))
+    except UnicodeDecodeError:
+        raise InputError("%r is not UTF-8 text" % path)
 
 
 def read_table_file(path):
     """Multiplication table file: first line 'order N', then N rows of N
     space-separated 0-based indices; element 0 must be the identity."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
+    lines = [ln.strip() for ln in _read_text(path).split("\n")
+             if ln.strip() and not ln.startswith("#")]
     if not lines or not lines[0].lower().startswith("order"):
         raise InputError("table file must start with 'order N'")
     try:
         n = int(lines[0].split()[1])
-        rows = [[int(x) for x in ln.split()] for ln in lines[1 : n + 1]]
+        rows = [[int(x) for x in ln.split()] for ln in lines[1:]]
     except (IndexError, ValueError):
         raise InputError("malformed table file %r" % path)
+    if n < 1:
+        raise InputError("table order must be at least 1")
     if len(rows) != n or any(len(r) != n for r in rows):
         raise InputError("table file needs %d rows of %d entries" % (n, n))
+    if any(not 0 <= x < n for r in rows for x in r):
+        raise InputError("table entries must lie in 0..%d" % (n - 1))
     table = FiniteGroupTable(rows, name=os.path.basename(path))
     table.check_associativity()
     return table

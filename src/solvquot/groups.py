@@ -899,9 +899,11 @@ def chief_series(table, cap=DEFAULT_ORDER_CAP, spec=""):
 
 
 # ---------------------------------------------------------------------------
-# Built-in groups.  Each family is built on explicit coordinates whose
-# element order makes the lowest-index sections the textbook ones, then run
-# through the generic chief-chain extraction.
+# Built-in groups.  Every family is one of three constructions on explicit
+# coordinates whose element order makes the lowest-index sections the
+# textbook ones: a metacyclic group, a plane Z_q^2 extended by a smaller
+# build, or a direct product.  Each is run through the generic chief-chain
+# extraction.
 
 
 def _cumulative_divisors(n):
@@ -911,18 +913,19 @@ def _cumulative_divisors(n):
     return [math.prod(primes[:i]) for i in range(1, len(primes) + 1)]
 
 
-def _metacyclic_data(s, r, u):
-    """M(s,r,u) = <x, y | x^s, y^r, y x y^-1 = x^u> on coordinates (x, y),
-    with the chain through <x> and its cyclic subgroups; u must be
-    invertible mod s with u^r = 1.  Z(n) is M(n,1,1) and D(2m) is
-    M(m,2,m-1)."""
+def _metacyclic_data(s, r, u, t=0):
+    """M(s,r,u) = <x, y | x^s, y^r = x^t, y x y^-1 = x^u> on coordinates
+    (x, y), with the chain through <x> and its cyclic subgroups; u must be
+    invertible mod s with u^r = 1, and y must fix x^t (t u = t mod s).  So
+    the product adds t to x when y1 + y2 >= r.  Z(n) is M(n,1,1), D(2m) is
+    M(m,2,m-1) and Dstar(4m) is M(2m,2,2m-1) with t = m."""
     upow = np.array([pow(u, y, s) for y in range(r)])
 
     def mulfn(a, b):
         (x1, y1), (x2, y2) = a, b
-        return ((x1 + upow[y1] * x2) % s, (y1 + y2) % r)
+        return ((x1 + upow[y1] * x2 + t * (y1 + y2 >= r)) % s, (y1 + y2) % r)
 
-    table = table_from_coords((s, r), mulfn, name="M(%d,%d,%d)" % (s, r, u))
+    table = table_from_coords((s, r), mulfn, name="M(%d,%d,%d,%d)" % (s, r, u, t))
     x, y = _coords((s, r))
     chain = [frozenset(range(s * r))]
     for d in _cumulative_divisors(r):
@@ -932,106 +935,42 @@ def _metacyclic_data(s, r, u):
     return table, chain
 
 
-def _binary_dihedral_data(order):
-    m = order // 4
-    L = 2 * m
+def _plane_data(q, top, sig):
+    """Z_q^2 extended by T on coordinates (e0, e1, t), numbered
+    e0 + q e1 + q^2 t: ``top`` is the (table, chain) of T, and t acts on
+    the plane by the 2x2 matrix sig[t] over Z_q, so
+    (a, t1)(b, t2) = (a + sig[t1] b, t1 t2).  The chain is the preimages of
+    T's chain, the last of them the plane, then the identity."""
+    T, chain = top
+    sig, tmul = np.asarray(sig), T.as_array()
 
-    def mulfn(x, y):
-        (u, v), (s, t) = x, y
-        return ((u + np.where(v == 0, s, -s) + m * v * t) % L, (v + t) % 2)
+    def mulfn(a, b):
+        (a0, a1, t1), (b0, b1, t2) = a, b
+        m = sig[t1]
+        return ((a0 + m[..., 0, 0] * b0 + m[..., 0, 1] * b1) % q,
+                (a1 + m[..., 1, 0] * b0 + m[..., 1, 1] * b1) % q, tmul[t1, t2])
 
-    table = table_from_coords((L, 2), mulfn, name="Dstar%d" % order)
-    u, v = _coords((L, 2))
-    chain = [frozenset(range(order)), _elements(v == 0)]
-    for d in _cumulative_divisors(L):
-        chain.append(_elements((v == 0) & (u % d == 0)))
-    return table, chain
-
-
-_A4_MAT = ((0, 1), (1, 1))
-
-
-def _mat_mul(Amat, Bmat, M):
-    n = len(Amat)
-    k = len(Bmat)
-    return tuple(
-        tuple(sum(Amat[i][t] * Bmat[t][j] for t in range(k)) % M for j in range(len(Bmat[0])))
-        for i in range(n)
-    )
+    table = table_from_coords((q, q, T.n), mulfn, name="Z%d^2.%s" % (q, T.name))
+    chain = [frozenset(k * q * q + e for k in K for e in range(q * q)) for K in chain]
+    return table, chain + [frozenset({0})]
 
 
-def _vec2_apply(M, e0, e1, q):
-    """M (e0, e1) mod q for a stack of 2x2 matrices M (shape (..., 2, 2))
-    and coordinate arrays e0, e1."""
-    return ((M[..., 0, 0] * e0 + M[..., 0, 1] * e1) % q,
-            (M[..., 1, 0] * e0 + M[..., 1, 1] * e1) % q)
-
-
-def _mat2_pow(mat, k, q):
-    out = ((1, 0), (0, 1))
-    for _ in range(k):
-        out = _mat_mul(out, mat, q)
-    return out
-
-
-def _alt4_data():
-    # (e0, e1, t): the plane Z_2^2 under t in Z_3
-    mats = np.array([_mat2_pow(_A4_MAT, t, 2) for t in range(3)])
-
-    def mulfn(x, y):
-        (a0, a1, t1), (b0, b1, t2) = x, y
-        u0, u1 = _vec2_apply(mats[t1], b0, b1, 2)
-        return ((a0 + u0) % 2, (a1 + u1) % 2, (t1 + t2) % 3)
-
-    table = table_from_coords((2, 2, 3), mulfn, name="A4")
-    chain = [frozenset(range(12)), _elements(_coords((2, 2, 3))[2] == 0), frozenset({0})]
-    return table, chain
-
-
-_S3_B = ((1, 1), (1, 0))
-_S3_C = ((0, 1), (1, 0))
-
-
-def _s3_sigma(w, v):
-    M = _mat2_pow(_S3_B, w, 2)
-    return _mat_mul(M, _S3_C, 2) if v else M
-
-
-def _plane_by_dihedral(q, p, sig, name):
-    """(e0, e1, w, v): the plane Z_q^2 under the dihedral group of order 2p,
-    w in Z_p rotating by sig[w, 0] and v reflecting, with the chain through
-    the rotations and the plane."""
-    sig = np.array(sig)
-
-    def mulfn(x, y):
-        (a0, a1, w1, v1), (b0, b1, w2, v2) = x, y
-        u0, u1 = _vec2_apply(sig[w1, v1], b0, b1, q)
-        w = (w1 + np.where(v1 == 0, w2, -w2)) % p
-        return ((a0 + u0) % q, (a1 + u1) % q, w, (v1 + v2) % 2)
-
-    radices = (q, q, p, 2)
-    table = table_from_coords(radices, mulfn, name=name)
-    _, _, w, v = _coords(radices)
-    chain = [frozenset(range(table.n)), _elements(v == 0), _elements((w == 0) & (v == 0)),
-             frozenset({0})]
-    return table, chain
-
-
-def _sym4_data():
-    sig = [[_s3_sigma(w, v) for v in range(2)] for w in range(3)]
-    return _plane_by_dihedral(2, 3, sig, "S4")
-
-
-def _v_q2p_data(q, p, rparam):
-    if len(factorize(q)) != 1 or q != min(factorize(q)) or len(factorize(p)) != 1:
+def _v_q2p_data(q, p, r):
+    """V(q,p,r): the plane Z_q^2 under D(2p), its element w + p v (the
+    rotation w, then v reflections) acting by B^w C^v with
+    B = ((r, 1), (-1, 0)) and C the coordinate swap.  B is never the
+    identity, so B^p = 1 gives it order p."""
+    if factorize(q) != {q: 1} or factorize(p) != {p: 1}:
         raise GroupSpecError("V(q,p,r) needs primes q, p")
-    B = ((rparam % q, 1), ((q - 1) % q, 0))
-    if _mat2_pow(B, p, q) != ((1, 0), (0, 1)) or B == ((1, 0), (0, 1)):
+    B = np.array([[r % q, 1], [q - 1, 0]])
+    rot = [np.eye(2, dtype=np.int64)]
+    for _ in range(p):
+        rot.append(rot[-1] @ B % q)
+    rot = np.array(rot)
+    if (rot[p] != np.eye(2)).any():
         raise GroupSpecError("V(q,p,r): rotation matrix does not have order %d" % p)
-    C = ((0, 1), (1, 0))
-    powers = [_mat2_pow(B, w, q) for w in range(p)]
-    sig = [[M, _mat_mul(M, C, q)] for M in powers]
-    return _plane_by_dihedral(q, p, sig, "V(%d,%d,%d)" % (q, p, rparam))
+    sig = np.concatenate([rot[:p], rot[:p, :, ::-1]])  # B^w C swaps B^w's columns
+    return _plane_data(q, _metacyclic_data(p, 2, p - 1), sig)
 
 
 def _product_data(d1, d2):
@@ -1064,7 +1003,7 @@ def _dihedral(n):
 
 def _binary_dihedral(n):
     _require(n >= 4 and n % 4 == 0, "Dstar(n) needs 4 | n")
-    return n, lambda: _binary_dihedral_data(n)
+    return n, lambda: _metacyclic_data(n // 2, 2, n // 2 - 1, n // 4)
 
 
 def _quaternion(n):
@@ -1086,12 +1025,14 @@ def _cyclic(n):
 
 def _symmetric(k):
     _require(k in (3, 4), "only S(3) and S(4) are built in")
-    return _dihedral(6) if k == 3 else (24, _sym4_data)
+    return _dihedral(6) if k == 3 else _v_q2p(2, 3, 1)
 
 
 def _alternating(k):
     _require(k == 4, "only A(4) is built in")
-    return 12, _alt4_data
+    R = np.array([[0, 1], [1, 1]])
+    return 12, lambda: _plane_data(2, _metacyclic_data(3, 1, 1),
+                                   [np.eye(2, dtype=int), R, R @ R % 2])
 
 
 def _v_q2p(q, p, r):

@@ -91,12 +91,8 @@ from solvquot.groups import (
     ExtensionTower,
     FiniteGroupTable,
     PermutationGroup,
-    _binary_dihedral_data,
     _homomorphism_blocks,
-    _mat2_pow,
-    _mat_mul,
     _metacyclic_data,
-    _s3_sigma,
     bfs_expressions,
     builtin_group,
     chief_series,
@@ -249,6 +245,12 @@ def solve_mod_prime_power(rows, rhs, ncols, q, r=1):
 
 def _mat_id(n):
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+def _mat_mul(A, B, M):
+    """The product of two tuple matrices mod M."""
+    return tuple(tuple(sum(a * b for a, b in zip(row, col)) % M for col in zip(*B))
+                 for row in A)
 
 
 def _mat_inverse(mat, q, r):
@@ -498,7 +500,7 @@ def _dihedral_coord_table(l):
 
 def _binary_dihedral_coord_table(L):
     # order 2L with rotation part Z_L; b^2 = a^{L/2}
-    return _binary_dihedral_data(2 * L)[0]
+    return _metacyclic_data(L, 2, L - 1, L // 2)[0]
 
 
 def _dihedral_layer(q, l):
@@ -702,18 +704,19 @@ def _q8_center_layer():
 
 
 def _s4_top_layer():
-    # Z_2^2 under S_3 in dihedral coordinates (v*3 + w), split
+    # Z_2^2 under S_3 in dihedral coordinates (v*3 + w), split: the rotation
+    # w acts by B^w and the reflection v by C
     base = _dihedral_coord_table(3)
-    sigma = []
-    for i in range(6):
-        v, w = divmod(i, 3)
-        sigma.append(_s3_sigma(w, v))
+    B, C = ((1, 1), (1, 0)), ((0, 1), (1, 0))
+    rot = [_mat_id(2), B, _mat_mul(B, B, 2)]
+    sigma = rot + [_mat_mul(M, C, 2) for M in rot]
     return LayerAction(2, 2, base, sigma, None)
 
 
 def _a4_top_layer():
     base = _cyclic_table(3)
-    sigma = [_mat2_pow(((0, 1), (1, 1)), t, 2) for t in range(3)]
+    R = ((0, 1), (1, 1))
+    sigma = [_mat_id(2), R, _mat_mul(R, R, 2)]
     return LayerAction(2, 2, base, sigma, None)
 
 

@@ -153,7 +153,7 @@ def test_catalog_and_roundtrip(capsys, tmp_path):
     assert auts == [32, 32]
 
 
-def test_exit_codes(capsys):
+def test_exit_codes(capsys, tmp_path):
     assert main(["epi", "--source", "builtin:nosuch(1)", "--target", "S(4)"]) == 1
     capsys.readouterr()
     assert main(["epi", "--source", "builtin:braid(3)", "--target", "S(9)"]) == 1
@@ -182,6 +182,21 @@ def test_exit_codes(capsys):
             main(argv)
         assert exc.value.code == 1
         capsys.readouterr()
+    # a directory, bytes that are not UTF-8, a table entry past the order,
+    # rows past the declared order and order 0 are input errors
+    (tmp_path / "bytes").write_bytes(b"\xff order 2\n")
+    (tmp_path / "entry.tbl").write_text("order 3\n0 1 2\n1 2 0\n2 0 7\n")
+    (tmp_path / "rows.tbl").write_text("order 2\n0 1\n1 0\n1 0\n")
+    (tmp_path / "empty.tbl").write_text("order 0\n")
+    for argv in (["aut", "--target", str(tmp_path)],
+                 ["hom", "--source", str(tmp_path), "--target", "Z(2)"],
+                 ["aut", "--target", str(tmp_path / "bytes")],
+                 ["hom", "--source", str(tmp_path / "bytes"), "--target", "Z(2)"],
+                 ["aut", "--target", str(tmp_path / "entry.tbl")],
+                 ["aut", "--target", str(tmp_path / "rows.tbl")],
+                 ["aut", "--target", str(tmp_path / "empty.tbl")]):
+        assert main(argv) == 1, argv
+        assert capsys.readouterr().err.startswith("error: "), argv
 
 
 def test_isomorphism_search_is_capped_before_it_starts(capsys):

@@ -61,6 +61,10 @@ def test_builtin_errors():
         builtin_group("V(2,3,0)")
     with pytest.raises(GroupSpecError):
         builtin_group("V(3,2,1)")
+    # and q, p prime: V(5,4,0) has a rotation of order 4 in GL(2, 5)
+    for bad in ("V(4,3,1)", "V(5,4,0)", "V(2,4,0)"):
+        with pytest.raises(GroupSpecError, match="needs primes"):
+            builtin_group(bad)
     with pytest.raises(CapExceeded):
         builtin_group("Z(2)^10")
 
@@ -88,8 +92,8 @@ def test_order_cap_is_charged_before_anything_is_built(monkeypatch):
     def refuse(*args):
         raise AssertionError("a table was built past the order cap")
 
-    for name in ("_metacyclic_data", "_binary_dihedral_data", "_sym4_data", "_alt4_data",
-                 "_v_q2p_data", "_product_data", "table_from_coords"):
+    for name in ("_metacyclic_data", "_plane_data", "_v_q2p_data", "_product_data",
+                 "table_from_coords"):
         monkeypatch.setattr(groups, name, refuse)
     for spec in ("D(100000)", "Z(2)^10", "Q(1024)", "S(4)^3", "A(4)*M(7,6,3)^2",
                  "V(5,3,1)*Z(4)", "Z(1)^100000000*Z(600)"):
