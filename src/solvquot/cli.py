@@ -324,14 +324,15 @@ def cmd_catalog(args):
 # ---------------------------------------------------------------------------
 
 
-def _positive_int(text):
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError("expected an integer >= 1, got %r" % text)
-    return value
+def _at_least(low):
+    def parse(text):
+        try:
+            if int(text) >= low:
+                return int(text)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError("expected an integer >= %d, got %r" % (low, text))
+    return parse
 
 
 def build_parser():
@@ -351,10 +352,11 @@ def build_parser():
         if target:
             p.add_argument("--target", required=True,
                            help="group spec like 'S(4)' or a table file")
-            p.add_argument("--cap-order", type=int, default=DEFAULT_ORDER_CAP,
+            p.add_argument("--cap-order", type=_at_least(0), default=DEFAULT_ORDER_CAP,
                            help="largest allowed target group order")
         if frontier:
-            p.add_argument("--cap-frontier", type=int, default=counting.DEFAULT_FRONTIER_CAP,
+            p.add_argument("--cap-frontier", type=_at_least(0),
+                           default=counting.DEFAULT_FRONTIER_CAP,
                            help="most maps one tower level may build (the lifts "
                                 "of its orbit representatives)")
         p.add_argument("--tsv", action="store_true", help="tabular output")
@@ -374,30 +376,30 @@ def build_parser():
 
     p = verb("moebius", cmd_moebius, help="subgroup lattice Moebius table (TSV)")
     add_common(p, source=False)
-    p.add_argument("--cap-lattice", type=int, default=200)
+    p.add_argument("--cap-lattice", type=_at_least(0), default=200)
 
     p = verb("growth", cmd_growth, help="index-k subgroup counts")
     add_common(p, target=False)
-    p.add_argument("--kmax", type=_positive_int, default=5)
-    p.add_argument("--cap-k", type=int, default=8)
+    p.add_argument("--kmax", type=_at_least(1), default=5)
+    p.add_argument("--cap-k", type=_at_least(0), default=8)
     p.add_argument("--normal", action="store_true",
                    help="also count normal subgroups (k <= 15)")
 
     p = verb("table2", cmd_table2, help="low-index subgroup table for braid groups (TSV)")
-    p.add_argument("--nmax", type=int, default=6)
-    p.add_argument("--kmax", type=_positive_int, default=6)
+    p.add_argument("--nmax", type=_at_least(3), default=6)
+    p.add_argument("--kmax", type=_at_least(1), default=6)
 
     p = verb("verify", cmd_verify, help="engine vs brute-force oracle matrix (TSV)")
     p.add_argument("--sources", nargs="*", default=None)
     p.add_argument("--targets", nargs="*", default=None)
-    p.add_argument("--budget", type=int, default=10**8,
+    p.add_argument("--budget", type=_at_least(0), default=10**8,
                    help="oracle budget in letter operations")
-    p.add_argument("--cap-order", type=int, default=DEFAULT_ORDER_CAP)
-    p.add_argument("--cap-frontier", type=int, default=counting.DEFAULT_FRONTIER_CAP)
+    p.add_argument("--cap-order", type=_at_least(0), default=DEFAULT_ORDER_CAP)
+    p.add_argument("--cap-frontier", type=_at_least(0), default=counting.DEFAULT_FRONTIER_CAP)
 
     p = verb("catalog", cmd_catalog, help="list builtin groups or dump a table")
     p.add_argument("--dump", default=None, help="group spec to dump as a table file")
-    p.add_argument("--cap-order", type=int, default=DEFAULT_ORDER_CAP)
+    p.add_argument("--cap-order", type=_at_least(0), default=DEFAULT_ORDER_CAP)
     return top
 
 

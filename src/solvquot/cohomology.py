@@ -39,11 +39,11 @@ import numpy as np
 # one row of a per-layer table indexed by (letter kind, prefix, letter), so
 # the terms of all letters are one gather, and one matrix product with the
 # presentation's letter-to-block array sums them per (relator, generator).
-# ``solve_systems`` then eliminates the m systems together mod q, in two
-# steps (``eliminate``, ``Elimination.solve``), so that one elimination
-# serves every map where they share a matrix: on a layer of trivial action
-# each block is the exponent sum of its generator in its relator times
-# I_s, the abelianized Fox Jacobian tensor I_s, and only chi varies.
+# ``solve_systems`` then groups the m systems by matrix, and ``eliminate``
+# reduces each distinct one once mod q: a map's matrix depends on it only
+# through sigma(rho(x_1)), ..., sigma(rho(x_n)), so a level's maps share few,
+# and on a layer of trivial action every block is the exponent sum of its
+# generator in its relator times I_s, one matrix for every map.
 
 
 class _LayerTables:
@@ -179,58 +179,82 @@ def eliminate(A, q):
 
 
 class Elimination:
-    """The reduced form of m matrices over Z_q, q prime, in C unknowns and R
-    rows: ``free`` (m, C) bool, ``dims`` (m,) int64, ``null`` (m, C, C) and
-    ``T`` (m, C + R, R) int64.  Row c < C of T[j] reads the reduced
+    """The reduced form of k matrices over Z_q, q prime, in C unknowns and R
+    rows: ``free`` (k, C) bool, ``dims`` (k,) int64, ``null`` (k, C, C) and
+    ``T`` (k, C + R, R) int64.  Row c < C of T[g] reads the reduced
     right-hand side of the row whose pivot is unknown c (zero where c is
     free), and rows C.. read those of the rows with no pivot."""
 
     def __init__(self, q, T, free, null):
         self.q, self.T, self.free, self.null = q, T, free, null
         self.dims = free.sum(axis=1)
+        self._homogeneous = {}
 
-    def solve(self, rhs):
-        """The ``SolutionBatch`` of A[j] x = rhs[j] for the (m', R) array
-        ``rhs``; an elimination of one matrix serves any m'.  rhs' = T rhs:
+    def homogeneous(self, g):
+        """The q^d homogeneous solutions of matrix g as a (q^d, C) array in
+        grid order (first free unknown slowest), expanded on first use."""
+        if g not in self._homogeneous:
+            d = int(self.dims[g])
+            y = np.indices((self.q,) * d, dtype=np.int64).reshape(d, self.q**d)
+            self._homogeneous[g] = (self.null[g][:, self.free[g]] @ y).T % self.q
+        return self._homogeneous[g]
+
+    def solve(self, rhs, which):
+        """The ``SolutionBatch`` of A[which[j]] x = rhs[j] for the (m, R)
+        array ``rhs`` and the (m,) matrix index ``which``.  rhs' = T rhs:
         a system is solvable when rhs' is zero on the rows without a pivot,
         and x0 is rhs' at the pivot unknowns."""
         C = self.free.shape[1]
-        y = (self.T @ rhs[:, :, None])[..., 0] % self.q
-        return SolutionBatch(self, solvable=~y[:, C:].any(axis=1), x0=y[:, :C])
+        y = (self.T[which] @ rhs[:, :, None])[..., 0] % self.q
+        return SolutionBatch(self, which, solvable=~y[:, C:].any(axis=1), x0=y[:, :C])
 
-    @functools.cached_property
-    def grid(self):
-        """The homogeneous solutions of the first matrix as a (q^d, C)
-        array, in grid order (first free unknown slowest)."""
-        vary = np.flatnonzero(self.free[0])
-        d = len(vary)
-        y = np.indices((self.q,) * d, dtype=np.int64).reshape(d, self.q**d)
-        return (self.null[0][:, vary] @ y).T % self.q
+
+@functools.lru_cache(maxsize=None)
+def _key_chunks(radix, n):
+    """The columns of an n-column row over 0..radix-1 as slices that pack
+    into keys below 2^62, big-endian; no columns make one empty slice."""
+    width = 1
+    while width < n and radix ** (width + 1) < 1 << 62:
+        width += 1
+    return tuple(slice(lo, min(lo + width, n)) for lo in range(0, max(n, 1), width))
+
+
+def _distinct_rows(rows, radix):
+    """The rows of an (m, n) array over 0..radix-1 sorted as packed int64
+    keys (``_key_chunks``): the sorting permutation, and per sorted row
+    whether it differs from the row before it (the first does)."""
+    keys = np.array([rows[:, at].astype(np.int64) @ radix ** np.arange(at.stop - at.start)[::-1]
+                     for at in _key_chunks(radix, rows.shape[1])])
+    order = np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys[::-1])
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (np.diff(keys[:, order]) != 0).any(axis=0)
+    return order, new
 
 
 def solve_systems(A, rhs, q):
     """Solve A[j] x = rhs[j] over Z_q, q prime, for every j at once; A is
-    (m, R, C) and rhs (m, R): ``eliminate`` then ``Elimination.solve``."""
-    return eliminate(A, q).solve(rhs)
+    (m, R, C) and rhs (m, R).  The m matrices are grouped by content
+    (``_distinct_rows``), ``eliminate`` reduces each distinct one once, and
+    each system solves against its own (``Elimination.solve``)."""
+    m = len(A)
+    which = np.zeros(m, dtype=np.intp)
+    if m > 1:
+        order, new = _distinct_rows(A.reshape(m, -1) % q, q)
+        which[order] = np.cumsum(new) - 1
+        A = A[order[new]]
+    return eliminate(A, q).solve(rhs, which)
 
 
 class SolutionBatch:
-    """The solution sets of m linear systems over Z_q, q prime, in the same
-    number of unknowns: ``solvable`` (m,) bool, ``dims`` (m,) int64,
-    ``free`` (m, ncols) bool, ``x0`` (m, ncols) and ``null`` (m, ncols,
-    ncols) int64.  System j has q^dims[j] homogeneous solutions, and when
-    it is solvable its solutions are x = x0[j] + null[j] y mod q, where y
-    runs over Z_q on the unknowns ``free[j]`` and is zero elsewhere.
-    ``elim`` is the ``Elimination`` they come from; where it holds one
-    matrix, every system shares it, and dims, free and null are views of
-    its arrays."""
+    """The solution sets of m linear systems over Z_q, q prime, in C
+    unknowns: ``which`` (m,) indexes each system's matrix in ``elim``,
+    ``solvable`` (m,) bool, ``dims`` (m,) int64, ``x0`` (m, C) int64.  When
+    system j, with matrix g, is solvable, its q^dims[j] solutions are x0[j]
+    + elim.null[g] y mod q, y over Z_q on ``elim.free[g]`` and 0 elsewhere."""
 
-    def __init__(self, elim, solvable, x0):
-        m = len(x0)
-        self.q, self.elim, self.solvable, self.x0 = elim.q, elim, solvable, x0
-        self.dims, self.free, self.null = (
-            a if len(a) == m else np.broadcast_to(a, (m,) + a.shape[1:])
-            for a in (elim.dims, elim.free, elim.null))
+    def __init__(self, elim, which, solvable, x0):
+        self.q, self.elim, self.which, self.solvable, self.x0 = elim.q, elim, which, solvable, x0
+        self.dims = elim.dims[which]
 
     def place(self, X, at=slice(None)):
         """The index of each solution X[..., j, :] of system j of the slice
@@ -239,7 +263,7 @@ class SolutionBatch:
         unknowns, so its place in the grid is its free entries read as
         base-q digits, the first most significant.  The caller keeps q^dims
         within int64."""
-        free = self.free[at]
+        free = self.elim.free[self.which[at]]
         after = self.dims[at, None] - np.cumsum(free, axis=1)
         return (X * np.where(free, self.q**after, 0)).sum(axis=-1)
 
@@ -247,28 +271,18 @@ class SolutionBatch:
 def solution_arrays(batch):
     """The solutions of every solvable system of ``batch`` stacked in order
     into one int64 array, each system's in grid order (first free unknown
-    slowest; ``SolutionBatch.place`` inverts it).  Systems with the same
-    free unknowns share one grid and are expanded together; where they
-    share one matrix, they share its homogeneous solutions too
-    (``Elimination.grid``)."""
-    q = batch.q
-    ncols = batch.free.shape[1]
-    ok = np.nonzero(batch.solvable)[0]
-    if len(batch.elim.T) == 1:
-        return ((batch.x0[ok, None, :] + batch.elim.grid) % q).reshape(-1, ncols)
-    free = batch.free[ok]
-    offsets = np.concatenate([[0], np.cumsum(q ** batch.dims[ok])])
-    out = np.empty((offsets[-1], ncols), dtype=np.int64)
-    if (free == free[:1]).all():  # one grid for all
-        pats, which = free[:1], np.zeros(len(ok), dtype=np.intp)
-    else:
-        pats, which = np.unique(free, axis=0, return_inverse=True)
-    for g, pat in enumerate(pats):
-        pos = np.flatnonzero(which.reshape(-1) == g)
-        vary = np.flatnonzero(pat)
-        grid = np.indices((q,) * len(vary), dtype=np.int64).reshape(len(vary), q ** len(vary)).T
-        null = batch.null[ok[pos]][:, :, vary]
-        sols = (batch.x0[ok[pos]][:, None, :] + grid @ null.transpose(0, 2, 1)) % q
-        rows = offsets[pos][:, None] + np.arange(len(grid))
-        out[rows.ravel()] = sols.reshape(-1, ncols)
-    return out
+    slowest; ``SolutionBatch.place`` inverts it): each system's x0 plus the
+    homogeneous solutions of its matrix, by broadcasting where one matrix
+    serves every system, else in one gather."""
+    q, elim, C = batch.q, batch.elim, batch.x0.shape[1]
+    ok = np.flatnonzero(batch.solvable)
+    which = batch.which[ok]
+    sizes = np.where(np.bincount(which, minlength=len(elim.T)), q**elim.dims, 0)
+    homs = [elim.homogeneous(g) for g in np.flatnonzero(sizes).tolist()]
+    if len(homs) == 1:
+        return ((batch.x0[ok, None] + homs[0]) % q).reshape(-1, C)
+    counts = sizes[which]
+    owner = np.repeat(ok, counts)
+    X = np.concatenate(homs + [np.empty((0, C), dtype=np.int64)])[
+        np.repeat(np.cumsum(sizes)[which] - np.cumsum(counts), counts) + np.arange(len(owner))]
+    return (X + batch.x0[owner]) % q

@@ -3,13 +3,12 @@ towers, and the Gaschuetz product formula."""
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cohomology import (
-    _BLOCK, _layer_tables, build_systems, eliminate, solve_systems, solution_arrays)
+from .cohomology import (_BLOCK, _distinct_rows, _layer_tables, build_systems, eliminate,
+                         solve_systems, solution_arrays)
 from .groups import CapExceeded, _digit_vectors, aut_order
 
 # most maps one tower level may build (the lifts of its orbit representatives)
@@ -48,16 +47,16 @@ class CountReport:
 # rows, a set in no particular order, are generator images of homomorphisms (or
 # epimorphisms) into B_i.  Lifting through layer i builds the cocycle systems
 # of all m maps in one batched relator walk (``build_systems``), eliminates
-# them together mod q (``solve_systems``) and extends every map by all of its
-# solutions in one array (``solution_arrays``); no step loops over the maps in
-# Python.  Where the layer acts trivially, or the source has no relators, every
-# map has the same matrix (the abelianized Fox Jacobian tensor I_s), and the
-# level applies the elimination its source keeps for (q, s) instead
-# (``_shared_elimination``), after checking that the maps' matrices equal the
-# kept one.  Every level, the top included, solves through ``_solve_level``,
-# which checks that each map's c complement lifts solve its system; for Epi
-# they are the non-surjective lifts, dropped at their places in the map's block
-# of solutions (``SolutionBatch.place``).
+# each distinct matrix among them once mod q (``solve_systems``) and extends
+# every map by all of its solutions in one array (``solution_arrays``); no step
+# loops over the maps in Python.  Where the layer acts trivially, or the source
+# has no relators, every map has the same matrix (the abelianized Fox Jacobian
+# tensor I_s), and the level applies the elimination of that one matrix that
+# its source keeps for (q, s) (``_shared_elimination``), after checking that
+# the maps' matrices equal the kept one.  Every level, the top included, solves
+# through ``_solve_level``, which checks that each map's c complement lifts
+# solve its system; for Epi they are the non-surjective lifts, dropped at their
+# places in the map's block of solutions (``SolutionBatch.place``).
 #
 # Every count carries the frontier modulo the group A_i of automorphisms of
 # B_i that the tower chooses (``ExtensionTower.orbit_group``), acting on
@@ -146,7 +145,7 @@ def _solve_level(P, lay, images, places=False):
     q = lay.q
     A, chi = build_systems(P, images, lay)
     if len(A) and (_layer_tables(lay).trivial or not P.relators):
-        sol = _shared_elimination(P, lay, A).solve(-chi)
+        sol = _shared_elimination(P, lay, A).solve(-chi, np.zeros(len(A), dtype=np.intp))
     else:
         sol = solve_systems(A, -chi, q)
     c = len(lay.sections)
@@ -251,7 +250,7 @@ def _orbit_representatives(group, rows):
     product of the orbit lengths it passed as its size (orbit-stabiliser:
     the last node is the stabiliser of the least image).  Rows move as
     int32 blocks of about _BLOCK entries, and the least images are
-    deduplicated as packed int64 keys (``_key_chunks``)."""
+    deduplicated as packed int64 keys (``_distinct_rows``)."""
     m, n = rows.shape
     if len(group) == 1:
         return rows, np.ones(m, dtype=np.int64)
@@ -268,24 +267,9 @@ def _orbit_representatives(group, rows):
             moved[:, j:] = flat[group.carry[node, x][:, None] + moved[:, j:]]
             if j < n - 1:
                 node = group.descend(node, moved[:, j])
-    nB = group.rows.shape[1]
-    keys = np.array([least[:, at].astype(np.int64) @ nB ** np.arange(at.stop - at.start)[::-1]
-                     for at in _key_chunks(nB, n)])
-    order = np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys[::-1])
-    new = np.ones(m, dtype=bool)  # differs from the row before it
-    new[1:] = (np.diff(keys[:, order]) != 0).any(axis=0)
+    order, new = _distinct_rows(least, group.rows.shape[1])
     kept = order[new]
     return least[kept], weights[kept]
-
-
-@functools.lru_cache(maxsize=None)
-def _key_chunks(radix, n):
-    """The columns of an n-column row over 0..radix-1 as slices that pack
-    into keys below 2^62, big-endian."""
-    width = 1
-    while width < n and radix ** (width + 1) < 1 << 62:
-        width += 1
-    return tuple(slice(lo, min(lo + width, n)) for lo in range(0, n, width))
 
 
 def _count_top(P, lay, reps):

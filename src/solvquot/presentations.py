@@ -172,11 +172,11 @@ class Presentation:
 
     @cached_property
     def eliminations(self):
-        """The counting engine's eliminations of the lifting matrices that
-        every map shares through a layer of trivial action (or any layer,
-        for a source without relators), a dict filled by
-        ``counting._shared_elimination``.  Such a matrix is the abelianized
-        Fox Jacobian tensor I_s mod q, so it is keyed on (q, s)."""
+        """The counting engine's one-matrix eliminations (``Elimination``)
+        of the lifting matrix every map shares through a layer of trivial
+        action (or any layer, for a source without relators), a dict filled
+        by ``counting._shared_elimination``: the abelianized Fox Jacobian
+        tensor I_s mod q, keyed on (q, s)."""
         return {}
 
 

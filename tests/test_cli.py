@@ -170,10 +170,19 @@ def test_exit_codes(capsys, tmp_path):
         assert "wrong parameter count" in capsys.readouterr().err, spec
     assert main(["hom", "--source", "builtin:klein()", "--target", "Z(2)"]) == 0
     capsys.readouterr()
-    # --kmax below 1, and the removed --threads, --time-budget and verbs,
-    # are usage errors
+    # --kmax below 1, --nmax below 3, a negative cap or budget, and the
+    # removed --threads, --time-budget and verbs, are usage errors
     for argv in (["growth", "--source", "builtin:braid(3)", "--kmax", "-2"],
                  ["table2", "--kmax", "0"],
+                 ["table2", "--nmax", "2"],
+                 ["hom", "--source", "builtin:braid(3)", "--target", "Z(2)", "--cap-frontier", "-5"],
+                 ["epi", "--source", "builtin:braid(3)", "--target", "S(3)", "--cap-order", "-1"],
+                 ["aut", "--target", "S(3)", "--cap-order", "-6"],
+                 ["moebius", "--target", "S(3)", "--cap-lattice", "-1"],
+                 ["growth", "--source", "builtin:braid(3)", "--cap-k", "-1"],
+                 ["verify", "--budget", "-1"],
+                 ["verify", "--cap-frontier", "-1"],
+                 ["catalog", "--dump", "S(3)", "--cap-order", "-1"],
                  ["growth", "--source", "builtin:braid(3)", "--threads", "2"],
                  ["scan-braid-deltas"],
                  ["roundtrip", "--spec", "Q(16)", "--out", "x"],

@@ -27,7 +27,7 @@ from reference import (
     twisted_z1_count,
 )
 
-from solvquot import cohomology
+from solvquot import cohomology, counting
 from solvquot.cohomology import build_systems, solution_arrays, solve_systems
 from solvquot.groups import CATALOG_SPECS, builtin_group, eval_word_in_table
 from solvquot.presentations import (
@@ -187,19 +187,31 @@ def _assert_places(sol, sols):
     start = 0
     for j in ok.tolist():
         count = sol.q ** int(sol.dims[j])
-        X = np.zeros((count,) + sol.free.shape, dtype=np.int64)
+        X = np.zeros((count,) + sol.x0.shape, dtype=np.int64)
         X[:, j] = sols[start : start + count]
         assert sol.place(X)[:, j].tolist() == list(range(count))
         start += count
     assert start == len(sols)
-    return len(np.unique(sol.free[ok], axis=0))
+    return len(np.unique(sol.elim.free[sol.which[ok]], axis=0))
+
+
+def _assert_grouped(A, sol):
+    # the batch's matrix index puts two systems together exactly where
+    # their matrices are equal, and its elimination holds each distinct
+    # matrix once; returns their number
+    _, inv = np.unique(A.reshape(len(A), A.shape[1] * A.shape[2]), axis=0, return_inverse=True)
+    pairs = set(zip(inv.ravel().tolist(), sol.which.tolist()))
+    assert len(pairs) == len(set(inv.ravel().tolist())) == len(set(sol.which.tolist()))
+    assert len(sol.elim.T) == len(pairs)
+    return len(pairs)
 
 
 def _assert_batch_matches_reference(P, rows, lay):
     # build_systems, solve_systems and solution_arrays on a batch of image
     # rows against build_system and solve_mod_prime_power map by map:
-    # matrix, rhs, solvability, d and the solution set of every map, and
-    # the place of every solution; returns the number of free patterns
+    # matrix, rhs, solvability, d and the solution set of every map, the
+    # place of every solution and the grouping by matrix; returns the
+    # number of free patterns and of distinct matrices
     q, s = lay.q, lay.s
     rows = np.asarray(rows, dtype=np.int64).reshape(-1, P.n)
     A, chi = build_systems(P, rows, lay)
@@ -219,7 +231,7 @@ def _assert_batch_matches_reference(P, rows, lay):
         assert sorted(map(tuple, sols[start : start + len(want)])) == want, images
         start += len(want)
     assert start == len(sols)
-    return patterns
+    return patterns, _assert_grouped(A, sol)
 
 
 def test_batched_systems_match_the_per_map_reference():
@@ -237,7 +249,7 @@ def test_batched_systems_match_the_per_map_reference():
             for lay in tower.layers:
                 rows = [[0] * P.n] + [[rng.randrange(len(lay.base)) for _ in range(P.n)]
                                       for _ in range(5)]
-                mixed += _assert_batch_matches_reference(P, rows, lay) > 1
+                mixed += _assert_batch_matches_reference(P, rows, lay)[0] > 1
     assert mixed >= 60
 
 
@@ -263,6 +275,42 @@ def test_batched_systems_edge_cases():
             _assert_batch_matches_reference(Q, rows, lay)
 
 
+def _assert_solver_matches_reference(A, b, q):
+    # solve_systems and solution_arrays against solve_mod_prime_power map by
+    # map, the place of every solution and the grouping by matrix; returns
+    # the number of free patterns and of distinct matrices
+    sol = solve_systems(A, b, q)
+    sols = solution_arrays(sol)
+    patterns = _assert_places(sol, sols)
+    sols = sols.tolist()
+    start = 0
+    for j in range(len(A)):
+        res = solve_mod_prime_power(A[j].tolist(), b[j].tolist(), A.shape[2], q)
+        assert (bool(sol.solvable[j]), int(sol.dims[j])) == (
+            res.solvable, res.count_exponent), (q, A[j], b[j])
+        want = sorted(map(tuple, res.solution_array().tolist()))
+        assert sorted(map(tuple, sols[start : start + len(want)])) == want
+        start += len(want)
+    assert start == len(sols)
+    return patterns, _assert_grouped(A, sol)
+
+
+def test_batched_systems_on_frontiers_that_share_matrices():
+    # real frontiers, whose maps share few matrices: the 210 level-2
+    # representatives of Epi(surface(2), Z(2)*S(4)), and a seeded 300 of
+    # the 1756 top representatives of Hom(surface(2), D(48))
+    P = builtin_from_string("surface(2)")
+    gen = np.random.default_rng(5)
+    for spec, epi, level, size in [("Z(2)*S(4)", True, 2, 210), ("D(48)", False, 4, 1756)]:
+        tower = builtin_group(spec)
+        assert level == len(tower.layers) - 1 or epi
+        reps = next(r for i, r, *_ in counting._orbit_levels(P, tower, epi) if i == level)
+        assert len(reps) == size
+        rows = reps[np.sort(gen.choice(size, min(size, 300), replace=False))]
+        _, distinct = _assert_batch_matches_reference(P, rows, tower.layers[level])
+        assert distinct < len(rows) // 10, (spec, distinct)
+
+
 def test_batched_solver_against_the_per_map_solver():
     # random systems mod a prime, eliminated together
     rng = random.Random(11)
@@ -274,20 +322,26 @@ def test_batched_solver_against_the_per_map_solver():
             A[:10, 1:] = A[:10, :1]  # repeated rows, consistent or not
             b = np.array([[rng.randrange(q) for _ in range(R)] for _ in range(40)],
                          dtype=np.int64).reshape(40, R)
-            sol = solve_systems(A, b, q)
-            sols = solution_arrays(sol)
-            mixed += _assert_places(sol, sols) > 1
-            sols = sols.tolist()
-            start = 0
-            for j in range(40):
-                res = solve_mod_prime_power(A[j].tolist(), b[j].tolist(), C, q)
-                assert (bool(sol.solvable[j]), int(sol.dims[j])) == (
-                    res.solvable, res.count_exponent), (q, A[j], b[j])
-                want = sorted(map(tuple, res.solution_array().tolist()))
-                assert sorted(map(tuple, sols[start : start + len(want)])) == want
-                start += len(want)
-            assert start == len(sols)
+            mixed += _assert_solver_matches_reference(A, b, q)[0] > 1
     assert mixed >= 12
+    # m systems drawn from k << m matrices in shuffled order, each matrix
+    # eliminated once; m = 0 and m = 1; R = 0; and 64 entries mod 7, past
+    # one packed key, in matrices that differ only in their last entry
+    gen = np.random.default_rng(11)
+    assert len(cohomology._key_chunks(7, 64)) > 1
+    for q, R, C, m, k in [(2, 2, 4, 60, 3), (3, 3, 3, 80, 6), (5, 4, 2, 50, 2), (7, 8, 8, 60, 5),
+                          (7, 8, 8, 30, 1), (3, 0, 3, 20, 1), (3, 2, 2, 0, 0), (5, 3, 4, 1, 1)]:
+        distinct = gen.integers(0, q, (k, R, C)) * (gen.random((k, R, C)) < 0.5)
+        if R == 8:
+            distinct[:] = distinct[:1]
+            distinct[:, -1, -1] = np.arange(k)
+        A = distinct[gen.permutation(np.arange(m) % max(k, 1))]
+        x = gen.integers(0, q, (m, C))
+        b = np.where(gen.random((m, 1)) < 0.5, np.einsum("mrc,mc->mr", A, x) % q,
+                     gen.integers(0, q, (m, R)))
+        want = len(np.unique(distinct.reshape(k, R * C), axis=0)) if m else 0
+        got = _assert_solver_matches_reference(A, b, q)[1]
+        assert got == want and (m < 2 or got < m), (q, R, C, m, k)
 
 
 def test_free_source_system_is_empty():

@@ -489,9 +489,11 @@ def test_shared_eliminations_match_the_per_map_solver(monkeypatch):
     def shared(P, lay, A):
         elim = real_shared(P, lay, A)
         assert A is walked[0]
-        got, want = elim.solve(-walked[1]), solve_systems(A, -walked[1], lay.q)
-        for key in ["solvable", "dims", "free", "x0"]:
+        got = elim.solve(-walked[1], np.zeros(len(A), dtype=np.intp))
+        want = solve_systems(A, -walked[1], lay.q)
+        for key in ["solvable", "dims", "x0"]:
             assert (getattr(got, key) == getattr(want, key)).all(), key
+        assert (got.elim.free[got.which] == want.elim.free[want.which]).all(), "free"
         sols = solution_arrays(got)
         assert sols.shape == solution_arrays(want).shape
         assert (sols == solution_arrays(want)).all()
