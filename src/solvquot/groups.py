@@ -252,8 +252,8 @@ def _coords(radices):
     return out
 
 
-def table_from_coords(radices, mulfn, name=""):
-    """Multiplication table of a group on coordinate tuples numbered as in
+def _coords_array(radices, mulfn):
+    """Multiplication array of a group on coordinate tuples numbered as in
     ``_coords``.  ``mulfn`` takes two tuples of broadcasting integer arrays
     and returns the product's coordinates, each reduced mod its radix."""
     cs = _coords(radices)
@@ -261,7 +261,12 @@ def table_from_coords(radices, mulfn, name=""):
     table = 0
     for c, r in zip(prod[::-1], radices[::-1]):
         table = table * r + c
-    return FiniteGroupTable(table, name=name)
+    return table
+
+
+def table_from_coords(radices, mulfn, name=""):
+    """``_coords_array`` as a checked ``FiniteGroupTable``."""
+    return FiniteGroupTable(_coords_array(radices, mulfn), name=name)
 
 
 def _elements(mask):
@@ -913,36 +918,44 @@ def _cumulative_divisors(n):
     return [math.prod(primes[:i]) for i in range(1, len(primes) + 1)]
 
 
-def _metacyclic_data(s, r, u, t=0):
+def _metacyclic_parts(s, r, u, t=0):
     """M(s,r,u) = <x, y | x^s, y^r = x^t, y x y^-1 = x^u> on coordinates
-    (x, y), with the chain through <x> and its cyclic subgroups; u must be
-    invertible mod s with u^r = 1, and y must fix x^t (t u = t mod s).  So
-    the product adds t to x when y1 + y2 >= r.  Z(n) is M(n,1,1), D(2m) is
-    M(m,2,m-1) and Dstar(4m) is M(2m,2,2m-1) with t = m."""
+    (x, y) as its multiplication array, name and chain, the chain through
+    <x> and its cyclic subgroups; u must be invertible mod s with u^r = 1,
+    and y must fix x^t (t u = t mod s).  So the product adds t to x when
+    y1 + y2 >= r.  Z(n) is M(n,1,1), D(2m) is M(m,2,m-1) and Dstar(4m) is
+    M(2m,2,2m-1) with t = m."""
     upow = np.array([pow(u, y, s) for y in range(r)])
 
     def mulfn(a, b):
         (x1, y1), (x2, y2) = a, b
         return ((x1 + upow[y1] * x2 + t * (y1 + y2 >= r)) % s, (y1 + y2) % r)
 
-    table = table_from_coords((s, r), mulfn, name="M(%d,%d,%d,%d)" % (s, r, u, t))
     x, y = _coords((s, r))
     chain = [frozenset(range(s * r))]
     for d in _cumulative_divisors(r):
         chain.append(_elements(y % d == 0))
     for d in _cumulative_divisors(s):
         chain.append(_elements((y == 0) & (x % d == 0)))
-    return table, chain
+    return _coords_array((s, r), mulfn), "M(%d,%d,%d,%d)" % (s, r, u, t), chain
+
+
+def _metacyclic_data(s, r, u, t=0):
+    """The (table, chain) of M(s,r,u) with y^r = x^t, as in
+    ``_metacyclic_parts``."""
+    mul, name, chain = _metacyclic_parts(s, r, u, t)
+    return FiniteGroupTable(mul, name=name), chain
 
 
 def _plane_data(q, top, sig):
     """Z_q^2 extended by T on coordinates (e0, e1, t), numbered
-    e0 + q e1 + q^2 t: ``top`` is the (table, chain) of T, and t acts on
+    e0 + q e1 + q^2 t: ``top`` is the multiplication array, name and chain
+    of T (whose group checks the plane's own table makes), and t acts on
     the plane by the 2x2 matrix sig[t] over Z_q, so
     (a, t1)(b, t2) = (a + sig[t1] b, t1 t2).  The chain is the preimages of
     T's chain, the last of them the plane, then the identity."""
-    T, chain = top
-    sig, tmul = np.asarray(sig), T.as_array()
+    tmul, tname, chain = top
+    sig = np.asarray(sig)
 
     def mulfn(a, b):
         (a0, a1, t1), (b0, b1, t2) = a, b
@@ -950,7 +963,7 @@ def _plane_data(q, top, sig):
         return ((a0 + m[..., 0, 0] * b0 + m[..., 0, 1] * b1) % q,
                 (a1 + m[..., 1, 0] * b0 + m[..., 1, 1] * b1) % q, tmul[t1, t2])
 
-    table = table_from_coords((q, q, T.n), mulfn, name="Z%d^2.%s" % (q, T.name))
+    table = table_from_coords((q, q, len(tmul)), mulfn, name="Z%d^2.%s" % (q, tname))
     chain = [frozenset(k * q * q + e for k in K for e in range(q * q)) for K in chain]
     return table, chain + [frozenset({0})]
 
@@ -970,7 +983,7 @@ def _v_q2p_data(q, p, r):
     if (rot[p] != np.eye(2)).any():
         raise GroupSpecError("V(q,p,r): rotation matrix does not have order %d" % p)
     sig = np.concatenate([rot[:p], rot[:p, :, ::-1]])  # B^w C swaps B^w's columns
-    return _plane_data(q, _metacyclic_data(p, 2, p - 1), sig)
+    return _plane_data(q, _metacyclic_parts(p, 2, p - 1), sig)
 
 
 def _product_data(d1, d2):
@@ -1031,7 +1044,7 @@ def _symmetric(k):
 def _alternating(k):
     _require(k == 4, "only A(4) is built in")
     R = np.array([[0, 1], [1, 1]])
-    return 12, lambda: _plane_data(2, _metacyclic_data(3, 1, 1),
+    return 12, lambda: _plane_data(2, _metacyclic_parts(3, 1, 1),
                                    [np.eye(2, dtype=int), R, R @ R % 2])
 
 

@@ -46,31 +46,34 @@ _SIBLINGS = 1 << 13
 class _Symmetric:
     """The permutations of range(k) and their inverses, their lexicographic
     codes (ascending, so searchsorted ranks a batch), and the conjugacy
-    classes, numbered in the order the permutations first meet them.  The
-    index of a permutation in ``perms`` is its code in the Cayley table;
-    the identity's is 0."""
+    classes, numbered in the order the permutations first meet them and
+    found by one sort of packed keys.  The index of a permutation in
+    ``perms`` is its code in the Cayley table; the identity's is 0.  The
+    centraliser orbits of each class representative are kept once found."""
 
     def __init__(self, k):
-        perms = np.array(list(itertools.permutations(range(k))), dtype=np.int8)
+        perms = _lex_permutations(k)
+        N = len(perms)
         self.k = k
         self.perms = perms
-        self.inv = np.argsort(perms, axis=1).astype(np.int8)
+        self.offsets = _row_offsets(N, k)
+        self.inv = np.empty_like(perms)
+        self.inv.ravel()[perms + self.offsets] = np.arange(k, dtype=np.int8)
         self.codes = self.code(perms)
         self.inv_code = self.rank(self.inv)
-        self.offsets = _row_offsets(len(perms), k)
-        # the fixed-point counts of p, p^2, ..., p^k determine the cycle type
+        # the fixed-point counts of p, p^2, ..., p^k determine the cycle
+        # type; packed base k + 1 into one key per permutation
         power = perms
-        fixed = []
+        key = np.zeros(N, dtype=np.int64)
         for _ in range(k):
-            fixed.append((power == perms[0]).sum(axis=1))
-            power = np.take_along_axis(power, perms, 1)
+            key = key * (k + 1) + (power == perms[0]).sum(axis=1)
+            power = _times(power, perms, self.offsets)
         _, first, class_of, sizes = np.unique(
-            np.stack(fixed, axis=1), axis=0,
-            return_index=True, return_inverse=True, return_counts=True)
+            key, return_index=True, return_inverse=True, return_counts=True)
         order = np.argsort(first)
         renumber = np.empty_like(order)
         renumber[order] = np.arange(len(order))
-        self.class_of = renumber[class_of.reshape(-1)]
+        self.class_of = renumber[class_of]
         self.reps = first[order]
         self.sizes = sizes[order]
         self._orbits = {}
@@ -117,16 +120,33 @@ class _Symmetric:
             raise ArithmeticError("Cayley table of S_%d is not a group table" % self.k)
         return M
 
+    @functools.cached_property
+    def adjacent_conjugations(self):
+        """For each adjacent transposition s = (i i+1), the map a -> index
+        of s o perms[a] o s.  s o x swaps the values i and i+1 of x, which
+        moves x's lexicographic rank by (k-1-j)! at the first position j
+        of the two: up if i comes first, down if i+1 does; x o s is the
+        inverse of s o x^-1."""
+        N, k = len(self.perms), self.k
+        fact = np.array([math.factorial(k - 1 - j) for j in range(k)])
+        maps = []
+        for i in range(k - 1):
+            a, b = self.inv[:, i], self.inv[:, i + 1]
+            left = np.arange(N) + np.where(a < b, fact[a], -fact[b])
+            maps.append(left[self.inv_code[left[self.inv_code]]])
+        return maps
+
     def centraliser_orbits(self, r):
         """The orbits of the centraliser C(p) of the permutation p = perms[r]
         acting on S_k by conjugation: the least index in each orbit,
         ascending, and the orbit sizes.  C(p) is generated by the rotation
         of each cycle of p and the swaps of consecutive cycles of equal
-        length; orbit labels fall to their least member under those maps
-        and pointer jumping.  For the identity these are the classes."""
+        length; conjugation by each is composed from the adjacent
+        transpositions of a bubble sort of it, and orbit labels fall to
+        their least member under those maps and pointer jumping.  For the
+        identity these are the classes."""
         if r not in self._orbits:
-            gens = _centraliser_gens(self.perms[r])
-            maps = [self.rank(c[self.perms[:, np.argsort(c)]]) for c in gens]
+            maps = [self._conjugation(c) for c in _centraliser_gens(self.perms[r])]
             label = np.arange(len(self.perms))
             while True:
                 old = label
@@ -139,6 +159,20 @@ class _Symmetric:
             reps = np.flatnonzero(sizes)
             self._orbits[r] = reps, sizes[reps]
         return self._orbits[r]
+
+    def _conjugation(self, c):
+        """The map a -> index of c o perms[a] o c^-1.  Sorting c by swaps of
+        adjacent positions, c o s_1 o ... o s_m = 1, gives c = s_m o ... o
+        s_1, so the map is the conjugation by s_1 followed by s_2, ..."""
+        steps = self.adjacent_conjugations
+        c = list(c)
+        phi = np.arange(len(self.perms))
+        for end in range(len(c) - 1, 0, -1):
+            for i in range(end):
+                if c[i] > c[i + 1]:
+                    c[i], c[i + 1] = c[i + 1], c[i]
+                    phi = steps[i][phi]
+        return phi
 
 
 def _centraliser_gens(p):
@@ -171,6 +205,17 @@ def _centraliser_gens(p):
             g[a], g[b] = b, a
             gens.append(g)
     return gens
+
+
+def _lex_permutations(k):
+    """The permutations of range(k) as int8 rows in lexicographic order:
+    for each first entry f, ascending, the permutations of range(k - 1)
+    with their entries >= f moved up by one."""
+    P = np.zeros((1, 0), dtype=np.int8)
+    for m in range(1, k + 1):
+        P = np.concatenate([np.column_stack([np.full(len(P), f, np.int8), P + (P >= f)])
+                            for f in range(m)])
+    return P
 
 
 def _row_offsets(rows, k):
@@ -338,13 +383,16 @@ def _search(P, S):
     """Search over generator images in _search_order, keeping the nodes of
     a depth as weighted rows of the images assigned so far.  The first
     generator runs over the class representatives S.reps (weighted by
-    S.sizes) and, with three or more generators, the second over the
-    orbits of the first image's centraliser acting by conjugation (weighted
-    by orbit size): conjugating by an element of C(r) fixes r and carries
-    the completions of one second image onto those of its conjugate.
-    Deeper depths test chunks of rows against all k! images of their
-    generator at once against the relators that become ready there; the
-    last depth adds up the surviving weights."""
+    S.sizes) and the second over the orbits of the first image's
+    centraliser acting by conjugation (weighted by orbit size): conjugating
+    by an element of C(r) fixes r and carries the completions of one second
+    image onto those of its conjugate.  The first depth and, with three or
+    more generators, the second expand one row at a time; the other depths
+    test chunks of rows at once, the last depth of a two-generator source
+    against the concatenated orbit representatives of its rows and every
+    other against all k! images of its generator, each against the
+    relators that become ready there.  The last depth adds up the
+    surviving weights."""
     n = P.n
     order, ready_at = _search_order(P)
     pos = {g: d for d, g in enumerate(order)}
@@ -359,7 +407,7 @@ def _search(P, S):
         generator at depth given one row of assigned images."""
         if depth == 0:
             cand, w = S.reps, S.sizes
-        elif depth == 1 and n >= 3:
+        elif depth == 1:
             cand, w = S.centraliser_orbits(int(row[0]))
         else:
             cand, w = everything, None
@@ -372,14 +420,24 @@ def _search(P, S):
         return cand, w
 
     def siblings(depth, rows):
-        """The surviving (row, candidate) pairs of a chunk of rows, each
-        tested against all k! images of the generator at depth."""
-        r_of = np.repeat(np.arange(len(rows)), N)
-        cand = np.tile(everything, len(rows))
+        """The surviving (row, candidate) pairs of a chunk of rows, and
+        their weights or None: at depth 1 each row's candidates are the
+        orbits of its first image's centraliser, deeper all k! images of
+        the generator at depth."""
+        if depth == 1:
+            orbits = [S.centraliser_orbits(r) for r in rows[:, 0].tolist()]
+            r_of = np.repeat(np.arange(len(rows)), [len(c) for c, _ in orbits])
+            cand = np.concatenate([c for c, _ in orbits])
+            w = np.concatenate([size for _, size in orbits])
+        else:
+            r_of = np.repeat(np.arange(len(rows)), N)
+            cand = np.tile(everything, len(rows))
+            w = None
         for segs in ready_at[depth]:
             keep = _code_values(segs, rows, pos, S, r_of, cand) == 0
             r_of, cand = r_of[keep], cand[keep]
-        return r_of, cand
+            w = None if w is None else w[keep]
+        return r_of, cand, w
 
     def expand(depth, rows, weights):
         nonlocal total
@@ -390,10 +448,9 @@ def _search(P, S):
             if len(chunk) == 1:
                 cand, cw = one_row(depth, chunk[0])
                 r_of = np.zeros(len(cand), dtype=np.intp)
-                cw = w[r_of] if cw is None else w[0] * cw
             else:
-                r_of, cand = siblings(depth, chunk)
-                cw = w[r_of]
+                r_of, cand, cw = siblings(depth, chunk)
+            cw = w[r_of] if cw is None else w[r_of] * cw
             if depth == n - 1:
                 total += int(cw.sum())
             elif len(cand):
@@ -428,7 +485,9 @@ def _code_values(segs, rows, pos, S, r_of, cand):
 
 def hom_count_symmetric(P, k, cap=8):
     """|Hom(G, S_k)| by exhaustive generator-image search with conjugacy
-    reduction of the first two generators, incremental relator pruning over
+    reduction of the first two generators (the first over the classes, the
+    second over the orbits of the first image's centraliser, for every
+    source with two generators or more), incremental relator pruning over
     whole arrays of candidate images, and a convolution shortcut for
     one-relator words that factor into blocks with disjoint supports."""
     if k > cap:

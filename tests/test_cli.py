@@ -2,6 +2,7 @@ import itertools
 import json
 import random
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -290,6 +291,15 @@ def test_table2_command(capsys):
     assert code == 0
     assert out == ("group\ta_1\ta_2\ta_3\ta_4\ta_5\ta_6\ta_7\ta_8\ta_9\n"
                    "B3\t1\t1\t4\t9\t6\t22\t43\t49\t?\n")
+
+
+def test_table2_is_pinned_at_k8(capsys):
+    # the braid table past k = 7, where the second generator of every B_n
+    # runs over centraliser orbits; the same file is compared in CI with the
+    # installed script's output
+    pinned = (Path(__file__).parent / "data" / "table2-nmax6-kmax8.tsv").read_text()
+    code, out = run_cli(capsys, "table2", "--nmax", "6", "--kmax", "8")
+    assert code == 0 and out == pinned
 
 
 GROWTH_SURFACE2_K8 = """\

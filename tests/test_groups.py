@@ -92,8 +92,8 @@ def test_order_cap_is_charged_before_anything_is_built(monkeypatch):
     def refuse(*args):
         raise AssertionError("a table was built past the order cap")
 
-    for name in ("_metacyclic_data", "_plane_data", "_v_q2p_data", "_product_data",
-                 "table_from_coords"):
+    for name in ("_metacyclic_parts", "_metacyclic_data", "_plane_data", "_v_q2p_data",
+                 "_product_data", "_coords_array", "table_from_coords"):
         monkeypatch.setattr(groups, name, refuse)
     for spec in ("D(100000)", "Z(2)^10", "Q(1024)", "S(4)^3", "A(4)*M(7,6,3)^2",
                  "V(5,3,1)*Z(4)", "Z(1)^100000000*Z(600)"):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -137,6 +138,80 @@ def test_centraliser_orbits_against_conjugating_by_the_centraliser():
             want = sorted(set(label.values()))
             assert reps.tolist() == want, (k, r)
             assert sizes.tolist() == [list(label.values()).count(m) for m in want]
+
+
+def _cycle_type(p):
+    seen, lengths = set(), []
+    for start in range(len(p)):
+        length, x = 0, start
+        while x not in seen:
+            seen.add(x)
+            x, length = p[x], length + 1
+        if length:
+            lengths.append(length)
+    return tuple(sorted(lengths))
+
+
+def test_class_data_against_cycle_types():
+    # classes by cycle type in plain Python: the partition of class_of,
+    # representatives in first-met order and sizes k!/z_lambda, where
+    # z_lambda is the product over the parts m (with multiplicity c) of m^c c!
+    for k in range(1, 8):
+        S = subgrowth._symmetric(k)
+        perms = list(itertools.permutations(range(k)))
+        assert S.perms.tolist() == [list(p) for p in perms]
+        assert (S.perms[np.arange(len(perms))[:, None], S.inv] == np.arange(k)).all()
+        first = {}
+        for i, p in enumerate(perms):
+            first.setdefault(_cycle_type(p), i)
+        types = list(first)
+        assert S.reps.tolist() == list(first.values()), k
+        assert S.class_of.tolist() == [types.index(_cycle_type(p)) for p in perms], k
+        for lam, size in zip(types, S.sizes.tolist()):
+            z = math.prod(m ** lam.count(m) * math.factorial(lam.count(m)) for m in set(lam))
+            assert size == math.factorial(k) // z, (k, lam)
+
+
+def test_conjugation_maps_against_ranking():
+    # the conjugation maps composed from adjacent transpositions against
+    # ranking c o x o c^-1 for every x, for the centraliser generators of
+    # each class representative and for random permutations c
+    rng = np.random.default_rng(1)
+    for k in range(2, 8):
+        S = subgrowth._symmetric(k)
+        cs = [g for r in S.reps.tolist() for g in subgrowth._centraliser_gens(S.perms[r])]
+        cs += [rng.permutation(k).astype(np.int8) for _ in range(3)]
+        for c in cs:
+            want = S.rank(c[S.perms[:, np.argsort(c)]])
+            assert (S._conjugation(c) == want).all(), (k, c.tolist())
+
+
+def test_two_generator_orbits_against_the_unreduced_search(monkeypatch):
+    # the second generator over every permutation with weight 1 in place
+    # of the centraliser orbits of the first image, with the default chunks
+    # (Cayley codes at k <= 6) and with chunks of one row (fixed permutations)
+    sources = [builtin_from_string(label) for label in
+               ("braid(3)", "braid(4)", "braid(5)", "bs(1,2)", "bs(2,3)")]
+    assert all(P.n == 2 for P in sources)
+    calls = []
+    real = subgrowth._Symmetric.centraliser_orbits
+
+    def counted(self, r):
+        calls.append(r)
+        return real(self, r)
+
+    def every_permutation(self, r):
+        N = len(self.perms)
+        return np.arange(N), np.ones(N, dtype=np.int64)
+
+    for siblings in (subgrowth._SIBLINGS, 1):
+        monkeypatch.setattr(subgrowth, "_SIBLINGS", siblings)
+        monkeypatch.setattr(subgrowth._Symmetric, "centraliser_orbits", counted)
+        got = [[hom_count_symmetric(P, k) for k in range(1, 7)] for P in sources]
+        assert calls  # the second generator took the orbit route
+        monkeypatch.setattr(subgrowth._Symmetric, "centraliser_orbits", every_permutation)
+        assert [[hom_count_symmetric(P, k) for k in range(1, 7)] for P in sources] == got
+        del calls[:]
 
 
 def test_cayley_table():
