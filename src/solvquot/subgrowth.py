@@ -27,19 +27,14 @@ from .presentations import abelian_invariants, factorize
 
 _BLOCK_TUPLES = 30_000_000  # most assignments a block measure enumerates
 _CHUNK = 1 << 18  # assignments per array pass of a block measure
-# The search keeps two relator evaluators, each the faster on its own path.
-# ``_relator_values`` takes one row of assigned images (the class
-# representatives, the centraliser orbits, a chunk of one row) and folds its
-# runs into fixed permutations; ``_code_values`` takes a chunk of rows and
-# composes permutation codes through the Cayley table, one lookup per
-# (row, candidate) pair and letter.  Measured on 2 CPUs (median of 30):
-# expanding every depth one row at a time took hillman_link k <= 5 from
-# 0.005 to 0.07 s.
-#
-# Most (row, candidate) pairs the search tests in one array pass.  At k = 7
-# (5040 candidates) a chunk is one row, on the fixed-permutation path, so
-# the Cayley table is built only where a chunk holds two rows or more,
-# k! <= _SIBLINGS / 2, that is k <= 6 (1 MB at k = 6; 50 MB at k = 7).
+# The search tests each depth's (row, candidate) pairs in chunks of
+# _SIBLINGS // k! rows (at least one), with one of two relator evaluators
+# chosen by k alone.  Where a chunk holds two rows or more, k! <= _SIBLINGS / 2,
+# that is k <= 6, ``_code_values`` composes permutation codes through the
+# Cayley table (1 MB at k = 6), one lookup per pair and letter.  At k >= 7
+# a chunk is one row, and ``_relator_values`` folds its assigned letters
+# into fixed permutations applied to every candidate at once, so no 50 MB
+# table is built (13 rows at a time on codes measured twice as slow there).
 _SIBLINGS = 1 << 13
 
 
@@ -386,77 +381,62 @@ def _search(P, S):
     S.sizes) and the second over the orbits of the first image's
     centraliser acting by conjugation (weighted by orbit size): conjugating
     by an element of C(r) fixes r and carries the completions of one second
-    image onto those of its conjugate.  The first depth and, with three or
-    more generators, the second expand one row at a time; the other depths
-    test chunks of rows at once, the last depth of a two-generator source
-    against the concatenated orbit representatives of its rows and every
-    other against all k! images of its generator, each against the
-    relators that become ready there.  The last depth adds up the
-    surviving weights."""
+    image onto those of its conjugate; every deeper generator runs over all
+    k! images.  Every depth is walked in chunks of rows, and one step,
+    ``survivors``, tests a chunk's (row, candidate) pairs against the
+    relators that become ready there: on Cayley codes where a chunk holds
+    two rows or more (k <= 6), on fixed permutations at k >= 7, where it
+    holds one.  The last depth adds up the surviving weights."""
     n = P.n
     order, ready_at = _search_order(P)
     pos = {g: d for d, g in enumerate(order)}
     N = len(S.perms)
-    everything = np.arange(N)
     ident = S.perms[0]
     step = max(1, _SIBLINGS // N)
+    # row index and image of each pair of a chunk past depth 1, sliced per chunk
+    row_of, image = np.repeat(np.arange(step), N), np.tile(np.arange(N), step)
     total = 0
 
-    def one_row(depth, row):
-        """The surviving candidates, and their weights or None, for the
-        generator at depth given one row of assigned images."""
+    def survivors(depth, rows):
+        """The surviving (row, candidate) pairs of a chunk of rows, as row
+        indices and candidate codes, and their weights or None (weight 1)."""
         if depth == 0:
-            cand, w = S.reps, S.sizes
+            r_of, cand, w = np.zeros(len(S.reps), dtype=np.intp), S.reps, S.sizes
         elif depth == 1:
-            cand, w = S.centraliser_orbits(int(row[0]))
-        else:
-            cand, w = everything, None
-        X, Xinv = (S.perms, S.inv) if w is None else (S.perms[cand], S.inv[cand])
-        assigned = {order[d]: (S.perms[i], S.inv[i]) for d, i in enumerate(row.tolist())}
-        for segs in ready_at[depth]:
-            keep = (_relator_values(segs, assigned, S, X, Xinv) == ident).all(axis=1)
-            cand, X, Xinv = cand[keep], X[keep], Xinv[keep]
-            w = None if w is None else w[keep]
-        return cand, w
-
-    def siblings(depth, rows):
-        """The surviving (row, candidate) pairs of a chunk of rows, and
-        their weights or None: at depth 1 each row's candidates are the
-        orbits of its first image's centraliser, deeper all k! images of
-        the generator at depth."""
-        if depth == 1:
             orbits = [S.centraliser_orbits(r) for r in rows[:, 0].tolist()]
             r_of = np.repeat(np.arange(len(rows)), [len(c) for c, _ in orbits])
             cand = np.concatenate([c for c, _ in orbits])
             w = np.concatenate([size for _, size in orbits])
         else:
-            r_of = np.repeat(np.arange(len(rows)), N)
-            cand = np.tile(everything, len(rows))
-            w = None
+            r_of, cand, w = row_of[:len(rows) * N], image[:len(rows) * N], None
+        if step == 1:  # one row: its assigned images folded into fixed permutations
+            X, Xinv = (S.perms, S.inv) if w is None else (S.perms[cand], S.inv[cand])
+            assigned = {order[d]: (S.perms[i], S.inv[i]) for d, i in enumerate(rows[0].tolist())}
         for segs in ready_at[depth]:
-            keep = _code_values(segs, rows, pos, S, r_of, cand) == 0
+            if step == 1:
+                keep = (_relator_values(segs, assigned, S, X, Xinv) == ident).all(axis=1)
+                X, Xinv = X[keep], Xinv[keep]
+            else:
+                keep = _code_values(segs, rows, pos, S, r_of, cand) == 0
             r_of, cand = r_of[keep], cand[keep]
             w = None if w is None else w[keep]
         return r_of, cand, w
 
-    def expand(depth, rows, weights):
-        nonlocal total
-        per_row = depth == 0 or (depth == 1 and n >= 3)
-        width = 1 if per_row else step
-        for lo in range(0, len(rows), width):
-            chunk, w = rows[lo:lo + width], weights[lo:lo + width]
-            if len(chunk) == 1:
-                cand, cw = one_row(depth, chunk[0])
-                r_of = np.zeros(len(cand), dtype=np.intp)
-            else:
-                r_of, cand, cw = siblings(depth, chunk)
-            cw = w[r_of] if cw is None else w[r_of] * cw
-            if depth == n - 1:
-                total += int(cw.sum())
-            elif len(cand):
-                expand(depth + 1, np.column_stack([chunk[r_of], cand]), cw)
-
-    expand(0, np.zeros((1, 0), dtype=np.intp), np.ones(1, dtype=np.int64))
+    # depth first over (depth, rows, weights, first row of the next chunk);
+    # a loop, not a recursive closure, whose reference cycle would keep each
+    # search's arrays alive until the garbage collector runs
+    stack = [(0, np.zeros((1, 0), dtype=np.intp), np.ones(1, dtype=np.int64), 0)]
+    while stack:
+        depth, rows, weights, lo = stack.pop()
+        if lo + step < len(rows):
+            stack.append((depth, rows, weights, lo + step))
+        chunk, w = rows[lo:lo + step], weights[lo:lo + step]
+        r_of, cand, cw = survivors(depth, chunk)
+        cw = w[r_of] if cw is None else w[r_of] * cw
+        if depth == n - 1:
+            total += int(cw.sum())
+        elif len(cand):
+            stack.append((depth + 1, np.column_stack([chunk[r_of], cand]), cw, 0))
     return total
 
 
@@ -483,15 +463,24 @@ def _code_values(segs, rows, pos, S, r_of, cand):
     return V
 
 
+def _check_k(k, cap):
+    """Refuse k past ``cap``, and past 10 whatever the cap, before any S_k
+    is built: its k! permutations alone take k! * k bytes, 36 MB at k = 10
+    (where building S_k peaks near 0.5 GB) and 439 MB at k = 11."""
+    top = min(cap, 10)
+    if k > top:
+        raise CapExceeded("k = %d exceeds the symmetric-group cap %d" % (k, top))
+
+
 def hom_count_symmetric(P, k, cap=8):
     """|Hom(G, S_k)| by exhaustive generator-image search with conjugacy
     reduction of the first two generators (the first over the classes, the
-    second over the orbits of the first image's centraliser, for every
-    source with two generators or more), incremental relator pruning over
-    whole arrays of candidate images, and a convolution shortcut for
-    one-relator words that factor into blocks with disjoint supports."""
-    if k > cap:
-        raise CapExceeded("k = %d exceeds the symmetric-group cap %d" % (k, cap))
+    second over the orbits of the first image's centraliser), incremental
+    relator pruning in one step for every depth (candidates chosen by depth,
+    relator evaluator by k), and a convolution shortcut for one-relator
+    words that factor into blocks with disjoint supports.  Raises
+    CapExceeded for k past ``cap`` or past 10 before anything is built."""
+    _check_k(k, cap)
     if k == 0:
         return 1
     n = P.n
@@ -549,9 +538,8 @@ class GrowthReport:
 def ak_sequence(P, kmax, cap=8):
     """Numbers of index-k subgroups for k <= kmax via the recursion
     a_k = h_k/(k-1)! - sum_{l<k} h_{k-l} a_l / (k-l)!.  Raises CapExceeded
-    before any h_k is computed if kmax exceeds ``cap``."""
-    if kmax > cap:
-        raise CapExceeded("k = %d exceeds the symmetric-group cap %d" % (kmax, cap))
+    before any h_k is computed if kmax exceeds ``cap`` or 10."""
+    _check_k(kmax, cap)
     hk = [hom_count_symmetric(P, k, cap=cap) for k in range(1, kmax + 1)]
     ak = ak_from_homcounts(hk)
     tk = [math.factorial(k - 1) * a for k, a in zip(range(1, kmax + 1), ak)]

@@ -189,10 +189,14 @@ def test_conjugation_maps_against_ranking():
 def test_two_generator_orbits_against_the_unreduced_search(monkeypatch):
     # the second generator over every permutation with weight 1 in place
     # of the centraliser orbits of the first image, with the default chunks
-    # (Cayley codes at k <= 6) and with chunks of one row (fixed permutations)
-    sources = [builtin_from_string(label) for label in
+    # (Cayley codes at k <= 6) and with chunks of one row (fixed
+    # permutations); the sources with three or four generators test the
+    # orbit weights of a depth 1 that is not the last, to k = 5
+    sources = [(builtin_from_string(label), 6) for label in
                ("braid(3)", "braid(4)", "braid(5)", "bs(1,2)", "bs(2,3)")]
-    assert all(P.n == 2 for P in sources)
+    assert all(P.n == 2 for P, _ in sources)
+    sources += [(builtin_from_string(label), 5) for label in
+                ("parafree(3,2)", "braid3_split", "hillman_link")]
     calls = []
     real = subgrowth._Symmetric.centraliser_orbits
 
@@ -207,10 +211,11 @@ def test_two_generator_orbits_against_the_unreduced_search(monkeypatch):
     for siblings in (subgrowth._SIBLINGS, 1):
         monkeypatch.setattr(subgrowth, "_SIBLINGS", siblings)
         monkeypatch.setattr(subgrowth._Symmetric, "centraliser_orbits", counted)
-        got = [[hom_count_symmetric(P, k) for k in range(1, 7)] for P in sources]
+        got = [[hom_count_symmetric(P, k) for k in range(1, kmax + 1)] for P, kmax in sources]
         assert calls  # the second generator took the orbit route
         monkeypatch.setattr(subgrowth._Symmetric, "centraliser_orbits", every_permutation)
-        assert [[hom_count_symmetric(P, k) for k in range(1, 7)] for P in sources] == got
+        assert [[hom_count_symmetric(P, k) for k in range(1, kmax + 1)]
+                for P, kmax in sources] == got
         del calls[:]
 
 
@@ -228,26 +233,41 @@ def test_cayley_table():
 
 
 def test_code_path_matches_the_fixed_permutation_path(monkeypatch):
+    # the evaluator follows k alone: Cayley codes at every depth for k <= 6,
+    # fixed permutations at k = 7, where a chunk is one row; chunks of one
+    # row at every k (_SIBLINGS = 1) give the fixed-permutation reference
     sources = [builtin_presentation("hillman_link"), B4, builtin_presentation("parafree", 3, 2),
                builtin_presentation("braid3_split"), builtin_presentation("braid4_split")]
-    calls = []
-    real = subgrowth._code_values
+    calls = {"codes": 0, "perms": 0}
 
-    def counted(*args):
-        calls.append(1)
-        return real(*args)
+    def count_calls(name, key):
+        real = getattr(subgrowth, name)
 
-    monkeypatch.setattr(subgrowth, "_code_values", counted)
+        def counted(*args):
+            calls[key] += 1
+            return real(*args)
+
+        monkeypatch.setattr(subgrowth, name, counted)
+
+    count_calls("_code_values", "codes")
+    count_calls("_relator_values", "perms")
     want = []
     for P in sources:
-        del calls[:]
+        calls.update(codes=0, perms=0)
         want.append([hom_count_symmetric(P, k) for k in range(1, 6)])
-        assert calls, P
+        assert calls["codes"] and not calls["perms"], P
+    for P in sources[:4]:  # braid4_split at k = 6 alone takes about a second
+        calls.update(codes=0, perms=0)
+        hom_count_symmetric(P, 6)
+        assert calls["codes"] and not calls["perms"], P
+    calls.update(codes=0, perms=0)
+    assert hom_count_symmetric(B4, 7) == 115920
+    assert calls["perms"] and not calls["codes"]
     # chunks of one row: every depth on the fixed-permutation path
     monkeypatch.setattr(subgrowth, "_SIBLINGS", 1)
-    del calls[:]
+    calls.update(codes=0, perms=0)
     assert [[hom_count_symmetric(P, k) for k in range(1, 6)] for P in sources] == want
-    assert not calls
+    assert calls["perms"] and not calls["codes"]
 
 
 def test_reduced_search_counts():
