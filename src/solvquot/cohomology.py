@@ -67,12 +67,9 @@ class _LayerTables:
         ar = np.arange(nB)
         inv = np.array(layer.base.inv, dtype=np.int64)
         self.letter = np.concatenate([ar, inv, np.zeros(nB, dtype=np.int64)])
-        sigma = np.array(layer.sigma, dtype=np.int64).reshape(nB, s * s)
+        sigma, chi = layer.sigma.reshape(nB, s * s), layer.chi
         self.trivial = bool((sigma % q == np.eye(s, dtype=np.int64).ravel()).all())
-        chi = np.zeros((nB, nB, s), dtype=np.int64)
-        if layer.chi is not None:
-            chi = np.array(layer.chi, dtype=np.int64).reshape(nB, nB, s)
-        back = np.einsum("bij,yj->byi", sigma.reshape(nB, s, s), chi[ar, inv])
+        back = np.einsum("bij,yj->byi", layer.sigma, chi[ar, inv])
         plus = np.broadcast_to(sigma[:, None], (nB, nB, s * s))
         minus = -sigma[self.mul]
         none = np.zeros((nB, nB, s * s + s), dtype=np.int64)

@@ -453,8 +453,10 @@ def aut_order(table):
 # Elementary abelian layers and extension towers.
 #
 # A layer extends the group built so far (its base B) by E = Z_q^s, with
-# monodromy sigma: B -> GL(s, q) and a normalized 2-cocycle chi: B x B -> E.
-# Elements of the extension are pairs (e, b), encoded as e * |B| + b, with
+# monodromy sigma: B -> GL(s, q) and a normalized 2-cocycle chi: B x B -> E,
+# kept as read-only int64 arrays of shapes (|B|, s, s) and (|B|, |B|, s):
+# column j of sigma[b] is the image of basis vector j.  Elements of the
+# extension are pairs (e, b), encoded as e * |B| + b, with
 #   (e1, b1) (e2, b2) = (e1 + sigma_{b1} e2 + chi(b1, b2),  b1 b2).
 
 
@@ -472,15 +474,16 @@ class ElementaryLayer:
         self.q = q
         self.s = s
         self.base = base
+        sigma.flags.writeable = False
+        chi.flags.writeable = False
         self.sigma = sigma
         self.chi = chi
         self.E = E = q**s
         nB = len(base)
         powers = q ** np.arange(s)
         vecs = _digit_vectors(q, s)
-        sig, ch = self._arrays()
-        sigma_perm = np.einsum("bac,ec->bea", sig, vecs) % q @ powers
-        chi_num = ch @ powers
+        sigma_perm = np.einsum("bac,ec->bea", sigma, vecs) % q @ powers
+        chi_num = chi @ powers
         # (e1, b1)(e2, b2) over the (E, nB, E, nB) grid: e1 + sigma_{b1} e2,
         # then + chi(b1, b2), each by the addition table of E
         add = (vecs[:, None] + vecs[None]) % q @ powers
@@ -491,9 +494,9 @@ class ElementaryLayer:
                                       name="Z%d^%d.%s" % (q, s, base.name or "B"))
         # derived constants
         self._base_gens = generating_sequence(base) if nB > 1 else []
-        self.zeta = int((sig != np.eye(s, dtype=np.int64)).any())
+        self.zeta = int((sigma != np.eye(s, dtype=np.int64)).any())
         # log_q |End(E)|: the matrices commuting with the monodromy image
-        acts = [self.sigma[g] for g in self._base_gens]
+        acts = sigma[self._base_gens]
         self.kappa = intertwiner_space_dim(acts, acts, q, s)
         # the built rows pass the sections setter's check by construction
         rows = self._complement_sections()
@@ -531,12 +534,6 @@ class ElementaryLayer:
         sec.flags.writeable = False
         self._sections = sec
 
-    def _arrays(self):
-        """sigma and chi as int64 arrays of shapes (nB, s, s) and (nB, nB, s)."""
-        nB, s = len(self.base), self.s
-        return (np.array(self.sigma, dtype=np.int64).reshape(nB, s, s),
-                np.array(self.chi, dtype=np.int64).reshape(nB, nB, s))
-
     def _complement_sections(self):
         """Complements of E in the extension = homomorphic sections of the
         projection, found by generator images in the fibres
@@ -558,7 +555,7 @@ class ElementaryLayer:
         irreducible."""
         nB = len(self.base)
         q = self.q
-        sig, ch = self._arrays()
+        sig, ch = self.sigma, self.chi
         mul = self.base.as_array()
         if (np.einsum("iac,jcd->ijad", sig, sig) % q != sig[mul]).any():
             raise GroupSpecError("monodromy is not a homomorphism")
@@ -575,17 +572,17 @@ class ElementaryLayer:
                   + ch[b1, mul[b2, b3]] - ch[b1, b2]) % q
         if defect.any():
             raise GroupSpecError("2-cocycle identity fails")
-        if self.s > 1 and not self._is_irreducible(sig):
+        if self.s > 1 and not self._is_irreducible():
             raise GroupSpecError("layer kernel is not a minimal normal subgroup")
 
-    def _is_irreducible(self, sig):
+    def _is_irreducible(self):
         """No proper nonzero subspace of E invariant under the monodromy
         image.  With sigma a homomorphism, the sigma_b v span an invariant
         subspace, all of E for every nonzero v exactly when E is irreducible;
         it is proper when a nonzero functional w kills every sigma_b v."""
         q = self.q
         vecs = _digit_vectors(q, self.s)
-        vals = vecs @ (sig @ vecs.T % q) % q  # (nB, w, v): w . sigma_b v
+        vals = vecs @ (self.sigma @ vecs.T % q) % q  # (nB, w, v): w . sigma_b v
         return not (vals == 0).all(axis=0)[1:, 1:].any()
 
 
@@ -742,11 +739,11 @@ class ExtensionTower:
         kernel is an irreducible module, so by Schur a nonzero intertwiner
         with a class's first layer places a layer in that class."""
         top = len(self.layers)
-        gens = self.level_gens(top)
+        gens = np.array(self.level_gens(top), dtype=np.int64)
         firsts = []  # (q, s, action on gens) of each class's first layer
         complemented = []  # per class, the complemented layers so far
         for i, lay in enumerate(self.layers):
-            acts = [lay.sigma[self.project(g, i)] for g in gens]
+            acts = lay.sigma[self.project(gens, i)]
             for t, (q, s, first) in enumerate(firsts):
                 if (q, s) == (lay.q, lay.s) and intertwiner_space_dim(first, acts, q, s) > 0:
                     break
@@ -759,19 +756,16 @@ class ExtensionTower:
 
 
 def intertwiner_space_dim(acts_a, acts_b, q, s):
-    """Dimension of {T : T A_g = B_g T for all g} over Z_q: s^2 less the
-    rank mod q of the system, the number of its Smith invariants that q
-    does not divide (the unimodular transforms of the Smith normal form
-    stay invertible mod q)."""
-    rows = []
-    for A, B in zip(acts_a, acts_b):
-        for i in range(s):
-            for j in range(s):
-                row = [0] * (s * s)
-                for k in range(s):
-                    row[i * s + k] = (row[i * s + k] + A[k][j]) % q
-                    row[k * s + j] = (row[k * s + j] - B[i][k]) % q
-                rows.append(row)
+    """Dimension of {T : T A_g = B_g T for all g} over Z_q, for (g, s, s)
+    arrays of the A_g and B_g: s^2 less the rank mod q of the system, the
+    number of its Smith invariants that q does not divide (the unimodular
+    transforms of the Smith normal form stay invertible mod q).  Row
+    (g, i, j) reads (T A_g - B_g T)[i, j] off the entries T[c, d] of T,
+    row-major: A_g[d, j] where c = i, less B_g[i, c] where d = j."""
+    eye = np.eye(s, dtype=np.int64)
+    system = (np.einsum("ic,gdj->gijcd", eye, acts_a)
+              - np.einsum("gic,jd->gijcd", acts_b, eye)) % q
+    rows = system.reshape(-1, s * s).tolist()
     return s * s - sum(d % q != 0 for d in smith_normal_form(rows, ncols=s * s))
 
 
@@ -835,23 +829,22 @@ def tower_from_chief_chain(table, chain, spec=""):
         q, s, basis, elem_of_num, num_of_elem = _elementary_structure(Q, kset)
         num_of = np.full(Q.n, -1)  # kernel coordinate number, -1 off the kernel
         num_of[list(num_of_elem)] = list(num_of_elem.values())
-        vec_of = [tuple(v) for v in _digit_vectors(q, s).tolist()]
+        vecs = _digit_vectors(q, s)
         # the minimal-index section of Q -> previous quotient: np.unique
         # returns the first x with each image
         sec = np.unique(prevproj[reps], return_index=True)[1][psi]
         QA = Q.as_array()
         Qinv = np.array(Q.inv)
-        # column j of sigma(b) is the vector of m basis[j] m^-1, m = sec[b];
-        # zip turns the columns into the matrix rows
+        # column j of sigma(b) is the vector of m basis[j] m^-1, m = sec[b]
         nums = num_of[QA[QA[sec[:, None], basis], Qinv[sec][:, None]]]
         if (nums < 0).any():
             raise GroupSpecError("chain member is not normal")
-        sigma = [tuple(zip(*(vec_of[num] for num in row))) for row in nums.tolist()]
+        sigma = vecs[nums].swapaxes(1, 2).copy()
         # chi(b1, b2) = sec[b1] sec[b2] sec[b1 b2]^-1
         nums = num_of[QA[QA[sec[:, None], sec], Qinv[sec[prev_q.as_array()]]]]
         if (nums < 0).any():
             raise GroupSpecError("section defect leaves the kernel")
-        chi = [[vec_of[num] for num in row] for row in nums.tolist()]
+        chi = vecs[nums]
         lay = ElementaryLayer(q, s, prev_q, sigma, chi)
         lay.verify()
         # psi is indexed by e * |base| + b

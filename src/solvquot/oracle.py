@@ -4,6 +4,7 @@ Deliberately independent of the Fox-calculus machinery."""
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,24 +129,17 @@ def brute_hom_images(P, table, budget=None):
 
 def _pair_mul(layer, x, y):
     (a1, b1), (a2, b2) = x, y
-    q, s = layer.q, layer.s
-    sig = layer.sigma[b1]
-    cv = layer.chi[b1][b2] if layer.chi is not None else (0,) * s
-    vec = tuple(
-        (a1[i] + sum(sig[i][j] * a2[j] for j in range(s)) + cv[i]) % q for i in range(s)
-    )
+    sig, cv = layer.sigma[b1].tolist(), layer.chi[b1, b2].tolist()
+    vec = tuple((u + sum(map(operator.mul, row, a2)) + c) % layer.q
+                for u, row, c in zip(a1, sig, cv))
     return vec, layer.base.mul[b1][b2]
 
 
 def _pair_inv(layer, x):
     a, b = x
-    q, s = layer.q, layer.s
     binv = layer.base.inv[b]
-    sig = layer.sigma[binv]
-    cv = layer.chi[binv][b] if layer.chi is not None else (0,) * s
-    vec = tuple(
-        (-sum(sig[i][j] * a[j] for j in range(s)) - cv[i]) % q for i in range(s)
-    )
+    sig, cv = layer.sigma[binv].tolist(), layer.chi[binv, b].tolist()
+    vec = tuple(-(sum(map(operator.mul, row, a)) + c) % layer.q for row, c in zip(sig, cv))
     return vec, binv
 
 
@@ -154,9 +148,8 @@ def brute_lift_check(P, rho_images, layer, avecs, budget=None):
     homomorphism to the extension: every relator, multiplied out pair by
     pair, must come out to (0, identity)."""
     budget = budget if budget is not None else OracleBudget()
-    s = layer.s
-    zero = (0,) * s
-    lifted = [ (tuple(a), b) for a, b in zip(avecs, rho_images) ]
+    zero = (0,) * layer.s
+    lifted = [(tuple(a), b) for a, b in zip(avecs, rho_images)]
     for rel in P.relators:
         budget.charge(len(rel))
         acc = (zero, 0)

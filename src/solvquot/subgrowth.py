@@ -41,10 +41,12 @@ _SIBLINGS = 1 << 13
 class _Symmetric:
     """The permutations of range(k) and their inverses, their lexicographic
     codes (ascending, so searchsorted ranks a batch), and the conjugacy
-    classes, numbered in the order the permutations first meet them and
-    found by one sort of packed keys.  The index of a permutation in
+    classes, the orbits of conjugation by the adjacent transpositions,
+    numbered by their least members, ascending, which is the order the
+    permutations first meet them.  The index of a permutation in
     ``perms`` is its code in the Cayley table; the identity's is 0.  The
-    centraliser orbits of each class representative are kept once found."""
+    centraliser orbits of each class representative are kept once found,
+    the identity's (the classes) from the start."""
 
     def __init__(self, k):
         perms = _lex_permutations(k)
@@ -56,22 +58,9 @@ class _Symmetric:
         self.inv.ravel()[perms + self.offsets] = np.arange(k, dtype=np.int8)
         self.codes = self.code(perms)
         self.inv_code = self.rank(self.inv)
-        # the fixed-point counts of p, p^2, ..., p^k determine the cycle
-        # type; packed base k + 1 into one key per permutation
-        power = perms
-        key = np.zeros(N, dtype=np.int64)
-        for _ in range(k):
-            key = key * (k + 1) + (power == perms[0]).sum(axis=1)
-            power = _times(power, perms, self.offsets)
-        _, first, class_of, sizes = np.unique(
-            key, return_index=True, return_inverse=True, return_counts=True)
-        order = np.argsort(first)
-        renumber = np.empty_like(order)
-        renumber[order] = np.arange(len(order))
-        self.class_of = renumber[class_of]
-        self.reps = first[order]
-        self.sizes = sizes[order]
-        self._orbits = {}
+        label, self.reps, self.sizes = _orbits(self.adjacent_conjugations, N)
+        self.class_of = np.searchsorted(self.reps, label)
+        self._orbits = {0: (self.reps, self.sizes)}
 
     def code(self, V):
         c = V[:, 0].astype(np.int64)
@@ -128,7 +117,7 @@ class _Symmetric:
         for i in range(k - 1):
             a, b = self.inv[:, i], self.inv[:, i + 1]
             left = np.arange(N) + np.where(a < b, fact[a], -fact[b])
-            maps.append(left[self.inv_code[left[self.inv_code]]])
+            maps.append(left[self.inv_code[left[self.inv_code]]].astype(np.int32))
         return maps
 
     def centraliser_orbits(self, r):
@@ -137,22 +126,11 @@ class _Symmetric:
         ascending, and the orbit sizes.  C(p) is generated by the rotation
         of each cycle of p and the swaps of consecutive cycles of equal
         length; conjugation by each is composed from the adjacent
-        transpositions of a bubble sort of it, and orbit labels fall to
-        their least member under those maps and pointer jumping.  For the
-        identity these are the classes."""
+        transpositions of a bubble sort of it (``_orbits``).  For the
+        identity these are the classes, found with them."""
         if r not in self._orbits:
             maps = [self._conjugation(c) for c in _centraliser_gens(self.perms[r])]
-            label = np.arange(len(self.perms))
-            while True:
-                old = label
-                for phi in maps:
-                    label = np.minimum(label, label[phi])
-                label = label[label]
-                if (label == old).all():
-                    break
-            sizes = np.bincount(label, minlength=len(label))
-            reps = np.flatnonzero(sizes)
-            self._orbits[r] = reps, sizes[reps]
+            self._orbits[r] = _orbits(maps, len(self.perms))[1:]
         return self._orbits[r]
 
     def _conjugation(self, c):
@@ -168,6 +146,25 @@ class _Symmetric:
                     c[i], c[i + 1] = c[i + 1], c[i]
                     phi = steps[i][phi]
         return phi
+
+
+def _orbits(maps, N):
+    """The orbits on 0..N-1 of the group that the permutation arrays
+    ``maps`` generate: each element's label, the least member of its
+    orbit; the labels, ascending; and the orbit sizes.  Labels fall to
+    their least image under the maps and pointer jumping until none
+    moves."""
+    label = np.arange(N)
+    while True:
+        old = label
+        for phi in maps:
+            label = np.minimum(label, label[phi])
+        label = label[label]
+        if (label == old).all():
+            break
+    sizes = np.bincount(label, minlength=N)
+    reps = np.flatnonzero(sizes)
+    return label, reps, sizes[reps]
 
 
 def _centraliser_gens(p):

@@ -346,13 +346,23 @@ def twisted_z1_count(P, action):
 
 @dataclass
 class LayerAction:
-    """Minimal coefficient data for one elementary abelian extension layer."""
+    """Minimal coefficient data for one elementary abelian extension layer,
+    kept as the read-only int64 arrays a built layer holds: sigma
+    (|base|, s, s) and chi (|base|, |base|, s), zero when not given."""
 
     q: int
     s: int
     base: object  # FiniteGroupTable
     sigma: list  # per base element: s x s matrix mod q
     chi: list = None  # per pair of base elements: vector mod q; None = zero
+
+    def __post_init__(self):
+        nB, s = len(self.base), self.s
+        self.sigma = np.array(self.sigma, dtype=np.int64).reshape(nB, s, s)
+        if self.chi is None:
+            self.chi = np.zeros((nB, nB, s), dtype=np.int64)
+        self.chi = np.array(self.chi, dtype=np.int64).reshape(nB, nB, s)
+        self.sigma.flags.writeable = self.chi.flags.writeable = False
 
 
 @dataclass
@@ -374,7 +384,7 @@ def build_system(P, images, layer, check=True):
     relator must be the identity."""
     q, s = layer.q, layer.s
     mul, inv = layer.base.mul, layer.base.inv
-    sigma, chi = layer.sigma, layer.chi
+    sigma, chi = layer.sigma.tolist(), layer.chi.tolist()
     n, m = P.n, len(P.relators)
     rows = [[0] * (n * s) for _ in range(m * s)]
     chi_vec = [0] * (m * s)
@@ -390,16 +400,15 @@ def build_system(P, images, layer, check=True):
                 row, sa = block[a], sig[a]
                 for b in range(s):
                     row[g * s + b] += e * sa[b]
-            if chi is not None:
-                if idx > 0:
-                    vec = chi[prefix][li]
-                    for a in range(s):
-                        acc[a] += vec[a]
-                if e == -1:
-                    sig = sigma[prefix]
-                    vec = chi[li][images[g]]
-                    for a in range(s):
-                        acc[a] -= sum(sig[a][b] * vec[b] for b in range(s))
+            if idx > 0:
+                vec = chi[prefix][li]
+                for a in range(s):
+                    acc[a] += vec[a]
+            if e == -1:
+                sig = sigma[prefix]
+                vec = chi[li][images[g]]
+                for a in range(s):
+                    acc[a] -= sum(sig[a][b] * vec[b] for b in range(s))
             prefix = after
         if check and prefix != 0:
             raise ValueError("images do not satisfy the relators")
@@ -440,7 +449,7 @@ def fixed_subspace_dim(layer, images):
     q, s = layer.q, layer.s
     rows = []
     for img in images:
-        sig = layer.sigma[img]
+        sig = layer.sigma[img].tolist()
         for a in range(s):
             rows.append([(sig[a][b] - (1 if a == b else 0)) % q for b in range(s)])
     return solve_mod_prime_power(rows, None, s, q, 1).count_exponent
@@ -820,7 +829,7 @@ def layer_dec(lay, idx):
 
 
 def _apply_sigma(lay, b, vec):
-    sig = lay.sigma[b]
+    sig = lay.sigma[b].tolist()
     return tuple(sum(sig[a][c] * vec[c] for c in range(lay.s)) % lay.q for a in range(lay.s))
 
 
@@ -854,7 +863,7 @@ def _structural_mul(layers, x, y):
         a + b + c
         for a, b, c in zip(
             kernel_vector(lay, e1), _apply_sigma(lay, b1, kernel_vector(lay, e2)),
-            lay.chi[b1][b2]
+            lay.chi[b1, b2].tolist()
         )
     )
     return layer_enc(lay, kernel_number(lay, v), _structural_mul(layers[:-1], b1, b2))
@@ -867,7 +876,7 @@ def _structural_inv(layers, x):
     e, b = layer_dec(lay, x)
     binv = lay.base.inv[b]
     v = _apply_sigma(lay, binv, kernel_vector(lay, e))
-    v = tuple(-a - c for a, c in zip(v, lay.chi[binv][b]))
+    v = tuple(-a - c for a, c in zip(v, lay.chi[binv, b].tolist()))
     return layer_enc(lay, kernel_number(lay, v), _structural_inv(layers[:-1], b))
 
 
@@ -1047,7 +1056,7 @@ def complement_count(tower, level):
     c_chi |E|^zeta q^{kappa(alpha-1)}."""
     lay = tower.layers[level]
     direct = lay.complements
-    action = TwistedAction([lay.q] * lay.s, [lay.sigma[g] for g in tower.level_gens(level)])
+    action = TwistedAction([lay.q] * lay.s, lay.sigma[tower.level_gens(level)].tolist())
     via_z1 = lay.c_chi * twisted_z1_count(tower.presentation(level), action)
     via_formula = lay.c_chi * (lay.E**lay.zeta) * lay.q ** (lay.kappa * (lay.alpha - 1))
     if not (direct == via_z1 == via_formula):

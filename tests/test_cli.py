@@ -231,6 +231,37 @@ def test_exit_codes(capsys, tmp_path):
         assert capsys.readouterr().err.startswith("error: "), argv
 
 
+def test_bad_table_targets(capsys, tmp_path):
+    # a table of A(5), the even permutations of 5 points composed as maps,
+    # is refused as not solvable by aut and hom and as past the order cap
+    # under --cap-order 59; a file without its 'order N' line and one with
+    # an entry that is not an integer are input errors; none of them ends
+    # in a traceback
+    even = [p for p in itertools.permutations(range(5))
+            if sum(a > b for a, b in itertools.combinations(p, 2)) % 2 == 0]
+    index = {p: i for i, p in enumerate(even)}
+    a5 = tmp_path / "a5.tbl"
+    a5.write_text("order 60\n" + "".join(
+        " ".join(str(index[tuple(p[x] for x in r)]) for r in even) + "\n" for p in even))
+    (tmp_path / "no-order.tbl").write_text("0 1\n1 0\n")
+    (tmp_path / "word.tbl").write_text("order 2\n0 1\n1 x\n")
+    hom = ["hom", "--source", "builtin:free(2)", "--target"]
+    for argv, code, err in [
+            (["aut", "--target", str(a5)], 1, "error: group is not solvable\n"),
+            (hom + [str(a5)], 1, "error: group is not solvable\n"),
+            (["aut", "--target", str(a5), "--cap-order", "59"], 2,
+             "aborted: group order 60 exceeds cap 59\n"),
+            (hom + [str(a5), "--cap-order", "59"], 2, "aborted: group order 60 exceeds cap 59\n"),
+            (["aut", "--target", str(tmp_path / "no-order.tbl")], 1,
+             "error: table file must start with 'order N'\n"),
+            (["aut", "--target", str(tmp_path / "word.tbl")], 1,
+             "error: malformed table file %r\n" % str(tmp_path / "word.tbl"))]:
+        assert main(argv) == code, argv
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", err), argv
+        assert "Traceback" not in captured.err
+
+
 def test_isomorphism_search_is_capped_before_it_starts(capsys):
     # Z(2)^6 would need 63^6 candidate image tuples for |Aut|
     for argv in (["aut", "--target", "Z(2)^6"],

@@ -447,7 +447,7 @@ def test_finite_source_z1():
     # S_3 on Z_2^2 through the standard matrices: 4 cocycles
     s4 = builtin_group("S(4)")
     lay = s4.layers[-1]
-    action = TwistedAction([2, 2], [lay.sigma[g] for g in s4.level_gens(2)])
+    action = TwistedAction([2, 2], lay.sigma[s4.level_gens(2)].tolist())
     assert twisted_z1_count(s4.presentation(2), action) == 4
     # Z_2 inverting Z_3: each value on the generator extends
     z2 = builtin_group("Z(2)")

@@ -343,6 +343,17 @@ def test_hom_falls_back_to_conjugation_where_the_search_is_refused(monkeypatch):
             assert hom_count(F2, tower) == count
 
 
+def test_weight_per_dim_is_exact_past_float_sums():
+    # weights 2^53 and 1 at one d round to 2^53 as a float sum, so the
+    # totals are summed as int64; the maps that do not lift (d = -1) are
+    # kept apart as d None
+    dims = np.array([0, 2, 0, -1, 2])
+    weights = np.array([1 << 53, 3, 1, 5, 4], dtype=np.int64)
+    assert float(1 << 53) + 1.0 == float(1 << 53)
+    assert counting._weight_per_dim(dims, weights) == [
+        (None, 5), (0, sum([1 << 53, 1])), (2, sum([3, 4]))]
+
+
 def test_orbit_representatives_against_every_image():
     # random rows of 3 entries on every level of every catalog tower, under
     # the series automorphisms A and under Inn, and of 12 entries over

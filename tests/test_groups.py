@@ -553,28 +553,28 @@ def test_layer_verify_rejects_corrupted_data():
 
     s4_top = builtin_group("S(4)").layers[-1]  # Z_2^2 under S_3
     s4_top.verify()
-    b = next(b for b in range(6) if s4_top.sigma[b] != s4_top.sigma[0])
-    sigma = list(s4_top.sigma)
+    b = next(b for b in range(6) if (s4_top.sigma[b] != s4_top.sigma[0]).any())
+    sigma = s4_top.sigma.copy()
     sigma[b] = sigma[0]
     with pytest.raises(GroupSpecError, match="monodromy is not a homomorphism"):
         corrupted(s4_top, sigma=sigma).verify()
 
     d8_top = builtin_group("D(8)").layers[-1]  # central Z_2 under Z_2^2, non-split
     d8_top.verify()
-    chi = [list(row) for row in d8_top.chi]
-    chi[0][1] = (1,)
+    chi = d8_top.chi.copy()
+    chi[0, 1] = 1
     with pytest.raises(GroupSpecError, match="cocycle is not normalized"):
         corrupted(d8_top, chi=chi).verify()
-    chi = [list(row) for row in d8_top.chi]
-    chi[1][2] = ((chi[1][2][0] + 1) % 2,)
+    chi = d8_top.chi.copy()
+    chi[1, 2] = (chi[1, 2] + 1) % 2
     with pytest.raises(GroupSpecError, match="2-cocycle identity fails"):
         corrupted(d8_top, chi=chi).verify()
 
     a4_top = builtin_group("A(4)").layers[-1]  # Z_2^2 under Z_3, s = 2
     a4_top.verify()
     nB = len(a4_top.base)
-    trivial = corrupted(a4_top, sigma=[((1, 0), (0, 1))] * nB,
-                        chi=[[(0, 0)] * nB for _ in range(nB)])
+    trivial = corrupted(a4_top, sigma=np.broadcast_to(np.eye(2, dtype=np.int64), (nB, 2, 2)),
+                        chi=np.zeros((nB, nB, 2), dtype=np.int64))
     with pytest.raises(GroupSpecError, match="not a minimal normal subgroup"):
         trivial.verify()
 
@@ -588,7 +588,7 @@ def tower_digest(tw):
     h = hashlib.sha256()
     items = [tw.group.mul, tw.group.inv, tw.source_iso]
     for lay in tw.layers:
-        sig, ch = lay._arrays()
+        sig, ch = lay.sigma, lay.chi
         powers = lay.q ** np.arange(lay.s)
         vecs = np.arange(lay.E)[:, None] // powers % lay.q
         sigma_perm = np.einsum("bac,ec->bea", sig, vecs) % lay.q @ powers
@@ -711,6 +711,19 @@ def test_tower_digests():
     assert set(CATALOG_SPECS + NILPOTENT_CATALOG_SPECS) <= set(TOWER_DIGESTS)
     for spec, want in TOWER_DIGESTS.items():
         assert tower_digest(builtin_group(spec)) == want, spec
+
+
+def test_layer_data_are_read_only_arrays():
+    # every layer of every catalog tower keeps sigma and chi as read-only
+    # int64 arrays, so nothing changes them after verify
+    for spec in CATALOG_SPECS:
+        for lay in builtin_group(spec).layers:
+            nB, s = len(lay.base), lay.s
+            for data, shape in [(lay.sigma, (nB, s, s)), (lay.chi, (nB, nB, s))]:
+                assert isinstance(data, np.ndarray) and data.dtype == np.int64, spec
+                assert data.shape == shape and not data.flags.writeable, spec
+            with pytest.raises(ValueError):
+                lay.chi[0, 0] = 1
 
 
 LARGE_TOWER_DIGESTS = {
