@@ -43,7 +43,9 @@ import numpy as np
 # reduces each distinct one once mod q: a map's matrix depends on it only
 # through sigma(rho(x_1)), ..., sigma(rho(x_n)), so a level's maps share few,
 # and on a layer of trivial action every block is the exponent sum of its
-# generator in its relator times I_s, one matrix for every map.
+# generator in its relator times I_s, one matrix for every map.  The top
+# layer's systems are only counted: ``solution_dims`` ranks each [A | chi]
+# with the same pivot loop (``_reduce``) and builds no solution.
 
 
 class _LayerTables:
@@ -140,19 +142,21 @@ def _inverses(q):
     return np.array([0] + [pow(a, -1, q) for a in range(1, q)], dtype=np.int64)
 
 
-def eliminate(A, q):
-    """Gauss-Jordan elimination of [A[j] | I_R] over Z_q, q prime, for
-    every j at once; A is (m, R, C).  Row by row, each system takes the
-    first nonzero entry of row i of A as its pivot, scales the row to make
-    it 1 and clears the pivot's column in every other row; the same row
-    operations carry I_R to a row transform.  A row left without a pivot
-    is zero in A.  Returns an ``Elimination``: the reduced rows placed by
-    pivot column give the free unknowns, those without a pivot, and the
-    columns of I - (reduced rows) at them span the homogeneous solutions."""
-    m, R, C = A.shape
-    eye = np.broadcast_to(np.eye(R, dtype=np.int64), (m, R, R))
-    W = np.concatenate([A % q, eye], axis=2)
-    inverse = _inverses(q)
+@functools.lru_cache(maxsize=None)
+def _residues(q):
+    """x mod q for x in -(q-1)^2..(q-1)^2, read at x + (q-1)^2."""
+    return np.arange(-(q - 1) ** 2, (q - 1) ** 2 + 1, dtype=np.int64) % q
+
+
+def _reduce(W, C, q):
+    """Gauss-Jordan elimination over Z_q, q prime, of every W[j], entries
+    in 0..q-1: row by row, the first nonzero entry of row i among the
+    first C columns is its pivot, the row is scaled to make it 1 and the
+    pivot's column is cleared in every other row; a row without a pivot
+    is zero there.  Returns the reduced W, each row's pivot column and
+    its pivot inverse (0 without one)."""
+    m, R = W.shape[:2]
+    inverse, residue, off = _inverses(q), _residues(q), (q - 1) ** 2
     maps = np.arange(m)
     col = np.empty((m, R), dtype=np.int64)
     unit = np.empty((m, R), dtype=np.int64)
@@ -160,10 +164,32 @@ def eliminate(A, q):
         row = W[:, i]
         col[:, i] = p = (row[:, :C] != 0).argmax(axis=1)
         unit[:, i] = u = inverse[row[maps, p]]  # 0 where the row is zero
-        piv = row * u[:, None] % q
-        W -= W[maps, :, p][:, :, None] * piv[:, None, :]
-        W %= q
+        piv = residue[row * u[:, None] + off]
+        W -= W[maps, :, p][:, :, None] * piv[:, None, :] - off
+        W = residue[W]
         W[:, i] += piv  # the pivot row was cleared to zero; a zero row keeps its transform
+    return W, col, unit
+
+
+def solution_dims(A, rhs, q):
+    """d = C - rank A[j] for each system A[j] x = rhs[j] over Z_q, q prime,
+    where rank A[j] = rank [A[j] | rhs[j]], else -1: one ``_reduce`` of
+    [A | rhs], whose rows without a pivot must be zero in rhs too."""
+    C = A.shape[2]
+    W, _, unit = _reduce(np.concatenate([A % q, rhs[:, :, None] % q], axis=2), C, q)
+    solvable = ~(W[:, :, C] * (unit == 0)).any(axis=1)
+    return np.where(solvable, C - (unit != 0).sum(axis=1), -1)
+
+
+def eliminate(A, q):
+    """``_reduce`` of [A[j] | I_R] for every j at once, A (m, R, C), which
+    carries I_R to a row transform.  Returns an ``Elimination``: the reduced
+    rows placed by pivot column give the free unknowns, those without a
+    pivot, and the columns of I - (reduced rows) at them span the
+    homogeneous solutions."""
+    m, R, C = A.shape
+    eye = np.broadcast_to(np.eye(R, dtype=np.int64), (m, R, R))
+    W, col, unit = _reduce(np.concatenate([A % q, eye], axis=2), C, q)
     which, rows = np.nonzero(unit)
     red = np.zeros((m, C, C + R), dtype=np.int64)
     red[which, col[which, rows]] = W[which, rows]

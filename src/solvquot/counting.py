@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cohomology import (_BLOCK, _distinct_rows, _layer_tables, build_systems, eliminate,
-                         solve_systems, solution_arrays)
+                         solution_arrays, solution_dims, solve_systems)
 from .groups import CapExceeded, _digit_vectors, aut_order
 
 # most maps one tower level may build (the lifts of its orbit representatives)
@@ -53,10 +53,11 @@ class CountReport:
 # has no relators, every map has the same matrix (the abelianized Fox Jacobian
 # tensor I_s), and the level applies the elimination of that one matrix that
 # its source keeps for (q, s) (``_shared_elimination``), after checking that
-# the maps' matrices equal the kept one.  Every level, the top included, solves
-# through ``_solve_level``, which checks that each map's c complement lifts
-# solve its system; for Epi they are the non-surjective lifts, dropped at their
-# places in the map's block of solutions (``SolutionBatch.place``).
+# the maps' matrices equal the kept one.  Every level, the top included, builds
+# its systems through ``_solve_level``, which checks that each map's c
+# complement lifts solve its system; for Epi they are the non-surjective lifts,
+# dropped at their distinct places in the map's block of solutions
+# (``SolutionBatch.place``), and a level that keeps no lift builds none.
 #
 # Every count carries the frontier modulo the group A_i of automorphisms of
 # B_i that the tower chooses (``ExtensionTower.orbit_group``), acting on
@@ -70,8 +71,9 @@ class CountReport:
 # representative per orbit, its least image, weighted by the orbit size
 # |A_i| / |Stab(row)|; the lifts of the representatives are canonicalised
 # and deduplicated one level up.  The top layer is counted, epsilon * q^d
-# (minus the c complement lifts for Epi) per representative, and never
-# enumerated.
+# (minus the c complement lifts for Epi) per representative, d by rank
+# (``solution_dims``, or the kept elimination where the maps share it), and
+# never enumerated.
 #
 # The bottom layer of every tower is Z_q^s over the trivial group, with
 # trivial action and no cocycle, so the lifts of the trivial map through it
@@ -98,61 +100,68 @@ def lift_frontier(P, lay, frontier, epi, cap=DEFAULT_FRONTIER_CAP, level=0):
     With ``epi`` the frontier must consist of epimorphisms: the
     non-surjective lifts of a map are then exactly its c complement lifts
     (``_solve_level``), which are dropped by their place in the map's block
-    of solutions, and every map must keep q^d - c lifts.  ``cap`` bounds the
-    number of lifts kept; it is checked once every system is solved, before
-    any lift is built."""
+    of solutions; the c places of every map must be distinct, so that it
+    keeps q^d - c lifts.  Where that keeps none, no lift is built.  ``cap``
+    bounds the number of lifts kept; it is checked once every system is
+    solved, before any lift is built."""
     q, s, n = lay.q, lay.s, P.n
     nB, m = len(lay.base), len(frontier)
     c = lay.complements if epi else 0
-    sol, places = _solve_level(P, lay, frontier, places=bool(c))
-    size = sum(k * q**d for d, k in enumerate(np.bincount(sol.dims[sol.solvable]).tolist()))
+    sol, dims, places = _solve_level(P, lay, frontier, places=bool(c))
+    size = sum(k * q**d for d, k in enumerate(np.bincount(dims[dims >= 0]).tolist()))
     _check_cap(size - c * m, cap, epi, level)
     counts = np.where(sol.solvable, q**sol.dims, 0)
-    if c:
-        drop = np.cumsum(counts) - counts + places
+    if c:  # the c complement lifts of each map must be c distinct places in its block
+        ranked = np.sort(places, axis=0)
+        wrong = (ranked[1:] == ranked[:-1]).any(axis=0) | (ranked[-1] >= counts) | (len(places) != c)
+        if wrong.any():
+            j = wrong.argmax()
+            raise CountError("surjective lift tally %d disagrees with the complement subtraction "
+                             "%d - %d" % (counts[j] - len(set(places[:, j])), counts[j], c))
+    if size == c * m:  # every lift is a complement lift, or none lifts
+        return np.empty((0, n), dtype=np.int32), dims
     X = solution_arrays(sol)
     if len(X) != counts.sum():
         raise CountError("lift enumeration disagrees with the solution count")
-    owner = np.repeat(np.arange(m), counts)
-    lifts = (X.reshape(-1, n, s) @ q ** np.arange(s, dtype=np.int64)) * nB + frontier[owner]
+    lifts = X.reshape(-1, n, s) @ q ** np.arange(s, dtype=np.int64)
     del X
+    lifts *= nB
+    lifts += frontier[np.repeat(np.arange(m), counts)]
     if c:
         keep = np.ones(len(lifts), dtype=bool)
-        keep[drop.ravel()] = False
-        kept = np.bincount(owner[keep], minlength=m)
-        if (kept != counts - c).any():
-            j = int(np.nonzero(kept != counts - c)[0][0])
-            raise CountError(
-                "surjective lift tally %d disagrees with the complement "
-                "subtraction %d - %d" % (kept[j], counts[j], c)
-            )
+        keep[(np.cumsum(counts) - counts + places).ravel()] = False
         lifts = lifts[keep]
-    return lifts.astype(np.int32), np.where(sol.solvable, sol.dims, -1)
+    return lifts.astype(np.int32), dims
 
 
-def _solve_level(P, lay, images, places=False):
-    """The SolutionBatch of the lifting systems of the maps ``images``
-    through ``lay`` and, with ``places``, the place of each map's
-    complement lifts in its block of solutions (``SolutionBatch.place``)
-    as a (c, m) array, else None.  The rows of ``lay.sections`` are c
-    distinct homomorphic sections (checked when they are set), so their
-    restrictions (row[b_i]) lift every map: their solution vectors X must
-    satisfy A X + chi = 0 mod q, checked in blocks of about _BLOCK
-    entries, and every system must then be solvable; the places are read
-    from the same blocks of X.  A level whose maps share their matrix
+def _solve_level(P, lay, images, places=False, top=False):
+    """The lifting systems of the maps ``images`` through ``lay``: their
+    SolutionBatch, the exponent d of each one's q^d solutions (-1 where it
+    has none) and, with ``places``, the place of each map's complement
+    lifts in its block of solutions (``SolutionBatch.place``) as a (c, m)
+    array, else None.  A level whose maps share their matrix
     (``_shared_elimination``) solves through the elimination its source
-    keeps."""
+    keeps; at the ``top`` of any other, the systems are only counted by
+    rank (``solution_dims``) and the batch is None.  The rows of
+    ``lay.sections`` are c distinct homomorphic sections (checked when
+    they are set), so their restrictions (row[b_i]) lift every map: their
+    solution vectors X must satisfy A X + chi = 0 mod q, checked in blocks
+    of about _BLOCK entries where there are relators, and every system
+    must then be solvable; the places are read from the same blocks of X."""
     q = lay.q
     A, chi = build_systems(P, images, lay)
     if len(A) and (_layer_tables(lay).trivial or not P.relators):
         sol = _shared_elimination(P, lay, A).solve(-chi, np.zeros(len(A), dtype=np.intp))
+    elif top:
+        sol = None
     else:
         sol = solve_systems(A, -chi, q)
+    dims = solution_dims(A, -chi, q) if sol is None else np.where(sol.solvable, sol.dims, -1)
     c = len(lay.sections)
     placed = np.empty((c, len(images)), dtype=np.int64) if places else None
-    bad = c and not sol.solvable.all()
+    bad = c and (dims < 0).any()
     step = max(1, _BLOCK // max(1, c * A.shape[2]))
-    for lo in range(0, len(images) if c else 0, step):
+    for lo in range(0, len(images) if c and (places or P.relators) else 0, step):
         at = slice(lo, lo + step)
         X = _complement_vectors(lay, images[at])
         bad = bad or (((A[at] @ X[..., None])[..., 0] + chi[at]) % q).any()
@@ -161,7 +170,7 @@ def _solve_level(P, lay, images, places=False):
     if bad:
         raise CountError("a complement lift is not found among the lifts of its map: "
                          "it does not solve the map's lifting system")
-    return sol, placed
+    return sol, dims, placed
 
 
 def _shared_elimination(P, lay, A):
@@ -252,7 +261,7 @@ def _orbit_representatives(group, rows):
     int32 blocks of about _BLOCK entries, and the least images are
     deduplicated as packed int64 keys (``_distinct_rows``)."""
     m, n = rows.shape
-    if len(group) == 1:
+    if len(group) == 1 or not m:
         return rows, np.ones(m, dtype=np.int64)
     flat = group.rows.ravel()
     least = rows.copy()
@@ -273,17 +282,16 @@ def _orbit_representatives(group, rows):
 
 
 def _count_top(P, lay, reps):
-    """Solve the system of each representative through the top layer and
-    nothing more (``_solve_level``, with its check of the complement
-    lifts).  Returns the exponent d of each one's q^d lifts as an int64
-    array, -1 where a map does not lift.  The representatives are taken in
-    blocks, so that no array of a block passes about _BLOCK entries."""
+    """The exponent d of the q^d lifts of each representative through the
+    top layer, -1 where a map does not lift, as an int64 array: each
+    system counted, not solved (``_solve_level`` at the top, with its
+    checks of the complement lifts), and nothing more.  The representatives are taken
+    in blocks, so that no array of a block passes about _BLOCK entries."""
     R, C = len(P.relators) * lay.s, P.n * lay.s
     dims = np.empty(len(reps), dtype=np.int64)
     step = max(1, _BLOCK // ((R + C) * (C + R + 1)))
     for lo in range(0, len(reps), step):
-        sol, _ = _solve_level(P, lay, reps[lo : lo + step])
-        dims[lo : lo + step] = np.where(sol.solvable, sol.dims, -1)
+        dims[lo : lo + step] = _solve_level(P, lay, reps[lo : lo + step], top=True)[1]
     return dims
 
 
@@ -311,7 +319,8 @@ def _orbit_levels(P, tower, epi, cap=DEFAULT_FRONTIER_CAP):
     acting group, which acts freely on epimorphisms, and without it every
     orbit size divides that order; on every level the complement lifts of
     every map solve its system (``_solve_level``), and with ``epi`` every
-    enumerated map keeps q^d - c lifts once they are dropped; at the bottom
+    map below the top has c distinct complement places among its q^d
+    lifts, so it keeps q^d - c once they are dropped; at the bottom
     layer these run when its kept entry (``_bottom_lifts``) is filled.  Once
     a level has no representative, every layer above it yields maps_out = 0
     without building or solving anything."""

@@ -161,6 +161,22 @@ class Presentation:
         return gen, kind, block
 
     @cached_property
+    def abelian_invariants(self):
+        """The frozen ``AbelianInvariants``, computed on first use."""
+        diag = smith_normal_form(abelianized_jacobian(self), ncols=self.n)
+        nonzero = [d for d in diag if d != 0]
+        alphas = {}
+        for d in nonzero:
+            for p, e in factorize(d).items():
+                alphas.setdefault(p, {})
+                alphas[p][e] = alphas[p].get(e, 0) + 1
+        torsion = []
+        for p in sorted(alphas):
+            top = max(alphas[p])
+            torsion.append((p, tuple(alphas[p].get(i, 0) for i in range(1, top + 1))))
+        return AbelianInvariants(self.n - len(nonzero), tuple(torsion))
+
+    @cached_property
     def bottom_lifts(self):
         """The counting engine's lifts of the trivial map through the bottom
         layer of a tower, a dict filled by ``counting._bottom_lifts``.  The
@@ -656,16 +672,5 @@ def abelianized_jacobian(P):
 
 
 def abelian_invariants(P):
-    diag = smith_normal_form(abelianized_jacobian(P), ncols=P.n)
-    nonzero = [d for d in diag if d != 0]
-    rank = P.n - len(nonzero)
-    alphas = {}
-    for d in nonzero:
-        for p, e in factorize(d).items():
-            alphas.setdefault(p, {})
-            alphas[p][e] = alphas[p].get(e, 0) + 1
-    torsion = []
-    for p in sorted(alphas):
-        top = max(alphas[p])
-        torsion.append((p, tuple(alphas[p].get(i, 0) for i in range(1, top + 1))))
-    return AbelianInvariants(rank, tuple(torsion))
+    """``Presentation.abelian_invariants``, kept on the presentation."""
+    return P.abelian_invariants

@@ -529,6 +529,71 @@ def test_shared_eliminations_match_the_per_map_solver(monkeypatch):
     assert len(levels) > 400 and max(levels) > 1000
 
 
+def test_top_rank_counts_match_the_solver(monkeypatch):
+    # the top layer is counted: every representative's d equals
+    # solve_systems' dims where its system solves and -1 elsewhere, and so
+    # does the rank count d = C - rank A where rank A = rank [A | chi]
+    # (``solution_dims``), which counts every acting top layer; Hom and Epi
+    # on the top level of every catalog tower of order <= 48
+    real_count, real_dims = counting._count_top, counting.solution_dims
+    seen, ranked = [], []
+
+    def count(P, lay, reps):
+        got = real_count(P, lay, reps)
+        A, chi = counting.build_systems(P, reps, lay)
+        want = solve_systems(A, -chi, lay.q)
+        want = np.where(want.solvable, want.dims, -1)
+        assert (got == want).all() and (real_dims(A, -chi, lay.q) == want).all()
+        seen.extend(got.tolist())
+        return got
+
+    monkeypatch.setattr(counting, "_count_top", count)
+    monkeypatch.setattr(counting, "solution_dims", lambda A, rhs, q: ranked.append(len(A))
+                        or real_dims(A, rhs, q))
+    towers = [t for t in map(builtin_group, CATALOG_SPECS) if t.order <= 48]
+    for label in ["surface(2)", "braid(4)", "bs(2,6)", "hillman_link", "free(2)"]:
+        P = parse_presentation(str(builtin_from_string(label)))
+        for tower in towers:
+            hom_count(P, tower)
+            epi_count(P, tower, with_aut=False)
+    assert len(seen) > 30000 and seen.count(-1) > 5000 and max(seen) > 4
+    assert len(ranked) > 100 and sum(ranked) > 10000
+
+
+def test_a_level_that_keeps_no_lift_builds_none(monkeypatch):
+    # braid(4)'s one epimorphism onto Z_2 lifts through D(8)'s middle layer
+    # only by its c = 2 complement lifts: that level builds no solution
+    # grid, and a duplicated complement row there still trips the tally
+    P = parse_presentation(str(B4))
+    built = []
+    real = counting.solution_arrays
+    monkeypatch.setattr(counting, "solution_arrays", lambda sol: built.append(1) or real(sol))
+    levels = list(counting._orbit_levels(P, D8, epi=True))
+    assert [lv[4] for lv in levels] == [1, 0, 0] and levels[1][1].shape == (0, 2)
+    assert len(built) == 1  # the bottom layer's lifts
+    sec = D8.layers[1].sections
+    with monkeypatch.context() as m:
+        m.setattr(D8.layers[1], "_sections", sec[[0, 0]])
+        with pytest.raises(CountError, match="surjective lift tally"):
+            epi_count(P, D8)
+    assert len(built) == 1
+
+
+def test_relator_free_hom_skips_the_complement_vectors(monkeypatch):
+    # without relators A X + chi = 0 has no rows, so Hom forms no complement
+    # vectors on any level, the top included; Epi forms them for their
+    # places in each map's block of solutions
+    calls = []
+    real = counting._complement_vectors
+    monkeypatch.setattr(counting, "_complement_vectors",
+                        lambda lay, images: calls.append(len(images)) or real(lay, images))
+    tower = builtin_group("Z(2)^8")
+    assert hom_count(F3, tower) == 2**24
+    assert calls == []
+    assert epi_count(F3, tower, with_aut=False).epi == 0
+    assert calls
+
+
 def test_klein_lifts():
     *_, epi_in, epi_out = list(counting._orbit_levels(KLEIN, S4, epi=True))[-1]
     assert epi_in == 6 and epi_out == 0

@@ -3,6 +3,7 @@ import random
 import pytest
 from reference import TwistedAction, evaluate_ring_element, torsion_order
 
+from solvquot import presentations
 from solvquot.presentations import (
     AbelianInvariants,
     FreeGroupRingElement,
@@ -22,6 +23,7 @@ from solvquot.presentations import (
     word_mul,
     word_pow,
 )
+from solvquot.subgrowth import ak_normal
 
 
 def w(*letters):
@@ -243,6 +245,20 @@ def test_abelian_invariants():
                 assert inv.rank == 2 and inv.torsion == ()
             else:
                 assert inv.rank == 1 and torsion_order(inv) == n - m
+
+
+def test_abelian_invariants_are_kept_on_the_presentation(monkeypatch):
+    # two calls return the same frozen object, and the normal a_k of every
+    # k share one Smith normal form
+    calls = []
+    real = presentations.smith_normal_form
+    monkeypatch.setattr(presentations, "smith_normal_form",
+                        lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    P = builtin_presentation("bs", 2, 6)
+    inv = abelian_invariants(P)
+    assert abelian_invariants(P) is inv and P.abelian_invariants is inv
+    assert [ak_normal(P, k) for k in range(1, 7)] == [1, 3, 1, 7, 1, 5]
+    assert len(calls) == 1
 
 
 def test_abelianized_jacobian_rows():
