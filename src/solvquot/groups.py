@@ -312,11 +312,13 @@ def bfs_expressions(table, gens):
 
 
 def eval_word_in_table(table, images, w):
+    """The value of the word w at the generator images: one element per
+    generator gives one element, one array per generator the values at
+    every index of the arrays (numpy indexing either way)."""
+    arr, inv = table.as_array(), np.asarray(table.inv)
     x = 0
-    mul = table.mul
-    inv = table.inv
     for g, e in w:
-        x = mul[x][images[g] if e == 1 else inv[images[g]]]
+        x = arr[x, images[g] if e == 1 else inv[images[g]]]
     return x
 
 

@@ -1,13 +1,16 @@
 """Brute-force ground truth: raw generator-image enumeration over a
-multiplication table and direct evaluation of lifts in extension pairs.
-Deliberately independent of the Fox-calculus machinery."""
+multiplication table, and lifts checked by evaluating the relators in the
+extension's own table.  It shares with the library only the tables,
+``FiniteGroupTable.closure`` and ``eval_word_in_table``, and none of the
+engine's machinery: no Fox calculus, no lifting systems, no solver."""
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
+
+from .groups import eval_word_in_table
 
 
 class BudgetExceeded(RuntimeError):
@@ -54,17 +57,12 @@ def _hom_hits(P, table, budget):
     budget.charge((n + 1) * total)
     for rel in P.relators:
         budget.charge(len(rel) * total)
-    arr = table.as_array()
-    inv = np.array(table.inv, dtype=np.int64)
     for lo in range(0, total, _CHUNK):
         idx = np.arange(lo, min(lo + _CHUNK, total), dtype=np.int64)
         gens = [(idx // N ** (n - 1 - g)) % N for g in range(n)]
         mask = np.ones(len(idx), dtype=bool)
         for rel in P.relators:
-            v = np.zeros(len(idx), dtype=np.int64)
-            for g, e in rel:
-                v = arr[v, gens[g] if e == 1 else inv[gens[g]]]
-            mask &= v == 0
+            mask &= eval_word_in_table(table, gens, rel) == 0
         yield idx[mask]
 
 
@@ -81,24 +79,6 @@ def brute_hom(P, table, budget=None):
     return BruteResult(count, True, budget.used)
 
 
-def _closure_size(table, images):
-    mul = table.mul
-    seen = {0}
-    frontier = [0]
-    gl = sorted(set(images))
-    while frontier:
-        new = []
-        for x in frontier:
-            row = mul[x]
-            for g in gl:
-                y = row[g]
-                if y not in seen:
-                    seen.add(y)
-                    new.append(y)
-        frontier = new
-    return len(seen)
-
-
 def brute_epi(P, table, budget=None):
     budget = budget if budget is not None else OracleBudget()
     N = table.n
@@ -107,7 +87,7 @@ def brute_epi(P, table, budget=None):
         for hits in _hom_hits(P, table, budget):
             for t in hits.tolist():
                 budget.charge(N * P.n)
-                if _closure_size(table, _images(t, N, P.n)) == N:
+                if len(table.closure(_images(t, N, P.n))) == N:
                     count += 1
     except BudgetExceeded:
         return BruteResult(None, False, budget.used)
@@ -123,39 +103,21 @@ def brute_hom_images(P, table, budget=None):
 
 
 # ---------------------------------------------------------------------------
-# Direct lift checking in an extension pair (vector, base element), using the
-# layer's sigma/chi tables but its own arithmetic.
-
-
-def _pair_mul(layer, x, y):
-    (a1, b1), (a2, b2) = x, y
-    sig, cv = layer.sigma[b1].tolist(), layer.chi[b1, b2].tolist()
-    vec = tuple((u + sum(map(operator.mul, row, a2)) + c) % layer.q
-                for u, row, c in zip(a1, sig, cv))
-    return vec, layer.base.mul[b1][b2]
-
-
-def _pair_inv(layer, x):
-    a, b = x
-    binv = layer.base.inv[b]
-    sig, cv = layer.sigma[binv].tolist(), layer.chi[binv, b].tolist()
-    vec = tuple(-(sum(map(operator.mul, row, a)) + c) % layer.q for row, c in zip(sig, cv))
-    return vec, binv
+# Lift checking in the extension's table, whose element e * |base| + b is
+# the pair (kernel element numbered e, base element b).
 
 
 def brute_lift_check(P, rho_images, layer, avecs, budget=None):
     """Whether generator values a_i in E assemble with rho into a
-    homomorphism to the extension: every relator, multiplied out pair by
-    pair, must come out to (0, identity)."""
+    homomorphism to the extension: every relator must evaluate to the
+    identity of ``layer.group`` at the elements num(a_i) * |base| + rho_i,
+    where num(a) = sum a_k q^k."""
     budget = budget if budget is not None else OracleBudget()
-    zero = (0,) * layer.s
-    lifted = [(tuple(a), b) for a, b in zip(avecs, rho_images)]
+    q, nB = layer.q, len(layer.base)
+    lifted = [sum(x % q * q**k for k, x in enumerate(a)) * nB + b
+              for a, b in zip(avecs, rho_images)]
     for rel in P.relators:
         budget.charge(len(rel))
-        acc = (zero, 0)
-        for g, e in rel:
-            letter = lifted[g] if e == 1 else _pair_inv(layer, lifted[g])
-            acc = _pair_mul(layer, acc, letter)
-        if acc[0] != zero or acc[1] != 0:
+        if eval_word_in_table(layer.group, lifted, rel) != 0:
             return False
     return True

@@ -361,6 +361,18 @@ def _free_names(k):
 _FAMILY_PARAMS = dict(free=1, bs=2, parafree=2, klein=0, surface=1, nonorientable=1, braid=1,
                       braid3_split=0, braid4_split=0, hillman_link=0)
 
+# generators plus relator letters, as written, of each family that grows
+# with its parameters: charged to WORD_LETTER_CAP before anything is built
+_FAMILY_LETTERS = dict(
+    free=lambda n: n,
+    bs=lambda m, n: 4 + abs(m) + abs(n),
+    parafree=lambda m, n: 8 + 2 * abs(m) + 2 * abs(n),
+    surface=lambda g: 6 * g,
+    nonorientable=lambda g: 3 * g,
+    # y^n (y x)^(1-n), then [y^i x y^-i, x] of 4i + 4 letters for 2 <= i <= n/2
+    braid=lambda n: 3 * n + 2 * (n // 2) ** 2 + 6 * (n // 2) - 8,
+)
+
 
 def builtin_presentation(family, *params):
     fam = family.lower()
@@ -369,15 +381,21 @@ def builtin_presentation(family, *params):
     if len(params) != _FAMILY_PARAMS[fam]:
         raise PresentationError("wrong parameter count for %s: %d given, %d taken"
                                 % (fam, len(params), _FAMILY_PARAMS[fam]))
+    if fam == "free" and params[0] < 1:
+        raise PresentationError("free(n) needs n >= 1")
+    if fam == "bs" and not (0 < params[0] <= abs(params[1])):
+        raise PresentationError("bs(m,n) needs 0 < m <= |n|")
+    if fam in ("surface", "nonorientable") and params[0] < 1:
+        raise PresentationError("%s(g) needs g >= 1" % fam)
+    if fam == "braid" and params[0] < 3:
+        raise PresentationError("braid(n) needs n >= 3")
+    if fam in _FAMILY_LETTERS and _FAMILY_LETTERS[fam](*params) > WORD_LETTER_CAP:
+        raise CapExceeded("the builtin %s presentation would pass the cap of %d letters"
+                          % (fam, WORD_LETTER_CAP))
     if fam == "free":
-        (k,) = params
-        if k < 1:
-            raise PresentationError("free(n) needs n >= 1")
-        return Presentation(_free_names(k), ())
+        return Presentation(_free_names(params[0]), ())
     if fam == "bs":
         m, n = params
-        if not (0 < m <= abs(n)):
-            raise PresentationError("bs(m,n) needs 0 < m <= |n|")
         text = "< x, y | x y^%d x^-1 y^%d >" % (m, -n)
     elif fam == "parafree":
         m, n = params
@@ -386,22 +404,16 @@ def builtin_presentation(family, *params):
         text = "< x, y | y x y^-1 x >"
     elif fam == "surface":
         (g,) = params
-        if g < 1:
-            raise PresentationError("surface(g) needs g >= 1")
         names = ", ".join(["x%d, y%d" % (i, i) for i in range(1, g + 1)])
         rel = " ".join("[x%d, y%d]" % (i, i) for i in range(1, g + 1))
         text = "< %s | %s >" % (names, rel)
     elif fam == "nonorientable":
         (g,) = params
-        if g < 1:
-            raise PresentationError("nonorientable(g) needs g >= 1")
         names = ", ".join("x%d" % i for i in range(1, g + 1))
         rel = " ".join("x%d^2" % i for i in range(1, g + 1))
         text = "< %s | %s >" % (names, rel)
     elif fam == "braid":
         (n,) = params
-        if n < 3:
-            raise PresentationError("braid(n) needs n >= 3")
         rels = ["y^%d (y x)^%d" % (n, 1 - n)]
         rels += ["[y^%d x y^%d, x]" % (i, -i) for i in range(2, n // 2 + 1)]
         text = "< x, y | %s >" % ", ".join(rels)
@@ -648,9 +660,6 @@ class AbelianInvariants:
 
     rank: int
     torsion: tuple  # ((prime, (alpha_1, alpha_2, ...)), ...) sorted by prime
-
-    def primes(self):
-        return [p for p, _ in self.torsion]
 
     def alphas(self, p):
         for q, alphas in self.torsion:

@@ -35,6 +35,8 @@ Python routes and the helpers that only the tests call:
   ``inv_structural``, ``GroupElement``), one element at a time, with a
   kernel element's digits (``kernel_vector``, ``kernel_number``) computed
   here rather than read from the layer;
+* the lifts of every map onto a layer's base (``lifts_by_base_map``),
+  read off the oracle's walk of the extension's own table;
 * the generator-image search without its prefix pruning
   (``homomorphism_rows_unpruned``), which tries every candidate tuple,
   and all homomorphisms between two tables by it (``homomorphism_rows``);
@@ -101,6 +103,7 @@ from solvquot.groups import (
     table_from_coords,
 )
 from solvquot.lattice import all_subgroups, moebius
+from solvquot.oracle import brute_hom_images
 from solvquot.presentations import factorize
 
 
@@ -826,6 +829,19 @@ def layer_enc(lay, e, b):
 def layer_dec(lay, idx):
     """The (kernel number, base element) pair of the extension element idx."""
     return divmod(idx, len(lay.base))
+
+
+def lifts_by_base_map(P, lay):
+    """Every homomorphism from P to the extension ``lay.group``, found by
+    the oracle's walk of its table, grouped by the map onto the base it
+    lifts: base images -> the set of tuples of the generators' kernel digit
+    vectors."""
+    out = {}
+    for images in brute_hom_images(P, lay.group):
+        pairs = [layer_dec(lay, x) for x in images]
+        out.setdefault(tuple(b for _, b in pairs), set()).add(
+            tuple(kernel_vector(lay, e) for e, _ in pairs))
+    return out
 
 
 def _apply_sigma(lay, b, vec):

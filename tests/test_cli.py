@@ -1,7 +1,10 @@
 import itertools
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -54,6 +57,9 @@ def test_growth_command(capsys):
     lines = out.strip().splitlines()
     assert lines[0].split("\t") == ["k", "h_k", "t_k", "a_k", "a_k_normal"]
     assert lines[2].split("\t") == ["2", "4", "3", "3", "3"]
+    code, out = run_cli(capsys, "growth", "--source", "builtin:free(2)", "--kmax", "3",
+                        "--normal")
+    assert code == 0 and json.loads(out)["a_normal"] == [1, 3, 4]
 
 
 def test_growth_cap_fires_before_any_search(capsys, monkeypatch):
@@ -229,6 +235,28 @@ def test_exit_codes(capsys, tmp_path):
                  ["aut", "--target", str(tmp_path / "empty.tbl")]):
         assert main(argv) == 1, argv
         assert capsys.readouterr().err.startswith("error: "), argv
+    # bad target specs, sources and cocycle options end in one error line
+    hom = ["hom", "--target", "Z(2)", "--source"]
+    cocycle = ["cocycle", "--source", "builtin:braid(3)", "--target", "Q(8)"]
+    for argv, err in [
+            (["aut", "--target", "D(4,2)"], "wrong parameter count for D(4, 2)"),
+            (["aut", "--target", "Z(2)^0"], "empty group spec 'Z(2)^0'"),
+            (hom + ["< x, x | x >"], "duplicate generator name 'x'"),
+            (hom + ["< 1 | x >"], "expected a generator name, found '1' (at position 2)"),
+            (hom + ["< x | x^y >"],
+             "expected an integer or '(' after '^', found 'y' (at position 8)"),
+            (hom + ["< x | ^ >"], "expected a generator, '(' or '[', found '^' (at position 6)"),
+            (hom + ["builtin:free(0)"], "free(n) needs n >= 1"),
+            (hom + ["builtin:surface(0)"], "surface(g) needs g >= 1"),
+            (hom + ["builtin:nonorientable(0)"], "nonorientable(g) needs g >= 1"),
+            (hom + ["builtin:braid(2)"], "braid(n) needs n >= 3"),
+            (hom + ["builtin:free(x)"], "non-integer parameter in 'free(x)'"),
+            (hom + ["builtin:free(2"], "cannot parse builtin presentation 'free(2'"),
+            (cocycle + ["--level", "9", "--images", "0,0"], "level 9 out of range"),
+            (cocycle + ["--images", "a,b"], "--images must be a comma list of integers")]:
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: %s\n" % err), argv
 
 
 def test_bad_table_targets(capsys, tmp_path):
@@ -245,6 +273,16 @@ def test_bad_table_targets(capsys, tmp_path):
         " ".join(str(index[tuple(p[x] for x in r)]) for r in even) + "\n" for p in even))
     (tmp_path / "no-order.tbl").write_text("0 1\n1 0\n")
     (tmp_path / "word.tbl").write_text("order 2\n0 1\n1 x\n")
+    # a table whose element 0 is no identity, a loop of order 5 that is not
+    # associative, and Z(66) with two entries of a row swapped, which the
+    # associativity check finds on its sampled triples above order 64
+    (tmp_path / "no-identity.tbl").write_text("order 2\n1 0\n0 1\n")
+    (tmp_path / "loop.tbl").write_text("order 5\n0 1 2 3 4\n1 0 3 4 2\n2 4 0 1 3\n"
+                                       "3 2 4 0 1\n4 3 1 2 0\n")
+    z66 = [[(a + b) % 66 for b in range(66)] for a in range(66)]
+    z66[5][10], z66[5][11] = z66[5][11], z66[5][10]
+    (tmp_path / "z66.tbl").write_text(
+        "order 66\n" + "".join(" ".join(map(str, row)) + "\n" for row in z66))
     hom = ["hom", "--source", "builtin:free(2)", "--target"]
     for argv, code, err in [
             (["aut", "--target", str(a5)], 1, "error: group is not solvable\n"),
@@ -255,7 +293,13 @@ def test_bad_table_targets(capsys, tmp_path):
             (["aut", "--target", str(tmp_path / "no-order.tbl")], 1,
              "error: table file must start with 'order N'\n"),
             (["aut", "--target", str(tmp_path / "word.tbl")], 1,
-             "error: malformed table file %r\n" % str(tmp_path / "word.tbl"))]:
+             "error: malformed table file %r\n" % str(tmp_path / "word.tbl")),
+            (["aut", "--target", str(tmp_path / "no-identity.tbl")], 1,
+             "error: element 0 is not an identity\n"),
+            (hom + [str(tmp_path / "loop.tbl")], 1,
+             "error: multiplication table is not associative\n"),
+            (["aut", "--target", str(tmp_path / "z66.tbl")], 1,
+             "error: multiplication table is not associative\n")]:
         assert main(argv) == code, argv
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", err), argv
@@ -623,6 +667,38 @@ def test_huge_specs_end_at_once(capsys):
             assert main(list(argv)) == code, argv
             assert time.perf_counter() - start < 1, argv
             assert capsys.readouterr().err == err, argv
+
+
+def test_huge_builtin_sources_are_refused_before_they_are_built():
+    # each family's generators and relator letters are charged to the letter
+    # cap from its parameters alone, so these end within a second in a child
+    # process under a 1 GB address-space limit, where building their names
+    # or text would end in a MemoryError
+    specs = ["free(%d)" % 10**8, "free(%d)" % 10**23, "free(99999999999999999999999)",
+             "surface(%d)" % 10**7, "surface(%d)" % 10**8, "nonorientable(%d)" % 10**8,
+             "braid(%d)" % 10**8, "braid(%d)" % 10**5, "bs(1,%d)" % 10**8,
+             "parafree(%d,1)" % 10**8]
+    child = (
+        "import resource, sys, time\n"
+        "from solvquot.cli import main\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "for spec in sys.argv[1:]:\n"
+        "    start = time.perf_counter()\n"
+        "    code = main(['hom', '--source', 'builtin:' + spec, '--target', 'Z(2)'])\n"
+        "    print(code, time.perf_counter() - start)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1")
+    run = subprocess.run([sys.executable, "-c", child, *specs], capture_output=True,
+                         text=True, timeout=120, env=env)
+    assert run.returncode == 0 and "Traceback" not in run.stderr, run.stderr
+    assert run.stderr.splitlines() == [
+        "aborted: the builtin %s presentation would pass the cap of 10000000 letters"
+        % spec.split("(")[0] for spec in specs]
+    lines = run.stdout.splitlines()
+    assert len(lines) == len(specs)
+    for spec, line in zip(specs, lines):
+        code, seconds = line.split()
+        assert code == "2" and float(seconds) < 1, spec
 
 
 @pytest.mark.slow

@@ -228,6 +228,11 @@ def test_self_checks_fire_on_corrupted_data(monkeypatch):
     with pytest.raises(ValueError, match="read-only"):
         lay.sections[0] = bad[0]
     assert lay.sections is sections and epi_count(F2, tower).epi == 216
+    # a reordering of the valid rows is accepted, stored read-only, and
+    # counts the same
+    lay.sections = sections[::-1]
+    assert np.array_equal(lay.sections, sections[::-1]) and len(sections) == 4
+    assert not lay.sections.flags.writeable and epi_count(F2, tower).epi == 216
     lay.alpha += 1
     with pytest.raises(CountError, match="level arithmetic"):
         epi_count(F2, tower)

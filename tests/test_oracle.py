@@ -1,12 +1,21 @@
 import itertools
 
-from reference import build_system, kernel_number, kernel_vector, solution_vectors, solve_system
+import pytest
+from reference import (
+    build_system,
+    kernel_number,
+    kernel_vector,
+    lifts_by_base_map,
+    solution_vectors,
+    solve_system,
+)
 
 from solvquot import oracle
 from solvquot.counting import epi_count, hom_count
 from solvquot.groups import builtin_group
 from solvquot.oracle import (
     BruteResult,
+    BudgetExceeded,
     OracleBudget,
     brute_epi,
     brute_hom,
@@ -36,8 +45,12 @@ def test_budget_abort_is_explicit():
     res = brute_hom(P, s4, budget=OracleBudget(max_letter_ops=10))
     assert isinstance(res, BruteResult)
     assert not res.verified and res.count is None
+    with pytest.raises(BudgetExceeded, match="unverified"):
+        int(res)
     full = brute_hom(P, s4)
-    assert full.verified and full.letter_ops > 0
+    assert full.verified and full.letter_ops > 0 and int(full) == full.count
+    res = brute_epi(P, s4, budget=OracleBudget(max_letter_ops=10))
+    assert not res.verified and res.count is None
     # a relator-free source is charged for its |T|^n-sized arrays up front
     res = brute_hom(builtin_presentation("free", 3), s4, OracleBudget(max_letter_ops=1))
     assert not res.verified and res.count is None
@@ -105,22 +118,20 @@ def test_hillman_link_against_oracle():
 
 def test_solution_sets_equal_accepted_sets():
     # the decisive sign-convention check on a small slice (the full matrix
-    # runs in the acceptance suite)
+    # runs in the acceptance suite): each map's solution set is the set of
+    # lifts that the oracle's walk of the extension's table finds over it
     P = builtin_presentation("bs", 1, 3)
     for spec in ["D(12)", "Q(8)", "S(4)"]:
         tower = builtin_group(spec)
         for lay in tower.layers:
-            vecs = [kernel_vector(lay, e) for e in range(lay.E)]
-            for images in brute_hom_images(P, lay.base):
+            accepted = lifts_by_base_map(P, lay)
+            homs = brute_hom_images(P, lay.base)
+            assert set(accepted) <= set(homs)
+            for images in homs:
                 sysm = build_system(P, images, lay, check=False)
                 res = solve_system(sysm)
                 sols = set(solution_vectors(sysm, result=res)) if res.solvable else set()
-                accepted = {
-                    cand
-                    for cand in itertools.product(vecs, repeat=P.n)
-                    if brute_lift_check(P, images, lay, cand)
-                }
-                assert sols == accepted
+                assert sols == accepted.get(images, set())
 
 
 def test_chunked_walk_counts(monkeypatch):
