@@ -185,9 +185,12 @@ def cmd_aut(args):
 def cmd_cocycle(args):
     P, _ = load_source(args.source)
     tower = load_target(args.target, args.cap_order)
-    level = args.level if args.level is not None else len(tower.layers) - 1
-    if not (0 <= level < len(tower.layers)):
-        raise InputError("level %r out of range" % args.level)
+    top = len(tower.layers) - 1
+    if top < 0:
+        raise InputError("%s has no layers, so no level" % args.target)
+    level = top if args.level is None else args.level
+    if not 0 <= level <= top:
+        raise InputError("level %d out of range: %s has levels 0..%d" % (level, args.target, top))
     lay = tower.layers[level]
     try:
         images = tuple(int(x) for x in args.images.split(","))

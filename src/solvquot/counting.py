@@ -10,6 +10,7 @@ import numpy as np
 from .cohomology import (_BLOCK, _distinct_rows, _layer_tables, build_systems, eliminate,
                          solution_arrays, solution_dims, solve_systems)
 from .groups import CapExceeded, _digit_vectors, aut_order
+from .presentations import abelianized_jacobian
 
 # most maps one tower level may build (the lifts of its orbit representatives)
 DEFAULT_FRONTIER_CAP = 10**7
@@ -53,11 +54,14 @@ class CountReport:
 # has no relators, every map has the same matrix (the abelianized Fox Jacobian
 # tensor I_s), and the level applies the elimination of that one matrix that
 # its source keeps for (q, s) (``_shared_elimination``), after checking that
-# the maps' matrices equal the kept one.  Every level, the top included, builds
-# its systems through ``_solve_level``, which checks that each map's c
-# complement lifts solve its system; for Epi they are the non-surjective lifts,
-# dropped at their distinct places in the map's block of solutions
-# (``SolutionBatch.place``), and a level that keeps no lift builds none.
+# the maps' matrices equal the kept one.  The kept matrix is made from the
+# relators' exponent sums, not from a walk, and its d is checked against the
+# abelian invariants when it is made.  Every level above the bottom, the top
+# included, builds its systems through ``_solve_level``, which checks that
+# each map's c complement lifts solve its system; for Epi they are the
+# non-surjective lifts, dropped at their distinct places in the map's block
+# of solutions (``SolutionBatch.place``), and a level that keeps no lift
+# builds none.
 #
 # Every count carries the frontier modulo the group A_i of automorphisms of
 # B_i that the tower chooses (``ExtensionTower.orbit_group``), acting on
@@ -77,17 +81,12 @@ class CountReport:
 #
 # The bottom layer of every tower is Z_q^s over the trivial group, with
 # trivial action and no cocycle, so the lifts of the trivial map through it
-# are Hom(G, Z_q^s) (minus the trivial map for Epi): they depend on the
-# source and the layer, not on the tower above.  ``_bottom_lifts`` keeps
-# them, with their exponents d, in the presentation's ``bottom_lifts``
-# dict, keyed on q, s, Hom or Epi, the layer's term table and, for Epi,
-# its complement sections; one entry serves every tower with that bottom.
-# Only this level is kept.  The cap is compared with the stored size on
-# every use, and the level arithmetic runs on every count.
-
-
-def _trivial_frontier(P):
-    return np.zeros((1, P.n), dtype=np.int32)
+# are Hom(G, Z_q^s), the homogeneous solutions of the kept elimination
+# (minus the zero lift for Epi).  The bottom level builds no system: it
+# reads them off that elimination (``_bottom_lifts``), which expands them
+# once and keeps them, and a one-layer tower's top reads only its d.  The
+# cap is compared with their number before they are expanded, and the level
+# arithmetic runs on every count.
 
 
 def lift_frontier(P, lay, frontier, epi, cap=DEFAULT_FRONTIER_CAP, level=0):
@@ -139,18 +138,19 @@ def _solve_level(P, lay, images, places=False, top=False):
     SolutionBatch, the exponent d of each one's q^d solutions (-1 where it
     has none) and, with ``places``, the place of each map's complement
     lifts in its block of solutions (``SolutionBatch.place``) as a (c, m)
-    array, else None.  A level whose maps share their matrix
-    (``_shared_elimination``) solves through the elimination its source
-    keeps; at the ``top`` of any other, the systems are only counted by
-    rank (``solution_dims``) and the batch is None.  The rows of
-    ``lay.sections`` are c distinct homomorphic sections (checked when
-    they are set), so their restrictions (row[b_i]) lift every map: their
-    solution vectors X must satisfy A X + chi = 0 mod q, checked in blocks
-    of about _BLOCK entries where there are relators, and every system
-    must then be solvable; the places are read from the same blocks of X."""
+    array, else None.  A level whose maps share their matrix solves
+    through the elimination its source keeps (``_shared_elimination``),
+    which checks each map's matrix; at the ``top`` of any other, the
+    systems are only counted by rank (``solution_dims``) and the batch is
+    None.  The rows of ``lay.sections`` are c distinct homomorphic
+    sections (checked when they are set), so their restrictions (row[b_i])
+    lift every map: their solution vectors X must satisfy A X + chi = 0
+    mod q, checked in blocks of about _BLOCK entries where there are
+    relators, and every system must then be solvable; the places are read
+    from the same blocks of X."""
     q = lay.q
     A, chi = build_systems(P, images, lay)
-    if len(A) and (_layer_tables(lay).trivial or not P.relators):
+    if _layer_tables(lay).trivial or not P.relators:
         sol = _shared_elimination(P, lay, A).solve(-chi, np.zeros(len(A), dtype=np.intp))
     elif top:
         sol = None
@@ -173,19 +173,30 @@ def _solve_level(P, lay, images, places=False, top=False):
     return sol, dims, placed
 
 
-def _shared_elimination(P, lay, A):
-    """The elimination of the one matrix that the lifting systems ``A`` of
-    a level share: the layer acts trivially, so A is the abelianized Fox
-    Jacobian tensor I_s mod q, or the source has no relators.  It depends
-    only on the source, q and s, and ``P.eliminations`` keeps it keyed on
-    (q, s), filled from A[0] on first use.  Every use checks that each map's
-    matrix equals the kept one."""
-    key = (lay.q, lay.s)
+def _shared_elimination(P, lay, A=None):
+    """The elimination of the one lifting matrix that every map shares
+    through ``lay``: the layer acts trivially, so the matrix is the
+    abelianized Fox Jacobian tensor I_s mod q, or the source has no
+    relators.  It depends only on the source, q and s, and
+    ``P.eliminations`` keeps it with its matrix, keyed on (q, s), made on
+    first use from the relators' exponent sums.  Its d is then checked:
+    Hom(G, Z_q^s) has q^(s (rank + beta_q)) elements by the abelian
+    invariants, whose Smith form is over Z.  With the walked matrices
+    ``A`` of a level, each is checked against the kept one."""
+    q, s = key = (lay.q, lay.s)
     entry = P.eliminations.get(key)
     if entry is None:
-        entry = P.eliminations[key] = (A[0].copy(), eliminate(A[:1], lay.q))
-        entry[0].flags.writeable = False
-    if (A != entry[0]).any():
+        sums = np.array(abelianized_jacobian(P), dtype=np.int64).reshape(len(P.relators), P.n)
+        kept = np.kron(sums % q, np.eye(s, dtype=np.int64))
+        kept.flags.writeable = False
+        elim = eliminate(kept[None], q)
+        ab = P.abelian_invariants
+        want = s * (ab.rank + ab.beta(q))
+        if elim.dims[0] != want:
+            raise CountError("the relators' exponent sums give |Hom(G, Z_%d^%d)| = %d^%d, the "
+                             "abelian invariants %d^%d" % (q, s, q, elim.dims[0], q, want))
+        entry = P.eliminations[key] = (kept, elim)
+    if A is not None and (A != entry[0]).any():
         raise CountError("a lifting matrix through a layer with q = %d, s = %d differs from "
                          "the one its source shares among all such maps" % key)
     return entry[1]
@@ -207,32 +218,18 @@ def _check_cap(size, cap, epi, level):
         )
 
 
-def _bottom_lifts(P, lay, epi, cap, top):
+def _bottom_lifts(P, lay, epi, cap):
     """The lifts of the trivial map through the bottom layer ``lay`` and
-    their exponent d, as read-only arrays (lifts, dims) in the shape
-    lift_frontier returns, kept in ``P.bottom_lifts``.  A missing entry is
-    filled by lift_frontier with its cap and its complement checks; a
-    stored one is compared with ``cap``.  At the ``top`` of a one-layer
-    tower only dims is needed, so a missing entry is filled by _count_top
-    and its lifts are left None until a taller tower needs them."""
-    tab = _layer_tables(lay)
-    sec = lay.sections
-    key = (lay.q, lay.s, epi, tab.terms.shape, tab.terms.tobytes(),
-           (sec.shape, sec.tobytes()) if epi else None)
-    entry = P.bottom_lifts.get(key)
-    if entry is not None and (top or entry[0] is not None):
-        if not top:
-            _check_cap(len(entry[0]), cap, epi, 0)
-        return entry
-    if top:
-        entry = (None, _count_top(P, lay, _trivial_frontier(P)))
-    else:
-        entry = lift_frontier(P, lay, _trivial_frontier(P), epi, cap=cap)
-    for a in entry:
-        if a is not None:
-            a.flags.writeable = False
-    P.bottom_lifts[key] = entry
-    return entry
+    their exponent d, in the shape lift_frontier returns: Hom(G, Z_q^s),
+    the homogeneous solutions of the kept elimination
+    (``_shared_elimination``) in grid order, less row 0, the zero lift and
+    the one complement lift, for Epi.  ``cap`` is compared with their number
+    before the grid is expanded."""
+    q, s = lay.q, lay.s
+    elim = _shared_elimination(P, lay)
+    _check_cap(q ** int(elim.dims[0]) - epi, cap, epi, 0)
+    lifts = elim.homogeneous(0)[int(epi) :].reshape(-1, P.n, s) @ q ** np.arange(s)
+    return lifts.astype(np.int32), elim.dims
 
 
 def _weight_per_dim(dims, weights):
@@ -320,11 +317,12 @@ def _orbit_levels(P, tower, epi, cap=DEFAULT_FRONTIER_CAP):
     orbit size divides that order; on every level the complement lifts of
     every map solve its system (``_solve_level``), and with ``epi`` every
     map below the top has c distinct complement places among its q^d
-    lifts, so it keeps q^d - c once they are dropped; at the bottom
-    layer these run when its kept entry (``_bottom_lifts``) is filled.  Once
+    lifts, so it keeps q^d - c once they are dropped; the bottom level
+    builds no system (``_bottom_lifts``), and its matrix is checked where
+    its source's elimination is made (``_shared_elimination``).  Once
     a level has no representative, every layer above it yields maps_out = 0
     without building or solving anything."""
-    reps = _trivial_frontier(P)
+    reps = np.zeros((1, P.n), dtype=np.int32)
     weights = np.ones(1, dtype=np.int64)
     maps_in = 1
     top = len(tower.layers) - 1
@@ -339,7 +337,7 @@ def _orbit_levels(P, tower, epi, cap=DEFAULT_FRONTIER_CAP):
             if i:
                 lifts, dims = lift_frontier(P, lay, reps, epi, cap=cap, level=i)
             else:
-                lifts, dims = _bottom_lifts(P, lay, epi, cap, top=False)
+                lifts, dims = _bottom_lifts(P, lay, epi, cap)
             acting = tower.orbit_group(i + 1)
             new_reps, new_weights = _orbit_representatives(acting, lifts)
             del lifts
@@ -350,10 +348,7 @@ def _orbit_levels(P, tower, epi, cap=DEFAULT_FRONTIER_CAP):
                                  % (i + 1, len(acting)))
             per_dim = _weight_per_dim(dims, weights)
         else:
-            if i:
-                dims = _count_top(P, lay, reps)
-            else:
-                dims = _bottom_lifts(P, lay, epi, cap, top=True)[1]
+            dims = _count_top(P, lay, reps) if i else _shared_elimination(P, lay).dims
             per_dim = _weight_per_dim(dims, weights)
             new_reps = new_weights = None
             c = lay.complements if epi else 0

@@ -177,22 +177,14 @@ class Presentation:
         return AbelianInvariants(self.n - len(nonzero), tuple(torsion))
 
     @cached_property
-    def bottom_lifts(self):
-        """The counting engine's lifts of the trivial map through the bottom
-        layer of a tower, a dict filled by ``counting._bottom_lifts``.  The
-        trivial map's lifts through Z_q^s with trivial action are
-        Hom(G, Z_q^s), which depends on the presentation and the layer, not
-        on the tower above it.  Keyed on q, s, Hom or Epi, the layer's term
-        table and, for Epi, its complement sections."""
-        return {}
-
-    @cached_property
     def eliminations(self):
-        """The counting engine's one-matrix eliminations (``Elimination``)
-        of the lifting matrix every map shares through a layer of trivial
-        action (or any layer, for a source without relators), a dict filled
-        by ``counting._shared_elimination``: the abelianized Fox Jacobian
-        tensor I_s mod q, keyed on (q, s)."""
+        """The counting engine's one-matrix eliminations of the lifting
+        matrix every map shares through a layer Z_q^s of trivial action (or
+        any layer, for a source without relators): the exponent sums of the
+        relators mod q tensor I_s, the abelianized Fox Jacobian.  A dict of
+        (matrix, ``Elimination``) keyed on (q, s), each entry made once by
+        ``counting._shared_elimination``; the bottom level of every tower
+        reads its lifts off the entry's homogeneous solutions."""
         return {}
 
 

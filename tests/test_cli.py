@@ -252,7 +252,10 @@ def test_exit_codes(capsys, tmp_path):
             (hom + ["builtin:braid(2)"], "braid(n) needs n >= 3"),
             (hom + ["builtin:free(x)"], "non-integer parameter in 'free(x)'"),
             (hom + ["builtin:free(2"], "cannot parse builtin presentation 'free(2'"),
-            (cocycle + ["--level", "9", "--images", "0,0"], "level 9 out of range"),
+            (cocycle + ["--level", "9", "--images", "0,0"],
+             "level 9 out of range: Q(8) has levels 0..2"),
+            (["cocycle", "--source", "builtin:braid(3)", "--target", "Z(1)", "--images", "0,0"],
+             "Z(1) has no layers, so no level"),
             (cocycle + ["--images", "a,b"], "--images must be a comma list of integers")]:
         assert main(argv) == 1, argv
         captured = capsys.readouterr()

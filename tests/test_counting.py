@@ -17,7 +17,7 @@ from reference import (
 )
 
 from solvquot import counting
-from solvquot.cohomology import eliminate, solution_arrays, solve_systems
+from solvquot.cohomology import Elimination, eliminate, solution_arrays, solve_systems
 from solvquot.counting import (
     CountError,
     aut_order_by_lifting,
@@ -35,7 +35,12 @@ from solvquot.groups import (
     builtin_group,
 )
 from solvquot.oracle import brute_hom
-from solvquot.presentations import builtin_from_string, builtin_presentation, parse_presentation
+from solvquot.presentations import (
+    AbelianInvariants,
+    builtin_from_string,
+    builtin_presentation,
+    parse_presentation,
+)
 
 F1 = builtin_presentation("free", 1)
 F2 = builtin_presentation("free", 2)
@@ -95,38 +100,38 @@ def test_epi_lift():
 
 
 def test_cap_fires_before_the_lifts_at_its_level(monkeypatch):
-    # F2 -> S4 lifts one map per conjugacy orbit: level 1 builds the lifts
+    # F2 -> S4 lifts one map per conjugacy orbit: level 1 reads the lifts
     # of the trivial map (3 epimorphisms, 4 homomorphisms onto Z_2, each its
-    # own orbit), level 2 the lifts of those (3 * 6 epimorphisms, 4 * 9
-    # homomorphisms into S_3), and the top level builds nothing.  A freshly
-    # parsed source keeps no bottom lifts yet, so level 1 allocates them
+    # own orbit) off the source's kept elimination, whose grid it expands
+    # once, level 2 builds the lifts of those (3 * 6 epimorphisms, 4 * 9
+    # homomorphisms into S_3), and the top level builds nothing
     P = parse_presentation("< x, y | >")
-    built = []
-    real = counting.solution_arrays
+    built, expanded = [], []
+    real, real_grid = counting.solution_arrays, Elimination.homogeneous
     monkeypatch.setattr(counting, "solution_arrays",
                         lambda results: built.append(1) or real(results))
-    with pytest.raises(CapExceeded, match="level 2 would reach 18 "):
-        epi_count(P, S4, cap=10)
-    assert len(built) == 1  # only the level-1 lifts were allocated
-    built.clear()
-    with pytest.raises(CapExceeded, match="level 2 would reach 36 "):
-        hom_count(P, S4, cap=30)
-    assert len(built) == 1
-    # with the bottom lifts kept on the source, level 1 allocates nothing,
-    # and the caps still fire: at level 2 as before, and at level 1 where
-    # the cap is below the kept lifts' number
-    built.clear()
+    monkeypatch.setattr(Elimination, "homogeneous", lambda elim, g: expanded.append(
+        g not in elim._homogeneous) or real_grid(elim, g))
     with pytest.raises(CapExceeded, match="level 2 would reach 18 "):
         epi_count(P, S4, cap=10)
     with pytest.raises(CapExceeded, match="level 2 would reach 36 "):
         hom_count(P, S4, cap=30)
+    assert built == [] and expanded == [True, False]
+    # at level 1 the cap is compared with the number of lifts before the
+    # grid is read
     with pytest.raises(CapExceeded, match="epimorphism frontier at level 1 would reach 3 "):
         epi_count(P, S4, cap=2)
     with pytest.raises(CapExceeded, match="homomorphism frontier at level 1 would reach 4 "):
         hom_count(P, S4, cap=3)
-    assert built == []
+    assert built == [] and len(expanded) == 2
     assert epi_count(P, S4, cap=18).epi == 216
     assert hom_count(P, S4, cap=36) == 576
+    # free(25) has 2^25 homomorphisms onto Z_2, past the default cap: it
+    # fires before their grid of 2^25 rows of 25 unknowns is expanded
+    expanded.clear()
+    with pytest.raises(CapExceeded, match="homomorphism frontier at level 1 would reach 33554432 "):
+        hom_count(builtin_presentation("free", 25), builtin_group("Z(4)"))
+    assert expanded == []
 
 
 def test_complement_rows_match_the_surjectivity_walk():
@@ -167,10 +172,10 @@ def _long_word_source(letters, seed):
 
 
 def test_kept_bottom_lifts_give_the_cold_counts():
-    # every catalog count from a source whose bottom lifts are kept equals
-    # the count from a freshly parsed copy, which lifts its bottom layer
-    # anew; the source keeps one entry per (bottom layer, Hom or Epi), its
-    # arrays read-only
+    # every catalog count from a source whose eliminations are kept, with
+    # the bottom lifts expanded in them, equals the count from a freshly
+    # parsed copy, which makes them anew; the source keeps one entry per
+    # (q, s), each bottom among them, its matrix read-only
     towers = [builtin_group(spec) for spec in CATALOG_SPECS]
     sources = [functools.partial(builtin_from_string, label)
                for label in ["free(3)", "surface(2)", "bs(2,6)"]]
@@ -182,37 +187,28 @@ def test_kept_bottom_lifts_give_the_cold_counts():
         for _ in range(2):  # the first pass fills the entries, the second reads them
             assert [(hom_count(warm, tower), epi_count(warm, tower).level_epi)
                     for tower in towers] == cold
-        kinds = {(t.layers[0].q, t.layers[0].s, epi) for t in towers for epi in (False, True)}
-        assert len(warm.bottom_lifts) == len(kinds)
-        assert {key[:3] for key in warm.bottom_lifts} == kinds
-        # Z(5) is the one tower with a Z_5 bottom, and its top needs only d
-        for lifts, dims in warm.bottom_lifts.values():
-            assert not (lifts is not None and lifts.flags.writeable or dims.flags.writeable)
+        assert {(t.layers[0].q, t.layers[0].s) for t in towers} <= set(warm.eliminations)
+        for (q, s), (kept, elim) in warm.eliminations.items():
+            assert kept.shape == (len(warm.relators) * s, warm.n * s)
+            assert not kept.flags.writeable and elim.dims.shape == (1,)
 
 
 def test_corrupted_bottom_layer_raises_after_its_lifts_are_kept(monkeypatch):
-    # the source's bottom lifts onto Z_2 are kept by the first counts; a
-    # changed complement row of the bottom layer is another key, whose lifts
-    # are built and checked anew, and a changed alpha trips the level
-    # arithmetic, which runs on every count.  x -> 1, y -> 1 is no
-    # homomorphism of this source, so the planted row is not among the lifts
+    # the source's elimination for Z_2, whose grid holds the bottom lifts,
+    # is kept by the first counts; a changed alpha of the bottom layer trips
+    # the level arithmetic, which runs on every count, below the top and at
+    # the top of a one-layer tower
     P = parse_presentation("< x, y | x^3 y^2 >")
     tower, z2 = builtin_group("D(8)"), builtin_group("Z(2)")
     want = epi_count(P, tower).level_epi
     assert hom_count(P, tower) == brute_hom(P, tower.group).count
-    assert epi_count(P, z2).epi == 1 and len(P.bottom_lifts) == 2
-    bottom = tower.layers[0]
-    with monkeypatch.context() as m:
-        m.setattr(bottom, "_sections", np.ones((1, 1), dtype=np.int32))
-        with pytest.raises(CountError, match="complement lift is not found"):
-            epi_count(P, tower)
-    # below the top and at the top of a one-layer tower
-    for lay, target in [(bottom, tower), (z2.layers[0], z2)]:
+    assert epi_count(P, z2).epi == 1 and list(P.eliminations) == [(2, 1)]
+    for lay, target in [(tower.layers[0], tower), (z2.layers[0], z2)]:
         with monkeypatch.context() as m:
             m.setattr(lay, "alpha", lay.alpha + 1)
             with pytest.raises(CountError, match="level arithmetic"):
                 epi_count(P, target)
-    assert len(P.bottom_lifts) == 2 and epi_count(P, tower).level_epi == want
+    assert list(P.eliminations) == [(2, 1)] and epi_count(P, tower).level_epi == want
 
 
 def test_self_checks_fire_on_corrupted_data(monkeypatch):
@@ -487,6 +483,43 @@ def test_planted_errors_raise(monkeypatch):
     assert (hom_count(B4, D8), epi_count(B4, D8).epi) == want
 
 
+def test_kept_elimination_is_checked_against_the_abelian_invariants(monkeypatch):
+    # each kept elimination is made mod q from the relators' exponent sums,
+    # and its d is checked once against the Smith form over Z: bs(2,6) has
+    # abelianization Z + Z_4, and planted invariants with a second 2-primary
+    # factor are refused where the Z_2 entry is made, while Z_3's entry,
+    # which they leave as it is, counts on
+    P = builtin_from_string("bs(2,6)")
+    assert P.abelian_invariants == AbelianInvariants(1, ((2, (0, 1)),))
+    monkeypatch.setitem(P.__dict__, "abelian_invariants", AbelianInvariants(1, ((2, (1, 1)),)))
+    with pytest.raises(CountError, match="abelian invariants 2\\^3"):
+        hom_count(P, builtin_group("Z(2)"))
+    assert hom_count(P, builtin_group("Z(3)")) == 3 and list(P.eliminations) == [(3, 1)]
+
+
+def test_a_wrong_fox_block_on_every_trivial_layer_raises(monkeypatch):
+    # the kept matrix comes from the exponent sums, not from a walk, so a
+    # block planted in the walk of every layer of trivial action differs
+    # from it, on the bottom layer too, which walks nothing; bs(2,6) has 16
+    # homomorphisms onto Z(4), and the planted walks agree among themselves
+    z4 = builtin_group("Z(4)")
+    assert hom_count(builtin_from_string("bs(2,6)"), z4) == 16
+    real_build = counting.build_systems
+
+    def planted(P, images, lay):
+        A, chi = real_build(P, images, lay)
+        if counting._layer_tables(lay).trivial:
+            block = np.kron(np.ones((len(P.relators), P.n), dtype=np.int64),
+                            np.eye(lay.s, dtype=np.int64))
+            A = (A + block) % lay.q
+        return A, chi
+
+    monkeypatch.setattr(counting, "build_systems", planted)
+    for count in [hom_count, lambda P, T: epi_count(P, T).epi]:
+        with pytest.raises(CountError, match="differs from the one its source shares"):
+            count(builtin_from_string("bs(2,6)"), z4)
+
+
 def test_shared_eliminations_match_the_per_map_solver(monkeypatch):
     # on every level that solves through the elimination its source keeps
     # (a layer of trivial action, or any layer for free(2), which has no
@@ -502,7 +535,9 @@ def test_shared_eliminations_match_the_per_map_solver(monkeypatch):
         walked[:] = real_build(P, images, lay)
         return tuple(walked)
 
-    def shared(P, lay, A):
+    def shared(P, lay, A=None):
+        if A is None:  # the bottom level, which walks nothing
+            return real_shared(P, lay)
         elim = real_shared(P, lay, A)
         assert A is walked[0]
         got = elim.solve(-walked[1], np.zeros(len(A), dtype=np.intp))
@@ -568,20 +603,22 @@ def test_top_rank_counts_match_the_solver(monkeypatch):
 def test_a_level_that_keeps_no_lift_builds_none(monkeypatch):
     # braid(4)'s one epimorphism onto Z_2 lifts through D(8)'s middle layer
     # only by its c = 2 complement lifts: that level builds no solution
-    # grid, and a duplicated complement row there still trips the tally
+    # grid, nor does the bottom, which reads its lifts off the kept
+    # elimination, and a duplicated complement row there still trips the
+    # tally
     P = parse_presentation(str(B4))
     built = []
     real = counting.solution_arrays
     monkeypatch.setattr(counting, "solution_arrays", lambda sol: built.append(1) or real(sol))
     levels = list(counting._orbit_levels(P, D8, epi=True))
     assert [lv[4] for lv in levels] == [1, 0, 0] and levels[1][1].shape == (0, 2)
-    assert len(built) == 1  # the bottom layer's lifts
+    assert built == []
     sec = D8.layers[1].sections
     with monkeypatch.context() as m:
         m.setattr(D8.layers[1], "_sections", sec[[0, 0]])
         with pytest.raises(CountError, match="surjective lift tally"):
             epi_count(P, D8)
-    assert len(built) == 1
+    assert built == []
 
 
 def test_relator_free_hom_skips_the_complement_vectors(monkeypatch):
@@ -757,7 +794,7 @@ def test_lifting_stops_at_an_empty_frontier(monkeypatch):
     # braid(3) has one epimorphism onto Z_2 and none onto Z_2^2, and bs(1,2)
     # one onto Z_2 and none onto Z_2^2 below Q(8): the levels above the empty
     # one report 0 with their layer constants, as when they were lifted, and
-    # no system is built for them
+    # no system is built for them; the bottom level builds none either
     calls = []
     real = counting.build_systems
     monkeypatch.setattr(counting, "build_systems",
@@ -773,7 +810,7 @@ def test_lifting_stops_at_an_empty_frontier(monkeypatch):
         rep = epi_count(builtin_from_string(label), builtin_group(spec))
         assert [tuple(lv.values()) for lv in rep.levels] == values
         assert [lv["epi_out"] for lv in rep.levels] == [1, 0, 0]
-        assert calls == [1, 1]
+        assert calls == [1]
         levels = list(counting._orbit_levels(builtin_from_string(label), builtin_group(spec),
                                              epi=True))
         _, reps, weights, _, _ = levels[1]
