@@ -96,7 +96,7 @@ def read_table_file(path):
 def write_table_file(table, fh):
     fh.write("order %d\n" % table.n)
     for row in table.mul:
-        fh.write(" ".join(str(x) for x in row) + "\n")
+        fh.write(" ".join(map(str, row.tolist())) + "\n")
 
 
 def load_target(spec, cap):

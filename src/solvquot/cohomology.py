@@ -59,18 +59,15 @@ class _LayerTables:
     +sigma(b) for x, -sigma(b y) for x^-1; chi(b, y), and -sigma(b)
     chi(y, y^-1) for x^-1.  The first letter of a relator reads after the
     identity, and chi(1, y) = 0 on a verified layer (``verify``), so it
-    needs no kind of its own.  ``trivial`` tells whether every sigma(b) is
-    the identity."""
+    needs no kind of its own."""
 
     def __init__(self, layer):
         q, s = layer.q, layer.s
         self.nB = nB = len(layer.base)
-        self.mul = layer.base.as_array()
+        self.mul, inv = layer.base.mul, layer.base.inv
         ar = np.arange(nB)
-        inv = np.array(layer.base.inv, dtype=np.int64)
         self.letter = np.concatenate([ar, inv, np.zeros(nB, dtype=np.int64)])
         sigma, chi = layer.sigma.reshape(nB, s * s), layer.chi
-        self.trivial = bool((sigma % q == np.eye(s, dtype=np.int64).ravel()).all())
         back = np.einsum("bij,yj->byi", layer.sigma, chi[ar, inv])
         plus = np.broadcast_to(sigma[:, None], (nB, nB, s * s))
         minus = -sigma[self.mul]

@@ -7,8 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cohomology import (_BLOCK, _distinct_rows, _layer_tables, build_systems, eliminate,
-                         solution_arrays, solution_dims, solve_systems)
+from .cohomology import (_BLOCK, _distinct_rows, build_systems, eliminate, solution_arrays,
+                         solution_dims, solve_systems)
 from .groups import CapExceeded, _digit_vectors, aut_order
 from .presentations import abelianized_jacobian
 
@@ -150,7 +150,7 @@ def _solve_level(P, lay, images, places=False, top=False):
     from the same blocks of X."""
     q = lay.q
     A, chi = build_systems(P, images, lay)
-    if _layer_tables(lay).trivial or not P.relators:
+    if not lay.zeta or not P.relators:
         sol = _shared_elimination(P, lay, A).solve(-chi, np.zeros(len(A), dtype=np.intp))
     elif top:
         sol = None

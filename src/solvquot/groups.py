@@ -34,92 +34,111 @@ SERIES_ENTRY_CAP = 1 << 22
 
 
 class FiniteGroupTable:
-    """A multiplication table, given as rows of element indices or as a
-    square integer array.  ``mul`` is kept as lists of Python ints for
-    per-element lookups; ``as_array`` gives the same table as an int64
-    array, kept from an array input and otherwise made on first use."""
+    """A group as its multiplication table, given as rows of element
+    indices or as a square integer array.  ``mul[a, b]`` is the product of
+    the elements a and b and ``inv[a]`` the inverse of a, both read-only
+    int64 arrays.  The constructor checks the table once: nonempty rows of
+    integers, square, every entry in 0..n-1, element 0 a two-sided identity
+    and every element with a two-sided inverse; associativity only
+    ``check_associativity`` checks.  ``orders`` and ``conj`` are built on
+    first use and kept."""
 
     def __init__(self, mul, name=""):
-        if isinstance(mul, np.ndarray):
-            self._arr = mul.astype(np.int64)
-            self.mul = self._arr.tolist()
-        else:
-            self._arr = None
-            self.mul = [list(row) for row in mul]
-        self.n = len(self.mul)
-        self.name = name
-        ids = list(range(self.n))
-        if self.mul[0] != ids or [row[0] for row in self.mul] != ids:
+        try:
+            mul = np.array(mul)
+        except ValueError:  # ragged rows
+            mul = np.array(None)
+        if mul.ndim != 2 or not mul.size or mul.dtype.kind not in "iu":
+            raise GroupSpecError("table rows must be nonempty, of integers and of one length")
+        n = len(mul)
+        if mul.shape != (n, n):
+            raise GroupSpecError("table is not square: %d rows of %d entries" % mul.shape)
+        if mul.min() < 0 or mul.max() >= n:
+            raise GroupSpecError("multiplication table entries must lie in 0..%d" % (n - 1))
+        mul = mul.astype(np.int64, copy=False)
+        ids = np.arange(n)
+        if ((mul[0] != ids) | (mul[:, 0] != ids)).any():
             raise GroupSpecError("element 0 is not an identity")
-        self.inv = []
-        for i, row in enumerate(self.mul):
-            j = row.index(0) if 0 in row else None
-            if j is None or self.mul[j][i] != 0:
-                raise GroupSpecError("element %d has no two-sided inverse" % i)
-            self.inv.append(j)
-        self._conj = None
-        self._orders = None
+        # the inverse of a is the first b in its row with a b = 1, if b a = 1
+        inv = (mul == 0).argmax(axis=1)
+        bad = mul[ids, inv] | mul[inv, ids]  # entries are >= 0
+        if bad.any():
+            raise GroupSpecError("element %d has no two-sided inverse" % np.flatnonzero(bad)[0])
+        mul.flags.writeable = inv.flags.writeable = False
+        self.mul, self.inv, self.n, self.name = mul, inv, n, name
         self._auts = None
 
     def __len__(self):
         return self.n
 
-    def as_array(self):
-        if self._arr is None:
-            self._arr = np.array(self.mul, dtype=np.int64)
-        return self._arr
+    @functools.cached_property
+    def orders(self):
+        """The order of every element as a read-only int64 array, read off
+        the powers x^k, 1 <= k <= m, of all elements at once: m doubles,
+        the powers for m < k <= 2m being x^m times those for k <= m, until
+        every element has a power 1, which in a group happens by m = n."""
+        powers = np.arange(self.n)[None]  # row k - 1 holds every x^k
+        while powers.min(axis=0).any():
+            if len(powers) >= self.n:
+                raise GroupSpecError("some element has no power equal to the identity")
+            powers = np.concatenate([powers, self.mul[powers[-1], powers]])
+        orders = (powers == 0).argmax(axis=0) + 1
+        orders.flags.writeable = False
+        return orders
 
-    def conjugation_table(self):
-        """int32 array with conj[b, x] = b x b^-1, built on first use."""
-        if self._conj is None:
-            arr = self.as_array()
-            inv = np.array(self.inv, dtype=np.int64)
-            self._conj = arr[arr, inv[:, None]].astype(np.int32)
-        return self._conj
+    @functools.cached_property
+    def conj(self):
+        """conj[b, x] = b x b^-1 as a read-only int32 array."""
+        conj = self.mul[self.mul, self.inv[:, None]].astype(np.int32)
+        conj.flags.writeable = False
+        return conj
 
     def check_associativity(self):
-        """Exhaustive for order <= 64, above on 20000 random triples (seed
-        0)."""
-        n = self.n
-        mul = self.mul
+        """Exhaustive for order <= 64, above on 20000 random triples, three
+        draws of ``random.Random(0)`` each."""
+        n, mul = self.n, self.mul
         if n <= 64:
-            triples = itertools.product(range(n), repeat=3)
+            ok = (mul[mul] == mul[:, mul]).all()  # [a, b, c]: (a b) c and a (b c)
         else:
             draw = random.Random(0).randrange
-            triples = ((draw(n), draw(n), draw(n)) for _ in range(20000))
-        for a, b, c in triples:
-            if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
-                raise GroupSpecError("multiplication table is not associative")
-
-    def order_of(self, x):
-        if self._orders is None:
-            self._orders = [None] * self.n
-        if self._orders[x] is None:
-            y = x
-            k = 1
-            while y != 0:
-                y = self.mul[y][x]
-                k += 1
-            self._orders[x] = k
-        return self._orders[x]
+            a, b, c = np.array([draw(n) for _ in range(3 * 20000)]).reshape(-1, 3).T
+            ok = (mul[mul[a, b], c] == mul[a, mul[b, c]]).all()
+        if not ok:
+            raise GroupSpecError("multiplication table is not associative")
 
     def power(self, x, k):
-        if k < 0:
-            x, k = self.inv[x], -k
-        y = 0
-        for _ in range(k):
-            y = self.mul[y][x]
+        """x^k for an element or an array of elements x and an exponent
+        k >= 0, by repeated squaring."""
+        y = np.zeros_like(x)
+        while k:
+            if k & 1:
+                y = self.mul[y, x]
+            x, k = self.mul[x, x], k >> 1
         return y
 
     def is_abelian(self):
-        mul = self.mul
-        return all(mul[a][b] == mul[b][a] for a in range(self.n) for b in range(a))
+        return bool((self.mul == self.mul.T).all())
 
     def closure(self, gens):
-        return frozenset([0] + [y for y, _, _ in bfs_expressions(self, sorted(set(gens)))])
+        """The subgroup that the elements ``gens`` generate, as a frozenset
+        of ints: the set S of 1 and the generators grows to S S until it
+        stops growing, so round k adds every product of at most 2^k
+        generators.  A set of more than n/2 elements generates the whole
+        group, since the order of the subgroup it generates divides n."""
+        inside = np.zeros(self.n, dtype=bool)
+        inside[0] = True
+        inside[np.fromiter(gens, dtype=np.int64)] = True
+        elems = inside.nonzero()[0]
+        while 2 * len(elems) <= self.n:
+            inside[self.mul.take(elems, 0).take(elems, 1)] = True
+            grown = inside.nonzero()[0]
+            if len(grown) == len(elems):
+                return frozenset(elems.tolist())
+            elems = grown
+        return frozenset(range(self.n))
 
     def conjugates(self, x):
-        return set(self.conjugation_table()[:, x].tolist())
+        return set(self.conj[:, x].tolist())
 
     def normal_closure(self, xs):
         conj = set()
@@ -129,17 +148,16 @@ class FiniteGroupTable:
 
     def is_normal(self, elems):
         elems = sorted(elems)
-        return bool(np.isin(self.conjugation_table()[:, elems], elems).all())
+        return bool(np.isin(self.conj[:, elems], elems).all())
 
     def commutator(self, a, b):
-        mul = self.mul
-        inv = self.inv
-        return mul[mul[inv[a]][inv[b]]][mul[a][b]]
+        """[a, b] = a^-1 b^-1 a b, for elements or arrays of them."""
+        mul, inv = self.mul, self.inv
+        return mul[mul[inv[a], inv[b]], mul[a, b]]
 
     def derived_subgroup(self, elems=None):
-        elems = list(elems) if elems is not None else list(range(self.n))
-        comms = {self.commutator(a, b) for a in elems for b in elems}
-        return self.closure(comms)
+        elems = np.arange(self.n) if elems is None else np.fromiter(elems, dtype=np.int64)
+        return self.closure(self.commutator(elems[:, None], elems).ravel())
 
     def is_solvable(self):
         cur = frozenset(range(self.n))
@@ -150,8 +168,7 @@ class FiniteGroupTable:
             cur = nxt
 
     def center_set(self):
-        central = (self.conjugation_table() == np.arange(self.n)).all(axis=1)
-        return frozenset(np.flatnonzero(central).tolist())
+        return _elements((self.conj == np.arange(self.n)).all(axis=1))
 
     def is_nilpotent(self):
         K = frozenset({0})
@@ -160,26 +177,29 @@ class FiniteGroupTable:
             Zq = Q.center_set()
             if len(Zq) == 1:
                 return False
-            K = frozenset(x for x in range(self.n) if proj[x] in Zq)
+            K = _elements(np.isin(proj, list(Zq)))
         return True
 
     def quotient(self, normal):
-        """Quotient by a normal subgroup given as an element set.  Cosets are
-        indexed in order of their smallest element, so coset 0 is the image
-        of the identity."""
-        arr = self.as_array()
-        low = arr[:, sorted(normal)].min(axis=1)  # least element of x N
+        """Quotient by a normal subgroup given as an element set, with the
+        int64 arrays proj (each element's coset) and reps (each coset's
+        least element).  Cosets are indexed in order of their smallest
+        element, so coset 0 is the image of the identity."""
+        if len(normal) == 1:  # G/1 is G, numbered alike
+            return self, np.arange(self.n), np.arange(self.n)
+        low = self.mul[:, sorted(normal)].min(axis=1)  # least element of x N
         reps, proj = np.unique(low, return_inverse=True)
-        table = proj[arr[reps[:, None], reps]]
-        return (FiniteGroupTable(table, name=self.name and self.name + "/N"),
-                proj.tolist(), reps.tolist())
+        table = proj[self.mul[reps[:, None], reps]]
+        return FiniteGroupTable(table, name=self.name and self.name + "/N"), proj, reps
 
     def subtable(self, elems):
-        """Table of a subgroup (elements must be closed and contain 0)."""
+        """Table of a subgroup (elements must be closed and contain 0), with
+        the sorted list of its elements: element i of the table is the
+        i-th."""
         sub = sorted(elems)
-        pos = {x: i for i, x in enumerate(sub)}
-        table = [[pos[self.mul[a][b]] for b in sub] for a in sub]
-        return FiniteGroupTable(table), sub
+        pos = np.full(self.n, -1)
+        pos[sub] = np.arange(len(sub))
+        return FiniteGroupTable(pos[self.mul[np.ix_(sub, sub)]]), sub
 
 
 TRIVIAL_TABLE = FiniteGroupTable([[0]], name="1")
@@ -276,49 +296,52 @@ def _elements(mask):
 def generating_sequence(table):
     """Greedy generating sequence: highest order first, smallest index on
     ties."""
-    gens = []
-    cur = {0}
-    while len(cur) < table.n:
-        best = None
-        for x in range(table.n):
-            if x not in cur:
-                key = (-table.order_of(x), x)
-                if best is None or key < best:
-                    best = key
-        gens.append(best[1])
-        cur = set(table.closure(gens))
+    gens, inside = [], {0}
+    for x in np.argsort(-table.orders, kind="stable").tolist():
+        if len(inside) == table.n:
+            break
+        if x not in inside:
+            gens.append(x)
+            inside = table.closure(gens)
     return gens
 
 
 def bfs_expressions(table, gens):
-    """Breadth-first expressions: triples (elem, parent, genpos) with
-    elem = parent * gens[genpos], covering every element of the subgroup
-    the generators generate except the identity, in discovery order."""
-    links = []
-    seen = {0}
-    frontier = [0]
-    mul = table.mul
-    while frontier:
-        new = []
-        for x in frontier:
-            for gp, g in enumerate(gens):
-                y = mul[x][g]
-                if y not in seen:
-                    seen.add(y)
-                    links.append((y, x, gp))
-                    new.append(y)
-        frontier = new
-    return links
+    """Breadth-first expressions of every element of the subgroup the
+    generators generate except the identity, in discovery order, as one
+    triple of int64 arrays (elem, parent, genpos) per round, with
+    elem = parent * gens[genpos].  Each round multiplies the elements found
+    in the round before, in their order, by the generators, in theirs, and
+    keeps the first product of each element not found yet, so every parent
+    was found in an earlier round."""
+    gens = np.asarray(gens, dtype=np.int64)
+    seen = np.zeros(table.n, dtype=bool)
+    seen[0] = True
+    rounds = []
+    frontier = np.zeros(1, dtype=np.int64)
+    while True:
+        y = table.mul.take(frontier, 0).take(gens, 1).ravel()
+        # the products in the order of their elements, the first of each
+        # element marked, and the marks of unseen elements back in order
+        order = y.argsort(kind="stable")
+        ys = y[order]
+        first = np.ones(len(y), dtype=bool)
+        np.not_equal(ys[1:], ys[:-1], out=first[1:])
+        at = np.sort(order[first & ~seen[ys]])
+        if not len(at):
+            return rounds
+        frontier, parent = y[at], frontier[at // len(gens)]
+        rounds.append((frontier, parent, at % len(gens)))
+        seen[frontier] = True
 
 
 def eval_word_in_table(table, images, w):
     """The value of the word w at the generator images: one element per
     generator gives one element, one array per generator the values at
     every index of the arrays (numpy indexing either way)."""
-    arr, inv = table.as_array(), np.asarray(table.inv)
     x = 0
     for g, e in w:
-        x = arr[x, images[g] if e == 1 else inv[images[g]]]
+        x = table.mul[x, images[g] if e == 1 else table.inv[images[g]]]
     return x
 
 
@@ -332,8 +355,8 @@ def _homomorphic(f, src, dst, gens, elems=slice(None)):
     ``gens`` generate: those with f(x g) = f(x) f(g) for every x in it and
     every generator g (then f(x y) = f(x) f(y) by induction on the length
     of y)."""
-    return (dst.as_array()[f[:, elems, None], f[:, gens][:, None, :]]
-            == f[:, src.as_array()[:, gens][elems]]).all(axis=(1, 2))
+    return (dst.mul[f[:, elems, None], f[:, gens][:, None, :]]
+            == f[:, src.mul[:, gens][elems]]).all(axis=(1, 2))
 
 
 def _homomorphism_blocks(src, gens, dst, cands, entry_cap=None):
@@ -346,8 +369,8 @@ def _homomorphism_blocks(src, gens, dst, cands, entry_cap=None):
     one block of about SEARCH_BLOCK image entries, they are all tried
     together.  With ``entry_cap``, a prefix stage raises CapExceeded once
     its kept rows times |src| pass it."""
-    links = bfs_expressions(src, gens)
-    if len(links) + 1 != src.n:
+    rounds = bfs_expressions(src, gens)
+    if sum(len(elem) for elem, _, _ in rounds) + 1 != src.n:
         raise GroupSpecError("generators do not generate")
     cands = [np.array(c, dtype=np.int64) for c in cands]
     step = max(1, SEARCH_BLOCK // (src.n * max(1, len(gens))))
@@ -355,7 +378,7 @@ def _homomorphism_blocks(src, gens, dst, cands, entry_cap=None):
     while True:
         rest = len(prefixes) * math.prod(len(c) for c in cands[k:])
         j = len(gens) if rest <= step else k + 1
-        sub = links if j == len(gens) else bfs_expressions(src, gens[:j])
+        sub = rounds if j == len(gens) else bfs_expressions(src, gens[:j])
         blocks = _extensions(src, gens[:j], dst, sub, prefixes, cands[k:j], step)
         if j == len(gens):
             yield from blocks
@@ -371,16 +394,15 @@ def _homomorphism_blocks(src, gens, dst, cands, entry_cap=None):
         k = j
 
 
-def _extensions(src, gens, dst, links, prefixes, cands, step):
+def _extensions(src, gens, dst, rounds, prefixes, cands, step):
     """Blocks of the image rows, on the subgroup that ``gens`` generate and
     0 elsewhere, of the homomorphisms of that subgroup whose generator
     images begin with a row of ``prefixes`` and go on with a tuple of
     ``cands``, in the order of the prefixes and then of
     ``itertools.product``.  Each block's tuples are filled along the
-    subgroup's breadth-first expressions ``links``, one array pass per
-    element, and kept when ``_homomorphic``."""
-    elems = np.array([0] + [y for y, _, _ in links])
-    darr = dst.as_array()
+    subgroup's breadth-first expressions ``rounds``, one array pass per
+    round, and kept when ``_homomorphic``."""
+    elems = np.concatenate([[0]] + [elem for elem, _, _ in rounds])
     k = prefixes.shape[1]
     tuples = len(prefixes) * math.prod(len(c) for c in cands)
     for lo in range(0, tuples, step):
@@ -392,8 +414,8 @@ def _extensions(src, gens, dst, links, prefixes, cands, step):
             idx = idx // len(cands[gp - k])
         images[:, :k] = prefixes[idx]
         f = np.zeros((len(images), src.n), dtype=np.int64)
-        for elem, parent, gp in links:
-            f[:, elem] = darr[f[:, parent], images[:, gp]]
+        for elem, parent, gp in rounds:
+            f[:, elem] = dst.mul[f[:, parent], images[:, gp]]
         yield f[_homomorphic(f, src, dst, gens, elems)]
 
 
@@ -430,10 +452,6 @@ def _automorphism_search(table, label, what, entry_cap=None):
     return rows
 
 
-def _element_orders(table):
-    return np.array([table.order_of(x) for x in range(table.n)])
-
-
 def automorphisms(table):
     """The automorphisms of the group as a read-only int32 array, one image
     row per automorphism, found by one search per table that sends each
@@ -441,7 +459,7 @@ def automorphisms(table):
     kept on it.  The order was checked against the caller's cap when the
     group was built; the search is bounded by its tuple cap."""
     if table._auts is None:
-        table._auts = _automorphism_search(table, _element_orders(table),
+        table._auts = _automorphism_search(table, table.orders,
                                            "isomorphism search from")
     return table._auts
 
@@ -491,7 +509,7 @@ class ElementaryLayer:
         add = (vecs[:, None] + vecs[None]) % q @ powers
         e = add[np.arange(E)[:, None, None], sigma_perm]
         e = add[e[..., None], chi_num[None, :, None, :]]
-        table = e * nB + base.as_array()[None, :, None, :]
+        table = e * nB + base.mul[None, :, None, :]
         self.group = FiniteGroupTable(table.reshape(E * nB, E * nB),
                                       name="Z%d^%d.%s" % (q, s, base.name or "B"))
         # derived constants
@@ -558,7 +576,7 @@ class ElementaryLayer:
         nB = len(self.base)
         q = self.q
         sig, ch = self.sigma, self.chi
-        mul = self.base.as_array()
+        mul = self.base.mul
         if (np.einsum("iac,jcd->ijad", sig, sig) % q != sig[mul]).any():
             raise GroupSpecError("monodromy is not a homomorphism")
         if ch[0].any() or ch[:, 0].any():
@@ -650,7 +668,7 @@ class ExtensionTower:
                 for g, k in enumerate(_digit_vectors(lay.q, lay.s)[e].tolist(), first):
                     word += [(g, 1)] * k
                     for _ in range(k):
-                        x = mul[inv[gens[g]]][x]
+                        x = mul[inv[gens[g]], x]
                 first += lay.s
             return tuple(word)
 
@@ -658,7 +676,7 @@ class ExtensionTower:
         relators = [((i, 1),) * q + word_inverse(normal_word(table.power(g, q)))
                     for i, (g, q) in enumerate(zip(gens, qs))]
         for i, k in itertools.combinations(range(len(gens)), 2):
-            x = mul[mul[inv[gens[i]]][gens[k]]][gens[i]]
+            x = mul[mul[inv[gens[i]], gens[k]], gens[i]]
             relators.append(((i, -1), (k, 1), (i, 1)) + word_inverse(normal_word(x)))
         P = Presentation(tuple("g%d" % (i + 1) for i in range(len(gens))), tuple(relators))
         for rel in P.relators:
@@ -690,7 +708,7 @@ class ExtensionTower:
             try:
                 rows = self.project(self._series_automorphisms()[:, : table.n], level)
             except CapExceeded:
-                rows = table.conjugation_table()
+                rows = table.conj
             # rows that agree on a generating sequence are equal
             if level < len(self.layers):
                 gens = self.layers[level]._base_gens
@@ -720,7 +738,7 @@ class ExtensionTower:
             depth = np.empty(table.n, dtype=np.int64)
             for j, N in enumerate(chain):
                 depth[N] = j
-            label = _element_orders(table) * (len(chain) + 1) + depth
+            label = table.orders * (len(chain) + 1) + depth
             try:
                 self._series_auts = _automorphism_search(
                     table, label, "series automorphism search of", SERIES_ENTRY_CAP)
@@ -772,46 +790,31 @@ def intertwiner_space_dim(acts_a, acts_b, q, s):
 
 
 def _elementary_structure(Q, kset):
-    """Identify an elementary abelian subgroup of Q: returns (q, s, basis,
-    elem_of_num, num_of_elem)."""
-    size = len(kset)
-    fac = factorize(size)
+    """Identify the elementary abelian subgroup of Q whose elements are the
+    sorted array ``kset``: returns (q, s, basis, elem_of_num).  Each basis
+    element is the first of kset that is no product b_1^c_1 ... b_j^c_j of
+    those before it, and elem_of_num[num] is that product at the
+    little-endian digits c of num; s basis elements reach all q^s elements
+    only when their q^s products are distinct."""
+    fac = factorize(len(kset))
     if len(fac) != 1:
         raise GroupSpecError("chief factor is not elementary abelian")
     (q, s), = fac.items()
-    elems = sorted(kset)
-    for x in elems:
-        if x and Q.order_of(x) != q:
-            raise GroupSpecError("chief factor is not elementary abelian")
-    basis = []
-    span = {0}
-    for x in elems:
-        if x not in span:
-            basis.append(x)
-            new = set(span)
-            for u in span:
-                y = x
-                for _ in range(q - 1):
-                    new.add(Q.mul[u][y])
-                    y = Q.mul[y][x]
-            span = new
-    if len(basis) != s or len(span) != size:
+    if Q.power(kset, q).any():  # some element's order is not 1 or q
         raise GroupSpecError("chief factor is not elementary abelian")
-    # little-endian coordinates over the basis
-    elem_of_num = []
-    num_of_elem = {}
-    for num in range(q**s):
-        x = 0
-        t = num
-        for b in basis:
-            c = t % q
-            t //= q
-            x = Q.mul[x][Q.power(b, c)]
-        elem_of_num.append(x)
-        num_of_elem[x] = num
-    if len(num_of_elem) != size:
-        raise GroupSpecError("kernel coordinates are not faithful")
-    return q, s, basis, elem_of_num, num_of_elem
+    basis, elem_of_num = [], np.zeros(1, dtype=np.int64)
+    span = np.zeros(Q.n, dtype=bool)
+    span[0] = True
+    while len(basis) < s and not span[kset].all():
+        basis.append(int(kset[span[kset].argmin()]))
+        block = [elem_of_num]  # block c: the products times basis[-1]^c
+        for _ in range(q - 1):
+            block.append(Q.mul[block[-1], basis[-1]])
+        elem_of_num = np.concatenate(block)
+        span[elem_of_num] = True
+    if len(basis) != s or not span[kset].all():
+        raise GroupSpecError("chief factor is not elementary abelian")
+    return q, s, basis, elem_of_num
 
 
 def tower_from_chief_chain(table, chain, spec=""):
@@ -827,31 +830,29 @@ def tower_from_chief_chain(table, chain, spec=""):
     prevproj = np.zeros(table.n, dtype=np.int64)  # table -> table/chain[i]
     for i in range(len(chain) - 1):
         Q, proj, reps = table.quotient(chain[i + 1])
-        kset = sorted({proj[t] for t in chain[i]})
-        q, s, basis, elem_of_num, num_of_elem = _elementary_structure(Q, kset)
+        q, s, basis, elem_of_num = _elementary_structure(Q, np.unique(proj[sorted(chain[i])]))
         num_of = np.full(Q.n, -1)  # kernel coordinate number, -1 off the kernel
-        num_of[list(num_of_elem)] = list(num_of_elem.values())
+        num_of[elem_of_num] = np.arange(len(elem_of_num))
         vecs = _digit_vectors(q, s)
         # the minimal-index section of Q -> previous quotient: np.unique
         # returns the first x with each image
         sec = np.unique(prevproj[reps], return_index=True)[1][psi]
-        QA = Q.as_array()
-        Qinv = np.array(Q.inv)
+        mul, inv = Q.mul, Q.inv
         # column j of sigma(b) is the vector of m basis[j] m^-1, m = sec[b]
-        nums = num_of[QA[QA[sec[:, None], basis], Qinv[sec][:, None]]]
+        nums = num_of[mul[mul[sec[:, None], basis], inv[sec][:, None]]]
         if (nums < 0).any():
             raise GroupSpecError("chain member is not normal")
         sigma = vecs[nums].swapaxes(1, 2).copy()
         # chi(b1, b2) = sec[b1] sec[b2] sec[b1 b2]^-1
-        nums = num_of[QA[QA[sec[:, None], sec], Qinv[sec[prev_q.as_array()]]]]
+        nums = num_of[mul[mul[sec[:, None], sec], inv[sec[prev_q.mul]]]]
         if (nums < 0).any():
             raise GroupSpecError("section defect leaves the kernel")
         chi = vecs[nums]
         lay = ElementaryLayer(q, s, prev_q, sigma, chi)
         lay.verify()
         # psi is indexed by e * |base| + b
-        psi = QA[np.array(elem_of_num)[:, None], sec].ravel()
-        prevproj = np.array(proj)
+        psi = mul[elem_of_num[:, None], sec].ravel()
+        prevproj = proj
         prev_q = lay.group
         layers.append(lay)
     return ExtensionTower(layers, spec=spec, source_table=table, source_iso=psi.tolist())
@@ -865,8 +866,7 @@ def minimal_normal_subgroup(table):
     """Deterministic minimal normal subgroup: normal closures of prime-order
     elements, minimal under inclusion, smallest first."""
     cands = set()
-    for x in range(1, table.n):
-        o = table.order_of(x)
+    for x, o in enumerate(table.orders.tolist()):
         if factorize(o) == {o: 1}:  # prime order
             cands.add(table.normal_closure([x]))
     if not cands:
@@ -883,7 +883,7 @@ def chief_chain(table):
     while len(K) < table.n:
         Q, proj, _ = table.quotient(K)
         M = minimal_normal_subgroup(Q)
-        K = frozenset(x for x in range(table.n) if proj[x] in M)
+        K = _elements(np.isin(proj, list(M)))
         kernels.append(K)
     return list(reversed(kernels))
 
@@ -986,7 +986,7 @@ def _product_data(d1, d2):
     t2, c2 = d2
     n2 = t2.n
     # (a1, b1)(a2, b2) = (a1 a2, b1 b2), with (a, b) numbered a * n2 + b
-    mul = t1.as_array()[:, None, :, None] * n2 + t2.as_array()[None, :, None, :]
+    mul = t1.mul[:, None, :, None] * n2 + t2.mul[None, :, None, :]
     table = FiniteGroupTable(mul.reshape(t1.n * n2, t1.n * n2),
                              name="%sx%s" % (t1.name, t2.name))
     chain = [frozenset(a * n2 + b for a in K for b in range(n2)) for K in c1]

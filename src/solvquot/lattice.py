@@ -114,11 +114,7 @@ def moebius_kt(lattice, chain):
     for idx, H in enumerate(lattice.subgroups):
         terms = []
         for gamma in chain:
-            prod = set()
-            for g in gamma:
-                row = table.mul[g]
-                prod.update(row[h] for h in H)
-            m = _mask(prod)
+            m = _mask(set(table.mul[sorted(gamma)][:, sorted(H)].ravel().tolist()))
             if m not in lattice.index:
                 # Gamma_i H is always a subgroup since Gamma_i is normal
                 raise GroupSpecError("product with a chain member is not a subgroup")
@@ -157,7 +153,7 @@ def moebius_weisner(table, lattice):
         rad = 1
         for p in factorize(Q.n):
             rad *= p
-        if any(Q.power(x, rad) != 0 for x in range(Q.n)):
+        if (rad % Q.orders).any():  # some x^rad is not 1
             continue
         val = 1
         for p, s in factorize(Q.n).items():

@@ -57,6 +57,12 @@ Python routes and the helpers that only the tests call:
 * Inn(B_i) as an acting group (``conjugation_orbit_groups``), which the
   tests put in place of a tower's ``orbit_group`` to compare the counts
   modulo conjugation with those modulo the series automorphisms.
+* the properties of a multiplication table by per-element loops, one
+  product at a time (``element_orders``, ``inverses``, ``closure_walk``,
+  ``expressions_walk``, ``derived_subgroup_walk``, ``subtable_walk``,
+  ``centre_walk``, ``is_nilpotent_walk``, ``is_associative_walk``), the
+  references for ``FiniteGroupTable``'s array passes, and a table of A(5)
+  (``alternating5_table``) to run them on a group that is not solvable.
 
 Their per-map steps share nothing with the batched kernel
 (``build_systems``, ``solve_systems``, ``solution_arrays``,
@@ -75,6 +81,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -397,7 +404,7 @@ def build_system(P, images, layer, check=True):
         prefix = 0
         for idx, (g, e) in enumerate(rel):
             li = images[g] if e == 1 else inv[images[g]]
-            after = mul[prefix][li]
+            after = mul[prefix, li]
             sig = sigma[prefix if e == 1 else after]
             for a in range(s):
                 row, sa = block[a], sig[a]
@@ -917,6 +924,121 @@ class GroupElement:
 
 
 # ---------------------------------------------------------------------------
+# Multiplication-table properties one product at a time, the references for
+# the array passes of ``FiniteGroupTable`` and ``bfs_expressions``.
+
+
+def element_orders(table):
+    """The order of every element, its powers x, x^2, ... walked until 1."""
+    out = []
+    for x in range(table.n):
+        y, k = x, 1
+        while y != 0:
+            y, k = table.mul[y, x], k + 1
+        out.append(k)
+    return out
+
+
+def inverses(table):
+    """The inverse of every element: the first b in its row with a b = 1,
+    which must also have b a = 1."""
+    out = []
+    for a in range(table.n):
+        b = next(b for b in range(table.n) if table.mul[a, b] == 0)
+        assert table.mul[b, a] == 0, a
+        out.append(b)
+    return out
+
+
+def expressions_walk(table, gens):
+    """Breadth-first expressions (elem, parent, genpos) in discovery order:
+    each element found, in order, times each generator, in order, and the
+    products not found before."""
+    links, seen, frontier = [], {0}, [0]
+    while frontier:
+        new = []
+        for x in frontier:
+            for gp, g in enumerate(gens):
+                y = int(table.mul[x, g])
+                if y not in seen:
+                    seen.add(y)
+                    links.append((y, x, gp))
+                    new.append(y)
+        frontier = new
+    return links
+
+
+def closure_walk(table, gens):
+    """The subgroup the generators generate, by ``expressions_walk``."""
+    return frozenset([0] + [y for y, _, _ in expressions_walk(table, gens)])
+
+
+def derived_subgroup_walk(table, elems=None):
+    """The closure of the commutators a^-1 b^-1 a b of all pairs of
+    ``elems`` (default: the whole group)."""
+    elems = range(table.n) if elems is None else sorted(elems)
+    mul, inv = table.mul, table.inv
+    comms = {int(mul[mul[inv[a], inv[b]], mul[a, b]]) for a in elems for b in elems}
+    return closure_walk(table, sorted(comms))
+
+
+def subtable_walk(table, elems):
+    """The multiplication array of a subgroup, its elements numbered in
+    increasing order, one entry at a time."""
+    sub = sorted(elems)
+    pos = {x: i for i, x in enumerate(sub)}
+    out = np.empty((len(sub), len(sub)), dtype=np.int64)
+    for i, a in enumerate(sub):
+        for j, b in enumerate(sub):
+            out[i, j] = pos[int(table.mul[a, b])]
+    return out
+
+
+def centre_walk(table):
+    """The elements that commute with every element."""
+    n, mul = table.n, table.mul
+    return frozenset(z for z in range(n) if all(mul[z, g] == mul[g, z] for g in range(n)))
+
+
+def is_nilpotent_walk(table):
+    """Whether the upper central series reaches the group: Z_0 = 1 and
+    Z_{i+1} holds the x whose commutator with every element lies in Z_i."""
+    n, mul, inv = table.n, table.mul, table.inv
+    centre = {0}
+    while len(centre) < n:
+        above = {x for x in range(n)
+                 if all(int(mul[mul[inv[x], inv[g]], mul[x, g]]) in centre for g in range(n))}
+        if above == centre:
+            return False
+        centre = above
+    return True
+
+
+def is_associative_walk(table):
+    """(a b) c = a (b c) on every triple for order <= 64, above on 20000
+    random triples drawn from ``random.Random(0)``."""
+    n, mul = table.n, table.mul
+    if n <= 64:
+        triples = itertools.product(range(n), repeat=3)
+    else:
+        draw = random.Random(0).randrange
+        triples = ((draw(n), draw(n), draw(n)) for _ in range(20000))
+    return all(mul[mul[a, b], c] == mul[a, mul[b, c]] for a, b, c in triples)
+
+
+def alternating5_table():
+    """A(5) as the even permutations of 5 points, in lexicographic order,
+    composed as maps: the product p q is x -> p[q[x]]."""
+    even = [p for p in itertools.permutations(range(5))
+            if sum(a > b for a, b in itertools.combinations(p, 2)) % 2 == 0]
+    perms = np.array(even)
+    codes = perms @ 5 ** np.arange(4, -1, -1)
+    index = np.full(5**5, -1)
+    index[codes] = np.arange(len(even))
+    return FiniteGroupTable(index[perms[:, perms] @ 5 ** np.arange(4, -1, -1)], name="A(5)")
+
+
+# ---------------------------------------------------------------------------
 # The generator-image search without pruning: every candidate tuple is
 # filled along the breadth-first expressions and checked, in blocks.
 
@@ -925,8 +1047,7 @@ def homomorphism_rows_unpruned(src, gens, dst, cands):
     """The homomorphisms src -> dst that send gens[i] into cands[i], as one
     array of image rows in the order of ``itertools.product`` over the
     candidate lists, every tuple tried."""
-    links = bfs_expressions(src, gens)
-    darr = dst.as_array()
+    rounds = bfs_expressions(src, gens)
     cands = [np.array(c, dtype=np.int64) for c in cands]
     tuples = math.prod(len(c) for c in cands)
     step = max(1, (1 << 14) // (src.n * max(1, len(gens))))
@@ -938,10 +1059,10 @@ def homomorphism_rows_unpruned(src, gens, dst, cands):
             images[:, gp] = cands[gp][idx % len(cands[gp])]
             idx = idx // len(cands[gp])
         f = np.zeros((len(images), src.n), dtype=np.int64)
-        for elem, parent, gp in links:
-            f[:, elem] = darr[f[:, parent], images[:, gp]]
-        ok = (darr[f[:, :, None], f[:, gens][:, None, :]]
-              == f[:, src.as_array()[:, gens]]).all(axis=(1, 2))
+        for elem, parent, gp in rounds:
+            f[:, elem] = dst.mul[f[:, parent], images[:, gp]]
+        ok = (dst.mul[f[:, :, None], f[:, gens][:, None, :]]
+              == f[:, src.mul[:, gens]]).all(axis=(1, 2))
         out.append(f[ok])
     return np.concatenate(out)
 
@@ -951,7 +1072,7 @@ def homomorphism_rows(src, dst):
     images of src's generating sequence with orders dividing the
     generators' orders."""
     gens = generating_sequence(src)
-    cands = [[h for h in range(dst.n) if src.order_of(g) % dst.order_of(h) == 0] for g in gens]
+    cands = [np.flatnonzero(src.orders[g] % dst.orders == 0) for g in gens]
     return homomorphism_rows_unpruned(src, gens, dst, cands)
 
 
@@ -964,7 +1085,7 @@ def conjugation_orbit_groups(tower):
     the PermutationGroup of the distinct rows of B_i's conjugation table,
     built once per level."""
     return functools.cache(lambda level: PermutationGroup(
-        np.unique(tower.level_group(level).conjugation_table(), axis=0)))
+        np.unique(tower.level_group(level).conj, axis=0)))
 
 
 # ---------------------------------------------------------------------------
@@ -1154,11 +1275,8 @@ def leq(lattice, i, j):
 
 def relabel(table, perm):
     """Conjugate the table by a permutation of 1..n-1 (perm[0] must be 0)."""
-    inv = [None] * table.n
-    for i, p in enumerate(perm):
-        inv[p] = i
-    rows = [[inv[table.mul[perm[a]][perm[b]]] for b in range(table.n)] for a in range(table.n)]
-    return FiniteGroupTable(rows, name=table.name)
+    back = np.argsort(perm)
+    return FiniteGroupTable(back[table.mul[np.ix_(perm, perm)]], name=table.name)
 
 
 def iter_isomorphisms(src, dst):
@@ -1170,7 +1288,7 @@ def iter_isomorphisms(src, dst):
     candidate tuples.  A homomorphism is injective when only the identity
     maps to the identity."""
     gens = generating_sequence(src)
-    cands = [[h for h in range(dst.n) if dst.order_of(h) == src.order_of(g)] for g in gens]
+    cands = [np.flatnonzero(dst.orders == src.orders[g]) for g in gens]
     tuples = math.prod(len(c) for c in cands)
     if tuples > BIJECTIVE_TUPLE_CAP:
         raise CapExceeded("isomorphism search from a group of order %d would try %d candidate "
@@ -1182,9 +1300,7 @@ def iter_isomorphisms(src, dst):
 def find_isomorphism(t1, t2):
     if t1.n != t2.n:
         return None
-    if sorted(t1.order_of(x) for x in range(t1.n)) != sorted(
-        t2.order_of(x) for x in range(t2.n)
-    ):
+    if (np.sort(t1.orders) != np.sort(t2.orders)).any():
         return None
     for f in iter_isomorphisms(t1, t2):
         return f.tolist()

@@ -416,6 +416,24 @@ def test_growth_with_three_or_four_generators_is_pinned(capsys, source, pinned):
     assert code == 0 and out == want
 
 
+@pytest.mark.parametrize("argv, pinned", [
+    (["catalog"], "catalog.tsv"),
+    (["catalog", "--dump", "Z(2)*S(4)"], "dump-Z2xS4.tbl"),
+    (["catalog", "--dump", "Q(16)"], "dump-Q16.tbl"),
+    (["catalog", "--dump", "V(2,3,1)"], "dump-V-2-3-1.tbl"),
+    (["moebius", "--target", "S(4)"], "moebius-S4.tsv"),
+    (["moebius", "--target", "Z(2)*A(4)"], "moebius-Z2xA4.tsv"),
+])
+def test_tables_and_lattices_are_pinned(capsys, argv, pinned):
+    # the catalog, three dumped tables and two Moebius tables, whose
+    # subgroup generators come from the generating sequences of the
+    # subgroups' tables; the same files are compared in CI with the
+    # installed script's output
+    want = (Path(__file__).parent / "data" / pinned).read_text()
+    code, out = run_cli(capsys, *argv)
+    assert code == 0 and out == want
+
+
 GROWTH_SURFACE2_K8 = """\
 {
   "command": "growth",

@@ -8,17 +8,27 @@ import numpy as np
 import pytest
 from reference import (
     GroupElement,
+    alternating5_table,
+    centre_walk,
+    closure_walk,
     complement_count,
+    derived_subgroup_walk,
+    element_orders,
     element_vectors,
+    expressions_walk,
     find_isomorphism,
     homomorphism_rows_unpruned,
+    inverses,
     inv_structural,
+    is_associative_walk,
     is_isomorphic,
+    is_nilpotent_walk,
     kernel_vector,
     layer_dec,
     layer_enc,
     mul_structural,
     relabel,
+    subtable_walk,
 )
 
 from solvquot import groups
@@ -32,6 +42,7 @@ from solvquot.groups import (
     _homomorphism_blocks,
     aut_order,
     automorphisms,
+    bfs_expressions,
     builtin_group,
     chief_series,
     generating_sequence,
@@ -168,7 +179,7 @@ def test_multiply_inverse_formulas():
         for x in range(len(table)):
             assert inv_structural(tw, x) == table.inv[x]
             for y in range(len(table)):
-                assert mul_structural(tw, x, y) == table.mul[x][y]
+                assert mul_structural(tw, x, y) == table.mul[x, y]
         e = GroupElement(tw, 3)
         assert (e * e.inverse()).index == 0
     with pytest.raises(ValueError):
@@ -180,19 +191,19 @@ def test_d8_relations_in_coordinates():
     tw = builtin_group("D(8)")
     t = tw.source_table
     a, b = 1, 4  # coordinates (u=1,v=0) and (u=0,v=1)
-    assert t.order_of(a) == 4 and t.order_of(b) == 2
-    assert t.mul[t.mul[b][a]][b] == t.inv[a]
+    assert t.orders[a] == 4 and t.orders[b] == 2
+    assert t.mul[t.mul[b, a], b] == t.inv[a]
 
 
 def test_q8_square_relation():
     # every order-4 element squares to the unique central involution
     tw = builtin_group("Q(8)")
     t = tw.group
-    central = [x for x in range(1, 8) if t.order_of(x) == 2]
+    central = [x for x in range(1, 8) if t.orders[x] == 2]
     assert len(central) == 1
     for x in range(8):
-        if t.order_of(x) == 4:
-            assert t.mul[x][x] == central[0]
+        if t.orders[x] == 4:
+            assert t.mul[x, x] == central[0]
 
 
 def test_group_axioms_exhaustive():
@@ -200,7 +211,7 @@ def test_group_axioms_exhaustive():
         t = builtin_group(spec).group
         t.check_associativity()
         for x in range(len(t)):
-            assert t.mul[x][t.inv[x]] == 0 == t.mul[t.inv[x]][x]
+            assert t.mul[x, t.inv[x]] == 0 == t.mul[t.inv[x], x]
 
 
 def test_chief_series_examples():
@@ -228,12 +239,89 @@ def test_chief_series_rejects_nonsolvable_shape():
         FiniteGroupTable([[0, 1], [1, 1]])
 
 
+def test_bad_rows_are_refused_when_the_table_is_built():
+    # rows that are ragged, not integers, empty, not square or hold an
+    # entry outside 0..n-1 raise GroupSpecError at once rather than a later
+    # IndexError or ValueError; the identity and inverse checks keep their
+    # messages
+    for rows, message in [
+            ([[0, 1, 2], [1, 0, 5], [2, 5, 0]], "entries must lie in 0..2"),
+            ([[0, 1], [1, -1]], "entries must lie in 0..1"),
+            ([[0, 1], [1, 0, 1]], "of integers and of one length"),
+            ([[0, 1], [1, 0.5]], "of integers and of one length"),
+            ([[0, 1], [1, "0"]], "of integers and of one length"),
+            ([[0, 1], [1, 2**70]], "of integers and of one length"),
+            ([[True]], "of integers and of one length"),
+            ([], "of integers and of one length"),
+            ([[]], "of integers and of one length"),
+            ([0, 1], "of integers and of one length"),
+            ([[0, 1]], "not square: 1 rows of 2 entries"),
+            ([[1, 0], [0, 1]], "element 0 is not an identity"),
+            ([[0, 1], [1, 1]], "element 1 has no two-sided inverse"),
+            ([[0, 1, 2], [1, 2, 0], [2, 2, 1]], "element 1 has no two-sided inverse")]:
+        with pytest.raises(GroupSpecError, match=message):
+            FiniteGroupTable(rows)
+    # rows of ints and integer arrays give the same read-only int64 arrays
+    z3 = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+    for given in (z3, np.array(z3, dtype=np.uint8), np.array(z3, dtype=np.int32)):
+        t = FiniteGroupTable(given)
+        assert t.mul.dtype == t.inv.dtype == np.int64 and t.inv.tolist() == [0, 2, 1]
+        assert np.array_equal(t.mul, z3) and not t.mul.flags.writeable
+        with pytest.raises(ValueError):
+            t.inv[1] = 0
+    # a given array is copied, not frozen
+    given = np.array(z3)
+    FiniteGroupTable(given)
+    given[0, 0] = 0
+
+
+def test_table_passes_match_the_element_loops():
+    # orders, inverses, closures, breadth-first expressions, the derived
+    # subgroup, subtables, the centre, nilpotency and associativity, each
+    # against its per-element loop in reference.py, on every catalog table,
+    # on D(256), Q(64) and Z(2)^6 and on A(5); associativity also on
+    # tables with two entries of a row swapped, whose identity and inverses
+    # stay as they were
+    rng = random.Random(4)
+    tables = [builtin_group(spec).group for spec in CATALOG_SPECS + ["D(256)", "Q(64)", "Z(2)^6"]]
+    for t in tables + [alternating5_table()]:
+        assert t.orders.tolist() == element_orders(t), t.name
+        assert t.inv.tolist() == inverses(t), t.name
+        gens = generating_sequence(t)
+        assert t.closure(gens) == frozenset(range(t.n)) == closure_walk(t, gens), t.name
+        for gens in [gens[::-1]] + [rng.sample(range(t.n), min(k, t.n)) for k in (1, 2, 2, 3)]:
+            rounds = bfs_expressions(t, gens)
+            got = [tuple(row) for r in rounds for row in zip(*(a.tolist() for a in r))]
+            assert got == expressions_walk(t, gens), (t.name, gens)
+            H = t.closure(gens)
+            assert H == closure_walk(t, gens), (t.name, gens)
+            assert np.array_equal(t.subtable(H)[0].mul, subtable_walk(t, H)), (t.name, gens)
+            assert t.derived_subgroup(H) == derived_subgroup_walk(t, H), (t.name, gens)
+        D = t.derived_subgroup()
+        assert D == derived_subgroup_walk(t) and t.is_solvable() == (t.n != 60), t.name
+        assert np.array_equal(t.subtable(D)[0].mul, subtable_walk(t, D)), t.name
+        assert t.center_set() == centre_walk(t), t.name
+        assert t.is_abelian() == (len(centre_walk(t)) == t.n), t.name
+        assert t.is_nilpotent() == is_nilpotent_walk(t), t.name
+        assert is_associative_walk(t), t.name
+        t.check_associativity()
+    for t in [tables[CATALOG_SPECS.index("S(4)")], tables[-1], builtin_group("Z(66)").group]:
+        rows = t.mul.copy()
+        a, b, c = 5, 10, 11
+        assert 0 not in (rows[a, b], rows[a, c])
+        rows[a, [b, c]] = rows[a, [c, b]]
+        bad = FiniteGroupTable(rows)
+        assert not is_associative_walk(bad), t.name
+        with pytest.raises(GroupSpecError, match="not associative"):
+            bad.check_associativity()
+
+
 def test_center_orders():
     for spec, want in [("D(8)", 2), ("Q(8)", 2), ("S(4)", 1), ("Z(12)", 12), ("D(12)", 2),
                        ("Dstar(48)", 2), ("Z(2)*S(4)", 2), ("Z(3)*D(8)", 6)]:
         t = builtin_group(spec).group
         n = len(t)
-        central = {z for z in range(n) if all(t.mul[z][g] == t.mul[g][z] for g in range(n))}
+        central = {z for z in range(n) if all(t.mul[z, g] == t.mul[g, z] for g in range(n))}
         assert t.center_set() == central and len(central) == want, spec
 
 
@@ -253,10 +341,10 @@ def test_conjugates_and_normality_against_the_table():
         t = builtin_group(spec).group
         mul, inv = t.mul, t.inv
         for x in range(t.n):
-            assert t.conjugates(x) == {mul[mul[g][x]][inv[g]] for g in range(t.n)}, spec
+            assert t.conjugates(x) == {mul[mul[g, x], inv[g]] for g in range(t.n)}, spec
         lat = all_subgroups(t)
         normal = [H for H in lat.subgroups
-                  if all(mul[mul[g][x]][inv[g]] in H for g in range(t.n) for x in H)]
+                  if all(mul[mul[g, x], inv[g]] in H for g in range(t.n) for x in H)]
         assert [H for H in lat.subgroups if t.is_normal(H)] == normal, spec
         assert len(normal) > 1, spec
 
@@ -384,8 +472,8 @@ def test_series_automorphisms():
         rows = automorphisms(table)
         assert rows.shape == (order, table.n) == (aut_order(table), table.n)
         assert len({tuple(r) for r in rows.tolist()}) == order
-        arr = table.as_array()
-        assert all((arr[r[:, None], r[None, :]] == r[arr]).all() for r in rows[:50].astype(int))
+        mul = table.mul
+        assert all((mul[r[:, None], r[None, :]] == r[mul]).all() for r in rows[:50].astype(int))
         kernels = [{x for x in range(table.n) if tw.project(x, i) == 0}
                    for i in range(top + 1)]
         fixing = [r for r in rows.tolist() if all({r[x] for x in N} == N for N in kernels)]
@@ -413,8 +501,7 @@ def test_pruned_search_matches_every_tuple_tried(monkeypatch):
             gens = generating_sequence(src)
             for tw in towers.values():
                 dst = tw.group
-                cands = [[h for h in range(dst.n) if src.order_of(g) % dst.order_of(h) == 0]
-                         for g in gens]
+                cands = [np.flatnonzero(src.orders[g] % dst.orders == 0) for g in gens]
                 got = np.concatenate(list(_homomorphism_blocks(src, gens, dst, cands)))
                 assert np.array_equal(got, homomorphism_rows_unpruned(src, gens, dst, cands))
         for tw in towers.values():
@@ -751,5 +838,5 @@ def test_towers_at_the_order_cap():
         n = len(table)
         for _ in range(2000):
             x, y = rng.randrange(n), rng.randrange(n)
-            assert mul_structural(tw, x, y) == table.mul[x][y], spec
+            assert mul_structural(tw, x, y) == table.mul[x, y], spec
             assert inv_structural(tw, x) == table.inv[x], spec
