@@ -121,21 +121,8 @@ class FiniteGroupTable:
 
     def closure(self, gens):
         """The subgroup that the elements ``gens`` generate, as a frozenset
-        of ints: the set S of 1 and the generators grows to S S until it
-        stops growing, so round k adds every product of at most 2^k
-        generators.  A set of more than n/2 elements generates the whole
-        group, since the order of the subgroup it generates divides n."""
-        inside = np.zeros(self.n, dtype=bool)
-        inside[0] = True
-        inside[np.fromiter(gens, dtype=np.int64)] = True
-        elems = inside.nonzero()[0]
-        while 2 * len(elems) <= self.n:
-            inside[self.mul.take(elems, 0).take(elems, 1)] = True
-            grown = inside.nonzero()[0]
-            if len(grown) == len(elems):
-                return frozenset(elems.tolist())
-            elems = grown
-        return frozenset(range(self.n))
+        of ints, read off its breadth-first expressions."""
+        return frozenset([0] + [y for y, _, _ in bfs_expressions(self, sorted(set(gens)))])
 
     def conjugates(self, x):
         return set(self.conj[:, x].tolist())
@@ -157,7 +144,7 @@ class FiniteGroupTable:
 
     def derived_subgroup(self, elems=None):
         elems = np.arange(self.n) if elems is None else np.fromiter(elems, dtype=np.int64)
-        return self.closure(self.commutator(elems[:, None], elems).ravel())
+        return self.closure(np.unique(self.commutator(elems[:, None], elems)).tolist())
 
     def is_solvable(self):
         cur = frozenset(range(self.n))
@@ -185,8 +172,6 @@ class FiniteGroupTable:
         int64 arrays proj (each element's coset) and reps (each coset's
         least element).  Cosets are indexed in order of their smallest
         element, so coset 0 is the image of the identity."""
-        if len(normal) == 1:  # G/1 is G, numbered alike
-            return self, np.arange(self.n), np.arange(self.n)
         low = self.mul[:, sorted(normal)].min(axis=1)  # least element of x N
         reps, proj = np.unique(low, return_inverse=True)
         table = proj[self.mul[reps[:, None], reps]]
@@ -307,32 +292,23 @@ def generating_sequence(table):
 
 
 def bfs_expressions(table, gens):
-    """Breadth-first expressions of every element of the subgroup the
-    generators generate except the identity, in discovery order, as one
-    triple of int64 arrays (elem, parent, genpos) per round, with
-    elem = parent * gens[genpos].  Each round multiplies the elements found
-    in the round before, in their order, by the generators, in theirs, and
-    keeps the first product of each element not found yet, so every parent
-    was found in an earlier round."""
-    gens = np.asarray(gens, dtype=np.int64)
-    seen = np.zeros(table.n, dtype=bool)
-    seen[0] = True
-    rounds = []
-    frontier = np.zeros(1, dtype=np.int64)
-    while True:
-        y = table.mul.take(frontier, 0).take(gens, 1).ravel()
-        # the products in the order of their elements, the first of each
-        # element marked, and the marks of unseen elements back in order
-        order = y.argsort(kind="stable")
-        ys = y[order]
-        first = np.ones(len(y), dtype=bool)
-        np.not_equal(ys[1:], ys[:-1], out=first[1:])
-        at = np.sort(order[first & ~seen[ys]])
-        if not len(at):
-            return rounds
-        frontier, parent = y[at], frontier[at // len(gens)]
-        rounds.append((frontier, parent, at % len(gens)))
-        seen[frontier] = True
+    """Breadth-first expressions: triples (elem, parent, genpos) with
+    elem = parent * gens[genpos], covering every element of the subgroup
+    the generators generate except the identity, in discovery order."""
+    links = []
+    seen = {0}
+    frontier = [0]
+    times = table.mul[:, gens].tolist()  # times[x][gp] = x gens[gp]
+    while frontier:
+        new = []
+        for x in frontier:
+            for gp, y in enumerate(times[x]):
+                if y not in seen:
+                    seen.add(y)
+                    links.append((y, x, gp))
+                    new.append(y)
+        frontier = new
+    return links
 
 
 def eval_word_in_table(table, images, w):
@@ -369,8 +345,8 @@ def _homomorphism_blocks(src, gens, dst, cands, entry_cap=None):
     one block of about SEARCH_BLOCK image entries, they are all tried
     together.  With ``entry_cap``, a prefix stage raises CapExceeded once
     its kept rows times |src| pass it."""
-    rounds = bfs_expressions(src, gens)
-    if sum(len(elem) for elem, _, _ in rounds) + 1 != src.n:
+    links = bfs_expressions(src, gens)
+    if len(links) + 1 != src.n:
         raise GroupSpecError("generators do not generate")
     cands = [np.array(c, dtype=np.int64) for c in cands]
     step = max(1, SEARCH_BLOCK // (src.n * max(1, len(gens))))
@@ -378,7 +354,7 @@ def _homomorphism_blocks(src, gens, dst, cands, entry_cap=None):
     while True:
         rest = len(prefixes) * math.prod(len(c) for c in cands[k:])
         j = len(gens) if rest <= step else k + 1
-        sub = rounds if j == len(gens) else bfs_expressions(src, gens[:j])
+        sub = links if j == len(gens) else bfs_expressions(src, gens[:j])
         blocks = _extensions(src, gens[:j], dst, sub, prefixes, cands[k:j], step)
         if j == len(gens):
             yield from blocks
@@ -394,15 +370,15 @@ def _homomorphism_blocks(src, gens, dst, cands, entry_cap=None):
         k = j
 
 
-def _extensions(src, gens, dst, rounds, prefixes, cands, step):
+def _extensions(src, gens, dst, links, prefixes, cands, step):
     """Blocks of the image rows, on the subgroup that ``gens`` generate and
     0 elsewhere, of the homomorphisms of that subgroup whose generator
     images begin with a row of ``prefixes`` and go on with a tuple of
     ``cands``, in the order of the prefixes and then of
     ``itertools.product``.  Each block's tuples are filled along the
-    subgroup's breadth-first expressions ``rounds``, one array pass per
-    round, and kept when ``_homomorphic``."""
-    elems = np.concatenate([[0]] + [elem for elem, _, _ in rounds])
+    subgroup's breadth-first expressions ``links``, one array pass per
+    element, and kept when ``_homomorphic``."""
+    elems = np.array([0] + [y for y, _, _ in links])
     k = prefixes.shape[1]
     tuples = len(prefixes) * math.prod(len(c) for c in cands)
     for lo in range(0, tuples, step):
@@ -414,7 +390,7 @@ def _extensions(src, gens, dst, rounds, prefixes, cands, step):
             idx = idx // len(cands[gp - k])
         images[:, :k] = prefixes[idx]
         f = np.zeros((len(images), src.n), dtype=np.int64)
-        for elem, parent, gp in rounds:
+        for elem, parent, gp in links:
             f[:, elem] = dst.mul[f[:, parent], images[:, gp]]
         yield f[_homomorphic(f, src, dst, gens, elems)]
 
@@ -791,30 +767,30 @@ def intertwiner_space_dim(acts_a, acts_b, q, s):
 
 def _elementary_structure(Q, kset):
     """Identify the elementary abelian subgroup of Q whose elements are the
-    sorted array ``kset``: returns (q, s, basis, elem_of_num).  Each basis
+    sorted list ``kset``: returns (q, s, basis, elem_of_num).  Each basis
     element is the first of kset that is no product b_1^c_1 ... b_j^c_j of
-    those before it, and elem_of_num[num] is that product at the
-    little-endian digits c of num; s basis elements reach all q^s elements
-    only when their q^s products are distinct."""
+    those before it, and the int64 array elem_of_num holds that product at
+    index num for the little-endian digits c of num; s basis elements reach
+    all q^s elements only when their q^s products are distinct."""
     fac = factorize(len(kset))
     if len(fac) != 1:
         raise GroupSpecError("chief factor is not elementary abelian")
     (q, s), = fac.items()
-    if Q.power(kset, q).any():  # some element's order is not 1 or q
+    if Q.power(np.array(kset), q).any():  # some element's order is not 1 or q
         raise GroupSpecError("chief factor is not elementary abelian")
-    basis, elem_of_num = [], np.zeros(1, dtype=np.int64)
-    span = np.zeros(Q.n, dtype=bool)
-    span[0] = True
-    while len(basis) < s and not span[kset].all():
-        basis.append(int(kset[span[kset].argmin()]))
-        block = [elem_of_num]  # block c: the products times basis[-1]^c
-        for _ in range(q - 1):
-            block.append(Q.mul[block[-1], basis[-1]])
-        elem_of_num = np.concatenate(block)
-        span[elem_of_num] = True
-    if len(basis) != s or not span[kset].all():
+    basis, elem_of_num, span = [], [0], {0}
+    for x in kset:
+        if x not in span and len(basis) < s:
+            basis.append(x)
+            times_x = Q.mul[:, x].tolist()
+            blocks = [elem_of_num]  # block c: the products times x^c
+            for _ in range(q - 1):
+                blocks.append([times_x[u] for u in blocks[-1]])
+            elem_of_num = [y for block in blocks for y in block]
+            span = set(elem_of_num)
+    if span != set(kset):
         raise GroupSpecError("chief factor is not elementary abelian")
-    return q, s, basis, elem_of_num
+    return q, s, basis, np.array(elem_of_num)
 
 
 def tower_from_chief_chain(table, chain, spec=""):
@@ -830,7 +806,8 @@ def tower_from_chief_chain(table, chain, spec=""):
     prevproj = np.zeros(table.n, dtype=np.int64)  # table -> table/chain[i]
     for i in range(len(chain) - 1):
         Q, proj, reps = table.quotient(chain[i + 1])
-        q, s, basis, elem_of_num = _elementary_structure(Q, np.unique(proj[sorted(chain[i])]))
+        kset = np.unique(proj[sorted(chain[i])]).tolist()
+        q, s, basis, elem_of_num = _elementary_structure(Q, kset)
         num_of = np.full(Q.n, -1)  # kernel coordinate number, -1 off the kernel
         num_of[elem_of_num] = np.arange(len(elem_of_num))
         vecs = _digit_vectors(q, s)

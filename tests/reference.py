@@ -61,8 +61,9 @@ Python routes and the helpers that only the tests call:
   product at a time (``element_orders``, ``inverses``, ``closure_walk``,
   ``expressions_walk``, ``derived_subgroup_walk``, ``subtable_walk``,
   ``centre_walk``, ``is_nilpotent_walk``, ``is_associative_walk``), the
-  references for ``FiniteGroupTable``'s array passes, and a table of A(5)
-  (``alternating5_table``) to run them on a group that is not solvable.
+  references for ``FiniteGroupTable``'s array passes and for
+  ``bfs_expressions``, and a table of A(5) (``alternating5_table``) to run
+  them on a group that is not solvable.
 
 Their per-map steps share nothing with the batched kernel
 (``build_systems``, ``solve_systems``, ``solution_arrays``,
@@ -925,7 +926,8 @@ class GroupElement:
 
 # ---------------------------------------------------------------------------
 # Multiplication-table properties one product at a time, the references for
-# the array passes of ``FiniteGroupTable`` and ``bfs_expressions``.
+# the array passes of ``FiniteGroupTable`` and for ``bfs_expressions``, which
+# reads the products by the generators off the table once.
 
 
 def element_orders(table):
@@ -1047,7 +1049,7 @@ def homomorphism_rows_unpruned(src, gens, dst, cands):
     """The homomorphisms src -> dst that send gens[i] into cands[i], as one
     array of image rows in the order of ``itertools.product`` over the
     candidate lists, every tuple tried."""
-    rounds = bfs_expressions(src, gens)
+    links = bfs_expressions(src, gens)
     cands = [np.array(c, dtype=np.int64) for c in cands]
     tuples = math.prod(len(c) for c in cands)
     step = max(1, (1 << 14) // (src.n * max(1, len(gens))))
@@ -1059,7 +1061,7 @@ def homomorphism_rows_unpruned(src, gens, dst, cands):
             images[:, gp] = cands[gp][idx % len(cands[gp])]
             idx = idx // len(cands[gp])
         f = np.zeros((len(images), src.n), dtype=np.int64)
-        for elem, parent, gp in rounds:
+        for elem, parent, gp in links:
             f[:, elem] = dst.mul[f[:, parent], images[:, gp]]
         ok = (dst.mul[f[:, :, None], f[:, gens][:, None, :]]
               == f[:, src.mul[:, gens]]).all(axis=(1, 2))
