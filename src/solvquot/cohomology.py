@@ -7,6 +7,8 @@ import functools
 
 import numpy as np
 
+from .groups import _digit_vectors
+
 
 # ---------------------------------------------------------------------------
 # The lifting system of a homomorphism through an elementary abelian layer.
@@ -117,15 +119,15 @@ def build_systems(P, images, layer):
     for lo in range(0, m, step):
         img = images[lo : lo + step]
         mb = len(img)
-        letters = tab.letter[at + img.T[gen]]  # (K, W, mb)
+        letters = tab.letter.take(at + img.T.take(gen, axis=0))  # (K, W, mb)
         after = letters.copy()
         k = 1
         while k < W:
-            after[:, k:] = tab.mul[after[:, :-k], after[:, k:]]
+            after[:, k:] = tab.mul.take(after[:, :-k] * nB + after[:, k:])
             k *= 2
         before = np.zeros_like(after)
         before[:, 1:] = after[:, :-1]
-        terms = tab.terms[(at + before) * nB + letters]  # (K, W, mb, s*s + s)
+        terms = tab.terms.take((at + before) * nB + letters, axis=0)  # (K, W, mb, s*s + s)
         red = (block @ terms.reshape(K, W, mb * (s * s + s))).reshape(K, n, mb, s * s + s)
         A[lo : lo + step] = red[..., : s * s].reshape(K, n, mb, s, s).transpose(
             2, 0, 3, 1, 4).reshape(mb, K * s, n * s)
@@ -152,17 +154,18 @@ def _reduce(W, C, q):
     pivot's column is cleared in every other row; a row without a pivot
     is zero there.  Returns the reduced W, each row's pivot column and
     its pivot inverse (0 without one)."""
-    m, R = W.shape[:2]
+    m, R, width = W.shape
     inverse, residue, off = _inverses(q), _residues(q), (q - 1) ** 2
-    maps = np.arange(m)
+    cells = np.arange(m * R).reshape(m, R) * width
     col = np.empty((m, R), dtype=np.int64)
     unit = np.empty((m, R), dtype=np.int64)
     for i in range(R):
         row = W[:, i]
         col[:, i] = p = (row[:, :C] != 0).argmax(axis=1)
-        unit[:, i] = u = inverse[row[maps, p]]  # 0 where the row is zero
+        pivots = W.take(cells + p[:, None])  # W[j, :, p[j]] at flat indices
+        unit[:, i] = u = inverse[pivots[:, i]]  # 0 where the row is zero
         piv = residue[row * u[:, None] + off]
-        W -= W[maps, :, p][:, :, None] * piv[:, None, :] - off
+        W -= pivots[:, :, None] * piv[:, None, :] - off
         W = residue[W]
         W[:, i] += piv  # the pivot row was cleared to zero; a zero row keeps its transform
     return W, col, unit
@@ -187,13 +190,13 @@ def eliminate(A, q):
     m, R, C = A.shape
     eye = np.broadcast_to(np.eye(R, dtype=np.int64), (m, R, R))
     W, col, unit = _reduce(np.concatenate([A % q, eye], axis=2), C, q)
-    which, rows = np.nonzero(unit)
+    at = np.flatnonzero(unit)  # row i of map j at j R + i
     red = np.zeros((m, C, C + R), dtype=np.int64)
-    red[which, col[which, rows]] = W[which, rows]
+    red.reshape(m * C, C + R)[at // R * C + col.take(at)] = W.reshape(m * R, C + R).take(at, axis=0)
     return Elimination(
         q,
         T=np.concatenate([red[:, :, C:], W[:, :, C:] * (unit == 0)[:, :, None]], axis=1),
-        free=red[:, np.arange(C), np.arange(C)] == 0,
+        free=np.diagonal(red, axis1=1, axis2=2) == 0,
         null=(np.eye(C, dtype=np.int64) - red[:, :, :C]) % q,
     )
 
@@ -212,11 +215,12 @@ class Elimination:
 
     def homogeneous(self, g):
         """The q^d homogeneous solutions of matrix g as a (q^d, C) array in
-        grid order (first free unknown slowest), expanded on first use."""
+        grid order (first free unknown slowest), expanded on first use from
+        the cached digit vectors of ``_digit_vectors`` read last column
+        first, so that the first free unknown is the most significant."""
         if g not in self._homogeneous:
-            d = int(self.dims[g])
-            y = np.indices((self.q,) * d, dtype=np.int64).reshape(d, self.q**d)
-            self._homogeneous[g] = (self.null[g][:, self.free[g]] @ y).T % self.q
+            y = _digit_vectors(self.q, int(self.dims[g]))[:, ::-1]
+            self._homogeneous[g] = (y @ self.null[g][:, self.free[g]].T) % self.q
         return self._homogeneous[g]
 
     def solve(self, rhs, which):
@@ -225,7 +229,7 @@ class Elimination:
         a system is solvable when rhs' is zero on the rows without a pivot,
         and x0 is rhs' at the pivot unknowns."""
         C = self.free.shape[1]
-        y = (self.T[which] @ rhs[:, :, None])[..., 0] % self.q
+        y = (self.T.take(which, axis=0) @ rhs[:, :, None])[..., 0] % self.q
         return SolutionBatch(self, which, solvable=~y[:, C:].any(axis=1), x0=y[:, :C])
 
 
@@ -247,7 +251,7 @@ def _distinct_rows(rows, radix):
                      for at in _key_chunks(radix, rows.shape[1])])
     order = np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys[::-1])
     new = np.ones(len(rows), dtype=bool)
-    new[1:] = (np.diff(keys[:, order]) != 0).any(axis=0)
+    new[1:] = (np.diff(keys.take(order, axis=1)) != 0).any(axis=0)
     return order, new
 
 
@@ -261,7 +265,7 @@ def solve_systems(A, rhs, q):
     if m > 1:
         order, new = _distinct_rows(A.reshape(m, -1) % q, q)
         which[order] = np.cumsum(new) - 1
-        A = A[order[new]]
+        A = A.take(order[new], axis=0)
     return eliminate(A, q).solve(rhs, which)
 
 
@@ -283,7 +287,7 @@ class SolutionBatch:
         unknowns, so its place in the grid is its free entries read as
         base-q digits, the first most significant.  The caller keeps q^dims
         within int64."""
-        free = self.elim.free[self.which[at]]
+        free = self.elim.free.take(self.which[at], axis=0)
         after = self.dims[at, None] - np.cumsum(free, axis=1)
         return (X * np.where(free, self.q**after, 0)).sum(axis=-1)
 
@@ -293,16 +297,21 @@ def solution_arrays(batch):
     into one int64 array, each system's in grid order (first free unknown
     slowest; ``SolutionBatch.place`` inverts it): each system's x0 plus the
     homogeneous solutions of its matrix, by broadcasting where one matrix
-    serves every system, else in one gather."""
+    serves every system, else in one gather.  Each entry of x0 + grid is
+    at most 2q - 2, so one subtraction of q reduces it."""
     q, elim, C = batch.q, batch.elim, batch.x0.shape[1]
     ok = np.flatnonzero(batch.solvable)
     which = batch.which[ok]
     sizes = np.where(np.bincount(which, minlength=len(elim.T)), q**elim.dims, 0)
     homs = [elim.homogeneous(g) for g in np.flatnonzero(sizes).tolist()]
     if len(homs) == 1:
-        return ((batch.x0[ok, None] + homs[0]) % q).reshape(-1, C)
-    counts = sizes[which]
-    owner = np.repeat(ok, counts)
-    X = np.concatenate(homs + [np.empty((0, C), dtype=np.int64)])[
-        np.repeat(np.cumsum(sizes)[which] - np.cumsum(counts), counts) + np.arange(len(owner))]
-    return (X + batch.x0[owner]) % q
+        X = (batch.x0.take(ok, axis=0)[:, None] + homs[0]).reshape(-1, C)
+    else:
+        counts = sizes[which]
+        owner = np.repeat(ok, counts)
+        X = np.concatenate(homs + [np.empty((0, C), dtype=np.int64)]).take(
+            np.repeat(np.cumsum(sizes)[which] - np.cumsum(counts), counts)
+            + np.arange(len(owner)), axis=0)
+        X += batch.x0.take(owner, axis=0)
+    X -= q * (X >= q)
+    return X

@@ -125,7 +125,7 @@ def lift_frontier(P, lay, frontier, epi, cap=DEFAULT_FRONTIER_CAP, level=0):
     lifts = X.reshape(-1, n, s) @ q ** np.arange(s, dtype=np.int64)
     del X
     lifts *= nB
-    lifts += frontier[np.repeat(np.arange(m), counts)]
+    lifts += frontier.take(np.repeat(np.arange(m), counts), axis=0)
     if c:
         keep = np.ones(len(lifts), dtype=bool)
         keep[(np.cumsum(counts) - counts + places).ravel()] = False
@@ -206,7 +206,8 @@ def _complement_vectors(lay, images):
     """The solution vectors of the c complement lifts of every map of
     ``images``, the restrictions of ``lay.sections``, as a (c, m, n s)
     array."""
-    X = _digit_vectors(lay.q, lay.s)[lay.sections[:, images] // len(lay.base)]
+    X = _digit_vectors(lay.q, lay.s).take(
+        lay.sections.take(images, axis=1) // len(lay.base), axis=0)
     return X.reshape(*X.shape[:2], X.shape[2] * lay.s)
 
 
@@ -256,10 +257,13 @@ def _orbit_representatives(group, rows):
     product of the orbit lengths it passed as its size (orbit-stabiliser:
     the last node is the stabiliser of the least image).  Rows move as
     int32 blocks of about _BLOCK entries, and the least images are
-    deduplicated as packed int64 keys (``_distinct_rows``)."""
+    deduplicated as packed int64 keys (``_distinct_rows``).  A node's
+    orbit data is read at node |B| + x, in range since every x is an
+    element of B and ``descend`` returns built nodes only."""
     m, n = rows.shape
     if len(group) == 1 or not m:
         return rows, np.ones(m, dtype=np.int64)
+    nB = group.rows.shape[1]
     flat = group.rows.ravel()
     least = rows.copy()
     weights = np.ones(m, dtype=np.int64)
@@ -268,14 +272,14 @@ def _orbit_representatives(group, rows):
         moved, w = least[lo : lo + step], weights[lo : lo + step]
         node = np.zeros(len(moved), dtype=np.int64)
         for j in range(n):
-            x = moved[:, j]
-            w *= group.length[node, x]
-            moved[:, j:] = flat[group.carry[node, x][:, None] + moved[:, j:]]
+            at = node * nB + moved[:, j]
+            w *= group.length.take(at)
+            moved[:, j:] = flat.take(group.carry.take(at)[:, None] + moved[:, j:])
             if j < n - 1:
                 node = group.descend(node, moved[:, j])
-    order, new = _distinct_rows(least, group.rows.shape[1])
+    order, new = _distinct_rows(least, nB)
     kept = order[new]
-    return least[kept], weights[kept]
+    return least.take(kept, axis=0), weights.take(kept)
 
 
 def _count_top(P, lay, reps):

@@ -6,7 +6,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import random
 import re
 
 import numpy as np
@@ -94,14 +93,13 @@ class FiniteGroupTable:
         return conj
 
     def check_associativity(self):
-        """Exhaustive for order <= 64, above on 20000 random triples, three
-        draws of ``random.Random(0)`` each."""
+        """Exhaustive for order <= 64, above on 20000 random triples drawn
+        by a PCG64 generator of seed 0."""
         n, mul = self.n, self.mul
         if n <= 64:
             ok = (mul[mul] == mul[:, mul]).all()  # [a, b, c]: (a b) c and a (b c)
         else:
-            draw = random.Random(0).randrange
-            a, b, c = np.array([draw(n) for _ in range(3 * 20000)]).reshape(-1, 3).T
+            a, b, c = np.random.Generator(np.random.PCG64(0)).integers(n, size=(3, 20000))
             ok = (mul[mul[a, b], c] == mul[a, mul[b, c]]).all()
         if not ok:
             raise GroupSpecError("multiplication table is not associative")
@@ -225,7 +223,7 @@ class PermutationGroup:
         if key not in self._nodes:
             self._nodes[key] = len(self.members)
             self.members.append(members)
-            sub = self.rows[members]
+            sub = self.rows.take(members, axis=0)
             n = sub.shape[1]
             self.carry = np.vstack([self.carry, members[sub.argmin(axis=0)] * n])
             distinct = np.diff(np.sort(sub, axis=0), axis=0) != 0
@@ -235,14 +233,18 @@ class PermutationGroup:
 
     def descend(self, nodes, points):
         """The child of each node of ``nodes`` at its point of ``points``, a
-        least orbit point, building the stabilisers that are missing."""
+        least orbit point, building only the missing stabilisers, in
+        ascending order of (node, point)."""
         n = self.rows.shape[1]
         at = nodes * n + points
-        missing = np.bincount(at[self.child.ravel()[at] < 0], minlength=self.child.size)
-        for k, p in zip(*np.divmod(np.flatnonzero(missing), n)):
-            members = self.members[k]
-            self.child[k, p] = self._node(members[self.rows[members, p] == p])
-        return self.child.ravel()[at]
+        kids = self.child.take(at)
+        missing = at[kids < 0]
+        if len(missing):
+            for k, p in zip(*np.divmod(np.unique(missing), n)):
+                members = self.members[k]
+                self.child[k, p] = self._node(members[self.rows[:, p].take(members) == p])
+            kids = self.child.take(at)
+        return kids
 
 
 def _coords(radices):

@@ -8,6 +8,9 @@ Python routes and the helpers that only the tests call:
   q-valuation, whose solutions are read off a diagonal system; the
   reference for the batched Z_q elimination (``solve_systems``) and for
   the Smith normal form rank of ``intertwiner_space_dim``;
+* the homogeneous solutions of an elimination over an ``np.indices`` grid
+  (``homogeneous_by_indices``), the reference for the row order of
+  ``Elimination.homogeneous``;
 * |Z^1| of a presented group acting on a finite abelian group, each prime
   part homocyclic (``TwistedAction``, ``PrimeBlock``,
   ``twisted_z1_count``): its own relator walk with a running prefix
@@ -432,6 +435,15 @@ def build_system(P, images, layer, check=True):
 def solve_system(sys):
     rhs = [(-x) % sys.q for x in sys.chi_vec]
     return solve_mod_prime_power(sys.matrix, rhs, sys.n_gens * sys.s, sys.q, 1)
+
+
+def homogeneous_by_indices(elim, g):
+    """The homogeneous solutions of matrix g of an ``Elimination`` over an
+    ``np.indices`` grid of its free unknowns, first free unknown slowest:
+    the order that ``SolutionBatch.place`` inverts."""
+    q, d = elim.q, int(elim.dims[g])
+    y = np.indices((q,) * d, dtype=np.int64).reshape(d, q**d)
+    return (elim.null[g][:, elim.free[g]] @ y).T % q
 
 
 def homogeneous_count(sys):

@@ -20,6 +20,7 @@ from reference import (
     evaluate_ring_element,
     fixed_subspace_dim,
     h1_dim,
+    homogeneous_by_indices,
     homogeneous_count,
     solution_vectors,
     solve_mod_prime_power,
@@ -28,7 +29,7 @@ from reference import (
 )
 
 from solvquot import cohomology, counting
-from solvquot.cohomology import build_systems, solution_arrays, solve_systems
+from solvquot.cohomology import build_systems, eliminate, solution_arrays, solve_systems
 from solvquot.groups import CATALOG_SPECS, builtin_group, eval_word_in_table
 from solvquot.presentations import (
     FreeGroupRingElement,
@@ -342,6 +343,23 @@ def test_batched_solver_against_the_per_map_solver():
         want = len(np.unique(distinct.reshape(k, R * C), axis=0)) if m else 0
         got = _assert_solver_matches_reference(A, b, q)[1]
         assert got == want and (m < 2 or got < m), (q, R, C, m, k)
+
+
+def test_homogeneous_grid_against_np_indices():
+    # Elimination.homogeneous reads its grid off the cached digit vectors;
+    # row for row it is the np.indices expansion (first free unknown
+    # slowest), the order SolutionBatch.place inverts, for every d <= 4
+    rng = np.random.default_rng(7)
+    for q in (2, 3, 5):
+        A = rng.integers(q, size=(60, 4, 4))
+        A[rng.random((60, 4)) < 0.4] = 0  # zero rows, so that d takes every value
+        A[:2] = [np.eye(4, dtype=np.int64), np.zeros((4, 4), dtype=np.int64)]  # d = 0 and 4
+        elim = eliminate(A, q)
+        assert set(elim.dims.tolist()) == {0, 1, 2, 3, 4}, q
+        for g in range(len(A)):
+            grid = elim.homogeneous(g)
+            assert np.array_equal(grid, homogeneous_by_indices(elim, g)), (q, g)
+            assert not ((A[g] @ grid.T) % q).any(), (q, g)
 
 
 def test_free_source_system_is_empty():

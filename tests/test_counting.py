@@ -356,8 +356,9 @@ def test_weight_per_dim_is_exact_past_float_sums():
 
 
 def test_orbit_representatives_against_every_image():
-    # random rows of 3 entries on every level of every catalog tower, under
-    # the series automorphisms A and under Inn, and of 12 entries over
+    # random rows of 3 entries on every level of every catalog tower and on
+    # the top two levels of D(256), where |B| is 128 and 256, under the
+    # series automorphisms A and under Inn, and of 12 entries over
     # Dstar(48), whose packed keys take two int64 chunks (48^12 > 2^62);
     # half the rows differ from the other half in the last entry only, so
     # some least images agree on every chunk but the last.  Each
@@ -365,9 +366,9 @@ def test_orbit_representatives_against_every_image():
     # and its weight the number of distinct images.  The images of all rows
     # are sorted together, by row and then entry by entry.
     rng = np.random.default_rng(3)
-    towers = {spec: builtin_group(spec) for spec in CATALOG_SPECS}
+    towers = {spec: builtin_group(spec) for spec in CATALOG_SPECS + ["D(256)"]}
     cases = [(spec, level, 3) for spec, tower in towers.items()
-             for level in range(1, len(tower.layers) + 1)]
+             for level in range(1, len(tower.layers) + 1) if spec != "D(256)" or level > 6]
     for spec, level, n in cases + [("Dstar(48)", 5, 12)]:
         tower = towers[spec]
         for group in (conjugation_orbit_groups(tower)(level), tower.orbit_group(level)):
@@ -388,6 +389,36 @@ def test_orbit_representatives_against_every_image():
             want = dict(zip(map(tuple, least.tolist()), distinct.tolist()))
             assert [tuple(r) for r in reps.tolist()] == sorted(want), (spec, level)
             assert weights.tolist() == [want[r] for r in sorted(want)], (spec, level)
+
+
+def test_warm_stabiliser_chain_builds_no_node(monkeypatch):
+    # on every level of every catalog tower and of D(256), a second pass of
+    # the same rows through the chain the first pass built builds no node,
+    # descend never returns -1, and the representatives equal those of a
+    # fresh PermutationGroup of the same rows, whose chain the pass builds
+    rng = np.random.default_rng(5)
+    built = []
+    real_node, real_descend = PermutationGroup._node, PermutationGroup.descend
+
+    def descend(group, nodes, points):
+        kids = real_descend(group, nodes, points)
+        assert (kids >= 0).all()
+        return kids
+
+    monkeypatch.setattr(PermutationGroup, "_node",
+                        lambda group, members: built.append(members) or real_node(group, members))
+    monkeypatch.setattr(PermutationGroup, "descend", descend)
+    for spec in CATALOG_SPECS + ["D(256)"]:
+        tower = builtin_group(spec)
+        for level in range(1, len(tower.layers) + 1):
+            group = tower.orbit_group(level)
+            rows = rng.integers(group.rows.shape[1], size=(200, 4)).astype(np.int32)
+            counting._orbit_representatives(group, rows)
+            built.clear()
+            reps, weights = counting._orbit_representatives(group, rows)
+            assert not built, (spec, level)
+            fresh = counting._orbit_representatives(PermutationGroup(group.rows), rows)
+            assert np.array_equal(reps, fresh[0]) and np.array_equal(weights, fresh[1]), (spec, level)
 
 
 def test_planted_errors_raise(monkeypatch):
@@ -906,6 +937,7 @@ def test_deep_dihedral_counts():
     rep = epi_count(P, d256)
     assert (rep.epi, rep.delta) == (47185920, 5760)
     assert epi_count(P, d128).epi == 5898240
+    frobenius = {}
     for tower, hom in [(d128, 24641536), (d256, 331350016)]:
         table = tower.group
         classes = len({frozenset(table.conjugates(x)) for x in range(table.n)})
@@ -913,4 +945,9 @@ def test_deep_dihedral_counts():
         # the other irreducible characters of a dihedral group have degree 2
         degrees = [1] * linear + [2] * (classes - linear)
         assert sum(d * d for d in degrees) == table.n
-        assert hom_count(P, tower) == table.n * sum((table.n // d) ** 2 for d in degrees) == hom
+        frobenius[table.n] = table.n * sum((table.n // d) ** 2 for d in degrees)
+        assert hom_count(P, tower) == frobenius[table.n] == hom
+    # Epi again by P. Hall's Moebius sum over the subgroups of D(256) that
+    # contain its Frattini subgroup Z(64): D(256) (mu = 1), Z(128) and two
+    # D(128) (mu = -1) and Z(64) (mu = 2), with |Hom(surface(2), Z(n))| = n^4
+    assert (frobenius[256] - 128**4 - 2 * frobenius[128] + 2 * 64**4) == rep.epi
